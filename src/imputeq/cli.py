@@ -19,7 +19,11 @@ from .audit import (
     single_imputer_strategy,
 )
 from .config import Config, apply_overrides, parse_config
-from .depgraph import build_dependency_graph, transitive_dependencies
+from .depgraph import (
+    build_dependency_graph,
+    transitive_dependencies,
+    validate_dependency_dict,
+)
 from .engine import (
     apply_pipeline,
     assess,
@@ -33,7 +37,6 @@ from .errors import (
     CorruptModel,
     DataIoError,
     DegenerateInput,
-    ImputeQError,
     InvalidArgument,
     InvalidFoldCount,
     ParseError,
@@ -88,6 +91,7 @@ def _resolve_dependencies(config: Config, t: Table):
     if spec is None:
         return None
     if isinstance(spec, dict):
+        validate_dependency_dict(spec, t.column_names)
         return spec
     if spec == "auto":
         kwargs = {"seed": config.seed}
@@ -109,7 +113,9 @@ def _resolve_dependencies(config: Config, t: Table):
     ):
         raise SchemaError("dependency_graph",
                           "expected a feature -> predecessors object")
-    return {k: [str(p) for p in v] for k, v in doc.items()}
+    deps = {k: [str(p) for p in v] for k, v in doc.items()}
+    validate_dependency_dict(deps, t.column_names)
+    return deps
 
 
 def _config_from_args(args) -> Config:
@@ -330,7 +336,7 @@ def main(argv=None) -> int:
         return _emit_error(exc, EXIT_CONFIG)
     except _DATA_ERRORS as exc:
         return _emit_error(exc, EXIT_DATA)
-    except ImputeQError as exc:
+    except Exception as exc:  # other ImputeQErrors and defects alike
         return _emit_error(exc, EXIT_INTERNAL)
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .depgraph import validate_dependency_dict
 from .errors import (
     CorruptModel,
     DegenerateInput,
@@ -264,6 +265,8 @@ def imputation_score(
             f"{spec.id}: no scorable fold for {feature!r}"
         )
     raw_mean = float(np.mean(fold_scores))
+    if math.isnan(raw_mean):
+        raise DegenerateInput(f"{spec.id}: score for {feature!r} is NaN")
     mean = min(max(raw_mean, 0.0), 1.0)
     if mean != raw_mean:
         notes.add("clamped")
@@ -344,6 +347,8 @@ def _check_assessable(t: Table, config: AssessConfig) -> None:
             raise InvalidArgument(
                 f"column {c.name!r} has no kind; run infer_column_kinds first"
             )
+    if config.dependencies is not None:
+        validate_dependency_dict(config.dependencies, t.column_names)
 
 
 def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:

@@ -227,7 +227,7 @@ def transform(f: FittedImputer, t: Table) -> Table:
         fills = apprandom_sample(f.state["observed"], missing.size, f.spec.seed)
     elif f.spec.family == "knn":
         X = _predictor_matrix(t, f.predictor_columns)
-        fills = np.array([_knn_one(f.state, X[i]) for i in missing])
+        fills = knn_fill(f.state, X[missing])
     else:
         fills = _iterative_transform(f, t, missing)
 
@@ -250,7 +250,9 @@ def _apply_rounding(f, col, fills, missing_idx):
     unit_fills = (fills - lo) / span
     unit_obs = (col.observed_values() - lo) / span
     marginal = float(np.concatenate([unit_obs, unit_fills]).mean())
-    rounded = adaptive_round_binary(unit_fills, marginal)
+    # a batch with no observed cell takes its marginal from the unclipped
+    # fills alone, which a regression can push outside [0, 1]
+    rounded = adaptive_round_binary(unit_fills, min(max(marginal, 0.0), 1.0))
     return lo + rounded * span
 
 
@@ -266,38 +268,79 @@ def apprandom_sample(observed: np.ndarray, n: int, seed: int) -> np.ndarray:
     return observed[rng.integers(0, observed.size, n)]
 
 
-def _knn_one(state: dict, row: np.ndarray) -> float:
-    d = _knn_distances(state["ref_X"], row)
-    finite = np.isfinite(d)
-    if not finite.any():
+# Cap on the (rows x references x coordinates) float array of one block.
+_KNN_BLOCK_BYTES = 1 << 20
+
+
+def knn_fill(state: dict, X: np.ndarray) -> np.ndarray:
+    """kNN fills for the query rows `X`, block by block.
+
+    The distance to a reference row is the Euclidean distance over the
+    coordinates both rows observe, scaled up by total/shared coordinate
+    count: sqrt(p / shared * sum of squared shared differences); no shared
+    coordinate gives +inf.  Each fill is the mean target of the k nearest
+    references, ties going to the earlier reference row; a row with fewer
+    than k finite distances uses all of them, and a row with none falls back
+    to the global mean with a warning.  Observed values must be finite:
+    NaN is the only marker of a missing coordinate.
+    """
+    ref_X = state["ref_X"]
+    n_ref, p = ref_X.shape
+    ref_seen = (~np.isnan(ref_X)).T.astype(float)
+    rows = max(1, min(len(X), _KNN_BLOCK_BYTES // (8 * n_ref * p)))
+    buf = np.empty((rows, n_ref, p))
+    fills = np.empty(len(X))
+    for lo in range(0, len(X), rows):
+        q = X[lo:lo + rows]
+        sq = np.subtract(ref_X, q[:, None, :], out=buf[:len(q)])
+        # sq is NaN wherever either side is missing
+        np.multiply(sq, sq, out=sq)
+        np.fmax(sq, 0.0, out=sq)  # NaN -> 0
+        # a sum over the contiguous last axis adds each pair's coordinates
+        # in numpy's pairwise order for length p, whatever the block shape
+        ss = sq.sum(axis=2)
+        shared = (~np.isnan(q)).astype(float) @ ref_seen  # exact counts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.sqrt(p / shared * ss)
+        d[shared == 0] = np.inf
+        fills[lo:lo + len(q)] = _knn_means(d, state)
+    return fills
+
+
+def _knn_means(d: np.ndarray, state: dict) -> np.ndarray:
+    k = np.minimum(state["k"], np.isfinite(d).sum(axis=1))
+    out = np.full(len(d), state["global_mean"])
+    if not k.all():
         warnings.warn(
             "no reference row shares an observed coordinate; falling back "
             "to the global mean",
             ImputeQWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return state["global_mean"]
-    k = min(state["k"], int(finite.sum()))
-    order = np.argsort(d, kind="mergesort")  # stable: ties keep row order
-    return float(state["ref_y"][order[:k]].mean())
+    for kk in set(k.tolist()) - {0}:  # one pass per neighbour count
+        sel = k == kk
+        out[sel] = _nearest_mean(d[sel], state["ref_y"], kk)
+    return out
 
 
-def _knn_distances(ref_X: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Euclidean distance over mutually observed coordinates, scaled up by
-    total/shared coordinate count; no overlap gives +inf."""
-    p = ref_X.shape[1]
-    shared = ~np.isnan(ref_X) & ~np.isnan(row)[None, :]
-    counts = shared.sum(axis=1)
-    diff = np.where(shared, ref_X - row[None, :], 0.0)
-    ss = (diff * diff).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.sqrt(p / counts * ss)
-    d[counts == 0] = np.inf
-    return d
-
-
-def knn_impute(state: dict, row: np.ndarray) -> float:
-    return _knn_one(state, np.asarray(row, dtype=float))
+def _nearest_mean(d: np.ndarray, ref_y: np.ndarray, k: int) -> np.ndarray:
+    """Mean target of each row's k nearest references, summed nearest
+    first with ties in reference order, as a stable argsort of the row
+    would pick and order them.  Every row has at least k finite distances.
+    """
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    take = d <= kth
+    extra = take.sum(axis=1) - k
+    tied = np.flatnonzero(extra)
+    if tied.size:
+        # drop the last `extra` references at the k-th distance
+        at = d[tied] == kth[tied]
+        from_end = np.cumsum(at[:, ::-1], axis=1)[:, ::-1]
+        take[tied] &= ~(at & (from_end <= extra[tied, None]))
+    rows, idx = np.nonzero(take)  # each row's k references, ascending
+    near = d[rows, idx].reshape(-1, k).argsort(axis=1, kind="stable")
+    idx = idx.reshape(-1, k)[np.arange(len(d))[:, None], near]
+    return ref_y[idx].sum(axis=1) / k
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +360,14 @@ def _init_fill(values: np.ndarray, mask: np.ndarray, strategy: str) -> float:
 
 def _fit_column_estimator(spec: ImputerSpec, X, y, col_idx: int, round_idx: int):
     params = spec.params
-    seed = int(
-        np.random.SeedSequence([spec.seed, col_idx, round_idx]).generate_state(1)[0]
-        % (2**31)
-    )
     try:
         est = params["estimator"]
         if est == "ridge":
             return ridge_fit(X, y, reg=float(params.get("reg", 1.0)))
+        seed = int(
+            np.random.SeedSequence([spec.seed, col_idx, round_idx])
+            .generate_state(1)[0] % (2**31)
+        )
         if est == "forest":
             return forest_fit(
                 X, y,

@@ -156,7 +156,8 @@ def load_csv(
 ) -> Table:
     """Read an RFC-4180 style CSV (header required) into a raw Table.
 
-    Cells matching a missing sentinel are masked.  A column is parsed as
+    Cells matching a missing sentinel are masked, and so are numeric cells
+    that parse as NaN or infinity.  A column is parsed as
     numeric when at least one non-missing cell parses as a number and no
     kind hint says otherwise; a non-parseable cell in such a column raises
     :class:`ParseError`.  Columns with no numeric cells stay as strings for
@@ -209,7 +210,9 @@ def load_csv(
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
                 raise ParseError(i, name, raw[i])
-            columns.append(Column(name, parsed, mask, kind=hinted))
+            nonfinite = ~np.isfinite(parsed)
+            parsed[nonfinite] = np.nan
+            columns.append(Column(name, parsed, mask | nonfinite, kind=hinted))
     return Table(tuple(columns), n)
 
 

@@ -4,6 +4,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from imputeq import cli
 from imputeq.cli import main
 
 
@@ -61,6 +62,19 @@ class TestAssess:
         main(["assess", "--config", config, "--out", out1])
         main(["assess", "--config", config, "--out", out2, "--seed", "99"])
         assert (tmp / "q1.json").read_bytes() != (tmp / "q2.json").read_bytes()
+
+    def test_non_finite_cells_count_as_missing(self, workspace):
+        tmp, config, data = workspace
+        lines = (tmp / "data.csv").read_text().splitlines()
+        lines[1] = "inf," + lines[1].split(",", 1)[1]
+        lines[2] = "nan," + lines[2].split(",", 1)[1]
+        (tmp / "data.csv").write_text("\n".join(lines) + "\n")
+        out = str(tmp / "q.json")
+        assert main(["assess", "--config", config, "--out", out]) == 0
+        doc = json.loads((tmp / "q.json").read_text())
+        for r in doc["records"]:
+            assert 0.0 <= r["delta"] <= 1.0
+            assert 0.0 <= r["omega"] <= 1.0
 
 
 class TestFitApply:
@@ -231,6 +245,49 @@ class TestErrorChannels:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "SchemaError"
         assert err["path"] == "threshold"
+
+    @pytest.mark.parametrize("graph", [
+        {"a": ["zz"]}, {"zz": ["a"]}, {"a": ["a"]},
+    ])
+    def test_bad_inline_dependency_dict_is_config_error(self, workspace,
+                                                          capsys, graph):
+        tmp, config, data = workspace
+        doc = json.loads(open(config).read())
+        doc["dependency_graph"] = graph
+        open(config, "w").write(json.dumps(doc))
+        rc = main(["assess", "--config", config,
+                   "--out", str(tmp / "q.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidArgument"
+
+    def test_bad_dependency_file_is_config_error(self, workspace, capsys):
+        tmp, config, data = workspace
+        deps = tmp / "deps.json"
+        deps.write_text(json.dumps({"b": ["a", "nope"]}))
+        doc = json.loads(open(config).read())
+        doc["dependency_graph"] = str(deps)
+        open(config, "w").write(json.dumps(doc))
+        rc = main(["fit", "--config", config, "--out", str(tmp / "p.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidArgument"
+
+    def test_unexpected_exception_is_internal_error(self, workspace,
+                                                    monkeypatch, capsys):
+        tmp, config, data = workspace
+
+        def broken(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "assess", broken)
+        rc = main(["assess", "--config", config,
+                   "--out", str(tmp / "q.json")])
+        assert rc == 4
+        captured = capsys.readouterr()
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "KeyError"
+        assert "Traceback" not in captured.err
 
     def test_no_data_given(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -26,6 +26,7 @@ from imputeq.engine import (
 )
 from imputeq.errors import (
     CorruptModel,
+    DegenerateInput,
     ImputeQWarning,
     InvalidArgument,
     SchemaMismatch,
@@ -85,6 +86,11 @@ class TestQualityScore:
     @pytest.mark.parametrize("mu,delta", [(-0.1, 0.5), (1.1, 0.5),
                                           (0.5, -0.1), (0.5, 1.1)])
     def test_rejects_out_of_range(self, mu, delta):
+        with pytest.raises(InvalidArgument):
+            quality_score(mu, delta)
+
+    @pytest.mark.parametrize("mu,delta", [(np.nan, 0.5), (0.5, np.nan)])
+    def test_rejects_nan(self, mu, delta):
         with pytest.raises(InvalidArgument):
             quality_score(mu, delta)
 
@@ -175,6 +181,15 @@ class TestImputationScore:
         )
         assert out.mean == 0.0
         assert "clamped" in out.notes
+
+    def test_nan_fold_mean_is_rejected(self):
+        t = linear_pair(seed=2)
+        splits = kfold_split(t.n_rows, 5, 0)
+        with pytest.raises(DegenerateInput):
+            imputation_score(
+                t, "y", ImputerSpec("m", "simple", {"statistic": "mean"}),
+                splits, seed=1, scorer=lambda a, b: float("nan"),
+            )
 
     def test_pooled_only_covers_observed_cells(self):
         t = linear_pair(seed=9, miss=0.4)
@@ -350,6 +365,13 @@ class TestAssess:
         assert void.omega == 0.0
         assert void.fallback_used
         assert all(e.skipped for e in void.evaluations)
+
+    @pytest.mark.parametrize("deps", [{"y": ["zz"]}, {"zz": []}, {"y": ["y"]}])
+    def test_bad_dependency_dict_rejected(self, deps):
+        t = linear_pair(seed=8)
+        cfg = AssessConfig(imputers=BASIC_ROSTER, seed=5, dependencies=deps)
+        with pytest.raises(InvalidArgument):
+            assess(t, cfg)
 
     def test_threshold_marks_kept(self):
         t = linear_pair(seed=6)

@@ -14,7 +14,7 @@ from imputeq.imputers import (
     fit,
     fitted_from_jsonable,
     fitted_to_jsonable,
-    knn_impute,
+    knn_fill,
     transform,
 )
 from imputeq.metrics import nrmse_score
@@ -138,6 +138,20 @@ class TestTransform:
         filled = transform(f, t).column("x").values[12:]
         assert set(filled) <= {1.0, 2.0}
 
+    def test_one_row_binary_fill_beyond_levels_rounds(self):
+        # the row's own ridge fill is its batch's marginal; far outside the
+        # training range that fill leaves [0, 1] and must still round
+        x = np.arange(20.0)
+        b = (x >= 10).astype(float)
+        t = Table((col("x", x, ColumnKind.CONTINUOUS),
+                   col("b", b, ColumnKind.BINARY)))
+        spec = ImputerSpec("it", "iterative", {"estimator": "ridge"})
+        f = fit(spec, t, "b", ("x",))
+        for xv, want in ((100.0, 1.0), (-100.0, 0.0)):
+            one = Table((col("x", [xv], ColumnKind.CONTINUOUS),
+                         col("b", [np.nan], ColumnKind.BINARY)))
+            assert transform(f, one).column("b").values[0] == want
+
     def test_discrete_censoring_in_transform(self):
         vals = np.array([10.0] * 5 + [20.0] * 5 + [30.0] * 5 + [np.nan] * 3)
         t = Table((col("x", vals, ColumnKind.DISCRETE),))
@@ -185,7 +199,7 @@ class TestKnnImpute:
             "global_mean": 0.0,
         }
         # query at 2.0 is distance 1 from every reference
-        assert knn_impute(state, np.array([2.0])) == pytest.approx(2.0)
+        assert knn_fill(state, np.array([[2.0]]))[0] == pytest.approx(2.0)
 
     def test_distance_scaling_tie_prefers_earlier(self):
         # ref A shares 1 of 2 coords (diff 1): d = sqrt(2/1 * 1) = sqrt(2)
@@ -196,7 +210,7 @@ class TestKnnImpute:
             "k": 1,
             "global_mean": 0.0,
         }
-        assert knn_impute(state, np.array([0.0, 0.0])) == 7.0
+        assert knn_fill(state, np.array([[0.0, 0.0]]))[0] == 7.0
 
     def test_no_overlap_falls_back_to_global_mean(self):
         state = {
@@ -206,7 +220,7 @@ class TestKnnImpute:
             "global_mean": 42.0,
         }
         with pytest.warns(ImputeQWarning):
-            assert knn_impute(state, np.array([1.0])) == 42.0
+            assert knn_fill(state, np.array([[1.0]]))[0] == 42.0
 
     def test_k_capped_at_references(self):
         state = {
@@ -215,7 +229,7 @@ class TestKnnImpute:
             "k": 10,
             "global_mean": 0.0,
         }
-        assert knn_impute(state, np.array([0.5])) == pytest.approx(3.0)
+        assert knn_fill(state, np.array([[0.5]]))[0] == pytest.approx(3.0)
 
 
 def linear_pair_table(seed=0, n=200, miss=0.3):

@@ -43,6 +43,14 @@ class TestLoadCsv:
         assert list(b.mask) == [False, False, False, True]
         assert b.values[1] == "y"
 
+    def test_non_finite_cells_are_missing(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a\n1\nnan\ninf\n-inf\n2\n")
+        a = load_csv(p).column("a")
+        assert list(a.mask) == [False, True, True, True, False]
+        assert np.isnan(a.values[a.mask]).all()
+        assert np.isfinite(a.observed_values()).all()
+
     def test_parse_error_position(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a\n1\n2\noops\n")
