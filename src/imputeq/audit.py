@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 from .engine import (
     AssessConfig,
     _task_seed,
-    _thread_count,
     apply_pipeline,
     assess,
     fit_pipeline,
@@ -294,22 +292,10 @@ def _audit_one(
         return AuditReport(name, level, per_feature, None,
                            notes=("strategy_error",))
 
-    names = dprime.column_names
-    tasks = list(range(len(names)))
-
-    def run(idx):
-        return audit_feature(dprime, masks[names[idx]], k,
-                             _task_seed(seed, idx))
-
-    threads = _thread_count()
-    if threads == 1:
-        results = [run(i) for i in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-
     per_feature = tuple(
-        replace(r, feature=names[i]) for i, r in enumerate(results)
+        audit_feature(dprime, masks[feature], k, _task_seed(seed, idx),
+                      feature)
+        for idx, feature in enumerate(dprime.column_names)
     )
     scored = [f.mean_auroc for f in per_feature if not f.skipped]
     average = float(np.mean(scored)) if scored else None

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+
 from .audit import (
     audit_all,
     audit_matrix_csv,
@@ -25,6 +27,7 @@ from .depgraph import (
     validate_dependency_dict,
 )
 from .engine import (
+    AssessConfig,
     apply_pipeline,
     assess,
     deserialize_pipeline,
@@ -85,6 +88,16 @@ def _load_table(config: Config) -> Table:
     return infer_column_kinds(t)
 
 
+def _graph_kwargs(config: Config) -> dict:
+    """build_dependency_graph keyword arguments from the config."""
+    kwargs = {"seed": config.assess.seed}
+    if config.graph_top_n is not None:
+        kwargs["top_n"] = config.graph_top_n
+    if config.graph_min_importance is not None:
+        kwargs["min_importance"] = config.graph_min_importance
+    return kwargs
+
+
 def _resolve_dependencies(config: Config, t: Table):
     """Turn the config's dependency_graph field into a predecessor dict."""
     spec = config.dependency_graph
@@ -94,12 +107,7 @@ def _resolve_dependencies(config: Config, t: Table):
         validate_dependency_dict(spec, t.column_names)
         return spec
     if spec == "auto":
-        kwargs = {"seed": config.seed}
-        if config.graph_top_n is not None:
-            kwargs["top_n"] = config.graph_top_n
-        if config.graph_min_importance is not None:
-            kwargs["min_importance"] = config.graph_min_importance
-        graph = build_dependency_graph(t, **kwargs)
+        graph = build_dependency_graph(t, **_graph_kwargs(config))
         return transitive_dependencies(graph)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
@@ -118,6 +126,11 @@ def _resolve_dependencies(config: Config, t: Table):
     return deps
 
 
+def _assess_config(config: Config, t: Table) -> AssessConfig:
+    """The engine config with the dependency spec resolved against t."""
+    return replace(config.assess, dependencies=_resolve_dependencies(config, t))
+
+
 def _config_from_args(args) -> Config:
     config = parse_config(args.config)
     return apply_overrides(
@@ -131,11 +144,10 @@ def _config_from_args(args) -> Config:
 def cmd_assess(args) -> int:
     config = _config_from_args(args)
     t = _load_table(config)
-    deps = _resolve_dependencies(config, t)
-    records = assess(t, config.to_assess_config(deps))
+    records = assess(t, _assess_config(config, t))
     doc = quality_document(
         records_to_jsonable(records),
-        threshold=config.threshold,
+        threshold=config.assess.threshold,
         columns=column_summary(t),
     )
     write_bytes_atomic(args.out, dumps_canonical(doc))
@@ -146,12 +158,7 @@ def cmd_assess(args) -> int:
 def cmd_graph(args) -> int:
     config = _config_from_args(args)
     t = _load_table(config)
-    kwargs = {"seed": config.seed}
-    if config.graph_top_n is not None:
-        kwargs["top_n"] = config.graph_top_n
-    if config.graph_min_importance is not None:
-        kwargs["min_importance"] = config.graph_min_importance
-    graph = build_dependency_graph(t, **kwargs)
+    graph = build_dependency_graph(t, **_graph_kwargs(config))
     deps = transitive_dependencies(graph)
     write_bytes_atomic(args.out, dumps_canonical(deps))
     print(f"wrote {args.out}")
@@ -161,8 +168,7 @@ def cmd_graph(args) -> int:
 def cmd_fit(args) -> int:
     config = _config_from_args(args)
     t = _load_table(config)
-    deps = _resolve_dependencies(config, t)
-    acfg = config.to_assess_config(deps)
+    acfg = _assess_config(config, t)
     records = assess(t, acfg)
     plan = fit_pipeline(t, records, acfg)
     write_bytes_atomic(args.out, serialize_pipeline(plan))
@@ -184,15 +190,14 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
-def _iqa_strategy(config: Config, deps):
-    """Full pipeline as an audit strategy: assess, fit, apply per train fold."""
-    return pipeline_strategy(config.to_assess_config(deps))
-
-
 def cmd_audit(args) -> int:
     config = _config_from_args(args)
+    ids = [spec.id for spec in config.assess.imputers]
+    if "iqa" in ids:
+        raise SchemaError(f"imputers[{ids.index('iqa')}].id",
+                          "'iqa' names the pipeline strategy in an audit")
     t = _load_table(config)
-    deps = _resolve_dependencies(config, t)
+    acfg = _assess_config(config, t)
     try:
         levels = [float(s) for s in args.levels.split(",") if s.strip()]
     except ValueError:
@@ -200,12 +205,13 @@ def cmd_audit(args) -> int:
     if not levels:
         raise InvalidArgument("at least one missingness level is required")
 
+    # the full pipeline (assess, fit, apply per train fold) runs as "iqa"
     strategies = {
         spec.id: single_imputer_strategy(spec.family, spec.params)
-        for spec in config.imputers
+        for spec in acfg.imputers
     }
-    strategies["iqa"] = _iqa_strategy(config, deps)
-    reports = audit_all(t, strategies, levels, seed=config.seed)
+    strategies["iqa"] = pipeline_strategy(acfg)
+    reports = audit_all(t, strategies, levels, seed=acfg.seed)
 
     if args.format == "csv":
         write_bytes_atomic(args.out, audit_matrix_csv(reports).encode())

@@ -15,6 +15,7 @@ from .engine import (
     DEFAULT_FOLDS,
     SCORER_REGISTRY,
     AssessConfig,
+    with_apprandom,
 )
 from .errors import DataIoError, InvalidArgument, SchemaError
 from .imputers import FAMILIES, ImputerSpec
@@ -29,38 +30,16 @@ _GRAPH_AUTO_KEYS = {"type", "top_n", "min_importance"}
 
 @dataclass(frozen=True)
 class Config:
-    imputers: tuple[ImputerSpec, ...]
+    """Engine settings plus what the CLI needs to load the data and derive
+    the dependency dictionary."""
+
+    assess: AssessConfig
     data_path: str | None = None
     missing_sentinels: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
-    n_folds: int = DEFAULT_FOLDS
-    split_seed: int | None = None
-    seed: int = 0
-    alpha: float = DEFAULT_ALPHA
-    threshold: float | None = None
-    scorers: dict[str, str] | None = None
     # None, "auto", a file path, or an inline predecessor dict
     dependency_graph: object = None
     graph_top_n: int | None = None
     graph_min_importance: float | None = None
-    notes: tuple[str, ...] = ()
-
-    def to_assess_config(
-        self, dependencies: dict[str, list[str]] | None = None
-    ) -> AssessConfig:
-        """Engine-facing view; resolved dependencies override the raw field."""
-        deps = dependencies
-        if deps is None and isinstance(self.dependency_graph, dict):
-            deps = self.dependency_graph
-        return AssessConfig(
-            imputers=self.imputers,
-            n_folds=self.n_folds,
-            seed=self.seed,
-            alpha=self.alpha,
-            threshold=self.threshold,
-            dependencies=deps,
-            scorers=self.scorers,
-            split_seed=self.split_seed,
-        )
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -237,25 +216,21 @@ def parse_config_dict(doc: dict) -> Config:
             doc["dependency_graph"], "dependency_graph"
         )
 
-    notes = []
-    if not any(s.family == "apprandom" for s in imputers):
-        imputers = (*imputers, ImputerSpec("apprandom", "apprandom", {}, seed))
-        notes.append("apprandom_appended")
-
     return Config(
-        imputers=imputers,
+        assess=with_apprandom(AssessConfig(
+            imputers=imputers,
+            n_folds=n_folds,
+            seed=seed,
+            alpha=float(alpha),
+            threshold=threshold,
+            scorers=scorers,
+            split_seed=split_seed,
+        )),
         data_path=data_path,
         missing_sentinels=sentinels,
-        n_folds=n_folds,
-        split_seed=split_seed,
-        seed=seed,
-        alpha=float(alpha),
-        threshold=threshold,
-        scorers=scorers,
         dependency_graph=graph,
         graph_top_n=top_n,
         graph_min_importance=min_importance,
-        notes=tuple(notes),
     )
 
 
@@ -278,9 +253,9 @@ def apply_overrides(config: Config, data=None, seed=None, threshold=None):
     if data is not None:
         out = replace(out, data_path=data)
     if seed is not None:
-        out = replace(out, seed=seed)
+        out = replace(out, assess=replace(out.assess, seed=seed))
     if threshold is not None:
         if not 0.0 <= threshold <= 1.0:
             raise SchemaError("threshold", "expected a number in [0, 1]")
-        out = replace(out, threshold=threshold)
+        out = replace(out, assess=replace(out.assess, threshold=threshold))
     return out

@@ -242,15 +242,3 @@ def validate_dependency_dict(
                 raise InvalidArgument(
                     f"predecessor {p!r} of {key!r} is not a column"
                 )
-
-
-def restrict_training_view(
-    t: Table, target: str, deps: dict[str, list[str]]
-) -> Table:
-    """Project the table to the target's predecessors plus the target.
-
-    An empty (or absent) predecessor list leaves a single-column view, which
-    only univariate imputers can use.
-    """
-    preds = deps.get(target, [])
-    return t.select_columns([*preds, target])

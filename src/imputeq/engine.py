@@ -14,8 +14,8 @@ which callers can threshold to decide which features to keep.  Thresholded
 features are only dropped at the very end, so they still help impute others.
 
 Everything is deterministic for a fixed seed: each grid task derives its own
-generator, and parallel execution (IQA_THREADS) reduces results in a fixed
-order.
+generator from the seed and its (feature, imputer) position, and the grid
+runs serially in a fixed order.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,7 +60,6 @@ from .table import (
 
 PIPELINE_FORMAT = "imputeq-pipeline"
 PIPELINE_SCHEMA_VERSION = 1
-THREADS_ENV_VAR = "IQA_THREADS"
 DEFAULT_FOLDS = 5
 DEFAULT_ALPHA = 0.05
 _FINAL_FIT_TAG = 0x7FFFFFFF  # seed-stream component for full-table fits
@@ -322,19 +319,6 @@ def select_imputer(
     return best.spec.id, False, verdicts
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidArgument(
-            f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise InvalidArgument(f"{THREADS_ENV_VAR} must be >= 1")
-    return n
-
-
 def _check_assessable(t: Table, config: AssessConfig) -> None:
     if t.n_rows < config.n_folds:
         raise InvalidArgument("fewer rows than folds")
@@ -356,56 +340,32 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
 
     Failures are contained per (feature, imputer) pair: an untrainable
     candidate is recorded as skipped and the rest of the grid proceeds.  The
-    result is bit-reproducible for a fixed seed regardless of IQA_THREADS.
+    result is bit-reproducible for a fixed seed.
     """
     config = with_apprandom(config)
     _check_assessable(t, config)
     split_seed = config.seed if config.split_seed is None else config.split_seed
     splits = kfold_split(t.n_rows, config.n_folds, split_seed)
-    names = t.column_names
-    tasks = [
-        (fi, ii)
-        for fi in range(len(names))
-        for ii in range(len(config.imputers))
-    ]
-
-    def run_task(task):
-        fi, ii = task
-        feature = names[fi]
-        spec = config.imputers[ii]
-        try:
-            return imputation_score(
-                t, feature, spec, splits,
-                scorer=config.scorer_for(t.column(feature).kind),
-                deps=config.dependencies,
-                seed=_task_seed(config.seed, fi, ii),
-            )
-        except (UntrainableImputer, ImputerTrainingError) as exc:
-            return exc
-
-    threads = _thread_count()
-    if threads == 1:
-        results = {task: run_task(task) for task in tasks}
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(tasks, pool.map(run_task, tasks)))
-
     records = []
-    for fi, feature in enumerate(names):
+    for fi, feature in enumerate(t.column_names):
         col = t.column(feature)
         mu = completeness(col)
         candidates = []
         for ii, spec in enumerate(config.imputers):
-            outcome = results[(fi, ii)]
             n_preds = (
                 len(_predictors_for(t, feature, config.dependencies))
                 if spec.is_multivariate
                 else 0
             )
-            if isinstance(outcome, Exception):
-                candidates.append(
-                    _Candidate(spec, ii, n_preds, None, str(outcome))
+            try:
+                outcome = imputation_score(
+                    t, feature, spec, splits,
+                    scorer=config.scorer_for(col.kind),
+                    deps=config.dependencies,
+                    seed=_task_seed(config.seed, fi, ii),
                 )
+            except (UntrainableImputer, ImputerTrainingError) as exc:
+                candidates.append(_Candidate(spec, ii, n_preds, None, str(exc)))
             else:
                 candidates.append(_Candidate(spec, ii, n_preds, outcome))
 
@@ -583,13 +543,18 @@ def fit_pipeline(
 
 def _encode_with_schema(col: Column, schema: ColumnSchema) -> Column:
     """Encode one raw column against the stored schema; unseen categories
-    become missing cells so a downstream imputer can fill them."""
+    become missing cells so a downstream imputer can fill them.  An
+    all-blank column loads as strings, so a numeric schema turns it into
+    NaN cells under the same mask."""
     if schema.labels is None:
-        if not col.is_encoded:
+        if col.is_encoded:
+            return replace(col, kind=schema.kind)
+        if not col.mask.all():
             raise SchemaMismatch(
                 f"column {col.name!r}: expected numeric values"
             )
-        return replace(col, kind=schema.kind)
+        return replace(col, values=np.full(col.n_rows, np.nan),
+                       kind=schema.kind)
     code_of = {v: k for k, v in schema.labels.items()}
     values = np.full(col.n_rows, np.nan)
     mask = col.mask.copy()

@@ -114,24 +114,11 @@ def auroc(y_true: np.ndarray, scores: np.ndarray) -> float:
     n_neg = int(y_true.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInput("auroc needs both classes")
-    ranks = _average_ranks(scores)
+    if np.isnan(scores).any():
+        raise DegenerateInput("auroc scores must not be NaN")
+    ranks = stats.rankdata(scores)
     rank_sum = float(ranks[y_true].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the mean rank of their block."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x))
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def mean_ci(values: np.ndarray, confidence: float = 0.95) -> tuple[float, float]:

@@ -266,19 +266,6 @@ def label_encode(table: Table) -> Table:
     return Table(tuple(out), table.n_rows)
 
 
-def decode_column(c: Column) -> list:
-    """Inverse of label encoding for one column; None at masked cells."""
-    out = []
-    for i in range(c.n_rows):
-        if c.mask[i]:
-            out.append(None)
-        elif c.labels is not None:
-            out.append(c.labels[int(c.values[i])])
-        else:
-            out.append(c.values[i])
-    return out
-
-
 MIN_LEVEL_COUNT = 5  # a value must appear this often for a non-continuous kind
 
 

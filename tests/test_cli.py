@@ -93,6 +93,25 @@ class TestFitApply:
             assert len(cells) == len(header)
             assert all(c != "" for c in cells)
 
+    @pytest.mark.parametrize("rows", [",61.5,red", ",61.5,red\n,80.2,blue"],
+                             ids=["one_row", "two_rows"])
+    def test_apply_with_all_blank_numeric_column(self, workspace, rows):
+        tmp, config, data = workspace
+        pipe = str(tmp / "pipe.json")
+        assert main(["fit", "--config", config, "--out", pipe]) == 0
+        batch = tmp / "batch.csv"
+        batch.write_text("a,b,color\n" + rows + "\n")
+        out = tmp / "o.csv"
+        assert main(["apply", "--pipeline", pipe, "--data", str(batch),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        header = lines[0].split(",")
+        assert "a" in header
+        for line, raw in zip(lines[1:], rows.splitlines()):
+            cells = dict(zip(header, line.split(",")))
+            assert all(c != "" for c in cells.values())
+            assert float(cells["b"]) == float(raw.split(",")[1])
+
     def test_apply_with_wrong_columns_is_data_error(self, workspace, capsys):
         tmp, config, data = workspace
         pipe = str(tmp / "pipe.json")
@@ -204,6 +223,27 @@ class TestAudit:
         rc = main(["audit", "--config", config,
                    "--out", str(tmp / "a.json"), "--levels", "lots"])
         assert rc == 2
+
+    def test_user_imputer_named_iqa_is_config_error(self, workspace,
+                                                      capsys):
+        tmp, _, data = workspace
+        config = tmp / "c.json"
+        config.write_text(json.dumps({
+            "data": {"path": data},
+            "imputers": [
+                {"id": "mean", "family": "simple",
+                 "params": {"statistic": "mean"}},
+                {"id": "iqa", "family": "simple",
+                 "params": {"statistic": "median"}},
+            ],
+        }))
+        rc = main(["audit", "--config", str(config),
+                   "--out", str(tmp / "a.json"), "--levels", "0"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SchemaError"
+        assert err["path"] == "imputers[1].id"
+        assert not (tmp / "a.json").exists()
 
     def test_csv_format(self, tmp_path):
         rng = np.random.default_rng(2)

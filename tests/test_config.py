@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from imputeq.cli import _assess_config
 from imputeq.config import (
     Config,
     apply_overrides,
@@ -9,6 +11,13 @@ from imputeq.config import (
     parse_config_dict,
 )
 from imputeq.errors import DataIoError, SchemaError
+from imputeq.table import Column, Table
+
+
+def two_columns():
+    values = np.array([1.0, 2.0, 3.0])
+    mask = np.zeros(3, dtype=bool)
+    return Table((Column("a", values, mask), Column("b", values, mask)), 3)
 
 
 def minimal_doc(**extra):
@@ -40,25 +49,23 @@ TABLE_ROSTER = [
 class TestDefaults:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config_dict(minimal_doc())
-        assert cfg.n_folds == 5
-        assert cfg.alpha == 0.05
-        assert cfg.seed == 0
-        assert cfg.threshold is None
-        assert cfg.split_seed is None
+        assert cfg.assess.n_folds == 5
+        assert cfg.assess.alpha == 0.05
+        assert cfg.assess.seed == 0
+        assert cfg.assess.threshold is None
+        assert cfg.assess.split_seed is None
 
     def test_fallback_imputer_auto_appended(self):
         cfg = parse_config_dict(minimal_doc())
-        assert [s.id for s in cfg.imputers] == ["mean", "apprandom"]
-        assert "apprandom_appended" in cfg.notes
+        assert [s.id for s in cfg.assess.imputers] == ["mean", "apprandom"]
 
     def test_no_append_when_already_present(self):
         cfg = parse_config_dict({"imputers": TABLE_ROSTER})
-        assert len(cfg.imputers) == 10
-        assert cfg.notes == ()
+        assert len(cfg.assess.imputers) == 10
 
     def test_full_roster_parses_to_ten_specs(self):
         cfg = parse_config_dict({"imputers": TABLE_ROSTER})
-        assert [s.id for s in cfg.imputers] == [
+        assert [s.id for s in cfg.assess.imputers] == [
             "mean", "median", "mode", "random", "knn3", "knn5", "knn10",
             "iter_br", "iter_rf", "iter_xgb",
         ]
@@ -130,13 +137,13 @@ class TestValidation:
 class TestScorers:
     def test_string_form(self):
         cfg = parse_config_dict(minimal_doc(scorers={"continuous": "nrmse"}))
-        assert cfg.scorers == {"continuous": "nrmse"}
+        assert cfg.assess.scorers == {"continuous": "nrmse"}
 
     def test_object_form(self):
         cfg = parse_config_dict(
             minimal_doc(scorers={"binary": {"name": "balanced_accuracy"}})
         )
-        assert cfg.scorers == {"binary": "balanced_accuracy"}
+        assert cfg.assess.scorers == {"binary": "balanced_accuracy"}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError) as info:
@@ -188,12 +195,15 @@ class TestDependencyGraph:
     def test_inline_dict_becomes_engine_dependencies(self):
         deps = {"a": ["b"], "b": []}
         cfg = parse_config_dict(minimal_doc(dependency_graph=deps))
-        assert cfg.to_assess_config().dependencies == deps
+        assert cfg.assess.dependencies is None  # resolved against the data
+        assert _assess_config(cfg, two_columns()).dependencies == deps
 
-    def test_explicit_dependencies_win(self):
-        cfg = parse_config_dict(minimal_doc(dependency_graph={"a": ["b"]}))
-        resolved = {"a": [], "b": []}
-        assert cfg.to_assess_config(resolved).dependencies == resolved
+    def test_explicit_dependencies_win(self, tmp_path):
+        resolved = {"a": [], "b": ["a"]}
+        p = tmp_path / "deps.json"
+        p.write_text(json.dumps(resolved))
+        cfg = parse_config_dict(minimal_doc(dependency_graph=str(p)))
+        assert _assess_config(cfg, two_columns()).dependencies == resolved
 
 
 class TestFileHandling:
@@ -201,7 +211,7 @@ class TestFileHandling:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_doc(seed=7)))
         cfg = parse_config(str(p))
-        assert cfg.seed == 7
+        assert cfg.assess.seed == 7
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataIoError):
@@ -220,8 +230,10 @@ class TestOverrides:
         cfg = parse_config_dict(minimal_doc(seed=1, threshold=0.5))
         out = apply_overrides(cfg, data="other.csv", seed=9, threshold=0.8)
         assert out.data_path == "other.csv"
-        assert out.seed == 9
-        assert out.threshold == 0.8
+        assert out.assess.seed == 9
+        assert out.assess.threshold == 0.8
+        # the appended fallback keeps the file's seed
+        assert out.assess.imputers == cfg.assess.imputers
 
     def test_none_means_keep(self):
         cfg = parse_config_dict(minimal_doc(seed=1, threshold=0.5))
@@ -237,6 +249,5 @@ class TestOverrides:
         cfg = parse_config_dict(minimal_doc(
             splitter={"type": "kfold", "params": {"k": 4, "seed": 99}}
         ))
-        acfg = cfg.to_assess_config()
-        assert acfg.n_folds == 4
-        assert acfg.split_seed == 99
+        assert cfg.assess.n_folds == 4
+        assert cfg.assess.split_seed == 99

@@ -6,7 +6,6 @@ import pytest
 from imputeq.depgraph import (
     DependencyGraph,
     build_dependency_graph,
-    restrict_training_view,
     transitive_dependencies,
     validate_dependency_dict,
 )
@@ -171,31 +170,6 @@ class TestBuildGraph:
         with pytest.warns(SmallSampleWarning):
             g = build_dependency_graph(t, seed=9, regressor="ridge")
         assert not any(b == "sparse" for _, b, _ in g.edges)
-
-
-class TestRestrictView:
-    def test_projection_order(self):
-        t = Table((
-            col("A", [1.0]), col("B", [2.0]), col("C", [3.0]), col("D", [4.0])
-        ))
-        view = restrict_training_view(t, "A", {"A": ["B", "D"]})
-        assert view.column_names == ["B", "D", "A"]
-
-    def test_empty_deps_single_column(self):
-        t = Table((col("A", [1.0]), col("B", [2.0])))
-        view = restrict_training_view(t, "A", {"A": []})
-        assert view.column_names == ["A"]
-
-    def test_missing_key_single_column(self):
-        t = Table((col("A", [1.0]), col("B", [2.0])))
-        assert restrict_training_view(t, "B", {}).column_names == ["B"]
-
-    def test_view_size_contract(self):
-        t = Table((col("A", [1.0]), col("B", [2.0]), col("C", [3.0])))
-        deps = {"A": ["C"], "B": [], "C": ["A", "B"]}
-        for key, preds in deps.items():
-            view = restrict_training_view(t, key, deps)
-            assert len(view.column_names) == len(preds) + 1
 
 
 class TestValidateDict:

@@ -1,9 +1,11 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from imputeq import engine
 from imputeq.engine import (
     AssessConfig,
     ColumnSchema,
@@ -33,7 +35,7 @@ from imputeq.errors import (
     UntrainableImputer,
     VersionMismatch,
 )
-from imputeq.imputers import ImputerSpec
+from imputeq.imputers import ImputerSpec, fit as fit_imputer
 from imputeq.table import Column, ColumnKind, Table, inject_mcar, kfold_split
 
 
@@ -208,6 +210,24 @@ class TestImputationScore:
         with pytest.raises(UntrainableImputer):
             imputation_score(t, "y", spec, splits, deps={"y": []}, seed=1)
 
+    def test_dependency_view_is_predecessors_then_target(self):
+        rng = np.random.default_rng(2)
+        t = inject_mcar(make_table([
+            (name, rng.normal(0, 1, 40), ColumnKind.CONTINUOUS)
+            for name in "ABCD"
+        ]), 0.2, seed=3)
+        seen = []
+
+        def spy(spec, train, target, predictors):
+            seen.append((train.column_names, predictors))
+            return fit_imputer(spec, train, target, predictors)
+
+        spec = ImputerSpec("ridge", "iterative", {"estimator": "ridge"})
+        with mock.patch.object(engine, "fit_imputer", spy):
+            imputation_score(t, "A", spec, kfold_split(t.n_rows, 3, 0),
+                             deps={"A": ["D", "B"]}, seed=1)
+        assert seen == [(["D", "B", "A"], ("D", "B"))] * 3
+
     def test_deterministic_for_fixed_seed(self):
         t = linear_pair(seed=4)
         splits = kfold_split(t.n_rows, 5, 0)
@@ -330,23 +350,35 @@ class TestAssess:
         b = assess(t, cfg)
         assert records_to_jsonable(a) == records_to_jsonable(b)
 
-    def test_parallel_equals_serial(self, monkeypatch):
-        t = linear_pair(seed=8)
-        cfg = AssessConfig(imputers=BASIC_ROSTER, seed=5)
-        serial = assess(t, cfg)
-        monkeypatch.setenv("IQA_THREADS", "3")
-        parallel = assess(t, cfg)
-        assert records_to_jsonable(serial) == records_to_jsonable(parallel)
+    def test_dependency_dict_sets_predictor_count(self):
+        rng = np.random.default_rng(11)
+        t = inject_mcar(make_table([
+            (name, rng.normal(0, 1, 60), ColumnKind.CONTINUOUS)
+            for name in "ABCD"
+        ]), 0.2, seed=12)
+        deps = {"A": ["C"], "B": ["A", "D"], "C": ["A", "B", "D"], "D": ["B"]}
+        cfg = AssessConfig(imputers=BASIC_ROSTER, seed=3, dependencies=deps)
+        for r in assess(t, cfg):
+            for e in r.evaluations:
+                multivariate = e.imputer_id == "iter_ridge"
+                assert not e.skipped
+                assert e.n_predictors == (
+                    len(deps[r.feature]) if multivariate else 0
+                )
 
-    def test_bad_thread_count_rejected(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "deps", [{"x": [], "y": ["x"]}, {"y": ["x"]}], ids=["empty", "absent"]
+    )
+    def test_absent_or_empty_predecessors_skip_multivariate(self, deps):
         t = linear_pair(seed=8)
-        cfg = AssessConfig(imputers=BASIC_ROSTER, seed=5)
-        monkeypatch.setenv("IQA_THREADS", "0")
-        with pytest.raises(InvalidArgument):
-            assess(t, cfg)
-        monkeypatch.setenv("IQA_THREADS", "lots")
-        with pytest.raises(InvalidArgument):
-            assess(t, cfg)
+        cfg = AssessConfig(imputers=BASIC_ROSTER, seed=5, dependencies=deps)
+        by_name = {r.feature: r for r in assess(t, cfg)}
+        x = {e.imputer_id: e for e in by_name["x"].evaluations}
+        assert x["iter_ridge"].skipped
+        assert not x["mean"].skipped and not x["apprandom"].skipped
+        y = {e.imputer_id: e for e in by_name["y"].evaluations}
+        assert not y["iter_ridge"].skipped
+        assert y["iter_ridge"].n_predictors == 1
 
     def test_fully_missing_feature_scores_zero(self):
         n = 80

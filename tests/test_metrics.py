@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imputeq.errors import ConstantTargetWarning, DegenerateInput
 from imputeq.metrics import (
@@ -144,9 +146,30 @@ class TestAuroc:
                 wins += 1.0 if a > b else (0.5 if a == b else 0.0)
         assert auroc(y, s) == pytest.approx(wins / (len(pos) * len(neg)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_tie_half_pair_count_on_tie_heavy_scores(self, data):
+        n = data.draw(st.integers(2, 40))
+        y = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)))
+        y[0], y[1] = True, False  # both classes present
+        # few distinct values, so most scores tie with others
+        s = np.array(data.draw(st.lists(
+            st.sampled_from([-1.5, 0.0, 0.25, 2.0, 1e9]),
+            min_size=n, max_size=n)))
+        pos, neg = s[y], s[~y]
+        wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
+                   for a in pos for b in neg)
+        assert auroc(y, s) == pytest.approx(wins / (pos.size * neg.size),
+                                            rel=1e-12, abs=1e-12)
+
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateInput):
             auroc(np.array([1, 1]), np.array([0.1, 0.2]))
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(DegenerateInput):
+            auroc(np.array([1, 0, 1, 0]), np.array([np.nan, 0.2, 0.5, 0.1]))
 
     def test_complement_property(self):
         rng = np.random.default_rng(4)

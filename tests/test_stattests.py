@@ -5,8 +5,6 @@ from scipy import stats as sps
 from imputeq.errors import DegenerateInput
 from imputeq.stattests import TestKind as StatTestKind
 from imputeq.stattests import (
-    _chi2_sf,
-    _kolmogorov_sf,
     chi2_independence,
     distribution_compatible,
     ks_two_sample,
@@ -22,26 +20,6 @@ def continuous_col(name="x"):
 def binary_col(name="x"):
     v = np.array([0.0, 1.0, 0.0])
     return Column(name, v, np.zeros(3, dtype=bool), kind=ColumnKind.BINARY)
-
-
-class TestKolmogorovSf:
-    def test_matches_scipy_both_branches(self):
-        for x in [0.2, 0.5, 0.9, 1.0, 1.17, 1.19, 1.5, 2.0, 3.0]:
-            assert _kolmogorov_sf(x) == pytest.approx(
-                sps.kstwobign.sf(x), abs=1e-9
-            )
-
-    def test_limits(self):
-        assert _kolmogorov_sf(0.0) == 1.0
-        assert _kolmogorov_sf(10.0) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestChi2Sf:
-    def test_matches_scipy(self):
-        for stat, df in [(0.0, 1), (3.84, 1), (20.0, 1), (7.5, 3), (100.0, 10)]:
-            assert _chi2_sf(stat, df) == pytest.approx(
-                sps.chi2.sf(stat, df), rel=1e-9, abs=1e-12
-            )
 
 
 class TestKsTwoSample:

@@ -12,7 +12,6 @@ from imputeq.table import (
     ColumnKind,
     Table,
     completeness,
-    decode_column,
     infer_column_kinds,
     inject_mcar,
     kfold_split,
@@ -96,12 +95,6 @@ class TestLabelEncode:
         c = t.column("x")
         assert c.labels == {0: "b", 1: "a", 2: "c"}
         np.testing.assert_array_equal(c.values[~c.mask], [0, 1, 0, 2])
-
-    def test_decode_roundtrip(self):
-        vals = np.array(["u", "v", "u", None], dtype=object)
-        mask = np.array([False, False, False, True])
-        c = label_encode(Table((Column("x", vals, mask),))).column("x")
-        assert decode_column(c) == ["u", "v", "u", None]
 
     def test_numeric_passthrough(self):
         c = make_column("y", [1.0, 2.0])
