@@ -170,7 +170,8 @@ def cmd_fit(args) -> int:
     t = _load_table(config)
     acfg = _assess_config(config, t)
     records = assess(t, acfg)
-    plan = fit_pipeline(t, records, acfg)
+    plan = replace(fit_pipeline(t, records, acfg),
+                   missing_sentinels=config.missing_sentinels)
     write_bytes_atomic(args.out, serialize_pipeline(plan))
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -183,7 +184,7 @@ def cmd_apply(args) -> int:
     except OSError as exc:
         raise DataIoError(f"cannot read pipeline {args.pipeline!r}: {exc}")
     plan = deserialize_pipeline(blob)
-    t = load_csv(args.data)
+    t = load_csv(args.data, missing_sentinels=plan.missing_sentinels)
     out = apply_pipeline(plan, t)
     write_csv(out, args.out)
     print(f"wrote {args.out}")

@@ -50,6 +50,7 @@ from .imputers import (
 from .metrics import balanced_accuracy, macro_balanced_accuracy, nrmse_score
 from .stattests import TestResult, distribution_compatible
 from .table import (
+    DEFAULT_MISSING_SENTINELS,
     Column,
     ColumnKind,
     SplitIndices,
@@ -486,6 +487,8 @@ class PipelinePlan:
     seed: int
     config_hash: str
     notes: tuple[str, ...] = ()
+    # CSV cells that `imputeq apply` reads as missing, as at fit time
+    missing_sentinels: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
 
 
 def fit_pipeline(
@@ -609,7 +612,7 @@ def apply_pipeline(plan: PipelinePlan, t: Table) -> Table:
 
 
 def plan_to_jsonable(plan: PipelinePlan) -> dict:
-    return {
+    doc = {
         "format": PIPELINE_FORMAT,
         "schema_version": PIPELINE_SCHEMA_VERSION,
         "schema": [s.to_jsonable() for s in plan.schema],
@@ -620,6 +623,11 @@ def plan_to_jsonable(plan: PipelinePlan) -> dict:
         "config_hash": plan.config_hash,
         "notes": list(plan.notes),
     }
+    # written only when set, so plans with the default sentinels keep the
+    # bytes they had before the key existed
+    if plan.missing_sentinels != DEFAULT_MISSING_SENTINELS:
+        doc["missing_sentinels"] = list(plan.missing_sentinels)
+    return doc
 
 
 def serialize_pipeline(plan: PipelinePlan) -> bytes:
@@ -659,6 +667,11 @@ def deserialize_pipeline(
             ImputeQWarning,
             stacklevel=2,
         )
+    sentinels = doc.get("missing_sentinels", list(DEFAULT_MISSING_SENTINELS))
+    if not isinstance(sentinels, list) or not all(
+        isinstance(v, str) for v in sentinels
+    ):
+        raise CorruptModel("pipeline missing_sentinels is not a list of strings")
     try:
         deps = doc["dependencies"]
         return PipelinePlan(
@@ -674,6 +687,7 @@ def deserialize_pipeline(
             seed=int(doc["seed"]),
             config_hash=doc["config_hash"],
             notes=tuple(doc.get("notes", [])),
+            missing_sentinels=tuple(sentinels),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModel(f"pipeline data missing or malformed: {exc}") from exc

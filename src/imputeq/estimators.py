@@ -135,115 +135,110 @@ class TreeModel:
 
 
 class _TreeBuilder:
-    """Grows one regression tree.
+    """Grows one regression tree depth-first.
 
     Splits minimize squared error of the response; with a hessian array the
     leaf values become Newton steps (sum of residuals over sum of hessians)
-    while the split search still runs on the residuals.
+    while the split search still runs on the residuals.  Each node searches
+    all its candidate features in one block: a stable argsort per feature
+    row, running sums of the response in that order, and the gain of every
+    threshold that separates distinct values.
     """
 
-    def __init__(self, max_depth, rng=None, mtry=None, min_leaf=1):
+    def __init__(self, max_depth, rng=None, mtry=None):
         self.max_depth = _MAX_DEPTH_CAP if max_depth is None else max_depth
         self.rng = rng
         self.mtry = mtry
-        self.min_leaf = min_leaf
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def _new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def _leaf_value(self, idx, y, hess):
-        if hess is None:
-            return float(y[idx].mean())
-        denom = float(hess[idx].sum())
-        return float(y[idx].sum()) / max(denom, 1e-12)
 
     def build(self, X, y, hess=None):
-        root = self._new_node()
-        stack = [(root, np.arange(X.shape[0]), 0)]
+        """The tree, and the leaf value of each training row."""
+        XT = np.ascontiguousarray(X.T)
+        # left-child sizes 1..n-1 of any node; reversed they are n-k
+        ks = np.arange(1.0, X.shape[0])
+        feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+        row_value = np.empty(X.shape[0])
+        stack = [(0, np.arange(X.shape[0]), 0)]
         while stack:
             node, idx, depth = stack.pop()
-            if (
-                depth >= self.max_depth
-                or idx.size < 2 * self.min_leaf
-                or np.ptp(y[idx]) == 0.0
-            ):
-                self.value[node] = self._leaf_value(idx, y, hess)
+            ysub = y[idx]
+            split = None
+            if depth < self.max_depth and ysub.max() != ysub.min():
+                split = self._best_split(XT, ysub, idx, ks)
+            if split is None:
+                if hess is None:
+                    v = float(ysub.mean())
+                else:
+                    v = float(ysub.sum()) / max(float(hess[idx].sum()), 1e-12)
+                value[node] = v
+                row_value[idx] = v
                 continue
-            feat, thr, left_idx, right_idx = self._best_split(X, y, idx)
-            if feat < 0:
-                self.value[node] = self._leaf_value(idx, y, hess)
-                continue
-            self.feature[node] = feat
-            self.threshold[node] = thr
-            left = self._new_node()
-            right = self._new_node()
-            self.left[node] = left
-            self.right[node] = right
-            # push right first so the left child is processed (and numbered)
-            # in a fixed order regardless of data
-            stack.append((right, right_idx, depth + 1))
-            stack.append((left, left_idx, depth + 1))
-        return TreeModel(
-            np.asarray(self.feature, dtype=np.int64),
-            np.asarray(self.threshold, dtype=float),
-            np.asarray(self.left, dtype=np.int64),
-            np.asarray(self.right, dtype=np.int64),
-            np.asarray(self.value, dtype=float),
+            feat, thr, left_idx, right_idx = split
+            feature[node] = feat
+            threshold[node] = thr
+            # children are numbered left then right and the left subtree is
+            # grown first, so node numbering and the forest's per-node feature
+            # draws follow a fixed order regardless of data
+            left[node] = len(feature)
+            right[node] = len(feature) + 1
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            right += [-1, -1]
+            value += [0.0, 0.0]
+            stack.append((right[node], right_idx, depth + 1))
+            stack.append((left[node], left_idx, depth + 1))
+        tree = TreeModel(
+            np.asarray(feature, dtype=np.int64),
+            np.asarray(threshold, dtype=float),
+            np.asarray(left, dtype=np.int64),
+            np.asarray(right, dtype=np.int64),
+            np.asarray(value, dtype=float),
         )
+        return tree, row_value
 
     def _candidate_features(self, p):
         if self.mtry is None or self.mtry >= p:
             return np.arange(p)
         return np.sort(self.rng.choice(p, size=self.mtry, replace=False))
 
-    def _best_split(self, X, y, idx):
-        best_gain = -np.inf
-        best = (-1, 0.0, None, None)
-        ysub = y[idx]
+    def _best_split(self, XT, ysub, idx, ks):
+        """(feature, threshold, left rows, right rows), or None.
+
+        Within a feature the first maximal gain (lowest threshold) wins;
+        across features a later one wins only when strictly better by 1e-12.
+        """
         total = ysub.sum()
         n = idx.size
         base = total * total / n
-        for f in self._candidate_features(X.shape[1]):
-            xs = X[idx, f]
-            order = np.argsort(xs, kind="mergesort")
-            xv = xs[order]
-            if xv[0] == xv[-1]:
-                continue
-            ys = ysub[order]
-            csum = np.cumsum(ys)
-            k = np.arange(1, n)
-            gains = csum[:-1] ** 2 / k + (total - csum[:-1]) ** 2 / (n - k)
-            valid = xv[1:] != xv[:-1]
-            if self.min_leaf > 1:
-                valid &= (k >= self.min_leaf) & (n - k >= self.min_leaf)
-            if not valid.any():
-                continue
-            gains = np.where(valid, gains, -np.inf)
-            pos = int(np.argmax(gains))  # first max -> lowest threshold
-            gain = gains[pos] - base
+        fs = self._candidate_features(XT.shape[0])
+        rows = np.arange(fs.size)[:, None]
+        xs = XT[fs[:, None], idx]
+        order = xs.argsort(axis=1, kind="stable")
+        xv = xs[rows, order]
+        csum = ysub[order].cumsum(axis=1)[:, :-1]
+        rest = total - csum
+        gains = np.square(csum, out=csum)
+        gains /= ks[: n - 1]
+        np.square(rest, out=rest)
+        rest /= ks[n - 2 :: -1]
+        gains += rest
+        gains[xv[:, 1:] == xv[:, :-1]] = -np.inf
+        best, best_gain = -1, -np.inf
+        for j, gain in enumerate((gains.max(axis=1) - base).tolist()):
             if gain > best_gain + 1e-12:
-                thr = float(xv[pos])
-                go_left = xs <= thr
-                best = (int(f), thr, idx[go_left], idx[~go_left])
-                best_gain = gain
-        return best
+                best, best_gain = j, gain
+        if best < 0:
+            return None
+        thr = float(xv[best, gains[best].argmax()])
+        go_left = xs[best] <= thr
+        return int(fs[best]), thr, idx[go_left], idx[~go_left]
 
 
-def tree_fit(Xm, y, max_depth=None, min_leaf: int = 1) -> TreeModel:
+def tree_fit(Xm, y, max_depth=None) -> TreeModel:
     X = _as_matrix(Xm)
     y = np.asarray(y, dtype=float)
     _check_complete(X, y)
-    return _TreeBuilder(max_depth, min_leaf=min_leaf).build(X, y)
+    return _TreeBuilder(max_depth).build(X, y)[0]
 
 
 def tree_predict(model: TreeModel, Xm) -> np.ndarray:
@@ -317,7 +312,7 @@ def forest_fit(
         Xb = X if idx is None else X[idx]
         yb = y if idx is None else y[idx]
         builder = _TreeBuilder(max_depth, rng=rng, mtry=mtry)
-        trees.append(builder.build(Xb, yb))
+        trees.append(builder.build(Xb, yb)[0])
     return ForestModel(tuple(trees), max_depth, seed)
 
 
@@ -423,8 +418,8 @@ def gbt_fit(
             else:
                 resid = y - margin
                 hess = None
-            tree = _TreeBuilder(max_depth).build(X, resid, hess=hess)
-            margin = margin + learning_rate * tree_predict(tree, X)
+            tree, fitted = _TreeBuilder(max_depth).build(X, resid, hess=hess)
+            margin = margin + learning_rate * fitted
             trees.append(tree)
     return GbtModel(tuple(trees), base, learning_rate, loss, max_depth, seed)
 

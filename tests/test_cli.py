@@ -112,6 +112,36 @@ class TestFitApply:
             assert all(c != "" for c in cells.values())
             assert float(cells["b"]) == float(raw.split(",")[1])
 
+    def test_apply_reads_the_sentinels_of_the_fit_config(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 80
+        a = rng.normal(50, 10, n)
+        b = a * 1.5 + rng.normal(0, 4, n)
+        cells = ["-999" if i % 5 == 0 else f"{a[i]:.4f}" for i in range(n)]
+        data = tmp_path / "data.csv"
+        data.write_text("a,b\n" + "\n".join(
+            f"{c},{b[i]:.4f}" for i, c in enumerate(cells)) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": {"path": str(data), "missing_sentinels": ["", "-999"]},
+            "imputers": [{"id": "mean", "family": "simple",
+                          "params": {"statistic": "mean"}}],
+            "threshold": 0.0,
+            "seed": 3,
+        }))
+        pipe, out = str(tmp_path / "pipe.json"), tmp_path / "o.csv"
+        assert main(["fit", "--config", str(config), "--out", pipe]) == 0
+        assert main(["apply", "--pipeline", pipe, "--data", str(data),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0].split(",")[0] == "a"
+        got = np.array([float(line.split(",")[0]) for line in lines[1:]])
+        held = np.arange(n) % 5 != 0
+        observed = np.array([float(c) for c in cells if c != "-999"])
+        np.testing.assert_array_equal(got[held], observed)
+        assert (got[~held] >= observed.min()).all()
+        assert (got[~held] <= observed.max()).all()
+
     def test_apply_with_wrong_columns_is_data_error(self, workspace, capsys):
         tmp, config, data = workspace
         pipe = str(tmp / "pipe.json")

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -500,6 +501,20 @@ class TestPipeline:
         assert serialize_pipeline(plan) == serialize_pipeline(
             deserialize_pipeline(serialize_pipeline(plan))
         )
+
+    def test_missing_sentinels_written_only_when_not_default(self):
+        t, cfg, records, plan = self.fit_plan(seed=2)
+        assert "missing_sentinels" not in json.loads(serialize_pipeline(plan))
+        back = deserialize_pipeline(serialize_pipeline(plan))
+        assert back.missing_sentinels == plan.missing_sentinels
+        custom = replace(plan, missing_sentinels=("", "-999"))
+        doc = json.loads(serialize_pipeline(custom))
+        assert doc["missing_sentinels"] == ["", "-999"]
+        back = deserialize_pipeline(serialize_pipeline(custom))
+        assert back.missing_sentinels == ("", "-999")
+        doc["missing_sentinels"] = "-999"
+        with pytest.raises(CorruptModel):
+            deserialize_pipeline(json.dumps(doc).encode())
 
     def test_truncated_data_is_corrupt(self):
         t, cfg, records, plan = self.fit_plan(seed=2)
