@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import (
-    AssessConfig,
-    _task_seed,
-    apply_pipeline,
-    assess,
-    fit_pipeline,
-)
+from .engine import AssessConfig, apply_pipeline, assess, fit_pipeline
 from .errors import (
     DegenerateInput,
     ImputeQError,
@@ -30,9 +24,9 @@ from .errors import (
     InvalidArgument,
 )
 from .estimators import gbt_fit, gbt_predict_proba
-from .imputers import ImputerSpec, fit as fit_imputer, transform
+from .imputers import ImputerSpec, fit as fit_imputer, task_seed, transform
 from .metrics import auroc, mean_ci
-from .table import Column, Table, kfold_split
+from .table import Column, Table, inject_mcar, kfold_split
 
 DEFAULT_AUDIT_FOLDS = 5
 # boosted-classifier capacity for the mask-prediction task
@@ -91,7 +85,7 @@ def single_imputer_strategy(family: str, params: dict | None = None):
         for idx, col in enumerate(train.columns):
             spec = ImputerSpec(
                 f"audit_{family}_{col.name}", family, dict(params),
-                seed=_task_seed(seed, idx),
+                seed=task_seed(seed, idx),
             )
             predictors = tuple(
                 n for n in train.column_names if n != col.name
@@ -147,7 +141,7 @@ def build_completed_dataset(
 
     for fold_idx, (train_idx, test_idx) in enumerate(splits):
         apply_fn = pipeline_factory(
-            t.select_rows(train_idx), _task_seed(seed, fold_idx)
+            t.select_rows(train_idx), task_seed(seed, fold_idx)
         )
         filled = apply_fn(t.select_rows(test_idx))
         for c in t.columns:
@@ -218,7 +212,7 @@ def audit_feature(
             max_depth=AUDIT_MAX_DEPTH,
             learning_rate=AUDIT_LEARNING_RATE,
             loss="logistic",
-            seed=_task_seed(seed, fold_idx),
+            seed=task_seed(seed, fold_idx),
         )
         try:
             scores.append(auroc(y[test], gbt_predict_proba(model, X[test])))
@@ -241,15 +235,7 @@ def inject_to_level(t: Table, level: float, seed: int) -> Table:
     current = t.missing_cell_fraction()
     if level <= current:
         return t
-    q = (level - current) / (1.0 - current)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    cols = []
-    for c in t.columns:
-        hit = (rng.random(c.n_rows) < q) & ~c.mask
-        values = c.values.astype(float).copy()
-        values[hit] = np.nan
-        cols.append(replace(c, values=values, mask=c.mask | hit))
-    return Table(tuple(cols), t.n_rows)
+    return inject_mcar(t, (level - current) / (1.0 - current), seed)
 
 
 def audit_all(
@@ -270,11 +256,11 @@ def audit_all(
             raise InvalidArgument(f"level must be in [0, 1), got {level}")
     reports = []
     for li, level in enumerate(levels):
-        injected = inject_to_level(t, level, _task_seed(seed, li))
+        injected = inject_to_level(t, level, task_seed(seed, li))
         for si, (name, factory) in enumerate(strategies.items()):
             reports.append(
                 _audit_one(injected, name, factory, level, k,
-                           _task_seed(seed, li, si))
+                           task_seed(seed, li, si))
             )
     return reports
 
@@ -293,7 +279,7 @@ def _audit_one(
                            notes=("strategy_error",))
 
     per_feature = tuple(
-        audit_feature(dprime, masks[feature], k, _task_seed(seed, idx),
+        audit_feature(dprime, masks[feature], k, task_seed(seed, idx),
                       feature)
         for idx, feature in enumerate(dprime.column_names)
     )

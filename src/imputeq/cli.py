@@ -238,6 +238,8 @@ def cmd_report(args) -> int:
         raise DataIoError(f"cannot read records {args.records!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise CorruptModel(f"records file is not JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise CorruptModel("records file is not a JSON object")
     if doc.get("format") != QUALITY_FORMAT:
         raise VersionMismatch(
             f"not a quality-records file (format={doc.get('format')!r})"

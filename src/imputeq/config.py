@@ -10,13 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .engine import (
-    DEFAULT_ALPHA,
-    DEFAULT_FOLDS,
-    SCORER_REGISTRY,
-    AssessConfig,
-    with_apprandom,
-)
+from .engine import DEFAULT_ALPHA, DEFAULT_FOLDS, SCORER_REGISTRY, AssessConfig
 from .errors import DataIoError, InvalidArgument, SchemaError
 from .imputers import FAMILIES, ImputerSpec
 from .table import DEFAULT_MISSING_SENTINELS, ColumnKind
@@ -217,7 +211,7 @@ def parse_config_dict(doc: dict) -> Config:
         )
 
     return Config(
-        assess=with_apprandom(AssessConfig(
+        assess=AssessConfig(
             imputers=imputers,
             n_folds=n_folds,
             seed=seed,
@@ -225,7 +219,7 @@ def parse_config_dict(doc: dict) -> Config:
             threshold=threshold,
             scorers=scorers,
             split_seed=split_seed,
-        )),
+        ),
         data_path=data_path,
         missing_sentinels=sentinels,
         dependency_graph=graph,

@@ -117,7 +117,6 @@ def build_dependency_graph(
     seed: int = 0,
     regressor: str = "forest",
     regressor_params: dict | None = None,
-    holdout_fraction: float = DEFAULT_HOLDOUT_FRACTION,
     n_repeats: int = DEFAULT_N_REPEATS,
 ) -> DependencyGraph:
     """Construct the graph by scoring each feature's predictability.
@@ -130,8 +129,6 @@ def build_dependency_graph(
     """
     if regressor not in GRAPH_REGRESSORS:
         raise InvalidArgument(f"regressor must be one of {GRAPH_REGRESSORS}")
-    if not 0.0 < holdout_fraction < 1.0:
-        raise InvalidArgument("holdout_fraction must be in (0, 1)")
     params = regressor_params or {}
     names = t.column_names
     if len(names) < 2:
@@ -172,7 +169,7 @@ def build_dependency_graph(
 
         rng = np.random.default_rng(np.random.SeedSequence([seed, t_idx]))
         order = rng.permutation(usable.size)
-        n_test = max(2, int(round(holdout_fraction * usable.size)))
+        n_test = max(2, int(round(DEFAULT_HOLDOUT_FRACTION * usable.size)))
         test, train = order[:n_test], order[n_test:]
         if train.size == 0 or np.ptp(y[test]) == 0.0:
             warnings.warn(

@@ -45,6 +45,7 @@ from .imputers import (
     fit as fit_imputer,
     fitted_from_jsonable,
     fitted_to_jsonable,
+    task_seed,
     transform,
 )
 from .metrics import balanced_accuracy, macro_balanced_accuracy, nrmse_score
@@ -83,7 +84,12 @@ def default_scorer_for(kind: ColumnKind):
 
 @dataclass(frozen=True)
 class AssessConfig:
-    """Engine knobs; the CLI config file parses into this."""
+    """Engine knobs; the CLI config file parses into this.
+
+    A roster without an `apprandom` candidate gets one appended, seeded with
+    the config seed: it is the fallback `select_imputer` picks when every
+    other candidate is vetoed or skipped.
+    """
 
     imputers: tuple[ImputerSpec, ...]
     n_folds: int = DEFAULT_FOLDS
@@ -97,6 +103,9 @@ class AssessConfig:
     def __post_init__(self):
         if not self.imputers:
             raise InvalidArgument("at least one imputer is required")
+        if not any(s.family == "apprandom" for s in self.imputers):
+            fallback = ImputerSpec("apprandom", "apprandom", {}, self.seed)
+            object.__setattr__(self, "imputers", (*self.imputers, fallback))
         ids = [s.id for s in self.imputers]
         if len(set(ids)) != len(ids):
             raise InvalidArgument("imputer ids must be unique")
@@ -134,14 +143,6 @@ class AssessConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_jsonable(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def with_apprandom(config: AssessConfig) -> AssessConfig:
-    """Guarantee an empirical-sampling fallback candidate in the roster."""
-    if any(s.family == "apprandom" for s in config.imputers):
-        return config
-    extra = ImputerSpec("apprandom", "apprandom", {}, config.seed)
-    return replace(config, imputers=(*config.imputers, extra))
 
 
 @dataclass(frozen=True)
@@ -194,10 +195,6 @@ def _predictors_for(t: Table, feature: str, deps) -> list[str]:
     return list(deps.get(feature, []))
 
 
-def _task_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0] % (2**31))
-
-
 def imputation_score(
     t: Table,
     feature: str,
@@ -230,7 +227,7 @@ def imputation_score(
     pooled = []
     notes = set()
     for fold_idx, (train_idx, test_idx) in enumerate(splits):
-        fold_spec = replace(spec, seed=_task_seed(seed, fold_idx))
+        fold_spec = replace(spec, seed=task_seed(seed, fold_idx))
         fitted = fit_imputer(
             fold_spec, view.select_rows(train_idx), feature, tuple(predictors)
         )
@@ -343,7 +340,6 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
     candidate is recorded as skipped and the rest of the grid proceeds.  The
     result is bit-reproducible for a fixed seed.
     """
-    config = with_apprandom(config)
     _check_assessable(t, config)
     split_seed = config.seed if config.split_seed is None else config.split_seed
     splits = kfold_split(t.n_rows, config.n_folds, split_seed)
@@ -363,28 +359,20 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
                     t, feature, spec, splits,
                     scorer=config.scorer_for(col.kind),
                     deps=config.dependencies,
-                    seed=_task_seed(config.seed, fi, ii),
+                    seed=task_seed(config.seed, fi, ii),
                 )
             except (UntrainableImputer, ImputerTrainingError) as exc:
                 candidates.append(_Candidate(spec, ii, n_preds, None, str(exc)))
             else:
                 candidates.append(_Candidate(spec, ii, n_preds, outcome))
 
-        notes = []
-        if all(c.outcome is None for c in candidates):
-            # nothing scorable; 100%-missing features land here
-            fallback = next(
-                c for c in candidates if c.spec.family == "apprandom"
-            )
-            chosen, fallback_used, verdicts = fallback.spec.id, True, {}
-            delta = 0.0
-            notes.append("unscorable_feature")
-        else:
-            chosen, fallback_used, verdicts = select_imputer(
-                candidates, col, config.alpha
-            )
-            chosen_cand = next(c for c in candidates if c.spec.id == chosen)
-            delta = chosen_cand.outcome.mean if chosen_cand.outcome else 0.0
+        chosen, fallback_used, verdicts = select_imputer(
+            candidates, col, config.alpha
+        )
+        outcome = next(c.outcome for c in candidates if c.spec.id == chosen)
+        delta = 0.0 if outcome is None else outcome.mean
+        # nothing scorable; 100%-missing features land here
+        unscorable = all(c.outcome is None for c in candidates)
 
         evaluations = tuple(
             ImputerEvaluation(
@@ -410,7 +398,7 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
                 omega=omega,
                 kept=kept,
                 fallback_used=fallback_used,
-                notes=tuple(notes),
+                notes=("unscorable_feature",) if unscorable else (),
             )
         )
     return records
@@ -499,9 +487,10 @@ def fit_pipeline(
     Features below the quality threshold go on the drop list but still serve
     as predictors while everything else is fit.  A kept feature with no
     observed values at all cannot be fit and is moved to the drop list with a
-    note rather than failing the pipeline.
+    note rather than failing the pipeline.  The records must come from
+    `assess` under the same roster and dependencies: a multivariate pick left
+    without predictors raises `UntrainableImputer`.
     """
-    config = with_apprandom(config)
     by_id = {s.id: s for s in config.imputers}
     fitted = []
     drop = [r.feature for r in records if not r.kept]
@@ -516,18 +505,9 @@ def fit_pipeline(
             continue
         spec = replace(
             by_id[record.chosen_imputer],
-            seed=_task_seed(config.seed, fi, _FINAL_FIT_TAG),
+            seed=task_seed(config.seed, fi, _FINAL_FIT_TAG),
         )
         predictors = tuple(_predictors_for(t, record.feature, config.dependencies))
-        if spec.is_multivariate and not predictors:
-            spec_fallback = next(
-                s for s in config.imputers if s.family == "apprandom"
-            )
-            spec = replace(
-                spec_fallback, seed=_task_seed(config.seed, fi, _FINAL_FIT_TAG)
-            )
-            predictors = ()
-            notes.append(f"univariate_fallback:{record.feature}")
         fitted.append(fit_imputer(spec, t, record.feature, predictors))
 
     schema = tuple(
@@ -689,7 +669,7 @@ def deserialize_pipeline(
             notes=tuple(doc.get("notes", [])),
             missing_sentinels=tuple(sentinels),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptModel(f"pipeline data missing or malformed: {exc}") from exc
 
 

@@ -130,6 +130,11 @@ class FittedImputer:
     target_kind: ColumnKind
 
 
+def task_seed(*parts: int) -> int:
+    """A 31-bit seed drawn from the seed stream named by `parts`."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0] % (2**31))
+
+
 def _mode(values: np.ndarray) -> float:
     uniq, counts = np.unique(values, return_counts=True)
     return float(uniq[np.argmax(counts)])  # first max -> smallest value
@@ -364,10 +369,7 @@ def _fit_column_estimator(spec: ImputerSpec, X, y, col_idx: int, round_idx: int)
         est = params["estimator"]
         if est == "ridge":
             return ridge_fit(X, y, reg=float(params.get("reg", 1.0)))
-        seed = int(
-            np.random.SeedSequence([spec.seed, col_idx, round_idx])
-            .generate_state(1)[0] % (2**31)
-        )
+        seed = task_seed(spec.seed, col_idx, round_idx)
         if est == "forest":
             return forest_fit(
                 X, y,

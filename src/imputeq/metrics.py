@@ -121,14 +121,12 @@ def auroc(y_true: np.ndarray, scores: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def mean_ci(values: np.ndarray, confidence: float = 0.95) -> tuple[float, float]:
-    """Sample mean and Student-t half-width of the confidence interval."""
+def mean_ci(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and Student-t half-width of the 95% confidence interval."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise DegenerateInput("mean_ci needs at least 2 samples")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidArgument(f"confidence must be in (0, 1), got {confidence}")
     m = float(values.mean())
     sem = float(values.std(ddof=1)) / np.sqrt(values.size)
-    tcrit = float(stats.t.ppf(0.5 + confidence / 2.0, df=values.size - 1))
+    tcrit = float(stats.t.ppf(0.975, df=values.size - 1))
     return m, tcrit * sem

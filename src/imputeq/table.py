@@ -108,12 +108,6 @@ class Table:
                 return c
         raise KeyError(name)
 
-    def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(name)
-
     def select_columns(self, names: list[str]) -> "Table":
         return Table(tuple(self.column(n) for n in names))
 
@@ -216,7 +210,7 @@ def load_csv(
     return Table(tuple(columns), n)
 
 
-def write_csv(table: Table, path, float_format: str = "%.12g") -> None:
+def write_csv(table: Table, path) -> None:
     """Write a table to CSV, decoding labeled columns and leaving missing
     cells empty."""
     try:
@@ -234,7 +228,7 @@ def write_csv(table: Table, path, float_format: str = "%.12g") -> None:
                         row.append(str(c.values[i]))
                     else:
                         v = float(c.values[i])
-                        row.append(str(int(v)) if v == int(v) else float_format % v)
+                        row.append(str(int(v)) if v == int(v) else "%.12g" % v)
                 writer.writerow(row)
     except OSError as exc:
         raise DataIoError(f"cannot write {path}: {exc}") from exc

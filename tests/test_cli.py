@@ -163,6 +163,27 @@ class TestFitApply:
                    "--out", str(tmp / "o.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("field", ["dependencies", "labels"])
+    def test_apply_with_list_where_object_expected_is_data_error(
+        self, workspace, capsys, field
+    ):
+        tmp, config, data = workspace
+        pipe = tmp / "pipe.json"
+        assert main(["fit", "--config", config, "--out", str(pipe)]) == 0
+        doc = json.loads(pipe.read_text())
+        if field == "dependencies":
+            doc["dependencies"] = ["a", "b"]
+        else:
+            color = next(s for s in doc["schema"] if s["name"] == "color")
+            color["labels"] = ["red", "green", "blue"]
+        pipe.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["apply", "--pipeline", str(pipe), "--data", data,
+                   "--out", str(tmp / "o.csv")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CorruptModel"
+
 
 class TestGraph:
     def test_emits_predecessor_dictionary(self, workspace):
@@ -219,6 +240,17 @@ class TestReport:
         assert rc == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "VersionMismatch"
+
+    def test_records_document_not_an_object_is_data_error(
+        self, tmp_path, capsys
+    ):
+        bad = tmp_path / "q.json"
+        bad.write_text(json.dumps([{"format": "imputeq-quality-records"}]))
+        rc = main(["report", "--records", str(bad),
+                   "--out", str(tmp_path / "c.svg")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CorruptModel"
 
 
 class TestAudit:

@@ -25,7 +25,6 @@ from imputeq.engine import (
     records_to_jsonable,
     select_imputer,
     serialize_pipeline,
-    with_apprandom,
 )
 from imputeq.errors import (
     CorruptModel,
@@ -390,14 +389,18 @@ class TestAssess:
             Column("void", np.full(n, np.nan), np.ones(n, dtype=bool),
                    kind=ColumnKind.CONTINUOUS),
         ), n)
-        cfg = AssessConfig(imputers=BASIC_ROSTER, seed=1)
+        # no apprandom in the roster: the config's own fallback is picked
+        cfg = AssessConfig(imputers=BASIC_ROSTER[:2], seed=1)
         by_name = {r.feature: r for r in assess(t, cfg)}
         void = by_name["void"]
         assert void.completeness == 0.0
         assert void.delta == 0.0
         assert void.omega == 0.0
         assert void.fallback_used
-        assert all(e.skipped for e in void.evaluations)
+        assert void.chosen_imputer == "apprandom"
+        assert void.notes == ("unscorable_feature",)
+        assert all(e.skipped and e.bias is None for e in void.evaluations)
+        assert by_name["a"].notes == ()
 
     @pytest.mark.parametrize("deps", [{"y": ["zz"]}, {"zz": []}, {"y": ["y"]}])
     def test_bad_dependency_dict_rejected(self, deps):
@@ -413,14 +416,15 @@ class TestAssess:
         for r in recs:
             assert r.kept == (r.omega >= 0.99)
 
-    def test_fallback_roster_entry_added_when_missing(self):
-        cfg = AssessConfig(
-            imputers=(ImputerSpec("mean", "simple", {"statistic": "mean"}),),
-        )
-        augmented = with_apprandom(cfg)
-        assert any(s.family == "apprandom" for s in augmented.imputers)
-        # already present: untouched
-        assert with_apprandom(augmented) is augmented
+    def test_config_appends_fallback_with_its_seed(self):
+        mean = ImputerSpec("mean", "simple", {"statistic": "mean"})
+        cfg = AssessConfig(imputers=(mean,), seed=7)
+        fallback = ImputerSpec("apprandom", "apprandom", {}, 7)
+        assert cfg.imputers == (mean, fallback)
+        # replace keeps the fallback already there, with its seed
+        assert replace(cfg, seed=8).imputers == (mean, fallback)
+        # a roster with an apprandom candidate is left as given
+        assert AssessConfig(imputers=BASIC_ROSTER).imputers == BASIC_ROSTER
 
     def test_duplicate_imputer_ids_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -486,6 +490,16 @@ class TestPipeline:
         plan = fit_pipeline(t, records, cfg)
         assert "void" in plan.drop_list
         assert any(n_.startswith("dropped_unfittable") for n_ in plan.notes)
+
+    def test_multivariate_pick_without_predictors_is_untrainable(self):
+        # records from one config, fit under another that leaves no predictors
+        t = mixed_table(seed=0)
+        cfg = AssessConfig(imputers=BASIC_ROSTER, seed=3)
+        records = [replace(r, chosen_imputer="iter_ridge")
+                   for r in assess(t, cfg)]
+        bare = replace(cfg, dependencies={n: [] for n in t.column_names})
+        with pytest.raises(UntrainableImputer):
+            fit_pipeline(t, records, bare)
 
     def test_round_trip_preserves_behaviour(self):
         t, cfg, records, plan = self.fit_plan(seed=2)

@@ -1,8 +1,9 @@
-"""Serving contracts of a fitted pipeline on random small tables.
+"""Assessment and serving contracts on random small tables.
 
-Every plan must survive a serialize/deserialize round trip byte for byte, and
-applying it must leave no missing cell in any feature it keeps, for the whole
-table and for a single row.
+`assess` either fails with a named `ImputeQError` or scores every delta and
+omega in [0, 1].  Every plan must survive a serialize/deserialize round trip
+byte for byte, and applying it must leave no missing cell in any feature it
+keeps, for the whole table and for a single row.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from imputeq.engine import (
     fit_pipeline,
     serialize_pipeline,
 )
+from imputeq.errors import ImputeQError
 from imputeq.imputers import ImputerSpec
 from imputeq.table import Column, ColumnKind, Table
 
@@ -68,6 +70,21 @@ def _assert_kept_complete(out: Table) -> None:
     for col in out.columns:
         assert not col.mask.any(), col.name
         assert np.isfinite(col.values).all(), col.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=tables(), n_folds=st.integers(2, 5), seed=st.integers(0, 1000))
+def test_assess_scores_stay_in_unit_interval(t, n_folds, seed):
+    cfg = AssessConfig(imputers=ROSTER, n_folds=n_folds, seed=seed)
+    try:
+        records = assess(t, cfg)
+    except ImputeQError:
+        return
+    for r in records:
+        assert 0.0 <= r.delta <= 1.0, r.feature
+        assert 0.0 <= r.omega <= 1.0, r.feature
+        for e in r.evaluations:
+            assert 0.0 <= e.delta_mean <= 1.0, (r.feature, e.imputer_id)
 
 
 @settings(max_examples=80, deadline=None)
