@@ -416,7 +416,7 @@ class TestAssess:
         for r in recs:
             assert r.kept == (r.omega >= 0.99)
 
-    def test_config_appends_fallback_with_its_seed(self):
+    def test_fallback_roster_entry_added_when_missing(self):
         mean = ImputerSpec("mean", "simple", {"statistic": "mean"})
         cfg = AssessConfig(imputers=(mean,), seed=7)
         fallback = ImputerSpec("apprandom", "apprandom", {}, 7)
