@@ -16,6 +16,15 @@ features are only dropped at the very end, so they still help impute others.
 Everything is deterministic for a fixed seed: each grid task derives its own
 generator from the seed and its (feature, imputer) position, and the grid
 runs serially in a fixed order.
+
+Work that does not depend on the target is shared through `Folds`: a ridge
+chain, which draws no seed, is fit once per (fold, candidate, view column
+set) and reused by every feature of that view, and the kNN candidates of a
+feature take all their fills from one distance pass per fold.  Forest and
+GBT chains keep one fit per (feature, fold), because their column seeds
+derive from the feature's task seed: a shared chain is another random
+draw, and sharing them changed which imputer won one or two of the eight
+features of a correlated test table, depending on the shared seed.
 """
 
 from __future__ import annotations
@@ -45,8 +54,12 @@ from .imputers import (
     fit as fit_imputer,
     fitted_from_jsonable,
     fitted_to_jsonable,
+    knn_fills,
+    retarget,
+    shares_chain,
     task_seed,
     transform,
+    with_fills,
 )
 from .metrics import balanced_accuracy, macro_balanced_accuracy, nrmse_score
 from .stattests import TestResult, distribution_compatible
@@ -195,11 +208,47 @@ def _predictors_for(t: Table, feature: str, deps) -> list[str]:
     return list(deps.get(feature, []))
 
 
+class Folds:
+    """The folds of one assessment of one table, with the chains and kNN
+    fills its candidates share: a `shares_chain` candidate's first feature
+    of a view fits the chain, later ones `retarget` it."""
+
+    def __init__(self, splits: SplitIndices, roster):
+        self.splits = splits
+        self._ks = {s.params["n_neighbors"] for s in roster if s.family == "knn"}
+        self._chains = {}  # (fold, imputer id, view columns) -> fitted chain
+        self._knn_target = None
+        self._knn = {}  # fold -> {k: fills} for `_knn_target`
+
+    def fit(self, fold_idx, spec, train, target, predictors) -> FittedImputer:
+        if not shares_chain(spec):
+            return fit_imputer(spec, train, target, predictors)
+        key = (fold_idx, spec.id, frozenset(train.column_names))
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = fit_imputer(spec, train, target, predictors)
+            self._chains[key] = chain
+            return chain
+        return retarget(chain, train, target, predictors)
+
+    def knn_fills(self, fold_idx, fitted, X) -> np.ndarray:
+        """`fitted`'s fills for the query rows `X`, which must be the same
+        for every kNN candidate of this target and fold."""
+        if fitted.target_column != self._knn_target:
+            self._knn_target, self._knn = fitted.target_column, {}
+        k = fitted.state["k"]
+        fills = self._knn.get(fold_idx)
+        if fills is None or k not in fills:
+            fills = knn_fills(fitted.state, X, sorted(self._ks | {k}))
+            self._knn[fold_idx] = fills
+        return fills[k]
+
+
 def imputation_score(
     t: Table,
     feature: str,
     spec: ImputerSpec,
-    splits: SplitIndices,
+    folds: Folds,
     scorer=None,
     deps: dict[str, list[str]] | None = None,
     seed: int = 0,
@@ -212,6 +261,15 @@ def imputation_score(
     were missing to begin with are filled too but never scored.  Returns the
     fold mean (clamped to [0, 1]), fold std, and the pooled re-imputations
     for the bias veto.
+
+    Fits and kNN distances are shared through `folds` with the other
+    features and candidates scored on it (see `Folds`).  A ridge chain is
+    the one fit for the first feature with the same view columns: it visits
+    columns with equal missing counts in that feature's column order, so the
+    scores can differ from the feature's own chain, in the last bits when no
+    two columns tie.  kNN fills are bit-identical to one pass per candidate.
+    Forest and GBT chains are fit per feature, as their column seeds come
+    from `seed`.
     """
     col = t.column(feature)
     if scorer is None:
@@ -226,10 +284,11 @@ def imputation_score(
     fold_scores = []
     pooled = []
     notes = set()
-    for fold_idx, (train_idx, test_idx) in enumerate(splits):
+    for fold_idx, (train_idx, test_idx) in enumerate(folds.splits):
         fold_spec = replace(spec, seed=task_seed(seed, fold_idx))
-        fitted = fit_imputer(
-            fold_spec, view.select_rows(train_idx), feature, tuple(predictors)
+        fitted = folds.fit(
+            fold_idx, fold_spec, view.select_rows(train_idx), feature,
+            tuple(predictors),
         )
         test = view.select_rows(test_idx)
         tcol = test.column(feature)
@@ -244,7 +303,13 @@ def imputation_score(
             kind=tcol.kind,
             labels=tcol.labels,
         )
-        out = transform(fitted, test.with_column(blank))
+        blanked = test.with_column(blank)
+        if spec.family == "knn":
+            X = np.column_stack([test.column(n).values for n in predictors])
+            out = with_fills(fitted, blanked,
+                             folds.knn_fills(fold_idx, fitted, X))
+        else:
+            out = transform(fitted, blanked)
         got = out.column(feature).values[observed_pos]
         want = tcol.values[observed_pos]
         pooled.append(got)
@@ -342,7 +407,9 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
     """
     _check_assessable(t, config)
     split_seed = config.seed if config.split_seed is None else config.split_seed
-    splits = kfold_split(t.n_rows, config.n_folds, split_seed)
+    folds = Folds(
+        kfold_split(t.n_rows, config.n_folds, split_seed), config.imputers
+    )
     records = []
     for fi, feature in enumerate(t.column_names):
         col = t.column(feature)
@@ -356,7 +423,7 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
             )
             try:
                 outcome = imputation_score(
-                    t, feature, spec, splits,
+                    t, feature, spec, folds,
                     scorer=config.scorer_for(col.kind),
                     deps=config.dependencies,
                     seed=task_seed(config.seed, fi, ii),
@@ -654,7 +721,7 @@ def deserialize_pipeline(
         raise CorruptModel("pipeline missing_sentinels is not a list of strings")
     try:
         deps = doc["dependencies"]
-        return PipelinePlan(
+        plan = PipelinePlan(
             schema=tuple(
                 ColumnSchema.from_jsonable(s) for s in doc["schema"]
             ),
@@ -669,8 +736,30 @@ def deserialize_pipeline(
             notes=tuple(doc.get("notes", [])),
             missing_sentinels=tuple(sentinels),
         )
+        _check_fitted_columns(plan)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptModel(f"pipeline data missing or malformed: {exc}") from exc
+    return plan
+
+
+def _check_fitted_columns(plan: PipelinePlan) -> None:
+    """Every column a fitted imputer reads or fills is in the plan schema;
+    an iterative chain also holds its target."""
+    names = {s.name for s in plan.schema}
+    for f in plan.fitted:
+        used = [f.target_column, *f.predictor_columns]
+        if f.spec.family == "iterative":
+            if f.target_column not in f.state["columns"]:
+                raise CorruptModel(
+                    f"{f.spec.id}: chain columns lack target "
+                    f"{f.target_column!r}"
+                )
+            used += f.state["columns"]
+        unknown = sorted(set(used) - names)
+        if unknown:
+            raise CorruptModel(
+                f"{f.spec.id}: columns {unknown} are not in the plan schema"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import (
+    CorruptModel,
     ImputeQWarning,
     ImputerTrainingError,
     InvalidArgument,
@@ -235,8 +236,18 @@ def transform(f: FittedImputer, t: Table) -> Table:
         fills = knn_fill(f.state, X[missing])
     else:
         fills = _iterative_transform(f, t, missing)
+    return _write_fills(f, t, col, missing, fills)
 
-    fills = _apply_rounding(f, col, fills, missing)
+
+def with_fills(f: FittedImputer, t: Table, fills: np.ndarray) -> Table:
+    """`t` with the target's missing cells, in row order, set to the
+    pseudo-rounded `fills` that `f` computed for them."""
+    col = t.column(f.target_column)
+    return _write_fills(f, t, col, np.flatnonzero(col.mask), fills)
+
+
+def _write_fills(f, t, col, missing, fills):
+    fills = _apply_rounding(f, col, fills)
     values = col.values.copy()
     values[missing] = fills
     mask = col.mask.copy()
@@ -245,7 +256,7 @@ def transform(f: FittedImputer, t: Table) -> Table:
     return t.with_column(new_col)
 
 
-def _apply_rounding(f, col, fills, missing_idx):
+def _apply_rounding(f, col, fills):
     if f.rounding_rule == ROUND_NONE:
         return fills
     if f.rounding_rule == ROUND_CENSOR or len(f.observed_value_set) == 1:
@@ -278,7 +289,15 @@ _KNN_BLOCK_BYTES = 1 << 20
 
 
 def knn_fill(state: dict, X: np.ndarray) -> np.ndarray:
-    """kNN fills for the query rows `X`, block by block.
+    """kNN fills for the query rows `X` with the state's k; see
+    `knn_fills`."""
+    return knn_fills(state, X, (state["k"],))[state["k"]]
+
+
+def knn_fills(state: dict, X: np.ndarray, ks) -> dict[int, np.ndarray]:
+    """kNN fills for the query rows `X` for every neighbour count in `ks`,
+    block by block; each block's distances serve every k and are then
+    dropped.
 
     The distance to a reference row is the Euclidean distance over the
     coordinates both rows observe, scaled up by total/shared coordinate
@@ -286,15 +305,16 @@ def knn_fill(state: dict, X: np.ndarray) -> np.ndarray:
     coordinate gives +inf.  Each fill is the mean target of the k nearest
     references, ties going to the earlier reference row; a row with fewer
     than k finite distances uses all of them, and a row with none falls back
-    to the global mean with a warning.  Observed values must be finite:
-    NaN is the only marker of a missing coordinate.
+    to the global mean with one warning per call.  Observed values must be
+    finite: NaN is the only marker of a missing coordinate.
     """
     ref_X = state["ref_X"]
     n_ref, p = ref_X.shape
     ref_seen = (~np.isnan(ref_X)).T.astype(float)
     rows = max(1, min(len(X), _KNN_BLOCK_BYTES // (8 * n_ref * p)))
     buf = np.empty((rows, n_ref, p))
-    fills = np.empty(len(X))
+    fills = {k: np.full(len(X), state["global_mean"]) for k in ks}
+    unmatched = False
     for lo in range(0, len(X), rows):
         q = X[lo:lo + rows]
         sq = np.subtract(ref_X, q[:, None, :], out=buf[:len(q)])
@@ -308,24 +328,27 @@ def knn_fill(state: dict, X: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.sqrt(p / shared * ss)
         d[shared == 0] = np.inf
-        fills[lo:lo + len(q)] = _knn_means(d, state)
-    return fills
-
-
-def _knn_means(d: np.ndarray, state: dict) -> np.ndarray:
-    k = np.minimum(state["k"], np.isfinite(d).sum(axis=1))
-    out = np.full(len(d), state["global_mean"])
-    if not k.all():
+        n_finite = np.isfinite(d).sum(axis=1)
+        unmatched = unmatched or not n_finite.all()
+        for k, out in fills.items():
+            _knn_means(d, np.minimum(k, n_finite), state["ref_y"],
+                       out[lo:lo + len(q)])
+    if unmatched:
         warnings.warn(
             "no reference row shares an observed coordinate; falling back "
             "to the global mean",
             ImputeQWarning,
             stacklevel=3,
         )
+    return fills
+
+
+def _knn_means(d, k, ref_y, out) -> None:
+    """Write into `out` each row's mean over its k[i] nearest references;
+    rows with k[i] == 0 keep the value `out` holds."""
     for kk in set(k.tolist()) - {0}:  # one pass per neighbour count
         sel = k == kk
-        out[sel] = _nearest_mean(d[sel], state["ref_y"], kk)
-    return out
+        out[sel] = _nearest_mean(d[sel], ref_y, kk)
 
 
 def _nearest_mean(d: np.ndarray, ref_y: np.ndarray, k: int) -> np.ndarray:
@@ -363,11 +386,19 @@ def _init_fill(values: np.ndarray, mask: np.ndarray, strategy: str) -> float:
     return _mode(obs)
 
 
+def shares_chain(spec: ImputerSpec) -> bool:
+    """Whether every target of the same training columns and rows gets the
+    same chain from `spec`: an iterative chain whose estimator draws no
+    seed.  Forest and GBT columns draw seeds from the spec seed, which the
+    assessment derives from the target feature."""
+    return spec.family == "iterative" and spec.params["estimator"] == "ridge"
+
+
 def _fit_column_estimator(spec: ImputerSpec, X, y, col_idx: int, round_idx: int):
     params = spec.params
     try:
         est = params["estimator"]
-        if est == "ridge":
+        if shares_chain(spec):  # ridge draws no seed
             return ridge_fit(X, y, reg=float(params.get("reg", 1.0)))
         seed = task_seed(spec.seed, col_idx, round_idx)
         if est == "forest":
@@ -397,6 +428,8 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     descending-missingness order, each refit against all the others, until
     the imputed cells stop moving or max_iter rounds pass.  The last model
     per visited column is kept for transform; the target always gets one.
+    The converged matrix stays in the state (not serialized), so that
+    `retarget` can give another column its model.
     """
     names = list(predictors) + [target]
     cols = [train.column(n) for n in names]
@@ -448,20 +481,57 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
         if max_delta < _EARLY_STOP_REL_TOL:
             break
 
-    t_idx = len(names) - 1
-    if t_idx not in models:
-        rows_obs = ~masks[:, t_idx]
-        models[t_idx] = _fit_column_estimator(
-            spec, M[rows_obs][:, other.get(t_idx, list(range(t_idx)))],
-            M[rows_obs, t_idx], t_idx, max_iter,
-        )
-    return {
+    state = {
         "columns": tuple(names),
         "init_values": init_values,
         "visit": tuple(visit),
-        "models": {j: m for j, m in models.items()},
+        "models": models,
         "deltas": deltas,  # diagnostic trace; not serialized
+        "matrix": M,
     }
+    return _with_target_model(spec, state, len(names) - 1, ~masks[:, -1])
+
+
+def _with_target_model(spec, state: dict, t_idx: int, rows_obs) -> dict:
+    """The chain state with a model for column `t_idx`: a column the chain
+    never visited gets one, fit on the converged matrix against all the
+    other columns."""
+    if t_idx in state["models"]:
+        return state
+    M = state["matrix"]
+    other = [i for i in range(M.shape[1]) if i != t_idx]
+    model = _fit_column_estimator(
+        spec, M[rows_obs][:, other], M[rows_obs, t_idx], t_idx,
+        int(spec.params.get("max_iter", 20)),
+    )
+    return {**state, "models": {**state["models"], t_idx: model}}
+
+
+def retarget(
+    chain: FittedImputer, train: Table, target: str,
+    predictors: tuple[str, ...],
+) -> FittedImputer:
+    """The iterative imputer for `target` that reuses `chain`, a
+    `shares_chain` imputer fit on the same rows and columns of `train` for
+    another target: what `fit` would give up to the order of the chain's
+    columns."""
+    col = train.column(target)
+    observed = col.observed_values()
+    if observed.size == 0:
+        raise UntrainableImputer(
+            f"{chain.spec.id}: target {target!r} has no observed training "
+            "values"
+        )
+    t_idx = chain.state["columns"].index(target)
+    return FittedImputer(
+        spec=chain.spec,
+        target_column=target,
+        predictor_columns=tuple(predictors),
+        state=_with_target_model(chain.spec, chain.state, t_idx, ~col.mask),
+        rounding_rule=_rounding_rule_for(col.kind),
+        observed_value_set=np.unique(observed),
+        target_kind=col.kind,
+    )
 
 
 def _iterative_transform(f: FittedImputer, t: Table, missing_idx) -> np.ndarray:
@@ -475,7 +545,7 @@ def _iterative_transform(f: FittedImputer, t: Table, missing_idx) -> np.ndarray:
     for j in range(M.shape[1]):
         M[masks[:, j], j] = state["init_values"][j]
 
-    t_idx = len(names) - 1
+    t_idx = names.index(f.target_column)
     order = [j for j in state["visit"] if j != t_idx] + [t_idx]
     for j in order:
         model = state["models"].get(j)
@@ -601,6 +671,13 @@ def fitted_from_jsonable(d: dict) -> FittedImputer:
                 for j, m in raw["models"].items()
             },
         }
+    target_kind = ColumnKind(d["target_kind"])
+    # the stored rule is a function of the kind; any other value is damage
+    if d["rounding_rule"] != _rounding_rule_for(target_kind):
+        raise CorruptModel(
+            f"rounding_rule {d['rounding_rule']!r} does not match target "
+            f"kind {target_kind.value!r}"
+        )
     return FittedImputer(
         spec=spec,
         target_column=d["target_column"],
@@ -608,5 +685,5 @@ def fitted_from_jsonable(d: dict) -> FittedImputer:
         state=state,
         rounding_rule=d["rounding_rule"],
         observed_value_set=decode_array(d["observed_value_set"]),
-        target_kind=ColumnKind(d["target_kind"]),
+        target_kind=target_kind,
     )

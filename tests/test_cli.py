@@ -184,6 +184,45 @@ class TestFitApply:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "CorruptModel"
 
+    @pytest.fixture
+    def mean_plan(self, tmp_path):
+        """A mean-roster plan fit on a 60-row two-column CSV."""
+        rng = np.random.default_rng(3)
+        rows = [f"{'' if i % 4 == 0 else f'{v:.3f}'},{w:.3f}"
+                for i, (v, w) in enumerate(rng.normal(0, 1, (60, 2)))]
+        data = tmp_path / "data.csv"
+        data.write_text("a,b\n" + "\n".join(rows) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": {"path": str(data)},
+            "imputers": [{"id": "mean", "family": "simple",
+                          "params": {"statistic": "mean"}}],
+        }))
+        pipe = tmp_path / "pipe.json"
+        assert main(["fit", "--config", str(config), "--out", str(pipe)]) == 0
+        return pipe, str(data)
+
+    @pytest.mark.parametrize("field,value", [
+        ("target_column", "zz"),
+        ("predictor_columns", ["zz"]),
+        ("rounding_rule", "bogus"),
+        ("rounding_rule", "adaptive_binary"),
+    ])
+    def test_apply_with_damaged_fitted_imputer_is_data_error(
+        self, mean_plan, capsys, field, value
+    ):
+        pipe, data = mean_plan
+        doc = json.loads(pipe.read_text())
+        fitted = next(f for f in doc["fitted"] if f["target_column"] == "a")
+        fitted[field] = value
+        pipe.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["apply", "--pipeline", str(pipe), "--data", data,
+                   "--out", str(pipe.parent / "o.csv")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CorruptModel"
+
 
 class TestGraph:
     def test_emits_predecessor_dictionary(self, workspace):

@@ -10,6 +10,7 @@ from imputeq import engine
 from imputeq.engine import (
     AssessConfig,
     ColumnSchema,
+    Folds,
     PipelinePlan,
     ScoreOutcome,
     _Candidate,
@@ -35,7 +36,12 @@ from imputeq.errors import (
     UntrainableImputer,
     VersionMismatch,
 )
-from imputeq.imputers import ImputerSpec, fit as fit_imputer
+from imputeq.imputers import (
+    ImputerSpec,
+    fit as fit_imputer,
+    task_seed,
+    transform,
+)
 from imputeq.table import Column, ColumnKind, Table, inject_mcar, kfold_split
 
 
@@ -157,7 +163,7 @@ class TestImputationScore:
         t = linear_pair(seed=5)
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("iter_ridge", "iterative", {"estimator": "ridge"})
-        out = imputation_score(t, "y", spec, splits, seed=1)
+        out = imputation_score(t, "y", spec, Folds(splits, [spec]), seed=1)
         assert out.mean > 0.95
         assert len(out.fold_scores) == 5
         assert out.pooled.size > 0
@@ -165,21 +171,20 @@ class TestImputationScore:
     def test_random_sampling_scores_lower(self):
         t = linear_pair(seed=5)
         splits = kfold_split(t.n_rows, 5, 0)
-        good = imputation_score(
-            t, "y", ImputerSpec("ir", "iterative", {"estimator": "ridge"}),
-            splits, seed=1,
-        )
-        rough = imputation_score(
-            t, "y", ImputerSpec("ar", "apprandom", {}), splits, seed=1,
-        )
+        ridge = ImputerSpec("ir", "iterative", {"estimator": "ridge"})
+        sampler = ImputerSpec("ar", "apprandom", {})
+        folds = Folds(splits, [ridge, sampler])
+        good = imputation_score(t, "y", ridge, folds, seed=1)
+        rough = imputation_score(t, "y", sampler, folds, seed=1)
         assert good.mean - rough.mean >= 0.2
 
     def test_negative_fold_means_clamp_to_zero(self):
         t = linear_pair(seed=2)
         splits = kfold_split(t.n_rows, 5, 0)
+        spec = ImputerSpec("m", "simple", {"statistic": "mean"})
         out = imputation_score(
-            t, "y", ImputerSpec("m", "simple", {"statistic": "mean"}),
-            splits, seed=1, scorer=lambda a, b: -0.25,
+            t, "y", spec, Folds(splits, [spec]), seed=1,
+            scorer=lambda a, b: -0.25,
         )
         assert out.mean == 0.0
         assert "clamped" in out.notes
@@ -187,19 +192,18 @@ class TestImputationScore:
     def test_nan_fold_mean_is_rejected(self):
         t = linear_pair(seed=2)
         splits = kfold_split(t.n_rows, 5, 0)
+        spec = ImputerSpec("m", "simple", {"statistic": "mean"})
         with pytest.raises(DegenerateInput):
             imputation_score(
-                t, "y", ImputerSpec("m", "simple", {"statistic": "mean"}),
-                splits, seed=1, scorer=lambda a, b: float("nan"),
+                t, "y", spec, Folds(splits, [spec]), seed=1,
+                scorer=lambda a, b: float("nan"),
             )
 
     def test_pooled_only_covers_observed_cells(self):
         t = linear_pair(seed=9, miss=0.4)
         splits = kfold_split(t.n_rows, 5, 0)
-        out = imputation_score(
-            t, "y", ImputerSpec("m", "simple", {"statistic": "mean"}),
-            splits, seed=1,
-        )
+        spec = ImputerSpec("m", "simple", {"statistic": "mean"})
+        out = imputation_score(t, "y", spec, Folds(splits, [spec]), seed=1)
         n_observed = t.column("y").observed_values().size
         assert out.pooled.size == n_observed
 
@@ -208,7 +212,8 @@ class TestImputationScore:
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("knn", "knn", {"n_neighbors": 3})
         with pytest.raises(UntrainableImputer):
-            imputation_score(t, "y", spec, splits, deps={"y": []}, seed=1)
+            imputation_score(t, "y", spec, Folds(splits, [spec]),
+                             deps={"y": []}, seed=1)
 
     def test_dependency_view_is_predecessors_then_target(self):
         rng = np.random.default_rng(2)
@@ -224,7 +229,8 @@ class TestImputationScore:
 
         spec = ImputerSpec("ridge", "iterative", {"estimator": "ridge"})
         with mock.patch.object(engine, "fit_imputer", spy):
-            imputation_score(t, "A", spec, kfold_split(t.n_rows, 3, 0),
+            imputation_score(t, "A", spec,
+                             Folds(kfold_split(t.n_rows, 3, 0), [spec]),
                              deps={"A": ["D", "B"]}, seed=1)
         assert seen == [(["D", "B", "A"], ("D", "B"))] * 3
 
@@ -232,8 +238,8 @@ class TestImputationScore:
         t = linear_pair(seed=4)
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("ar", "apprandom", {})
-        a = imputation_score(t, "y", spec, splits, seed=11)
-        b = imputation_score(t, "y", spec, splits, seed=11)
+        a = imputation_score(t, "y", spec, Folds(splits, [spec]), seed=11)
+        b = imputation_score(t, "y", spec, Folds(splits, [spec]), seed=11)
         assert a.fold_scores == b.fold_scores
         assert np.array_equal(a.pooled, b.pooled)
 
@@ -432,6 +438,87 @@ class TestAssess:
                 ImputerSpec("m", "simple", {"statistic": "mean"}),
                 ImputerSpec("m", "simple", {"statistic": "median"}),
             ))
+
+
+RIDGE = ImputerSpec("iter_ridge", "iterative", {"estimator": "ridge"})
+FOREST = ImputerSpec("iter_forest", "iterative", {
+    "estimator": "forest", "n_estimators": 3, "max_depth": 3, "max_iter": 2})
+KNN3 = ImputerSpec("knn3", "knn", {"n_neighbors": 3})
+KNN5 = ImputerSpec("knn5", "knn", {"n_neighbors": 5})
+
+
+def factor_table(n=90, seed=0, rates=(0.1, 0.0, 0.25, 0.4)):
+    """Four correlated columns A-D; column i loses a share rates[i] of its
+    cells, so no two columns tie on missing counts in a training fold."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(0, 1, n)
+    cols = []
+    for i, (name, rate) in enumerate(zip("ABCD", rates)):
+        values = z * (i + 1) + rng.normal(0, 0.5, n)
+        values[rng.permutation(n)[:round(rate * n)]] = np.nan
+        cols.append((name, values, ColumnKind.CONTINUOUS))
+    return make_table(cols)
+
+
+class TestSharedWork:
+    @pytest.mark.parametrize("deps,ridge_views", [
+        (None, 1),
+        ({"A": ["B", "C"], "B": ["C", "A"], "C": ["A", "B"], "D": ["A"]}, 2),
+    ])
+    def test_ridge_chain_fit_once_per_fold_and_view(self, deps, ridge_views):
+        t = factor_table()
+        cfg = AssessConfig((RIDGE, FOREST), n_folds=3, seed=4,
+                           dependencies=deps)
+        fits = {"iter_ridge": 0, "iter_forest": 0}
+
+        def spy(spec, train, target, predictors):
+            if spec.family == "iterative":
+                fits[spec.id] += 1
+            return fit_imputer(spec, train, target, predictors)
+
+        with mock.patch.object(engine, "fit_imputer", spy):
+            records = assess(t, cfg)
+        assert fits == {"iter_ridge": 3 * ridge_views, "iter_forest": 4 * 3}
+        assert not any(e.skipped for r in records for e in r.evaluations)
+
+    @pytest.mark.filterwarnings("ignore::imputeq.errors.ImputeQWarning")
+    @pytest.mark.parametrize("spec", [FOREST, KNN3, KNN5],
+                             ids=lambda s: s.id)
+    def test_outcome_equals_scoring_the_feature_alone(self, spec):
+        roster = (RIDGE, FOREST, KNN3, KNN5)
+        t = factor_table()
+        records = assess(t, AssessConfig(roster, n_folds=3, seed=4))
+        splits = kfold_split(t.n_rows, 3, 4)
+        ii = roster.index(spec)
+        for fi, r in enumerate(records):
+            alone = imputation_score(t, r.feature, spec, Folds(splits, [spec]),
+                                     seed=task_seed(4, fi, ii))
+            e = r.evaluations[ii]
+            assert (e.delta_mean, e.delta_std) == (alone.mean, alone.std)
+
+    def test_complete_feature_gets_its_target_model(self):
+        t = factor_table()
+        assert not t.column("B").mask.any()
+        splits = kfold_split(t.n_rows, 3, 0)
+        folds = Folds(splits, [RIDGE])
+        imputation_score(t, "A", RIDGE, folds, seed=1)  # fits the chains
+        seen = []
+
+        def spy(f, table):
+            seen.append(f)
+            return transform(f, table)
+
+        with mock.patch.object(engine, "transform", spy):
+            shared = imputation_score(t, "B", RIDGE, folds, seed=1)
+        assert len(seen) == 3
+        for f in seen:
+            b = f.state["columns"].index("B")
+            assert b not in f.state["visit"]
+            assert b in f.state["models"]
+        # up to the order of the chain's columns, the feature's own chain
+        alone = imputation_score(t, "B", RIDGE, Folds(splits, [RIDGE]), seed=1)
+        assert shared.mean == pytest.approx(alone.mean, abs=1e-12)
+        np.testing.assert_allclose(shared.pooled, alone.pooled, rtol=1e-9)
 
 
 def mixed_table(n=160, seed=0):

@@ -2,7 +2,8 @@
 
 `_knn_one` and `_knn_distances` below are the original one-row-at-a-time
 implementation, kept as the oracle: the blockwise path must pick the same
-neighbours and sum them in the same order, so every fill is bit-identical.
+neighbours and sum them in the same order, so every fill is bit-identical,
+also when one block's distances serve several neighbour counts.
 """
 
 import tracemalloc
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from imputeq import imputers
 from imputeq.errors import ImputeQWarning
-from imputeq.imputers import ImputerSpec, fit, knn_fill
+from imputeq.imputers import ImputerSpec, fit, knn_fill, knn_fills
 from imputeq.table import infer_column_kinds, kfold_split, label_encode, load_csv
 
 
@@ -58,12 +59,12 @@ def test_heart_every_feature_k_and_fold(heart_csv):
         preds = tuple(n for n in names if n != feature)
         X = np.column_stack([t.column(n).values for n in preds])
         for train_idx, test_idx in kfold_split(t.n_rows, 5, 0):
-            train = t.select_rows(train_idx)
+            spec = ImputerSpec("knn3", "knn", {"n_neighbors": 3})
+            state = fit(spec, t.select_rows(train_idx), feature, preds).state
+            fills = knn_fills(state, X[test_idx], (3, 5, 10))
             for k in (3, 5, 10):
-                spec = ImputerSpec(f"knn{k}", "knn", {"n_neighbors": k})
-                state = fit(spec, train, feature, preds).state
-                want = oracle(state, X[test_idx])
-                assert_bits_equal(knn_fill(state, X[test_idx]), want)
+                want = oracle(dict(state, k=k), X[test_idx])
+                assert_bits_equal(fills[k], want)
                 n_rows += len(test_idx)
     assert n_rows == 13 * 3 * t.n_rows
 
@@ -90,25 +91,46 @@ def knn_cases(draw):
     X[rng.random((m, p)) < draw(st.floats(0.0, 0.9))] = np.nan
     if draw(st.booleans()):  # a row sharing no coordinate with any reference
         X[0] = np.nan
-    k = draw(st.integers(1, n_ref + 5))
+    # counts up to n_ref + 5 leave rows with fewer finite distances than k
+    ks = draw(st.lists(st.integers(1, n_ref + 5), min_size=1, max_size=4))
     rows_per_block = draw(st.integers(1, m))
-    state = {"ref_X": ref_X, "ref_y": ref_y, "k": k, "global_mean": 0.25}
-    return state, X, rows_per_block
+    state = {"ref_X": ref_X, "ref_y": ref_y, "k": ks[0], "global_mean": 0.25}
+    return state, X, ks, rows_per_block
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(knn_cases())
 def test_matches_per_row_oracle(case):
-    state, X, rows_per_block = case
+    state, X, ks, rows_per_block = case
     n_ref, p = state["ref_X"].shape
     block_bytes = 8 * n_ref * p * rows_per_block
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ImputeQWarning)
-        want = oracle(state, X)
         with mock.patch.object(imputers, "_KNN_BLOCK_BYTES", block_bytes):
-            got = knn_fill(state, X)
-    assert_bits_equal(got, want)
+            one = knn_fill(state, X)
+            got = knn_fills(state, X, ks)
+        assert_bits_equal(one, oracle(state, X))
+        for k in ks:
+            assert_bits_equal(got[k], oracle(dict(state, k=k), X))
+
+
+def test_shared_blocks_with_short_rows_and_uneven_blocks():
+    # row 1 has two finite distances, fewer than k = 3 and 10; blocks of
+    # two query rows leave a last block of one
+    state = {
+        "ref_X": np.array([[0.0, np.nan], [1.0, np.nan], [np.nan, 2.0],
+                           [np.nan, 3.0], [4.0, np.nan]]),
+        "ref_y": np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+        "k": 1,
+        "global_mean": 0.0,
+    }
+    X = np.array([[0.5, 1.0], [np.nan, 2.5], [3.0, np.nan]])
+    with mock.patch.object(imputers, "_KNN_BLOCK_BYTES", 8 * 5 * 2 * 2):
+        got = knn_fills(state, X, (1, 3, 10))
+    for k in (1, 3, 10):
+        assert_bits_equal(got[k], oracle(dict(state, k=k), X))
+    assert got[10][1] == 3.5  # the mean of its two reachable references
 
 
 def test_fallback_warns_once_per_call():
@@ -133,7 +155,7 @@ def test_block_temporaries_stay_near_the_cap():
     X = rng.normal(size=(m, p))
     tracemalloc.start()
     try:
-        knn_fill(state, X)
+        knn_fills(state, X, (3, 5, 10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
