@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .depgraph import validate_dependency_dict
+from .estimators import GbtModel, RidgeModel
 from .errors import (
     CorruptModel,
     DegenerateInput,
@@ -74,7 +75,7 @@ from .table import (
 )
 
 PIPELINE_FORMAT = "imputeq-pipeline"
-PIPELINE_SCHEMA_VERSION = 1
+PIPELINE_SCHEMA_VERSION = 2
 DEFAULT_FOLDS = 5
 DEFAULT_ALPHA = 0.05
 _FINAL_FIT_TAG = 0x7FFFFFFF  # seed-stream component for full-table fits
@@ -736,30 +737,64 @@ def deserialize_pipeline(
             notes=tuple(doc.get("notes", [])),
             missing_sentinels=tuple(sentinels),
         )
-        _check_fitted_columns(plan)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        _check_plan(plan)
+    except (AttributeError, KeyError, TypeError, ValueError,
+            InvalidArgument) as exc:
         raise CorruptModel(f"pipeline data missing or malformed: {exc}") from exc
     return plan
 
 
-def _check_fitted_columns(plan: PipelinePlan) -> None:
-    """Every column a fitted imputer reads or fills is in the plan schema;
-    an iterative chain also holds its target."""
-    names = {s.name for s in plan.schema}
+def _check_plan(plan: PipelinePlan) -> None:
+    """Refuse a loaded plan that cannot serve: each kept column has one
+    imputer, whose columns are in the schema; stored numbers are finite
+    (a NaN kNN reference cell marks a missing predictor) and stored arrays
+    non-empty, in the shapes their columns imply; and a target that is not
+    continuous has observed values, each with a string label if labelled."""
+    schema = {s.name: s for s in plan.schema}
+    if sorted(f.target_column for f in plan.fitted) != sorted(
+        set(schema) - set(plan.drop_list)
+    ):
+        raise CorruptModel("fitted imputers do not target the kept columns")
     for f in plan.fitted:
-        used = [f.target_column, *f.predictor_columns]
-        if f.spec.family == "iterative":
-            if f.target_column not in f.state["columns"]:
-                raise CorruptModel(
-                    f"{f.spec.id}: chain columns lack target "
-                    f"{f.target_column!r}"
-                )
-            used += f.state["columns"]
-        unknown = sorted(set(used) - names)
-        if unknown:
+        state, cols = f.state, f.state.get("columns", ())
+        values, target = f.observed_value_set, schema[f.target_column]
+        numbers = [values] + [state[k] for k in (
+            "fill", "observed", "ref_y", "init_values") if k in state]
+        ok = ({*f.predictor_columns, *cols} <= set(schema)
+              and all(np.size(x) for x in numbers[1:])
+              and (values.size or target.kind is ColumnKind.CONTINUOUS))
+        if "ref_X" in state:
+            ref_X = state["ref_X"]
+            numbers.append(ref_X[~np.isnan(ref_X)])
+            ok = ok and ref_X.shape == (*state["ref_y"].shape,
+                                        len(f.predictor_columns))
+        if "columns" in state:
+            p, models = len(cols), state["models"]
+            ok = ok and (f.target_column in cols
+                         and state["init_values"].shape == (p,)
+                         and {*state["visit"], *models} <= set(range(p))
+                         and all(_chain_model_reads(m, p - 1, numbers)
+                                 for m in models.values()))
+        if target.labels is not None:
+            ok = ok and target.labels and set(values.tolist()) <= set(
+                target.labels
+            ) and all(isinstance(v, str) for v in target.labels.values())
+        if not (ok and all(np.isfinite(x).all() for x in numbers)):
             raise CorruptModel(
-                f"{f.spec.id}: columns {unknown} are not in the plan schema"
+                f"{f.spec.id}: the stored state of {f.target_column!r} is "
+                "damaged or names a column the plan lacks"
             )
+
+
+def _chain_model_reads(m, p: int, numbers: list) -> bool:
+    """Whether chain model `m` reads `p` inputs; appends its numbers."""
+    if isinstance(m, RidgeModel):
+        numbers += [m.weights, m.intercept, m.reg_strength]
+        return m.weights.shape == (p,)
+    if isinstance(m, GbtModel):
+        numbers += [m.base_score, m.learning_rate]
+    numbers += [a for t in m.trees for a in (t.threshold, t.value)]
+    return all((t.feature < p).all() for t in m.trees)
 
 
 # ---------------------------------------------------------------------------

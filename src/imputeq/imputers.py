@@ -21,7 +21,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import (
-    CorruptModel,
     ImputeQWarning,
     ImputerTrainingError,
     InvalidArgument,
@@ -39,10 +38,6 @@ from .table import Column, ColumnKind, Table
 FAMILIES = ("simple", "apprandom", "knn", "iterative")
 SIMPLE_STATISTICS = ("mean", "median", "mode")
 ITERATIVE_ESTIMATORS = ("ridge", "forest", "gbt")
-
-ROUND_NONE = "none"
-ROUND_ADAPTIVE_BINARY = "adaptive_binary"
-ROUND_CENSOR = "censor_to_observed"
 
 
 @dataclass(frozen=True)
@@ -126,9 +121,7 @@ class FittedImputer:
     target_column: str
     predictor_columns: tuple[str, ...]
     state: dict
-    rounding_rule: str
-    observed_value_set: np.ndarray
-    target_kind: ColumnKind
+    observed_value_set: np.ndarray  # empty for a continuous target
 
 
 def task_seed(*parts: int) -> int:
@@ -139,14 +132,6 @@ def task_seed(*parts: int) -> int:
 def _mode(values: np.ndarray) -> float:
     uniq, counts = np.unique(values, return_counts=True)
     return float(uniq[np.argmax(counts)])  # first max -> smallest value
-
-
-def _rounding_rule_for(kind: ColumnKind) -> str:
-    if kind is ColumnKind.BINARY:
-        return ROUND_ADAPTIVE_BINARY
-    if kind in (ColumnKind.DISCRETE, ColumnKind.CATEGORICAL):
-        return ROUND_CENSOR
-    return ROUND_NONE
 
 
 def _predictor_matrix(table: Table, names: tuple[str, ...]) -> np.ndarray:
@@ -169,52 +154,62 @@ def fit(
     """
     if target in predictors:
         raise InvalidArgument("target cannot be its own predictor")
-    col = train.column(target)
-    if col.kind is None:
-        raise InvalidArgument(f"column {target!r} has no kind assigned")
-    observed = col.observed_values()
-    if observed.size == 0:
-        raise UntrainableImputer(
-            f"{spec.id}: target {target!r} has no observed training values"
-        )
     predictors = tuple(predictors)
     if spec.is_multivariate and not predictors:
         raise UntrainableImputer(
             f"{spec.id}: family {spec.family!r} needs at least one predictor"
         )
+    col = train.column(target)
 
-    if spec.family == "simple":
-        stat = spec.params["statistic"]
-        if stat == "mean":
-            fill = float(observed.mean())
-        elif stat == "median":
-            fill = float(np.median(observed))
-        else:
-            fill = _mode(observed)
-        state = {"fill": fill}
-    elif spec.family == "apprandom":
-        state = {"observed": observed.copy()}
-    elif spec.family == "knn":
-        X = _predictor_matrix(train, predictors)
-        keep = ~col.mask
-        state = {
-            "ref_X": X[keep],
-            "ref_y": col.values[keep].copy(),
-            "k": spec.params["n_neighbors"],
-            "global_mean": float(observed.mean()),
-        }
-    else:
-        state = _iterative_fit(spec, train, target, predictors)
+    def state_for(observed):
+        if spec.family == "simple":
+            stat = spec.params["statistic"]
+            if stat == "mean":
+                return {"fill": float(observed.mean())}
+            if stat == "median":
+                return {"fill": float(np.median(observed))}
+            return {"fill": _mode(observed)}
+        if spec.family == "apprandom":
+            return {"observed": observed}
+        if spec.family == "knn":
+            X = _predictor_matrix(train, predictors)
+            return _knn_state(spec, X[~col.mask], observed)
+        return _iterative_fit(spec, train, target, predictors)
 
+    return _fitted(spec, col, predictors, state_for)
+
+
+def _fitted(spec, col: Column, predictors, state_for) -> FittedImputer:
+    """The imputer of `spec` for target `col` with the state
+    `state_for(observed target values)`; the target needs a kind and at
+    least one observed value."""
+    if col.kind is None:
+        raise InvalidArgument(f"column {col.name!r} has no kind assigned")
+    observed = col.observed_values()
+    if observed.size == 0:
+        raise UntrainableImputer(
+            f"{spec.id}: target {col.name!r} has no observed training values"
+        )
     return FittedImputer(
         spec=spec,
-        target_column=target,
+        target_column=col.name,
         predictor_columns=predictors,
-        state=state,
-        rounding_rule=_rounding_rule_for(col.kind),
-        observed_value_set=np.unique(observed),
-        target_kind=col.kind,
+        state=state_for(observed),
+        observed_value_set=np.unique(
+            [] if col.kind is ColumnKind.CONTINUOUS else observed),
     )
+
+
+def _knn_state(spec: ImputerSpec, ref_X: np.ndarray, ref_y: np.ndarray) -> dict:
+    """The kNN state over reference rows `ref_X` with targets `ref_y`; the
+    fill of a row that no reference matches is the global mean."""
+    return {
+        "ref_X": ref_X,
+        "ref_y": ref_y,
+        "k": spec.params["n_neighbors"],
+        # NaN for the empty ref_y of a damaged plan, which the loader refuses
+        "global_mean": float(ref_y.mean()) if ref_y.size else math.nan,
+    }
 
 
 def transform(f: FittedImputer, t: Table) -> Table:
@@ -257,9 +252,9 @@ def _write_fills(f, t, col, missing, fills):
 
 
 def _apply_rounding(f, col, fills):
-    if f.rounding_rule == ROUND_NONE:
+    if col.kind is ColumnKind.CONTINUOUS:
         return fills
-    if f.rounding_rule == ROUND_CENSOR or len(f.observed_value_set) == 1:
+    if col.kind is not ColumnKind.BINARY or len(f.observed_value_set) == 1:
         return censor_to_observed(fills, f.observed_value_set)
     lo, hi = float(f.observed_value_set[0]), float(f.observed_value_set[-1])
     span = hi - lo
@@ -516,21 +511,10 @@ def retarget(
     another target: what `fit` would give up to the order of the chain's
     columns."""
     col = train.column(target)
-    observed = col.observed_values()
-    if observed.size == 0:
-        raise UntrainableImputer(
-            f"{chain.spec.id}: target {target!r} has no observed training "
-            "values"
-        )
     t_idx = chain.state["columns"].index(target)
-    return FittedImputer(
-        spec=chain.spec,
-        target_column=target,
-        predictor_columns=tuple(predictors),
-        state=_with_target_model(chain.spec, chain.state, t_idx, ~col.mask),
-        rounding_rule=_rounding_rule_for(col.kind),
-        observed_value_set=np.unique(observed),
-        target_kind=col.kind,
+    return _fitted(
+        chain.spec, col, tuple(predictors),
+        lambda _: _with_target_model(chain.spec, chain.state, t_idx, ~col.mask),
     )
 
 
@@ -621,8 +605,6 @@ def fitted_to_jsonable(f: FittedImputer) -> dict:
         enc_state = {
             "ref_X": encode_array(state["ref_X"]),
             "ref_y": encode_array(state["ref_y"]),
-            "k": state["k"],
-            "global_mean": state["global_mean"],
         }
     else:
         enc_state = {
@@ -638,9 +620,7 @@ def fitted_to_jsonable(f: FittedImputer) -> dict:
         "target_column": f.target_column,
         "predictor_columns": list(f.predictor_columns),
         "state": enc_state,
-        "rounding_rule": f.rounding_rule,
         "observed_value_set": encode_array(f.observed_value_set),
-        "target_kind": f.target_kind.value,
     }
 
 
@@ -652,15 +632,8 @@ def fitted_from_jsonable(d: dict) -> FittedImputer:
     elif spec.family == "apprandom":
         state = {"observed": decode_array(raw["observed"])}
     elif spec.family == "knn":
-        ref_X = decode_array(raw["ref_X"])
-        if ref_X.ndim == 1:
-            ref_X = ref_X.reshape(len(raw["ref_X"]), 0)
-        state = {
-            "ref_X": ref_X,
-            "ref_y": decode_array(raw["ref_y"]),
-            "k": int(raw["k"]),
-            "global_mean": float(raw["global_mean"]),
-        }
+        ref_X = decode_array(raw["ref_X"]).reshape(len(raw["ref_X"]), -1)
+        state = _knn_state(spec, ref_X, decode_array(raw["ref_y"]))
     else:
         state = {
             "columns": tuple(raw["columns"]),
@@ -671,19 +644,10 @@ def fitted_from_jsonable(d: dict) -> FittedImputer:
                 for j, m in raw["models"].items()
             },
         }
-    target_kind = ColumnKind(d["target_kind"])
-    # the stored rule is a function of the kind; any other value is damage
-    if d["rounding_rule"] != _rounding_rule_for(target_kind):
-        raise CorruptModel(
-            f"rounding_rule {d['rounding_rule']!r} does not match target "
-            f"kind {target_kind.value!r}"
-        )
     return FittedImputer(
         spec=spec,
         target_column=d["target_column"],
         predictor_columns=tuple(d["predictor_columns"]),
         state=state,
-        rounding_rule=d["rounding_rule"],
         observed_value_set=decode_array(d["observed_value_set"]),
-        target_kind=target_kind,
     )

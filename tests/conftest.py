@@ -1,4 +1,6 @@
-"""Shared fixtures: a heart-disease-shaped benchmark CSV.
+"""Shared fixtures: a heart-disease-shaped benchmark CSV, and a small
+table with a plan that uses every serializable imputer family but the
+tree chains.
 
 The file mimics the pooled 920-row cardiology dataset this kind of tooling
 is usually demonstrated on: 13 mixed-type features with a fixed, realistic
@@ -11,6 +13,15 @@ import csv
 
 import numpy as np
 import pytest
+
+from imputeq.engine import (
+    AssessConfig,
+    QualityRecord,
+    fit_pipeline,
+    serialize_pipeline,
+)
+from imputeq.imputers import ImputerSpec
+from imputeq.table import ColumnKind, infer_column_kinds, label_encode, load_csv
 
 N_ROWS = 920
 
@@ -88,3 +99,57 @@ def heart_csv(tmp_path_factory):
         for i in range(N_ROWS):
             writer.writerow([columns[n][i] for n in names])
     return str(path)
+
+
+# column -> (kind, the roster imputer its plan entry uses)
+MIXED_PLAN_COLUMNS = {
+    "x": (ColumnKind.CONTINUOUS, "knn3"),
+    "y": (ColumnKind.CONTINUOUS, "iter_ridge"),
+    "n": (ColumnKind.DISCRETE, "mean"),
+    "c": (ColumnKind.CATEGORICAL, "random"),
+    "b": (ColumnKind.BINARY, "iter_ridge"),
+}
+
+
+@pytest.fixture(scope="session")
+def mixed_plan(tmp_path_factory):
+    """The paths of a plan file and of a 60-row CSV with a fifth of each
+    column blank; the plan imputes each column with the imputer
+    `MIXED_PLAN_COLUMNS` names for it: kNN, a ridge chain, the mean and
+    empirical sampling."""
+    rng = np.random.default_rng(3)
+    n = 60
+    x = rng.normal(0.0, 1.0, n)
+    cells = {
+        "x": [f"{v:.3f}" for v in x],
+        "y": [f"{v:.3f}" for v in 2.0 * x + rng.normal(0.0, 0.3, n)],
+        "n": [str(v) for v in rng.integers(0, 4, n)],
+        "c": list(rng.choice(["red", "green", "blue"], n)),
+        "b": list(rng.choice(["yes", "no"], n)),
+    }
+    for col in cells.values():
+        for i in rng.choice(n, n // 5, replace=False):
+            col[i] = ""
+    path = tmp_path_factory.mktemp("mixed") / "data.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(cells))
+        writer.writerows(zip(*cells.values()))
+
+    t = infer_column_kinds(label_encode(load_csv(str(path))))
+    assert [c.kind for c in t.columns] == [
+        kind for kind, _ in MIXED_PLAN_COLUMNS.values()
+    ]
+    config = AssessConfig(imputers=(
+        ImputerSpec("mean", "simple", {"statistic": "mean"}),
+        ImputerSpec("random", "apprandom", {}),
+        ImputerSpec("knn3", "knn", {"n_neighbors": 3}),
+        ImputerSpec("iter_ridge", "iterative", {"estimator": "ridge"}),
+    ), seed=4)
+    records = [
+        QualityRecord(name, 0.8, (), chosen, 0.5, 0.9, True, False)
+        for name, (_, chosen) in MIXED_PLAN_COLUMNS.items()
+    ]
+    plan = path.parent / "pipe.json"
+    plan.write_bytes(serialize_pipeline(fit_pipeline(t, records, config)))
+    return str(plan), str(path)

@@ -184,41 +184,42 @@ class TestFitApply:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "CorruptModel"
 
-    @pytest.fixture
-    def mean_plan(self, tmp_path):
-        """A mean-roster plan fit on a 60-row two-column CSV."""
-        rng = np.random.default_rng(3)
-        rows = [f"{'' if i % 4 == 0 else f'{v:.3f}'},{w:.3f}"
-                for i, (v, w) in enumerate(rng.normal(0, 1, (60, 2)))]
-        data = tmp_path / "data.csv"
-        data.write_text("a,b\n" + "\n".join(rows) + "\n")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "data": {"path": str(data)},
-            "imputers": [{"id": "mean", "family": "simple",
-                          "params": {"statistic": "mean"}}],
-        }))
-        pipe = tmp_path / "pipe.json"
-        assert main(["fit", "--config", str(config), "--out", str(pipe)]) == 0
-        return pipe, str(data)
-
-    @pytest.mark.parametrize("field,value", [
-        ("target_column", "zz"),
-        ("predictor_columns", ["zz"]),
-        ("rounding_rule", "bogus"),
-        ("rounding_rule", "adaptive_binary"),
+    @pytest.mark.parametrize("target,path,value", [
+        ("n", "target_column", "zz"),
+        ("n", "predictor_columns", ["zz"]),
+        ("n", "spec.family", "magic"),
+        ("n", "spec.params", {}),
+        ("n", "state.fill", float("nan")),
+        ("n", "observed_value_set", []),
+        ("c", "state.observed.0", None),
+        ("x", "state.ref_X", lambda ref_X: [row[:-1] for row in ref_X]),
+        ("x", "state.ref_y", lambda ref_y: ref_y[:-1]),
+        ("x", "state.ref_y", []),
+        ("y", "state.models.0.weights", lambda w: w[:-1]),
+    ], ids=[
+        "target_column-zz", "predictor_columns-value1", "spec_family-magic",
+        "simple_spec_without_statistic", "fill-NaN",
+        "discrete_observed_value_set-empty", "apprandom_observed-null",
+        "knn_ref_X-one_predictor_short", "knn_ref_y-one_row_short",
+        "knn_ref_y-empty", "ridge_weights-one_short",
     ])
     def test_apply_with_damaged_fitted_imputer_is_data_error(
-        self, mean_plan, capsys, field, value
+        self, mixed_plan, tmp_path, capsys, target, path, value
     ):
-        pipe, data = mean_plan
-        doc = json.loads(pipe.read_text())
-        fitted = next(f for f in doc["fitted"] if f["target_column"] == "a")
-        fitted[field] = value
+        plan, data = mixed_plan
+        with open(plan) as fh:
+            doc = json.load(fh)
+        node = next(f for f in doc["fitted"] if f["target_column"] == target)
+        *parents, key = path.split(".")
+        for k in parents:
+            node = node[int(k) if isinstance(node, list) else k]
+        key = int(key) if isinstance(node, list) else key
+        node[key] = value(node[key]) if callable(value) else value
+        pipe = tmp_path / "pipe.json"
         pipe.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["apply", "--pipeline", str(pipe), "--data", data,
-                   "--out", str(pipe.parent / "o.csv")])
+                   "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "CorruptModel"

@@ -630,15 +630,35 @@ class TestPipeline:
         with pytest.raises(CorruptModel):
             deserialize_pipeline(json.dumps(doc).encode())
 
+    def test_plan_stores_no_derivable_fact(self, mixed_plan):
+        path, _ = mixed_plan
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        doc = json.loads(blob)
+        kinds = {s["name"]: s["kind"] for s in doc["schema"]}
+        for f in doc["fitted"]:
+            assert set(f) == {"spec", "target_column", "predictor_columns",
+                              "state", "observed_value_set"}
+            if kinds[f["target_column"]] == "continuous":
+                assert f["observed_value_set"] == []
+        knn_doc = next(f for f in doc["fitted"] if f["spec"]["family"] == "knn")
+        assert set(knn_doc["state"]) == {"ref_X", "ref_y"}
+        plan = deserialize_pipeline(blob)
+        assert serialize_pipeline(plan) == blob
+        knn = next(f for f in plan.fitted if f.spec.family == "knn")
+        assert knn.state["k"] == knn.spec.params["n_neighbors"]
+        assert knn.state["global_mean"] == knn.state["ref_y"].mean()
+
     def test_wrong_format_or_version_rejected(self):
         t, cfg, records, plan = self.fit_plan(seed=2)
         doc = json.loads(serialize_pipeline(plan))
         other = dict(doc, format="something-else")
         with pytest.raises(VersionMismatch):
             deserialize_pipeline(json.dumps(other).encode())
-        future = dict(doc, schema_version=99)
-        with pytest.raises(VersionMismatch):
-            deserialize_pipeline(json.dumps(future).encode())
+        for version in (1, 99):
+            other = dict(doc, schema_version=version)
+            with pytest.raises(VersionMismatch):
+                deserialize_pipeline(json.dumps(other).encode())
 
     def test_config_hash_mismatch_warns_only(self):
         t, cfg, records, plan = self.fit_plan(seed=2)

@@ -63,18 +63,20 @@ class TestFit:
             fit(simple("mean"), t, "x", predictors=("x",))
 
     def test_rounding_rule_tracks_kind(self):
+        # the fills of a mean imputer, rounded by the column's kind; with
+        # marginal 0.75 the binary cutoff is 0.458, below the 0.75 fill
         cases = [
-            (ColumnKind.CONTINUOUS, "none"),
-            (ColumnKind.BINARY, "adaptive_binary"),
-            (ColumnKind.DISCRETE, "censor_to_observed"),
-            (ColumnKind.CATEGORICAL, "censor_to_observed"),
+            (ColumnKind.CONTINUOUS, [1.0, 2.0, 3.0, 4.0], 2.5),
+            (ColumnKind.DISCRETE, [1.0, 2.0, 3.0, 4.0], 2.0),
+            (ColumnKind.CATEGORICAL, [1.0, 2.0, 3.0, 4.0], 2.0),
+            (ColumnKind.BINARY, [0.0, 1.0, 1.0, 1.0], 1.0),
         ]
-        for kind, rule in cases:
-            vals = [0.0, 1.0, 0.0, 1.0] if kind is ColumnKind.BINARY else [
-                1.0, 2.0, 3.0, 4.0
-            ]
-            t = Table((col("x", vals, kind),))
-            assert fit(simple("mean"), t, "x").rounding_rule == rule
+        for kind, vals, want in cases:
+            t = Table((col("x", vals + [np.nan], kind),))
+            f = fit(simple("mean"), t, "x")
+            assert transform(f, t).column("x").values[-1] == want
+            want_set = [] if kind is ColumnKind.CONTINUOUS else np.unique(vals)
+            np.testing.assert_array_equal(f.observed_value_set, want_set)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidArgument):
