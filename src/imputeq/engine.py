@@ -787,14 +787,31 @@ def _check_plan(plan: PipelinePlan) -> None:
 
 
 def _chain_model_reads(m, p: int, numbers: list) -> bool:
-    """Whether chain model `m` reads `p` inputs; appends its numbers."""
+    """Whether chain model `m` reads `p` inputs and its trees are sound (a
+    forest, which averages them, has at least one); appends its numbers."""
     if isinstance(m, RidgeModel):
         numbers += [m.weights, m.intercept, m.reg_strength]
         return m.weights.shape == (p,)
     if isinstance(m, GbtModel):
         numbers += [m.base_score, m.learning_rate]
+    elif not m.trees:
+        return False
     numbers += [a for t in m.trees for a in (t.threshold, t.value)]
-    return all((t.feature < p).all() for t in m.trees)
+    return all(_tree_reads(t, p) for t in m.trees)
+
+
+def _tree_reads(t, p: int) -> bool:
+    """Whether tree `t` reads at most `p` inputs and prediction ends: its
+    five arrays have one non-zero length n, and each split node i has both
+    children in (i, n), so every path descends to a leaf."""
+    n = t.value.size
+    arrays = (t.feature, t.threshold, t.left, t.right, t.value)
+    if not (n and all(a.shape == (n,) for a in arrays)):
+        return False
+    split = np.flatnonzero(t.feature >= 0)
+    return bool((t.feature < p).all()) and all(
+        ((c[split] > split) & (c[split] < n)).all() for c in (t.left, t.right)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -589,10 +589,14 @@ def encode_array(a: np.ndarray) -> list:
     return [encode_array(row) for row in a]
 
 
-def decode_array(x: list) -> np.ndarray:
-    if x and isinstance(x[0], list):
-        return np.array([decode_array(row) for row in x], dtype=float)
-    return np.array([np.nan if v is None else float(v) for v in x], dtype=float)
+def decode_array(x: list, ndim: int = 1) -> np.ndarray:
+    """The array `encode_array` wrote: a rectangular list `ndim` deep of
+    numbers, each None read as NaN; anything else raises ValueError or
+    TypeError."""
+    a = np.array(x, dtype=float)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d list of numbers")
+    return a
 
 
 def fitted_to_jsonable(f: FittedImputer) -> dict:
@@ -632,8 +636,8 @@ def fitted_from_jsonable(d: dict) -> FittedImputer:
     elif spec.family == "apprandom":
         state = {"observed": decode_array(raw["observed"])}
     elif spec.family == "knn":
-        ref_X = decode_array(raw["ref_X"]).reshape(len(raw["ref_X"]), -1)
-        state = _knn_state(spec, ref_X, decode_array(raw["ref_y"]))
+        state = _knn_state(spec, decode_array(raw["ref_X"], ndim=2),
+                           decode_array(raw["ref_y"]))
     else:
         state = {
             "columns": tuple(raw["columns"]),

@@ -1,6 +1,6 @@
 """Shared fixtures: a heart-disease-shaped benchmark CSV, and a small
-table with a plan that uses every serializable imputer family but the
-tree chains.
+table with two plans: one with kNN and a ridge chain, one with forest and
+GBT chains, both with the mean and empirical sampling.
 
 The file mimics the pooled 920-row cardiology dataset this kind of tooling
 is usually demonstrated on: 13 mixed-type features with a fixed, realistic
@@ -109,14 +109,32 @@ MIXED_PLAN_COLUMNS = {
     "c": (ColumnKind.CATEGORICAL, "random"),
     "b": (ColumnKind.BINARY, "iter_ridge"),
 }
+# the same table with tree chains where the mixed plan has kNN and ridge
+TREE_PLAN_COLUMNS = dict(
+    MIXED_PLAN_COLUMNS,
+    x=(ColumnKind.CONTINUOUS, "iter_forest"),
+    y=(ColumnKind.CONTINUOUS, "iter_gbt"),
+    b=(ColumnKind.BINARY, "iter_forest"),
+)
+PLAN_ROSTER = (
+    ImputerSpec("mean", "simple", {"statistic": "mean"}),
+    ImputerSpec("random", "apprandom", {}),
+    ImputerSpec("knn3", "knn", {"n_neighbors": 3}),
+    ImputerSpec("iter_ridge", "iterative", {"estimator": "ridge"}),
+    # two trees of depth 3 keep the tree plan small
+    ImputerSpec("iter_forest", "iterative", {
+        "estimator": "forest", "n_estimators": 2, "max_depth": 3,
+        "max_iter": 2}),
+    ImputerSpec("iter_gbt", "iterative", {
+        "estimator": "gbt", "n_estimators": 2, "max_depth": 3,
+        "max_iter": 2}),
+)
 
 
 @pytest.fixture(scope="session")
-def mixed_plan(tmp_path_factory):
-    """The paths of a plan file and of a 60-row CSV with a fifth of each
-    column blank; the plan imputes each column with the imputer
-    `MIXED_PLAN_COLUMNS` names for it: kNN, a ridge chain, the mean and
-    empirical sampling."""
+def mixed_csv(tmp_path_factory):
+    """The path of a 60-row CSV of the `MIXED_PLAN_COLUMNS` columns, with a
+    fifth of each column blank."""
     rng = np.random.default_rng(3)
     n = 60
     x = rng.normal(0.0, 1.0, n)
@@ -135,21 +153,35 @@ def mixed_plan(tmp_path_factory):
         writer = csv.writer(fh)
         writer.writerow(list(cells))
         writer.writerows(zip(*cells.values()))
+    return str(path)
 
-    t = infer_column_kinds(label_encode(load_csv(str(path))))
-    assert [c.kind for c in t.columns] == [
-        kind for kind, _ in MIXED_PLAN_COLUMNS.values()
-    ]
-    config = AssessConfig(imputers=(
-        ImputerSpec("mean", "simple", {"statistic": "mean"}),
-        ImputerSpec("random", "apprandom", {}),
-        ImputerSpec("knn3", "knn", {"n_neighbors": 3}),
-        ImputerSpec("iter_ridge", "iterative", {"estimator": "ridge"}),
-    ), seed=4)
+
+def _write_plan(csv_path, columns, out):
+    """Fit a plan on `csv_path` that imputes each column with the imputer
+    `columns` names for it, and write it to `out`."""
+    t = infer_column_kinds(label_encode(load_csv(csv_path)))
+    assert [c.kind for c in t.columns] == [kind for kind, _ in columns.values()]
     records = [
         QualityRecord(name, 0.8, (), chosen, 0.5, 0.9, True, False)
-        for name, (_, chosen) in MIXED_PLAN_COLUMNS.items()
+        for name, (_, chosen) in columns.items()
     ]
-    plan = path.parent / "pipe.json"
-    plan.write_bytes(serialize_pipeline(fit_pipeline(t, records, config)))
-    return str(plan), str(path)
+    config = AssessConfig(imputers=PLAN_ROSTER, seed=4)
+    out.write_bytes(serialize_pipeline(fit_pipeline(t, records, config)))
+    return str(out)
+
+
+@pytest.fixture(scope="session")
+def mixed_plan(mixed_csv, tmp_path_factory):
+    """The paths of a plan file and of the `mixed_csv` table; the plan
+    imputes each column with the imputer `MIXED_PLAN_COLUMNS` names for it:
+    kNN, a ridge chain, the mean and empirical sampling."""
+    out = tmp_path_factory.mktemp("mixed_plan") / "pipe.json"
+    return _write_plan(mixed_csv, MIXED_PLAN_COLUMNS, out), mixed_csv
+
+
+@pytest.fixture(scope="session")
+def tree_plan(mixed_csv, tmp_path_factory):
+    """Like `mixed_plan`, with the `TREE_PLAN_COLUMNS` imputers: a forest
+    chain, a GBT chain, the mean and empirical sampling."""
+    out = tmp_path_factory.mktemp("tree_plan") / "pipe.json"
+    return _write_plan(mixed_csv, TREE_PLAN_COLUMNS, out), mixed_csv

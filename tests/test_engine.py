@@ -649,6 +649,44 @@ class TestPipeline:
         assert knn.state["k"] == knn.spec.params["n_neighbors"]
         assert knn.state["global_mean"] == knn.state["ref_y"].mean()
 
+    @pytest.mark.parametrize("damage", [
+        "left0-to-root", "right-past-end", "left-child-before-parent",
+        "left-one-short", "value-one-short", "feature-scalar",
+        "all-arrays-empty",
+    ])
+    def test_tree_that_cannot_end_or_is_ragged_is_corrupt(self, tree_plan,
+                                                          damage):
+        # the loader never predicts, so a tree that loops fails here
+        # instead of hanging the test
+        path, _ = tree_plan
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        deserialize_pipeline(blob)  # the intact plan loads
+        doc = json.loads(blob)
+        forest = next(f for f in doc["fitted"]
+                      if f["spec"]["id"] == "iter_forest")
+        tree = next(iter(forest["state"]["models"].values()))["trees"][0]
+        splits = [i for i, f in enumerate(tree["feature"]) if f >= 0]
+        assert splits and splits[0] == 0
+        last = splits[-1]
+        if damage == "left0-to-root":
+            tree["left"][0] = 0
+        elif damage == "right-past-end":
+            tree["right"][last] = len(tree["value"])
+        elif damage == "left-child-before-parent":
+            tree["left"][last] = last - 1
+        elif damage == "left-one-short":
+            tree["left"].pop()
+        elif damage == "value-one-short":
+            tree["value"].pop()
+        elif damage == "feature-scalar":
+            tree["feature"] = -1
+        else:
+            for key in ("feature", "threshold", "left", "right", "value"):
+                tree[key] = []
+        with pytest.raises(CorruptModel):
+            deserialize_pipeline(json.dumps(doc).encode())
+
     def test_wrong_format_or_version_rejected(self):
         t, cfg, records, plan = self.fit_plan(seed=2)
         doc = json.loads(serialize_pipeline(plan))

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imputeq
 from imputeq.errors import ConstantTargetWarning, DegenerateInput
 from imputeq.metrics import (
     auroc,
@@ -163,6 +168,27 @@ class TestAuroc:
         assert auroc(y, s) == pytest.approx(wins / (pos.size * neg.size),
                                             rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_rank_sum_formula_bit_for_bit(self, data):
+        from scipy import stats
+
+        n = data.draw(st.integers(2, 60))
+        y = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)))
+        y[0], y[1] = True, False  # both classes present
+        # a small pool of values, so most scores tie with others
+        pool = data.draw(st.lists(
+            st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 1e9, np.inf])
+            | st.floats(allow_nan=False), min_size=1, max_size=6))
+        s = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                                        max_size=n)))
+        n_pos, n_neg = int(y.sum()), int((~y).sum())
+        rank_sum = float(stats.rankdata(s)[y].sum())
+        want = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        got = auroc(y, s)
+        assert type(got) is float and got == want
+
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateInput):
             auroc(np.array([1, 1]), np.array([0.1, 0.2]))
@@ -198,6 +224,16 @@ class TestMeanCi:
         assert m - hw == pytest.approx(lo)
         assert m + hw == pytest.approx(hi)
 
+    def test_equals_student_t_ppf_bit_for_bit(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(11)
+        for df in range(1, 201):
+            x = rng.normal(size=df + 1) * 10.0 ** rng.uniform(-3, 3)
+            sem = float(x.std(ddof=1)) / np.sqrt(x.size)
+            want = float(stats.t.ppf(0.975, df=df)) * sem
+            assert mean_ci(x) == (float(x.mean()), want)
+
     def test_identical_samples_zero_width(self):
         m, hw = mean_ci(np.full(5, 3.0))
         assert m == 3.0 and hw == 0.0
@@ -220,3 +256,15 @@ class TestMeanCi:
     def test_single_value_rejected(self):
         with pytest.raises(DegenerateInput):
             mean_ci(np.array([4.2]))
+
+
+def test_package_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second and 40 MB at import; the
+    # metrics need only scipy.special
+    src = os.path.dirname(os.path.dirname(imputeq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import imputeq, imputeq.cli, sys; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,10 @@
 """`imputeq apply` on damaged pipeline files.
 
-Each example makes one mutation of a valid plan that uses kNN, a ridge
-chain, the mean and empirical sampling (the `mixed_plan` fixture): it
-deletes a key or a list entry, retypes a value, writes NaN, or renames a
-column reference.  The command must then either refuse the plan as a data
+Each example makes one mutation of a valid plan: one that uses kNN, a
+ridge chain, the mean and empirical sampling (the `mixed_plan` fixture),
+or one with forest and GBT chains (`tree_plan`).  The mutation deletes a
+key or a list entry, retypes a value, writes NaN, or renames a column
+reference.  The command must then either refuse the plan as a data
 error (exit 3, one JSON error object as the last stderr line, no traceback)
 or serve it (exit 0) with every kept column complete and every observed
 input cell unchanged.
@@ -42,18 +43,32 @@ def _column_references(node, columns, path=()):
         yield from _column_references(v, columns, (*path, k))
 
 
+def _chain_roots(doc):
+    """Paths of every chain model in `doc` and of each of its trees."""
+    for i, f in enumerate(doc["fitted"]):
+        for j, m in f["state"].get("models", {}).items():
+            path = ("fitted", i, "state", "models", j)
+            yield path
+            for k in range(len(m.get("trees", []))):
+                yield (*path, "trees", k)
+
+
 @st.composite
-def mutations(draw, doc):
-    """One mutation of `doc`, as (path, new value)."""
+def mutations(draw, doc, roots=((),)):
+    """One mutation of `doc`, as (path, new value); all but a rename are
+    at or below a path drawn from `roots`."""
     op = draw(st.sampled_from(["delete", "retype", "nan", "rename"]))
     if op == "rename":
         columns = [s["name"] for s in doc["schema"]]
         path = draw(st.sampled_from(list(_column_references(doc, columns))))
         return path, draw(st.sampled_from(columns + ["zz"]))
-    path, node = (), doc
+    root = path = draw(st.sampled_from(roots))
+    node = doc
+    for k in root:
+        node = node[k]
     # descend at least one level, then stop or go on at random
     while isinstance(node, (dict, list)) and node and (
-        not path or draw(st.booleans())
+        path == root or draw(st.booleans())
     ):
         keys = list(node) if isinstance(node, dict) else range(len(node))
         key = draw(st.sampled_from(keys))
@@ -90,15 +105,11 @@ def _same_cell(got: str, want: str) -> bool:
         return got == want
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_damaged_plan_is_refused_or_served_completely(
-    mixed_plan, tmp_path_factory, data
-):
-    plan, csv_path = mixed_plan
+def _check_damaged_plan(plan_and_csv, tmp_path_factory, data, roots=((),)):
+    plan, csv_path = plan_and_csv
     with open(plan) as fh:
         doc = json.load(fh)
-    path, value = data.draw(mutations(doc))
+    path, value = data.draw(mutations(doc, roots))
     _mutate(doc, path, value)
     work = tmp_path_factory.mktemp("mutated")
     pipe, out = work / "pipe.json", work / "out.csv"
@@ -123,3 +134,24 @@ def test_damaged_plan_is_refused_or_served_completely(
             assert got != "", name
             if row[i] != "":
                 assert _same_cell(got, row[i]), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_plan_is_refused_or_served_completely(
+    mixed_plan, tmp_path_factory, data
+):
+    _check_damaged_plan(mixed_plan, tmp_path_factory, data)
+
+
+# most mutations land in a chain model or one of its trees: a child index
+# that points back up a tree would loop forever at serving time, so the
+# loader must refuse it
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_tree_plan_is_refused_or_served_completely(
+    tree_plan, tmp_path_factory, data
+):
+    with open(tree_plan[0]) as fh:
+        roots = ((), *_chain_roots(json.load(fh)))
+    _check_damaged_plan(tree_plan, tmp_path_factory, data, roots)
