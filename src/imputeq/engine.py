@@ -18,13 +18,14 @@ generator from the seed and its (feature, imputer) position, and the grid
 runs serially in a fixed order.
 
 Work that does not depend on the target is shared through `Folds`: a ridge
-chain, which draws no seed, is fit once per (fold, candidate, view column
-set) and reused by every feature of that view, and the kNN candidates of a
-feature take all their fills from one distance pass per fold.  Forest and
-GBT chains keep one fit per (feature, fold), because their column seeds
-derive from the feature's task seed: a shared chain is another random
-draw, and sharing them changed which imputer won one or two of the eight
-features of a correlated test table, depending on the shared seed.
+or GBT chain, which draws no random numbers, is fit once per (fold,
+candidate, view column set) and reused by every feature of that view, and
+the kNN candidates of a feature take all their fills from one distance pass
+per fold.  Forest chains keep one fit per (feature, fold), because their
+column seeds derive from the feature's task seed and draw `mtry` and the
+bootstrap: a shared chain is another random draw, and sharing them changed
+which imputer won one or two of the eight features of a correlated test
+table, depending on the shared seed.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ def _predictors_for(t: Table, feature: str, deps) -> list[str]:
 
 class Folds:
     """The folds of one assessment of one table, with the chains and kNN
-    fills its candidates share: a `shares_chain` candidate's first feature
-    of a view fits the chain, later ones `retarget` it."""
+    fills its candidates share: a `shares_chain` candidate (a ridge or GBT
+    chain, which draws no random numbers) is fit by the first feature of a
+    view, and later ones `retarget` it."""
 
     def __init__(self, splits: SplitIndices, roster):
         self.splits = splits
@@ -264,13 +266,15 @@ def imputation_score(
     for the bias veto.
 
     Fits and kNN distances are shared through `folds` with the other
-    features and candidates scored on it (see `Folds`).  A ridge chain is
-    the one fit for the first feature with the same view columns: it visits
-    columns with equal missing counts in that feature's column order, so the
-    scores can differ from the feature's own chain, in the last bits when no
-    two columns tie.  kNN fills are bit-identical to one pass per candidate.
-    Forest and GBT chains are fit per feature, as their column seeds come
-    from `seed`.
+    features and candidates scored on it (see `Folds`).  A ridge or GBT
+    chain is the one fit for the first feature with the same view columns:
+    it visits columns with equal missing counts, and a GBT tree breaks split
+    ties between columns, in that feature's column order, so the scores can
+    differ from the feature's own chain (for ridge, in the last bits when no
+    two columns tie).  A GBT model records the seed of that first feature
+    but never draws from it.  kNN fills are bit-identical to one pass per
+    candidate.  Forest chains are fit per feature, as their column seeds,
+    which drive `mtry` and the bootstrap, come from `seed`.
     """
     col = t.column(feature)
     if scorer is None:
@@ -788,12 +792,15 @@ def _check_plan(plan: PipelinePlan) -> None:
 
 def _chain_model_reads(m, p: int, numbers: list) -> bool:
     """Whether chain model `m` reads `p` inputs and its trees are sound (a
-    forest, which averages them, has at least one); appends its numbers."""
+    forest, which averages them, has at least one, and a GBT has the squared
+    loss that chains fit); appends its numbers."""
     if isinstance(m, RidgeModel):
         numbers += [m.weights, m.intercept, m.reg_strength]
         return m.weights.shape == (p,)
     if isinstance(m, GbtModel):
         numbers += [m.base_score, m.learning_rate]
+        if m.loss != "squared":
+            return False
     elif not m.trees:
         return False
     numbers += [a for t in m.trees for a in (t.threshold, t.value)]

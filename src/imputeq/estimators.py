@@ -391,6 +391,9 @@ def gbt_fit(
     Squared loss fits plain residuals with mean-valued leaves; logistic loss
     fits (y - p) with Newton leaf values sum(r)/sum(p(1-p)) and a log-odds
     base score.  learning_rate 0 degenerates to the constant base score.
+    Every round fits all rows and all columns, so the fit draws no random
+    numbers: `seed` is recorded in the model, never drawn from, and two
+    seeds give the same trees.
     """
     X = _as_matrix(Xm)
     y = np.asarray(y, dtype=float)

@@ -384,16 +384,18 @@ def _init_fill(values: np.ndarray, mask: np.ndarray, strategy: str) -> float:
 def shares_chain(spec: ImputerSpec) -> bool:
     """Whether every target of the same training columns and rows gets the
     same chain from `spec`: an iterative chain whose estimator draws no
-    seed.  Forest and GBT columns draw seeds from the spec seed, which the
-    assessment derives from the target feature."""
-    return spec.family == "iterative" and spec.params["estimator"] == "ridge"
+    random numbers.  Ridge takes no seed, and GBT only records its seed in
+    the model; forest columns draw `mtry` and the bootstrap from seeds that
+    the assessment derives from the target feature."""
+    return (spec.family == "iterative"
+            and spec.params["estimator"] in ("ridge", "gbt"))
 
 
 def _fit_column_estimator(spec: ImputerSpec, X, y, col_idx: int, round_idx: int):
     params = spec.params
     try:
         est = params["estimator"]
-        if shares_chain(spec):  # ridge draws no seed
+        if est == "ridge":
             return ridge_fit(X, y, reg=float(params.get("reg", 1.0)))
         seed = task_seed(spec.seed, col_idx, round_idx)
         if est == "forest":

@@ -443,6 +443,8 @@ class TestAssess:
 RIDGE = ImputerSpec("iter_ridge", "iterative", {"estimator": "ridge"})
 FOREST = ImputerSpec("iter_forest", "iterative", {
     "estimator": "forest", "n_estimators": 3, "max_depth": 3, "max_iter": 2})
+GBT = ImputerSpec("iter_gbt", "iterative", {
+    "estimator": "gbt", "n_estimators": 3, "max_depth": 2, "max_iter": 2})
 KNN3 = ImputerSpec("knn3", "knn", {"n_neighbors": 3})
 KNN5 = ImputerSpec("knn5", "knn", {"n_neighbors": 5})
 
@@ -461,15 +463,17 @@ def factor_table(n=90, seed=0, rates=(0.1, 0.0, 0.25, 0.4)):
 
 
 class TestSharedWork:
-    @pytest.mark.parametrize("deps,ridge_views", [
+    @pytest.mark.parametrize("deps,views", [
         (None, 1),
         ({"A": ["B", "C"], "B": ["C", "A"], "C": ["A", "B"], "D": ["A"]}, 2),
     ])
-    def test_ridge_chain_fit_once_per_fold_and_view(self, deps, ridge_views):
+    def test_ridge_chain_fit_once_per_fold_and_view(self, deps, views):
+        # ridge and GBT chains draw no random numbers, so they are shared;
+        # forest chains draw per feature
         t = factor_table()
-        cfg = AssessConfig((RIDGE, FOREST), n_folds=3, seed=4,
+        cfg = AssessConfig((RIDGE, GBT, FOREST), n_folds=3, seed=4,
                            dependencies=deps)
-        fits = {"iter_ridge": 0, "iter_forest": 0}
+        fits = {"iter_ridge": 0, "iter_gbt": 0, "iter_forest": 0}
 
         def spy(spec, train, target, predictors):
             if spec.family == "iterative":
@@ -478,7 +482,8 @@ class TestSharedWork:
 
         with mock.patch.object(engine, "fit_imputer", spy):
             records = assess(t, cfg)
-        assert fits == {"iter_ridge": 3 * ridge_views, "iter_forest": 4 * 3}
+        assert fits == {"iter_ridge": 3 * views, "iter_gbt": 3 * views,
+                        "iter_forest": 4 * 3}
         assert not any(e.skipped for r in records for e in r.evaluations)
 
     @pytest.mark.filterwarnings("ignore::imputeq.errors.ImputeQWarning")
@@ -684,6 +689,21 @@ class TestPipeline:
         else:
             for key in ("feature", "threshold", "left", "right", "value"):
                 tree[key] = []
+        with pytest.raises(CorruptModel):
+            deserialize_pipeline(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_gbt_chain_model_with_other_loss_is_corrupt(self, tree_plan,
+                                                        loss):
+        # chains fit squared loss; a logistic model would serve 0/1 labels
+        # into a continuous column
+        path, _ = tree_plan
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
+        gbt = next(f for f in doc["fitted"] if f["spec"]["id"] == "iter_gbt")
+        model = next(iter(gbt["state"]["models"].values()))
+        assert model["loss"] == "squared"
+        model["loss"] = loss
         with pytest.raises(CorruptModel):
             deserialize_pipeline(json.dumps(doc).encode())
 

@@ -186,6 +186,27 @@ class TestGbt:
             manual += m.learning_rate * tp(t, x)
         np.testing.assert_allclose(gbt_raw_score(m, x), manual)
 
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_seed_is_recorded_never_drawn(self, loss):
+        # assess shares one GBT chain among the features of a view because
+        # the fit draws no random numbers; row or column subsampling would
+        # break that
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, 4, size=(80, 3)).astype(float)
+        X = np.column_stack([X, X[:, 0]])  # a tied copy of column 0
+        y = X[:, 0] + rng.normal(size=80)
+        if loss == "logistic":
+            y = (y > np.median(y)).astype(float)
+        a, b = (gbt_fit(X, y, n_estimators=8, max_depth=3, loss=loss,
+                        seed=s) for s in (1, 2))
+        assert (a.seed, b.seed) == (1, 2)
+        assert a.base_score == b.base_score and len(a.trees) == len(b.trees)
+        for ta, tb in zip(a.trees, b.trees):
+            for key in ("feature", "threshold", "left", "right", "value"):
+                np.testing.assert_array_equal(getattr(ta, key),
+                                              getattr(tb, key))
+        np.testing.assert_array_equal(gbt_raw_score(a, X), gbt_raw_score(b, X))
+
 
 class TestPermutationImportance:
     def test_copy_feature_takes_all_importance(self):
