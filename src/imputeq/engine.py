@@ -19,9 +19,10 @@ runs serially in a fixed order.
 
 Work that does not depend on the target is shared through `Folds`: a ridge
 or GBT chain, which draws no random numbers, is fit once per (fold,
-candidate, view column set) and reused by every feature of that view, and
-the kNN candidates of a feature take all their fills from one distance pass
-per fold.  Forest chains keep one fit per (feature, fold), because their
+candidate, view column set) and reused by every feature of that view; the
+candidates of a feature read each fold's slices once, and its kNN candidates
+share one reference fit and take all their fills from one distance pass per
+fold.  Forest chains keep one fit per (feature, fold), because their
 column seeds derive from the feature's task seed and draw `mtry` and the
 bootstrap: a shared chain is another random draw, and sharing them changed
 which imputer won one or two of the eight features of a correlated test
@@ -211,19 +212,50 @@ def _predictors_for(t: Table, feature: str, deps) -> list[str]:
 
 
 class Folds:
-    """The folds of one assessment of one table, with the chains and kNN
-    fills its candidates share: a `shares_chain` candidate (a ridge or GBT
-    chain, which draws no random numbers) is fit by the first feature of a
-    view, and later ones `retarget` it."""
+    """The folds of one assessment of one table, with the work its
+    candidates share.
+
+    - A `shares_chain` candidate (a ridge or GBT chain, which draws no
+      random numbers) is fit by the first feature of a view column set,
+      and later features `retarget` it.
+    - Per view (a target's predictors, then the target) and fold: the train
+      and test slices, one kNN fit whose reference rows every kNN candidate
+      reads with its own k, and the fills of every roster k from one pass
+      of distance blocks.  These are dropped when the next view starts, so
+      they stay one view deep.
+    """
 
     def __init__(self, splits: SplitIndices, roster):
         self.splits = splits
         self._ks = {s.params["n_neighbors"] for s in roster if s.family == "knn"}
         self._chains = {}  # (fold, imputer id, view columns) -> fitted chain
-        self._knn_target = None
-        self._knn = {}  # fold -> {k: fills} for `_knn_target`
+        self._view = None  # the view columns that `_memo` belongs to
+        self._memo = {}  # (what, fold) -> shared value, see `_shared`
+
+    def _shared(self, what, fold_idx, t: Table, make):
+        """The `what` of fold `fold_idx` of the view that `t` (the view or a
+        slice of it) holds, from `make()` on first use."""
+        view = tuple(t.column_names)
+        if view != self._view:
+            self._view, self._memo = view, {}
+        key = (what, fold_idx)
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def slices(self, fold_idx, view: Table) -> tuple[Table, Table]:
+        """The (train, test) rows of fold `fold_idx` of `view`."""
+        train_idx, test_idx = self.splits.folds[fold_idx]
+        return self._shared("rows", fold_idx, view, lambda: (
+            view.select_rows(train_idx), view.select_rows(test_idx)))
 
     def fit(self, fold_idx, spec, train, target, predictors) -> FittedImputer:
+        if spec.family == "knn":
+            ref = self._shared("knn", fold_idx, train, lambda: fit_imputer(
+                spec, train, target, predictors))
+            # of the fitted state, only k depends on the spec
+            return replace(ref, spec=spec,
+                           state=dict(ref.state, k=spec.params["n_neighbors"]))
         if not shares_chain(spec):
             return fit_imputer(spec, train, target, predictors)
         key = (fold_idx, spec.id, frozenset(train.column_names))
@@ -234,16 +266,15 @@ class Folds:
             return chain
         return retarget(chain, train, target, predictors)
 
-    def knn_fills(self, fold_idx, fitted, X) -> np.ndarray:
-        """`fitted`'s fills for the query rows `X`, which must be the same
-        for every kNN candidate of this target and fold."""
-        if fitted.target_column != self._knn_target:
-            self._knn_target, self._knn = fitted.target_column, {}
+    def knn_fills(self, fold_idx, fitted, test: Table) -> np.ndarray:
+        """`fitted`'s fills for every row of `test`, the fold's test slice
+        of the view `fitted` was fit on."""
         k = fitted.state["k"]
-        fills = self._knn.get(fold_idx)
-        if fills is None or k not in fills:
-            fills = knn_fills(fitted.state, X, sorted(self._ks | {k}))
-            self._knn[fold_idx] = fills
+        fills = self._shared("fills", fold_idx, test, dict)  # k -> fills
+        if k not in fills:
+            X = np.column_stack(
+                [test.column(n).values for n in fitted.predictor_columns])
+            fills.update(knn_fills(fitted.state, X, sorted(self._ks | {k})))
         return fills[k]
 
 
@@ -265,16 +296,19 @@ def imputation_score(
     fold mean (clamped to [0, 1]), fold std, and the pooled re-imputations
     for the bias veto.
 
-    Fits and kNN distances are shared through `folds` with the other
-    features and candidates scored on it (see `Folds`).  A ridge or GBT
-    chain is the one fit for the first feature with the same view columns:
-    it visits columns with equal missing counts, and a GBT tree breaks split
-    ties between columns, in that feature's column order, so the scores can
-    differ from the feature's own chain (for ridge, in the last bits when no
-    two columns tie).  A GBT model records the seed of that first feature
-    but never draws from it.  kNN fills are bit-identical to one pass per
-    candidate.  Forest chains are fit per feature, as their column seeds,
-    which drive `mtry` and the bootstrap, come from `seed`.
+    Fold slices, fits and kNN fills are shared through `folds` with the
+    other features and candidates scored on it (see `Folds`).  Every
+    candidate of the feature reads the same train and test slices, and
+    every kNN candidate the same reference rows with its own k; kNN fills
+    are bit-identical to one fit and one pass per candidate.  A ridge or
+    GBT chain is the one fit for the first feature with the same view
+    columns: it visits columns with equal missing counts, and a GBT tree
+    breaks split ties between columns, in that feature's column order, so
+    the scores can differ from the feature's own chain (for ridge, in the
+    last bits when no two columns tie).  A GBT model records the seed of
+    that first feature but never draws from it.  Forest chains are fit per
+    feature, as their column seeds, which drive `mtry` and the bootstrap,
+    come from `seed`.
     """
     col = t.column(feature)
     if scorer is None:
@@ -289,13 +323,11 @@ def imputation_score(
     fold_scores = []
     pooled = []
     notes = set()
-    for fold_idx, (train_idx, test_idx) in enumerate(folds.splits):
+    for fold_idx in range(len(folds.splits)):
         fold_spec = replace(spec, seed=task_seed(seed, fold_idx))
-        fitted = folds.fit(
-            fold_idx, fold_spec, view.select_rows(train_idx), feature,
-            tuple(predictors),
-        )
-        test = view.select_rows(test_idx)
+        train, test = folds.slices(fold_idx, view)
+        fitted = folds.fit(fold_idx, fold_spec, train, feature,
+                           tuple(predictors))
         tcol = test.column(feature)
         observed_pos = np.flatnonzero(~tcol.mask)
         if observed_pos.size == 0:
@@ -310,9 +342,8 @@ def imputation_score(
         )
         blanked = test.with_column(blank)
         if spec.family == "knn":
-            X = np.column_stack([test.column(n).values for n in predictors])
             out = with_fills(fitted, blanked,
-                             folds.knn_fills(fold_idx, fitted, X))
+                             folds.knn_fills(fold_idx, fitted, test))
         else:
             out = transform(fitted, blanked)
         got = out.column(feature).values[observed_pos]

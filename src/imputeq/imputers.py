@@ -291,8 +291,10 @@ def knn_fill(state: dict, X: np.ndarray) -> np.ndarray:
 
 def knn_fills(state: dict, X: np.ndarray, ks) -> dict[int, np.ndarray]:
     """kNN fills for the query rows `X` for every neighbour count in `ks`,
-    block by block; each block's distances serve every k and are then
-    dropped.
+    block by block.  Each block's distances are computed once, its
+    neighbours are selected once for the largest k, nearest first, and
+    every k's fill is the mean over a prefix of that one order; then the
+    block is dropped.
 
     The distance to a reference row is the Euclidean distance over the
     coordinates both rows observe, scaled up by total/shared coordinate
@@ -303,12 +305,13 @@ def knn_fills(state: dict, X: np.ndarray, ks) -> dict[int, np.ndarray]:
     to the global mean with one warning per call.  Observed values must be
     finite: NaN is the only marker of a missing coordinate.
     """
-    ref_X = state["ref_X"]
+    ref_X, ref_y = state["ref_X"], state["ref_y"]
     n_ref, p = ref_X.shape
     ref_seen = (~np.isnan(ref_X)).T.astype(float)
     rows = max(1, min(len(X), _KNN_BLOCK_BYTES // (8 * n_ref * p)))
     buf = np.empty((rows, n_ref, p))
     fills = {k: np.full(len(X), state["global_mean"]) for k in ks}
+    n_near = min(max(ks), n_ref)
     unmatched = False
     for lo in range(0, len(X), rows):
         q = X[lo:lo + rows]
@@ -325,9 +328,9 @@ def knn_fills(state: dict, X: np.ndarray, ks) -> dict[int, np.ndarray]:
         d[shared == 0] = np.inf
         n_finite = np.isfinite(d).sum(axis=1)
         unmatched = unmatched or not n_finite.all()
+        near = ref_y[_nearest_first(d, n_near)]
         for k, out in fills.items():
-            _knn_means(d, np.minimum(k, n_finite), state["ref_y"],
-                       out[lo:lo + len(q)])
+            _prefix_means(near, np.minimum(k, n_finite), out[lo:lo + len(q)])
     if unmatched:
         warnings.warn(
             "no reference row shares an observed coordinate; falling back "
@@ -338,19 +341,19 @@ def knn_fills(state: dict, X: np.ndarray, ks) -> dict[int, np.ndarray]:
     return fills
 
 
-def _knn_means(d, k, ref_y, out) -> None:
-    """Write into `out` each row's mean over its k[i] nearest references;
-    rows with k[i] == 0 keep the value `out` holds."""
-    for kk in set(k.tolist()) - {0}:  # one pass per neighbour count
+def _prefix_means(near: np.ndarray, k: np.ndarray, out) -> None:
+    """Write into `out` each row's mean over its first k[i] entries of
+    `near`; rows with k[i] == 0 keep the value `out` holds."""
+    for kk in set(k.tolist()) - {0}:  # one pass per prefix length
         sel = k == kk
-        out[sel] = _nearest_mean(d[sel], ref_y, kk)
+        # a fresh (rows, kk) array sums each row in numpy's order for kk
+        out[sel] = near[sel, :kk].sum(axis=1) / kk
 
 
-def _nearest_mean(d: np.ndarray, ref_y: np.ndarray, k: int) -> np.ndarray:
-    """Mean target of each row's k nearest references, summed nearest
-    first with ties in reference order, as a stable argsort of the row
-    would pick and order them.  Every row has at least k finite distances.
-    """
+def _nearest_first(d: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest reference indices, nearest first with ties in
+    reference order: the first k entries of a stable argsort of the row.
+    Infinite distances sort last, so a row's finite ones come first."""
     kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
     take = d <= kth
     extra = take.sum(axis=1) - k
@@ -361,9 +364,8 @@ def _nearest_mean(d: np.ndarray, ref_y: np.ndarray, k: int) -> np.ndarray:
         from_end = np.cumsum(at[:, ::-1], axis=1)[:, ::-1]
         take[tied] &= ~(at & (from_end <= extra[tied, None]))
     rows, idx = np.nonzero(take)  # each row's k references, ascending
-    near = d[rows, idx].reshape(-1, k).argsort(axis=1, kind="stable")
-    idx = idx.reshape(-1, k)[np.arange(len(d))[:, None], near]
-    return ref_y[idx].sum(axis=1) / k
+    order = d[rows, idx].reshape(-1, k).argsort(axis=1, kind="stable")
+    return idx.reshape(-1, k)[np.arange(len(d))[:, None], order]
 
 
 # ---------------------------------------------------------------------------

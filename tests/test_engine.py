@@ -501,6 +501,47 @@ class TestSharedWork:
             e = r.evaluations[ii]
             assert (e.delta_mean, e.delta_std) == (alone.mean, alone.std)
 
+    @pytest.mark.filterwarnings("ignore::imputeq.errors.ImputeQWarning")
+    def test_knn_fit_and_slices_once_per_feature_and_fold(self):
+        # the kNN candidates read one reference fit, and every candidate
+        # one train/test slice pair, per (feature, fold)
+        t = factor_table()
+        knn10 = ImputerSpec("knn10", "knn", {"n_neighbors": 10})
+        mean = ImputerSpec("mean", "simple", {"statistic": "mean"})
+        cfg = AssessConfig((KNN3, KNN5, knn10, mean), n_folds=3, seed=4)
+        assert cfg.imputers[-1].family == "apprandom"
+        knn_fits, slices = [], []
+        select_rows = Table.select_rows
+
+        def fit_spy(spec, train, target, predictors):
+            if spec.family == "knn":
+                knn_fits.append(target)
+            return fit_imputer(spec, train, target, predictors)
+
+        def rows_spy(self, rows):
+            slices.append(tuple(self.column_names))
+            return select_rows(self, rows)
+
+        with mock.patch.object(engine, "fit_imputer", fit_spy), \
+                mock.patch.object(Table, "select_rows", rows_spy):
+            records = assess(t, cfg)
+        assert knn_fits == [f for f in "ABCD" for _ in range(3)]
+        assert [v[-1] for v in slices] == [f for f in "ABCD" for _ in range(6)]
+        assert not any(e.skipped for r in records for e in r.evaluations)
+
+    @pytest.mark.filterwarnings("ignore::imputeq.errors.ImputeQWarning")
+    def test_knn_memo_follows_the_predictors(self):
+        # the same target under other predictors is another view
+        t = factor_table(n=120, rates=(0.1, 0.0, 0.25))
+        splits = kfold_split(t.n_rows, 3, 0)
+        folds = Folds(splits, [KNN3])
+        for deps in ({"A": ["B"]}, {"A": ["C"]}):
+            shared = imputation_score(t, "A", KNN3, folds, deps=deps)
+            alone = imputation_score(t, "A", KNN3, Folds(splits, [KNN3]),
+                                     deps=deps)
+            assert (shared.mean, shared.std) == (alone.mean, alone.std)
+            np.testing.assert_array_equal(shared.pooled, alone.pooled)
+
     def test_complete_feature_gets_its_target_model(self):
         t = factor_table()
         assert not t.column("B").mask.any()

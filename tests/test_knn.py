@@ -133,6 +133,28 @@ def test_shared_blocks_with_short_rows_and_uneven_blocks():
     assert got[10][1] == 3.5  # the mean of its two reachable references
 
 
+def test_finite_count_between_requested_ks():
+    # one selection for k = 10 serves every k; row 0 reaches 4 references
+    # (3 < 4 < 5), row 1 reaches 8 (5 < 8 < 10), row 2 all 12, and
+    # references 0 and 1 tie for row 0
+    rng = np.random.default_rng(5)
+    ref_X = np.full((12, 2), np.nan)
+    ref_X[:4, 0] = [0.5, 0.5, 2.0, -1.0]
+    ref_X[4:, 1] = rng.normal(size=8)
+    state = {"ref_X": ref_X, "ref_y": rng.normal(size=12), "k": 3,
+             "global_mean": 0.0}
+    X = np.array([[0.4, np.nan], [np.nan, 0.1], [0.3, -0.2]])
+    for rows_per_block in (1, 2, 3):
+        with mock.patch.object(imputers, "_KNN_BLOCK_BYTES",
+                               8 * 12 * 2 * rows_per_block):
+            got = knn_fills(state, X, (3, 5, 10))
+        for k in (3, 5, 10):
+            assert_bits_equal(got[k], oracle(dict(state, k=k), X))
+        assert got[5][0] == got[10][0]
+        assert got[10][0] == pytest.approx(state["ref_y"][:4].mean())
+        assert got[10][1] == pytest.approx(state["ref_y"][4:].mean())
+
+
 def test_fallback_warns_once_per_call():
     state = {
         "ref_X": np.array([[np.nan, 1.0], [np.nan, 2.0]]),
