@@ -14,19 +14,17 @@ which callers can threshold to decide which features to keep.  Thresholded
 features are only dropped at the very end, so they still help impute others.
 
 Everything is deterministic for a fixed seed: each grid task derives its own
-generator from the seed and its (feature, imputer) position, and the grid
-runs serially in a fixed order.
+generator from the seed and its (feature, imputer) position, each iterative
+chain from the seed and its (imputer, fold) position, and the grid runs
+serially in a fixed order.
 
-Work that does not depend on the target is shared through `Folds`: a ridge
-or GBT chain, which draws no random numbers, is fit once per (fold,
-candidate, view column set) and reused by every feature of that view; the
-candidates of a feature read each fold's slices once, and its kNN candidates
-share one reference fit and take all their fills from one distance pass per
-fold.  Forest chains keep one fit per (feature, fold), because their
-column seeds derive from the feature's task seed and draw `mtry` and the
-bootstrap: a shared chain is another random draw, and sharing them changed
-which imputer won one or two of the eight features of a correlated test
-table, depending on the shared seed.
+Work that does not depend on the target is shared through `Folds`.  A chain
+orders its columns by name, so it depends only on its rows, its spec and
+its column set: it is fit once per (fold, candidate, view column set) and
+every feature of that view reads it, in `assess` and in `fit_pipeline`
+alike.  The candidates of a feature read each fold's slices once, and its
+kNN candidates share one reference fit and take all their fills from one
+distance pass per fold.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from .imputers import (
     fitted_to_jsonable,
     knn_fills,
     retarget,
-    shares_chain,
     task_seed,
     transform,
     with_fills,
@@ -212,30 +209,35 @@ def _predictors_for(t: Table, feature: str, deps) -> list[str]:
 
 
 class Folds:
-    """The folds of one assessment of one table, with the work its
-    candidates share.
+    """The folds of one assessment of one table under `config`, with the
+    work its candidates share.
 
-    - A `shares_chain` candidate (a ridge or GBT chain, which draws no
-      random numbers) is fit by the first feature of a view column set,
-      and later features `retarget` it.
+    - An iterative candidate is fit once per (fold, candidate, view column
+      set), with the chain seed of `fit`, and every feature of that column
+      set gets its imputer through `retarget`.
     - Per view (a target's predictors, then the target) and fold: the train
       and test slices, one kNN fit whose reference rows every kNN candidate
       reads with its own k, and the fills of every roster k from one pass
       of distance blocks.  These are dropped when the next view starts, so
       they stay one view deep.
+
+    `fit_pipeline` uses one with no splits: its one fold is the whole table,
+    under `_FINAL_FIT_TAG`.
     """
 
-    def __init__(self, splits: SplitIndices, roster):
+    def __init__(self, splits: SplitIndices | None, config: AssessConfig):
         self.splits = splits
-        self._ks = {s.params["n_neighbors"] for s in roster if s.family == "knn"}
+        self._seed = config.seed
+        self._roster_pos = {s.id: i for i, s in enumerate(config.imputers)}
+        self._ks = {s.params["n_neighbors"] for s in config.imputers
+                    if s.family == "knn"}
         self._chains = {}  # (fold, imputer id, view columns) -> fitted chain
         self._view = None  # the view columns that `_memo` belongs to
         self._memo = {}  # (what, fold) -> shared value, see `_shared`
 
-    def _shared(self, what, fold_idx, t: Table, make):
-        """The `what` of fold `fold_idx` of the view that `t` (the view or a
-        slice of it) holds, from `make()` on first use."""
-        view = tuple(t.column_names)
+    def _shared(self, what, fold_idx, view: tuple, make):
+        """The `what` of fold `fold_idx` of the view with the columns `view`,
+        from `make()` on first use."""
         if view != self._view:
             self._view, self._memo = view, {}
         key = (what, fold_idx)
@@ -246,31 +248,38 @@ class Folds:
     def slices(self, fold_idx, view: Table) -> tuple[Table, Table]:
         """The (train, test) rows of fold `fold_idx` of `view`."""
         train_idx, test_idx = self.splits.folds[fold_idx]
-        return self._shared("rows", fold_idx, view, lambda: (
-            view.select_rows(train_idx), view.select_rows(test_idx)))
+        return self._shared(
+            "rows", fold_idx, tuple(view.column_names),
+            lambda: (view.select_rows(train_idx), view.select_rows(test_idx)))
 
     def fit(self, fold_idx, spec, train, target, predictors) -> FittedImputer:
+        """`spec` fit on the rows of `train`, which holds the view's columns
+        and maybe others, for `target` from `predictors`."""
+        view = (*predictors, target)
         if spec.family == "knn":
-            ref = self._shared("knn", fold_idx, train, lambda: fit_imputer(
+            ref = self._shared("knn", fold_idx, view, lambda: fit_imputer(
                 spec, train, target, predictors))
             # of the fitted state, only k depends on the spec
             return replace(ref, spec=spec,
                            state=dict(ref.state, k=spec.params["n_neighbors"]))
-        if not shares_chain(spec):
+        if spec.family != "iterative":
             return fit_imputer(spec, train, target, predictors)
-        key = (fold_idx, spec.id, frozenset(train.column_names))
-        chain = self._chains.get(key)
-        if chain is None:
-            chain = fit_imputer(spec, train, target, predictors)
-            self._chains[key] = chain
-            return chain
-        return retarget(chain, train, target, predictors)
+        if spec.id not in self._roster_pos:
+            raise InvalidArgument(f"{spec.id}: not in the assessed roster")
+        # the chain seed: the candidate's roster position and the fold
+        spec = replace(spec, seed=task_seed(
+            self._seed, self._roster_pos[spec.id], fold_idx))
+        key = (fold_idx, spec.id, frozenset(view))
+        if key not in self._chains:
+            self._chains[key] = fit_imputer(spec, train, target, predictors)
+        return retarget(self._chains[key], train, target, predictors)
 
     def knn_fills(self, fold_idx, fitted, test: Table) -> np.ndarray:
         """`fitted`'s fills for every row of `test`, the fold's test slice
         of the view `fitted` was fit on."""
         k = fitted.state["k"]
-        fills = self._shared("fills", fold_idx, test, dict)  # k -> fills
+        view = (*fitted.predictor_columns, fitted.target_column)
+        fills = self._shared("fills", fold_idx, view, dict)  # k -> fills
         if k not in fills:
             X = np.column_stack(
                 [test.column(n).values for n in fitted.predictor_columns])
@@ -297,18 +306,9 @@ def imputation_score(
     for the bias veto.
 
     Fold slices, fits and kNN fills are shared through `folds` with the
-    other features and candidates scored on it (see `Folds`).  Every
-    candidate of the feature reads the same train and test slices, and
-    every kNN candidate the same reference rows with its own k; kNN fills
-    are bit-identical to one fit and one pass per candidate.  A ridge or
-    GBT chain is the one fit for the first feature with the same view
-    columns: it visits columns with equal missing counts, and a GBT tree
-    breaks split ties between columns, in that feature's column order, so
-    the scores can differ from the feature's own chain (for ridge, in the
-    last bits when no two columns tie).  A GBT model records the seed of
-    that first feature but never draws from it.  Forest chains are fit per
-    feature, as their column seeds, which drive `mtry` and the bootstrap,
-    come from `seed`.
+    other features and candidates scored on it (see `Folds`); every share is
+    bit-identical to the feature's own fit.  `seed` seeds the non-iterative
+    candidates of each fold; a chain takes the seed `Folds.fit` gives it.
     """
     col = t.column(feature)
     if scorer is None:
@@ -443,9 +443,7 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
     """
     _check_assessable(t, config)
     split_seed = config.seed if config.split_seed is None else config.split_seed
-    folds = Folds(
-        kfold_split(t.n_rows, config.n_folds, split_seed), config.imputers
-    )
+    folds = Folds(kfold_split(t.n_rows, config.n_folds, split_seed), config)
     records = []
     for fi, feature in enumerate(t.column_names):
         col = t.column(feature)
@@ -585,7 +583,9 @@ class PipelinePlan:
 def fit_pipeline(
     t: Table, records: list[QualityRecord], config: AssessConfig
 ) -> PipelinePlan:
-    """Fit each feature's chosen imputer on the full table.
+    """Fit each feature's chosen imputer on the full table, through one
+    `Folds` whose fold is `_FINAL_FIT_TAG`: features that pick the same
+    iterative candidate over one column set share its chain.
 
     Features below the quality threshold go on the drop list but still serve
     as predictors while everything else is fit.  A kept feature with no
@@ -595,6 +595,7 @@ def fit_pipeline(
     without predictors raises `UntrainableImputer`.
     """
     by_id = {s.id: s for s in config.imputers}
+    folds = Folds(None, config)
     fitted = []
     drop = [r.feature for r in records if not r.kept]
     notes = []
@@ -611,7 +612,8 @@ def fit_pipeline(
             seed=task_seed(config.seed, fi, _FINAL_FIT_TAG),
         )
         predictors = tuple(_predictors_for(t, record.feature, config.dependencies))
-        fitted.append(fit_imputer(spec, t, record.feature, predictors))
+        fitted.append(folds.fit(_FINAL_FIT_TAG, spec, t, record.feature,
+                                predictors))
 
     schema = tuple(
         ColumnSchema(c.name, c.kind, c.labels) for c in t.columns

@@ -383,16 +383,6 @@ def _init_fill(values: np.ndarray, mask: np.ndarray, strategy: str) -> float:
     return _mode(obs)
 
 
-def shares_chain(spec: ImputerSpec) -> bool:
-    """Whether every target of the same training columns and rows gets the
-    same chain from `spec`: an iterative chain whose estimator draws no
-    random numbers.  Ridge takes no seed, and GBT only records its seed in
-    the model; forest columns draw `mtry` and the bootstrap from seeds that
-    the assessment derives from the target feature."""
-    return (spec.family == "iterative"
-            and spec.params["estimator"] in ("ridge", "gbt"))
-
-
 def _fit_column_estimator(spec: ImputerSpec, X, y, col_idx: int, round_idx: int):
     params = spec.params
     try:
@@ -421,16 +411,18 @@ def _fit_column_estimator(spec: ImputerSpec, X, y, col_idx: int, round_idx: int)
 
 
 def _iterative_fit(spec, train, target, predictors) -> dict:
-    """Chained-equation training over [predictors..., target].
+    """Chained-equation training over the target and its predictors, with
+    the columns in name order: the chain depends on the rows, the spec and
+    the column set, not on which column is the target.
 
     Missing cells start at the column mode; columns are revisited in
-    descending-missingness order, each refit against all the others, until
-    the imputed cells stop moving or max_iter rounds pass.  The last model
-    per visited column is kept for transform; the target always gets one.
-    The converged matrix stays in the state (not serialized), so that
-    `retarget` can give another column its model.
+    descending-missingness order (ties by name), each refit against all the
+    others, until the imputed cells stop moving or max_iter rounds pass.
+    The last model per visited column is kept for transform; the target
+    always gets one.  The converged matrix stays in the state (not
+    serialized), so that `retarget` can give another column its model.
     """
-    names = list(predictors) + [target]
+    names = sorted([*predictors, target])
     cols = [train.column(n) for n in names]
     M = np.column_stack([c.values for c in cols])
     masks = np.column_stack([c.mask for c in cols])
@@ -488,32 +480,33 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
         "deltas": deltas,  # diagnostic trace; not serialized
         "matrix": M,
     }
-    return _with_target_model(spec, state, len(names) - 1, ~masks[:, -1])
+    t_idx = names.index(target)
+    return _with_target_model(spec, state, t_idx, ~masks[:, t_idx])
 
 
 def _with_target_model(spec, state: dict, t_idx: int, rows_obs) -> dict:
-    """The chain state with a model for column `t_idx`: a column the chain
-    never visited gets one, fit on the converged matrix against all the
-    other columns."""
-    if t_idx in state["models"]:
-        return state
-    M = state["matrix"]
-    other = [i for i in range(M.shape[1]) if i != t_idx]
-    model = _fit_column_estimator(
-        spec, M[rows_obs][:, other], M[rows_obs, t_idx], t_idx,
-        int(spec.params.get("max_iter", 20)),
-    )
-    return {**state, "models": {**state["models"], t_idx: model}}
+    """The chain state with the models of its visited columns and of column
+    `t_idx`: a column the chain never visited gets one, fit on the converged
+    matrix against all the other columns."""
+    models = {j: m for j, m in state["models"].items()
+              if j == t_idx or j in state["visit"]}
+    if t_idx not in models:
+        M = state["matrix"]
+        other = [i for i in range(M.shape[1]) if i != t_idx]
+        models[t_idx] = _fit_column_estimator(
+            spec, M[rows_obs][:, other], M[rows_obs, t_idx], t_idx,
+            int(spec.params.get("max_iter", 20)),
+        )
+    return {**state, "models": models}
 
 
 def retarget(
     chain: FittedImputer, train: Table, target: str,
     predictors: tuple[str, ...],
 ) -> FittedImputer:
-    """The iterative imputer for `target` that reuses `chain`, a
-    `shares_chain` imputer fit on the same rows and columns of `train` for
-    another target: what `fit` would give up to the order of the chain's
-    columns."""
+    """The iterative imputer for `target` that reuses `chain`, an iterative
+    imputer fit on the same rows and column set of `train` for any target:
+    bit for bit what `fit` with the chain's spec gives."""
     col = train.column(target)
     t_idx = chain.state["columns"].index(target)
     return _fitted(

@@ -260,18 +260,19 @@ def label_encode(table: Table) -> Table:
     return Table(tuple(out), table.n_rows)
 
 
-MIN_LEVEL_COUNT = 5  # a value must appear this often for a non-continuous kind
+MIN_LEVEL_COUNT = 5  # count each numeric value needs for a non-continuous kind
 
 
 def infer_column_kinds(table: Table) -> Table:
     """Assign a :class:`ColumnKind` to every column.
 
-    A column is non-continuous only when every distinct observed value occurs
-    at least :data:`MIN_LEVEL_COUNT` times.  Non-continuous columns with two
-    distinct values are Binary; otherwise columns carrying a label dictionary
-    are Categorical and plain numeric ones are Discrete (their values have a
-    natural order).  Constant columns are Discrete, all-missing columns are
-    flagged Continuous by convention.  Hinted kinds are preserved.
+    All-missing columns are flagged Continuous by convention.  Otherwise a
+    column carrying a label dictionary is Binary with two distinct values
+    and Categorical with any other number.  A plain numeric column is
+    non-continuous only when every distinct observed value occurs at least
+    :data:`MIN_LEVEL_COUNT` times; then it is Binary with two distinct
+    values and Discrete otherwise (its values have a natural order), and a
+    constant one is Discrete.  Hinted kinds are preserved.
     """
     out = []
     for c in table.columns:
@@ -287,7 +288,8 @@ def infer_column_kinds(table: Table) -> Table:
             out.append(replace(c, kind=ColumnKind.CONTINUOUS))
             continue
         uniq, counts = np.unique(obs, return_counts=True)
-        if counts.min() < MIN_LEVEL_COUNT and len(uniq) > 1:
+        if (c.labels is None and counts.min() < MIN_LEVEL_COUNT
+                and len(uniq) > 1):
             kind = ColumnKind.CONTINUOUS
         elif len(uniq) == 2:
             kind = ColumnKind.BINARY

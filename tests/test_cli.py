@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import imputeq
 from imputeq import cli
 from imputeq.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -219,6 +226,80 @@ class TestFitApply:
         pipe.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["apply", "--pipeline", str(pipe), "--data", data,
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CorruptModel"
+
+
+    def test_plan_with_predictor_first_chains_serves_the_same_rows(
+        self, mixed_csv, tmp_path
+    ):
+        # a schema v2 plan of the `tree_plan` fixture's imputers, written
+        # when a chain's columns were its predictors, then its target
+        doc = json.loads((DATA / "tree_plan_v2.json").read_text())
+        chains = {f["target_column"]: f["state"]["columns"]
+                  for f in doc["fitted"] if f["spec"]["family"] == "iterative"}
+        assert chains["x"] == ["y", "n", "c", "b", "x"]
+        out = tmp_path / "o.csv"
+        assert main(["apply", "--pipeline", str(DATA / "tree_plan_v2.json"),
+                     "--data", mixed_csv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            DATA / "tree_plan_v2_applied.csv").read_bytes()
+
+    def test_plan_bytes_do_not_depend_on_the_hash_seed(self, workspace):
+        tmp, config, data = workspace
+        doc = json.loads(Path(config).read_text())
+        trees = {"n_estimators": 3, "max_depth": 3, "max_iter": 2}
+        doc["imputers"] += [
+            {"id": "iter_forest", "family": "iterative",
+             "params": dict(trees, estimator="forest")},
+            {"id": "iter_gbt", "family": "iterative",
+             "params": dict(trees, estimator="gbt")},
+        ]
+        doc["dependency_graph"] = {"a": ["b", "color"], "b": ["color", "a"],
+                                   "color": ["b"]}
+        Path(config).write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(imputeq.__file__))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            for command in ("assess", "fit"):
+                out = tmp / f"{command}{hash_seed}.json"
+                subprocess.run([sys.executable, "-m", "imputeq.cli", command,
+                                "--config", config, "--out", str(out)],
+                               env=env, capture_output=True, check=True)
+                outputs.append(out.read_bytes())
+        assert outputs[:2] == outputs[2:]
+        plan = json.loads(outputs[1])
+        assert any(f["spec"]["family"] == "iterative" for f in plan["fitted"])
+
+    def test_label_deleted_from_a_rare_level_column_is_data_error(
+        self, tmp_path, capsys
+    ):
+        # 12 labels of 2-3 rows each: too rare for a numeric column to be
+        # non-continuous, but a labelled column is categorical
+        counts = [3] * 8 + [2] * 4
+        cells = [f"k{i}" for i, n in enumerate(counts) for _ in range(n)]
+        cells += [""] * (40 - len(cells))
+        rows = [f"{i % 7}.5,{c}" for i, c in enumerate(cells)]
+        data = tmp_path / "data.csv"
+        data.write_text("x,c\n" + "\n".join(rows) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": {"path": str(data)},
+            "imputers": [{"id": "mode", "family": "simple",
+                          "params": {"statistic": "mode"}}],
+        }))
+        pipe = tmp_path / "pipe.json"
+        assert main(["fit", "--config", str(config), "--out", str(pipe)]) == 0
+        doc = json.loads(pipe.read_text())
+        schema = next(s for s in doc["schema"] if s["name"] == "c")
+        assert schema["kind"] == "categorical"
+        del schema["labels"]["3"]
+        pipe.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["apply", "--pipeline", str(pipe), "--data", str(data),
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         err = json.loads(capsys.readouterr().err.strip())

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imputeq import engine
 from imputeq.engine import (
@@ -12,6 +14,7 @@ from imputeq.engine import (
     ColumnSchema,
     Folds,
     PipelinePlan,
+    QualityRecord,
     ScoreOutcome,
     _Candidate,
     apply_pipeline,
@@ -39,6 +42,7 @@ from imputeq.errors import (
 from imputeq.imputers import (
     ImputerSpec,
     fit as fit_imputer,
+    fitted_to_jsonable,
     task_seed,
     transform,
 )
@@ -52,6 +56,11 @@ def make_table(columns):
         mask = np.isnan(values)
         cols.append(Column(name, values, mask, kind=kind))
     return Table(tuple(cols), len(columns[0][1]))
+
+
+def folds_of(splits, *roster, seed=0):
+    """The `Folds` of `splits` for an assessment of `roster` under `seed`."""
+    return Folds(splits, AssessConfig(roster, seed=seed))
 
 
 def linear_pair(n=300, noise=0.05, miss=0.3, seed=0, protect=("x",)):
@@ -163,7 +172,7 @@ class TestImputationScore:
         t = linear_pair(seed=5)
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("iter_ridge", "iterative", {"estimator": "ridge"})
-        out = imputation_score(t, "y", spec, Folds(splits, [spec]), seed=1)
+        out = imputation_score(t, "y", spec, folds_of(splits, spec), seed=1)
         assert out.mean > 0.95
         assert len(out.fold_scores) == 5
         assert out.pooled.size > 0
@@ -173,7 +182,7 @@ class TestImputationScore:
         splits = kfold_split(t.n_rows, 5, 0)
         ridge = ImputerSpec("ir", "iterative", {"estimator": "ridge"})
         sampler = ImputerSpec("ar", "apprandom", {})
-        folds = Folds(splits, [ridge, sampler])
+        folds = folds_of(splits, ridge, sampler)
         good = imputation_score(t, "y", ridge, folds, seed=1)
         rough = imputation_score(t, "y", sampler, folds, seed=1)
         assert good.mean - rough.mean >= 0.2
@@ -183,7 +192,7 @@ class TestImputationScore:
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("m", "simple", {"statistic": "mean"})
         out = imputation_score(
-            t, "y", spec, Folds(splits, [spec]), seed=1,
+            t, "y", spec, folds_of(splits, spec), seed=1,
             scorer=lambda a, b: -0.25,
         )
         assert out.mean == 0.0
@@ -195,7 +204,7 @@ class TestImputationScore:
         spec = ImputerSpec("m", "simple", {"statistic": "mean"})
         with pytest.raises(DegenerateInput):
             imputation_score(
-                t, "y", spec, Folds(splits, [spec]), seed=1,
+                t, "y", spec, folds_of(splits, spec), seed=1,
                 scorer=lambda a, b: float("nan"),
             )
 
@@ -203,7 +212,7 @@ class TestImputationScore:
         t = linear_pair(seed=9, miss=0.4)
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("m", "simple", {"statistic": "mean"})
-        out = imputation_score(t, "y", spec, Folds(splits, [spec]), seed=1)
+        out = imputation_score(t, "y", spec, folds_of(splits, spec), seed=1)
         n_observed = t.column("y").observed_values().size
         assert out.pooled.size == n_observed
 
@@ -212,7 +221,7 @@ class TestImputationScore:
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("knn", "knn", {"n_neighbors": 3})
         with pytest.raises(UntrainableImputer):
-            imputation_score(t, "y", spec, Folds(splits, [spec]),
+            imputation_score(t, "y", spec, folds_of(splits, spec),
                              deps={"y": []}, seed=1)
 
     def test_dependency_view_is_predecessors_then_target(self):
@@ -230,7 +239,7 @@ class TestImputationScore:
         spec = ImputerSpec("ridge", "iterative", {"estimator": "ridge"})
         with mock.patch.object(engine, "fit_imputer", spy):
             imputation_score(t, "A", spec,
-                             Folds(kfold_split(t.n_rows, 3, 0), [spec]),
+                             folds_of(kfold_split(t.n_rows, 3, 0), spec),
                              deps={"A": ["D", "B"]}, seed=1)
         assert seen == [(["D", "B", "A"], ("D", "B"))] * 3
 
@@ -238,8 +247,8 @@ class TestImputationScore:
         t = linear_pair(seed=4)
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("ar", "apprandom", {})
-        a = imputation_score(t, "y", spec, Folds(splits, [spec]), seed=11)
-        b = imputation_score(t, "y", spec, Folds(splits, [spec]), seed=11)
+        a = imputation_score(t, "y", spec, folds_of(splits, spec), seed=11)
+        b = imputation_score(t, "y", spec, folds_of(splits, spec), seed=11)
         assert a.fold_scores == b.fold_scores
         assert np.array_equal(a.pooled, b.pooled)
 
@@ -467,9 +476,9 @@ class TestSharedWork:
         (None, 1),
         ({"A": ["B", "C"], "B": ["C", "A"], "C": ["A", "B"], "D": ["A"]}, 2),
     ])
-    def test_ridge_chain_fit_once_per_fold_and_view(self, deps, views):
-        # ridge and GBT chains draw no random numbers, so they are shared;
-        # forest chains draw per feature
+    def test_chain_fit_once_per_fold_and_view(self, deps, views):
+        # a chain depends on its rows, spec and column set, so every
+        # estimator's chain is shared by the features of a view
         t = factor_table()
         cfg = AssessConfig((RIDGE, GBT, FOREST), n_folds=3, seed=4,
                            dependencies=deps)
@@ -483,20 +492,22 @@ class TestSharedWork:
         with mock.patch.object(engine, "fit_imputer", spy):
             records = assess(t, cfg)
         assert fits == {"iter_ridge": 3 * views, "iter_gbt": 3 * views,
-                        "iter_forest": 4 * 3}
+                        "iter_forest": 3 * views}
         assert not any(e.skipped for r in records for e in r.evaluations)
 
     @pytest.mark.filterwarnings("ignore::imputeq.errors.ImputeQWarning")
     @pytest.mark.parametrize("spec", [FOREST, KNN3, KNN5],
                              ids=lambda s: s.id)
     def test_outcome_equals_scoring_the_feature_alone(self, spec):
-        roster = (RIDGE, FOREST, KNN3, KNN5)
+        # alone: fresh folds of the same config, so a chain takes the same
+        # seed, task_seed(4, roster position, fold)
+        cfg = AssessConfig((RIDGE, FOREST, KNN3, KNN5), n_folds=3, seed=4)
         t = factor_table()
-        records = assess(t, AssessConfig(roster, n_folds=3, seed=4))
+        records = assess(t, cfg)
         splits = kfold_split(t.n_rows, 3, 4)
-        ii = roster.index(spec)
+        ii = cfg.imputers.index(spec)
         for fi, r in enumerate(records):
-            alone = imputation_score(t, r.feature, spec, Folds(splits, [spec]),
+            alone = imputation_score(t, r.feature, spec, Folds(splits, cfg),
                                      seed=task_seed(4, fi, ii))
             e = r.evaluations[ii]
             assert (e.delta_mean, e.delta_std) == (alone.mean, alone.std)
@@ -534,10 +545,10 @@ class TestSharedWork:
         # the same target under other predictors is another view
         t = factor_table(n=120, rates=(0.1, 0.0, 0.25))
         splits = kfold_split(t.n_rows, 3, 0)
-        folds = Folds(splits, [KNN3])
+        folds = folds_of(splits, KNN3)
         for deps in ({"A": ["B"]}, {"A": ["C"]}):
             shared = imputation_score(t, "A", KNN3, folds, deps=deps)
-            alone = imputation_score(t, "A", KNN3, Folds(splits, [KNN3]),
+            alone = imputation_score(t, "A", KNN3, folds_of(splits, KNN3),
                                      deps=deps)
             assert (shared.mean, shared.std) == (alone.mean, alone.std)
             np.testing.assert_array_equal(shared.pooled, alone.pooled)
@@ -546,7 +557,7 @@ class TestSharedWork:
         t = factor_table()
         assert not t.column("B").mask.any()
         splits = kfold_split(t.n_rows, 3, 0)
-        folds = Folds(splits, [RIDGE])
+        folds = folds_of(splits, RIDGE)
         imputation_score(t, "A", RIDGE, folds, seed=1)  # fits the chains
         seen = []
 
@@ -561,10 +572,71 @@ class TestSharedWork:
             b = f.state["columns"].index("B")
             assert b not in f.state["visit"]
             assert b in f.state["models"]
-        # up to the order of the chain's columns, the feature's own chain
-        alone = imputation_score(t, "B", RIDGE, Folds(splits, [RIDGE]), seed=1)
-        assert shared.mean == pytest.approx(alone.mean, abs=1e-12)
-        np.testing.assert_allclose(shared.pooled, alone.pooled, rtol=1e-9)
+            assert set(f.state["models"]) == {*f.state["visit"], b}
+        # bit for bit the feature's own chain
+        alone = imputation_score(t, "B", RIDGE, folds_of(splits, RIDGE), seed=1)
+        assert (shared.mean, shared.std) == (alone.mean, alone.std)
+        np.testing.assert_array_equal(shared.pooled, alone.pooled)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from([RIDGE, GBT, FOREST]),
+           rates=st.lists(st.sampled_from([0.0, 0.2, 0.3]), min_size=4,
+                          max_size=4),
+           seed=st.integers(0, 2**31 - 1), fold=st.integers(0, 4),
+           data=st.data())
+    def test_own_chain_is_the_shared_chain(self, spec, rates, seed, fold,
+                                           data):
+        # rates with repeats tie missing counts, and a zero rate leaves a
+        # column the chain never visits
+        t = factor_table(n=40, rates=rates)
+        names = list(t.column_names)
+        first = data.draw(st.permutations(names), label="first view")
+        view = data.draw(st.permutations(names), label="view")
+        target = data.draw(st.sampled_from(names), label="target")
+        predictors = tuple(n for n in view if n != target)
+        folds = Folds(None, AssessConfig((spec,), seed=seed))
+        folds.fit(fold, spec, t.select_columns(first), first[-1],
+                  tuple(first[:-1]))
+        train = t.select_columns(view)
+        shared = folds.fit(fold, spec, train, target, predictors)
+        own = fit_imputer(replace(spec, seed=task_seed(seed, 0, fold)),
+                          train, target, predictors)
+        assert json.dumps(fitted_to_jsonable(own), sort_keys=True) == (
+            json.dumps(fitted_to_jsonable(shared), sort_keys=True))
+        for a, b in zip(transform(own, train).columns,
+                        transform(shared, train).columns):
+            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.mask, b.mask)
+
+    def test_chain_outside_the_roster_is_invalid(self):
+        t = factor_table()
+        with pytest.raises(InvalidArgument):
+            imputation_score(t, "A", RIDGE,
+                             folds_of(kfold_split(t.n_rows, 3, 0), GBT))
+
+    def test_pipeline_fits_one_chain_per_candidate_and_column_set(self):
+        t = factor_table()
+        cfg = AssessConfig((RIDGE, FOREST), seed=4)
+        chosen = {"A": "iter_forest", "B": "iter_ridge", "C": "iter_forest",
+                  "D": "iter_ridge"}
+        records = [QualityRecord(f, 0.8, (), c, 0.5, 0.9, True, False)
+                   for f, c in chosen.items()]
+        fits = []
+
+        def spy(spec, train, target, predictors):
+            fits.append(spec.id)
+            return fit_imputer(spec, train, target, predictors)
+
+        with mock.patch.object(engine, "fit_imputer", spy):
+            plan = fit_pipeline(t, records, cfg)
+        assert sorted(fits) == ["iter_forest", "iter_ridge"]
+        for f in plan.fitted:
+            ii = [s.id for s in cfg.imputers].index(f.spec.id)
+            spec = cfg.imputers[ii]
+            own = fit_imputer(
+                replace(spec, seed=task_seed(4, ii, engine._FINAL_FIT_TAG)),
+                t, f.target_column, f.predictor_columns)
+            assert fitted_to_jsonable(own) == fitted_to_jsonable(f)
 
 
 def mixed_table(n=160, seed=0):

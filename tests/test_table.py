@@ -123,6 +123,17 @@ class TestKindInference:
         assert t.column("d").kind is ColumnKind.DISCRETE
         assert t.column("c").kind is ColumnKind.CATEGORICAL
 
+    def test_labelled_column_is_never_continuous(self):
+        # levels rarer than the rule of five keep a labelled column's kind
+        codes = [0.0] * 2 + [1.0] * 3 + [2.0] * 2
+        labels = {0: "r", 1: "g", 2: "b"}
+        c = make_column("c", codes, labels=labels)
+        f = make_column("f", codes[:5], labels={0: "n", 1: "y"})
+        assert (infer_column_kinds(Table((c,))).column("c").kind
+                is ColumnKind.CATEGORICAL)
+        assert (infer_column_kinds(Table((f,))).column("f").kind
+                is ColumnKind.BINARY)
+
     def test_constant_is_discrete(self):
         c = make_column("k", [7.0] * 12)
         assert (
