@@ -23,8 +23,10 @@ orders its columns by name, so it depends only on its rows, its spec and
 its column set: it is fit once per (fold, candidate, view column set) and
 every feature of that view reads it, in `assess` and in `fit_pipeline`
 alike.  The candidates of a feature read each fold's slices once, and its
-kNN candidates share one reference fit and take all their fills from one
-distance pass per fold.
+kNN candidates share one reference fit.  The kNN fills of every feature
+come from one distance pass per fold, which builds each block's planes of
+squared differences once for all the features and keeps the fills for the
+whole assessment.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .imputers import (
     fit as fit_imputer,
     fitted_from_jsonable,
     fitted_to_jsonable,
-    knn_fills,
+    knn_view_fills,
     retarget,
     task_seed,
     transform,
@@ -216,10 +218,12 @@ class Folds:
       set), with the chain seed of `fit`, and every feature of that column
       set gets its imputer through `retarget`.
     - Per view (a target's predictors, then the target) and fold: the train
-      and test slices, one kNN fit whose reference rows every kNN candidate
-      reads with its own k, and the fills of every roster k from one pass
-      of distance blocks.  These are dropped when the next view starts, so
-      they stay one view deep.
+      and test slices, and one kNN fit whose reference rows every kNN
+      candidate reads with its own k.  These are dropped when the next view
+      starts, so they stay one view deep.
+    - Per fold: the kNN fills of every view and roster k, from one pass of
+      distance blocks at the fold's first kNN request (see `knn_fills`),
+      kept for the whole assessment.
 
     `fit_pipeline` uses one with no splits: its one fold is the whole table,
     under `_FINAL_FIT_TAG`.
@@ -229,11 +233,12 @@ class Folds:
         self.splits = splits
         self._seed = config.seed
         self._roster_pos = {s.id: i for i, s in enumerate(config.imputers)}
-        self._ks = {s.params["n_neighbors"] for s in config.imputers
-                    if s.family == "knn"}
+        self._ks = sorted({s.params["n_neighbors"] for s in config.imputers
+                           if s.family == "knn"})
         self._chains = {}  # (fold, imputer id, view columns) -> fitted chain
         self._view = None  # the view columns that `_memo` belongs to
         self._memo = {}  # (what, fold) -> shared value, see `_shared`
+        self._knn = {}  # fold -> {(predictors, target): [fills by k, warn]}
 
     def _shared(self, what, fold_idx, view: tuple, make):
         """The `what` of fold `fold_idx` of the view with the columns `view`,
@@ -274,17 +279,63 @@ class Folds:
             self._chains[key] = fit_imputer(spec, train, target, predictors)
         return retarget(self._chains[key], train, target, predictors)
 
-    def knn_fills(self, fold_idx, fitted, test: Table) -> np.ndarray:
-        """`fitted`'s fills for every row of `test`, the fold's test slice
-        of the view `fitted` was fit on."""
+    def knn_fills(self, fold_idx, fitted, t: Table, deps) -> np.ndarray:
+        """`fitted`'s fills for every test row of fold `fold_idx` of `t`,
+        where `fitted` is a kNN candidate of the roster fit on the fold's
+        training rows of one view of `t` under `deps`.
+
+        The fold's first request fills every view of `t` under `deps` at
+        once, for every roster k, bit for bit as `imputers.knn_fills` on
+        each view's own fit; a view missing from that pass (one under other
+        dependencies) starts another.  The one "no reference row shares an
+        observed coordinate" warning of a view and fold comes with its first
+        read.
+        """
         k = fitted.state["k"]
-        view = (*fitted.predictor_columns, fitted.target_column)
-        fills = self._shared("fills", fold_idx, view, dict)  # k -> fills
-        if k not in fills:
-            X = np.column_stack(
-                [test.column(n).values for n in fitted.predictor_columns])
-            fills.update(knn_fills(fitted.state, X, sorted(self._ks | {k})))
-        return fills[k]
+        if k not in self._ks:
+            raise InvalidArgument(
+                f"{fitted.spec.id}: not in the assessed roster")
+        view = (fitted.predictor_columns, fitted.target_column)
+        done = self._knn.setdefault(fold_idx, {})
+        if view not in done:
+            done.update(self._knn_pass(fold_idx, t, deps, done))
+        entry = done[view]
+        if entry[1]:
+            entry[1] = False
+            warnings.warn(
+                "no reference row shares an observed coordinate; falling "
+                "back to the global mean",
+                ImputeQWarning,
+                stacklevel=2,
+            )
+        return entry[0][k]
+
+    def _knn_pass(self, fold_idx, t: Table, deps, done) -> dict:
+        """The fills of every kNN view of `t` under `deps` that `done`
+        lacks, on fold `fold_idx`, from one `knn_view_fills` pass.  A view
+        with no predictor or no observed training target has no kNN fit, so
+        the pass skips it."""
+        train_idx, test_idx = self.splits.folds[fold_idx]
+        views = []
+        for target in t.column_names:
+            predictors = tuple(_predictors_for(t, target, deps))
+            col = t.column(target).take(train_idx)
+            if (predictors, target) in done or not predictors or (
+                    col.mask.all()):
+                continue
+            refs = np.flatnonzero(~col.mask) if col.mask.any() else None
+            views.append(((predictors, target), refs, col.observed_values()))
+        names = list(dict.fromkeys(n for (p, _), *_ in views for n in p))
+        pos = {n: i for i, n in enumerate(names)}
+        filled = knn_view_fills(
+            np.column_stack([t.column(n).values[train_idx] for n in names]),
+            np.column_stack([t.column(n).values[test_idx] for n in names]),
+            [([pos[n] for n in p], refs, y, float(y.mean()))
+             for (p, _), refs, y in views],
+            self._ks,
+        )
+        return {v: [fills, unmatched]
+                for (v, *_), (fills, unmatched) in zip(views, filled)}
 
 
 def imputation_score(
@@ -343,7 +394,7 @@ def imputation_score(
         blanked = test.with_column(blank)
         if spec.family == "knn":
             out = with_fills(fitted, blanked,
-                             folds.knn_fills(fold_idx, fitted, test))
+                             folds.knn_fills(fold_idx, fitted, t, deps))
         else:
             out = transform(fitted, blanked)
         got = out.column(feature).values[observed_pos]

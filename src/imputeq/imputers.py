@@ -279,7 +279,8 @@ def apprandom_sample(observed: np.ndarray, n: int, seed: int) -> np.ndarray:
     return observed[rng.integers(0, observed.size, n)]
 
 
-# Cap on the (rows x references x coordinates) float array of one block.
+# Cap on the (coordinates x rows x references) planes of one block together
+# with the arrays that sum them.
 _KNN_BLOCK_BYTES = 1 << 20
 
 
@@ -291,10 +292,8 @@ def knn_fill(state: dict, X: np.ndarray) -> np.ndarray:
 
 def knn_fills(state: dict, X: np.ndarray, ks) -> dict[int, np.ndarray]:
     """kNN fills for the query rows `X` for every neighbour count in `ks`,
-    block by block.  Each block's distances are computed once, its
-    neighbours are selected once for the largest k, nearest first, and
-    every k's fill is the mean over a prefix of that one order; then the
-    block is dropped.
+    block by block: the one view of `knn_view_fills` that reads every
+    predictor and reference of the state.
 
     The distance to a reference row is the Euclidean distance over the
     coordinates both rows observe, scaled up by total/shared coordinate
@@ -305,32 +304,9 @@ def knn_fills(state: dict, X: np.ndarray, ks) -> dict[int, np.ndarray]:
     to the global mean with one warning per call.  Observed values must be
     finite: NaN is the only marker of a missing coordinate.
     """
-    ref_X, ref_y = state["ref_X"], state["ref_y"]
-    n_ref, p = ref_X.shape
-    ref_seen = (~np.isnan(ref_X)).T.astype(float)
-    rows = max(1, min(len(X), _KNN_BLOCK_BYTES // (8 * n_ref * p)))
-    buf = np.empty((rows, n_ref, p))
-    fills = {k: np.full(len(X), state["global_mean"]) for k in ks}
-    n_near = min(max(ks), n_ref)
-    unmatched = False
-    for lo in range(0, len(X), rows):
-        q = X[lo:lo + rows]
-        sq = np.subtract(ref_X, q[:, None, :], out=buf[:len(q)])
-        # sq is NaN wherever either side is missing
-        np.multiply(sq, sq, out=sq)
-        np.fmax(sq, 0.0, out=sq)  # NaN -> 0
-        # a sum over the contiguous last axis adds each pair's coordinates
-        # in numpy's pairwise order for length p, whatever the block shape
-        ss = sq.sum(axis=2)
-        shared = (~np.isnan(q)).astype(float) @ ref_seen  # exact counts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.sqrt(p / shared * ss)
-        d[shared == 0] = np.inf
-        n_finite = np.isfinite(d).sum(axis=1)
-        unmatched = unmatched or not n_finite.all()
-        near = ref_y[_nearest_first(d, n_near)]
-        for k, out in fills.items():
-            _prefix_means(near, np.minimum(k, n_finite), out[lo:lo + len(q)])
+    ref_X = state["ref_X"]
+    view = (range(ref_X.shape[1]), None, state["ref_y"], state["global_mean"])
+    [(fills, unmatched)] = knn_view_fills(ref_X, X, [view], ks)
     if unmatched:
         warnings.warn(
             "no reference row shares an observed coordinate; falling back "
@@ -339,6 +315,113 @@ def knn_fills(state: dict, X: np.ndarray, ks) -> dict[int, np.ndarray]:
             stacklevel=3,
         )
     return fills
+
+
+def knn_view_fills(train_X: np.ndarray, X: np.ndarray, views, ks) -> list:
+    """The kNN fills of the query rows `X` under several views of the
+    candidate reference rows `train_X`, over the same columns, for every
+    neighbour count in `ks`; each is bit for bit `knn_fills` of that view's
+    state alone.
+
+    A view is (cols, refs, ref_y, global_mean): the columns it reads, in
+    its predictors' order; the rows of `train_X` that are its references
+    (None: all of them), with their targets; and the fill of a row that
+    shares no coordinate with any reference.  Gives, per view, its fills by
+    k and whether some row had no such reference.
+
+    Query rows go in blocks.  A block is coordinate-major: one plane of
+    squared shared differences per column, (query rows x references), built
+    once for every view.  Each view sums its own planes in numpy's pairwise
+    order for its number of columns, selects its neighbours once for the
+    largest k, nearest first, and takes every k's fill as the mean over a
+    prefix of that one order; then the block is dropped.
+    """
+    n, p_all = train_X.shape
+    p_max = max(len(v[0]) for v in views)
+    # the most arrays of a plane's size that `_pairwise_sum` holds at once
+    temps = 1 if p_max < 8 else 4 + max(0, (p_max - 1).bit_length() - 7)
+    rows = max(1, min(len(X), _KNN_BLOCK_BYTES // (8 * n * (p_all + temps))))
+    # the planes come in groups of columns, each one array under 128 KiB,
+    # glibc's default mmap threshold: freeing a larger array raises the
+    # threshold, and with it the memory that the process keeps
+    width = max(1, (1 << 17) // (8 * rows * n))
+    groups = [(c, np.empty((min(width, p_all - c), rows, n)))
+              for c in range(0, p_all, width)]
+    ref_T = train_X.T[:, None, :]
+    seen = (~np.isnan(train_X)).T.astype(float)  # (columns, references)
+    reads = np.zeros((len(views), p_all))  # 1 where a view reads a column
+    for i, (cols, *_) in enumerate(views):
+        reads[i, list(cols)] = 1.0
+    fills = [{k: np.full(len(X), view[3]) for k in ks} for view in views]
+    unmatched = [False] * len(views)
+    for lo in range(0, len(X), rows):
+        q = X[lo:lo + rows]
+        sq = []
+        for c, g in groups:
+            g = g[:, :len(q)]
+            np.subtract(ref_T[c:c + len(g)], q.T[c:c + len(g), :, None], out=g)
+            # g is NaN wherever either side is missing
+            np.multiply(g, g, out=g)
+            np.fmax(g, 0.0, out=g)  # NaN -> 0
+            sq.extend(g)
+        q_seen = (~np.isnan(q)).astype(float)
+        for i, (cols, refs, ref_y, _) in enumerate(views):
+            ss = _pairwise_sum([sq[c] for c in cols])
+            shared = (q_seen * reads[i]) @ seen  # exact counts over `cols`
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.divide(len(cols), shared)
+                d *= ss
+                np.sqrt(d, out=d)
+            d[shared == 0] = np.inf
+            if refs is not None:
+                d = d[:, refs]
+            n_finite = np.isfinite(d).sum(axis=1)
+            unmatched[i] = unmatched[i] or not n_finite.all()
+            near = ref_y[_nearest_first(d, min(max(ks), len(ref_y)))]
+            for k, f in fills[i].items():
+                _prefix_means(near, np.minimum(k, n_finite), f[lo:lo + len(q)])
+    return list(zip(fills, unmatched))
+
+
+def _pairwise_sum(planes: list) -> np.ndarray:
+    """The elementwise sum of the non-negative arrays `planes` in numpy's
+    pairwise order for a last-axis sum of len(planes) values: a running sum
+    below 8, eight running accumulators up to 128, and halves cut at a
+    multiple of 8 above.  A fresh array, unless `planes` has one member;
+    at most four (plus one per halving) arrays of its size are alive."""
+    n = len(planes)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _pairwise_sum(planes[:half])
+        out += _pairwise_sum(planes[half:])
+        return out
+    if n < 8:
+        return _running_sum(planes)
+    m = n - n % 8
+
+    def pair(i):  # accumulators i and i + 1, added
+        a, b = _running_sum(planes[i:m:8]), _running_sum(planes[i + 1:m:8])
+        return np.add(a, b, out=a if m > 8 else None)
+
+    out = pair(0)
+    out += pair(2)
+    right = pair(4)
+    right += pair(6)
+    out += right
+    for a in planes[m:]:
+        out += a
+    return out
+
+
+def _running_sum(planes: list) -> np.ndarray:
+    """planes[0] + planes[1] + ..., left to right: a fresh array unless
+    `planes` has one member."""
+    if len(planes) == 1:
+        return planes[0]
+    out = planes[0] + planes[1]
+    for a in planes[2:]:
+        out += a
+    return out
 
 
 def _prefix_means(near: np.ndarray, k: np.ndarray, out) -> None:

@@ -179,59 +179,74 @@ def load_csv(
 
     n = len(rows)
     columns = []
-    for j, name in enumerate(header):
-        raw = [rows[i][j].strip() for i in range(n)]
-        mask = np.array([cell in sentinels for cell in raw], dtype=bool)
-        parsed = np.full(n, np.nan)
-        numeric = np.zeros(n, dtype=bool)
-        for i, cell in enumerate(raw):
-            if mask[i]:
-                continue
-            try:
-                parsed[i] = float(cell)
-                numeric[i] = True
-            except ValueError:
-                pass
+    for name, cells in zip(header, zip(*rows) if rows else [()] * len(header)):
+        raw = [cell.strip() for cell in cells]
+        missing = [cell in sentinels for cell in raw]
+        mask = np.array(missing, dtype=bool)
+        number_of = {cell: _number(cell) for cell in set(raw)}
+        numbers = [None if m else number_of[cell]
+                   for cell, m in zip(raw, missing)]
+        numeric = np.array([x is not None for x in numbers], dtype=bool)
         hinted = hints.get(name)
         as_strings = hinted is ColumnKind.CATEGORICAL or not numeric.any()
         if as_strings:
             values = np.array(
-                [None if mask[i] else raw[i] for i in range(n)], dtype=object
-            )
+                [None if m else cell for cell, m in zip(raw, missing)],
+                dtype=object)
             columns.append(Column(name, values, mask, kind=hinted))
         else:
             bad = ~numeric & ~mask
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
                 raise ParseError(i, name, raw[i])
+            parsed = np.array([np.nan if x is None else x for x in numbers],
+                              dtype=float)
             nonfinite = ~np.isfinite(parsed)
             parsed[nonfinite] = np.nan
             columns.append(Column(name, parsed, mask | nonfinite, kind=hinted))
     return Table(tuple(columns), n)
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def write_csv(table: Table, path) -> None:
     """Write a table to CSV, decoding labeled columns and leaving missing
     cells empty."""
+    cols = [_csv_cells(c) for c in table.columns]
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(table.column_names)
-            for i in range(table.n_rows):
-                row = []
-                for c in table.columns:
-                    if c.mask[i]:
-                        row.append("")
-                    elif c.labels is not None:
-                        row.append(c.labels.get(int(c.values[i]), str(c.values[i])))
-                    elif not c.is_encoded:
-                        row.append(str(c.values[i]))
-                    else:
-                        v = float(c.values[i])
-                        row.append(str(int(v)) if v == int(v) else "%.12g" % v)
-                writer.writerow(row)
+            writer.writerows(zip(*cols) if cols else [()] * table.n_rows)
     except OSError as exc:
         raise DataIoError(f"cannot write {path}: {exc}") from exc
+
+
+_NO_LABEL = object()
+
+
+def _csv_cells(c: Column) -> list[str]:
+    """The CSV cells of column `c`, one per row: empty when masked, else
+    the label of the code, the raw string, or the number written as an
+    integer when it is one and with 12 significant digits otherwise."""
+    if c.labels is not None:
+        def cell(i, v):
+            label = c.labels.get(int(v), _NO_LABEL)
+            return str(c.values[i]) if label is _NO_LABEL else label
+    elif not c.is_encoded:
+        def cell(i, v):
+            return str(v)
+    else:
+        def cell(i, v):
+            v = float(v)
+            return str(int(v)) if v == int(v) else "%.12g" % v
+    return ["" if m else cell(i, v) for i, (v, m) in
+            enumerate(zip(c.values.tolist(), c.mask.tolist()))]
 
 
 def label_encode(table: Table) -> Table:

@@ -1,5 +1,11 @@
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imputeq.errors import (
     InvalidArgument,
@@ -85,6 +91,148 @@ class TestLoadCsv:
             np.testing.assert_allclose(
                 c1.values[~c1.mask], c2.values[~c2.mask]
             )
+
+
+def write_csv_per_cell(table, path):
+    """The cell-by-cell writer that `write_csv` replaced, kept as its
+    oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.column_names)
+        for i in range(table.n_rows):
+            row = []
+            for c in table.columns:
+                if c.mask[i]:
+                    row.append("")
+                elif c.labels is not None:
+                    code = int(c.values[i])
+                    row.append(c.labels.get(code, str(c.values[i])))
+                elif not c.is_encoded:
+                    row.append(str(c.values[i]))
+                else:
+                    v = float(c.values[i])
+                    row.append(str(int(v)) if v == int(v) else "%.12g" % v)
+            writer.writerow(row)
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(float),
+    st.sampled_from([-0.0, 0.0, 0.1 + 0.2, 1 / 3, 1e-7, 2.5e15, 1e20,
+                     -123456.789012345]),
+)
+# codes 3 and 4 have no label and write as numbers
+LABELS = {0: "red", 1: "dark, green", 2: 'say "blue"'}
+
+
+@st.composite
+def csv_tables(draw):
+    n = draw(st.integers(0, 8))
+    cols = []
+    for j in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["number", "labelled", "raw"]))
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                        dtype=bool)
+        labels = None
+        if kind == "raw":
+            values = np.array(draw(st.lists(st.text(max_size=6), min_size=n,
+                                            max_size=n)), dtype=object)
+            values[mask] = None
+        else:
+            cells = (NUMBERS if kind == "number"
+                     else st.integers(0, 4).map(float))
+            values = np.array(draw(st.lists(cells, min_size=n, max_size=n)),
+                              dtype=float)
+            values[mask] = np.nan
+            labels = LABELS if kind == "labelled" else None
+        cols.append(Column(f"c{j}", values, mask, labels=labels))
+    return Table(tuple(cols), n)
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(csv_tables())
+    def test_bytes_equal_the_per_cell_writer(self, t):
+        with tempfile.TemporaryDirectory() as d:
+            got, want = os.path.join(d, "got.csv"), os.path.join(d, "want.csv")
+            write_csv(t, got)
+            write_csv_per_cell(t, want)
+            with open(got, "rb") as a, open(want, "rb") as b:
+                assert a.read() == b.read()
+
+
+def load_csv_per_cell(path, hints):
+    """The parse of `load_csv` before it went by column, kept as its
+    oracle; the ragged-row check comes first in both."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    header = [h.strip() for h in header]
+    n = len(rows)
+    columns = []
+    for j, name in enumerate(header):
+        raw = [rows[i][j].strip() for i in range(n)]
+        mask = np.array([cell in ("", "NA", "NaN", "?") for cell in raw],
+                        dtype=bool)
+        parsed = np.full(n, np.nan)
+        numeric = np.zeros(n, dtype=bool)
+        for i, cell in enumerate(raw):
+            if mask[i]:
+                continue
+            try:
+                parsed[i] = float(cell)
+                numeric[i] = True
+            except ValueError:
+                pass
+        hinted = hints.get(name)
+        if hinted is ColumnKind.CATEGORICAL or not numeric.any():
+            values = np.array(
+                [None if mask[i] else raw[i] for i in range(n)], dtype=object
+            )
+            columns.append(Column(name, values, mask, kind=hinted))
+        else:
+            bad = ~numeric & ~mask
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ParseError(i, name, raw[i])
+            nonfinite = ~np.isfinite(parsed)
+            parsed[nonfinite] = np.nan
+            columns.append(Column(name, parsed, mask | nonfinite, kind=hinted))
+    return Table(tuple(columns), n)
+
+
+CELLS = st.sampled_from(["", " ", "NA", "NaN", "?", "nan", "inf", "-inf",
+                         "1", " 2.5 ", "-0", "1e3", "1_0", "x", "y z", "a,b",
+                         '"q"'])
+
+
+class TestLoadCsvByColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(CELLS, min_size=3, max_size=3), min_size=n, max_size=n)),
+        categorical=st.booleans())
+    def test_tables_and_errors_equal_the_per_cell_parse(self, rows,
+                                                        categorical):
+        hints = {"b": ColumnKind.CATEGORICAL} if categorical else {}
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([["a", " b", "c"], *rows])
+            outcomes = []
+            for load in (load_csv, load_csv_per_cell):
+                try:
+                    outcomes.append(load(path, hints))
+                except ParseError as exc:
+                    outcomes.append((exc.row, exc.col, exc.cell))
+        got, want = outcomes
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.n_rows == want.n_rows
+        for a, b in zip(got.columns, want.columns, strict=True):
+            assert (a.name, a.kind, a.values.dtype) == (
+                b.name, b.kind, b.values.dtype)
+            np.testing.assert_array_equal(a.mask, b.mask)
+            np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestLabelEncode:
