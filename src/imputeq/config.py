@@ -143,11 +143,13 @@ def _parse_graph(v, path: str):
         _check_keys(v, _GRAPH_AUTO_KEYS, path)
         top_n = v.get("top_n")
         if top_n is not None:
-            _require(isinstance(top_n, int) and top_n >= 1, f"{path}.top_n",
+            _require(isinstance(top_n, int) and not isinstance(top_n, bool)
+                     and top_n >= 1, f"{path}.top_n",
                      "expected an integer >= 1")
         mi = v.get("min_importance")
         if mi is not None:
-            _require(isinstance(mi, (int, float)) and mi >= 0,
+            _require(isinstance(mi, (int, float))
+                     and not isinstance(mi, bool) and mi >= 0,
                      f"{path}.min_importance", "expected a number >= 0")
         return "auto", top_n, mi
     # inline predecessor dictionary: every value must be a list of names
@@ -177,7 +179,8 @@ def parse_config_dict(doc: dict) -> Config:
     threshold = doc.get("threshold")
     if threshold is not None:
         _require(
-            isinstance(threshold, (int, float)) and 0.0 <= threshold <= 1.0,
+            isinstance(threshold, (int, float))
+            and not isinstance(threshold, bool) and 0.0 <= threshold <= 1.0,
             "threshold", "expected a number in [0, 1]",
         )
         threshold = float(threshold)

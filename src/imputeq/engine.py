@@ -18,15 +18,16 @@ generator from the seed and its (feature, imputer) position, each iterative
 chain from the seed and its (imputer, fold) position, and the grid runs
 serially in a fixed order.
 
-Work that does not depend on the target is shared through `Folds`.  A chain
-orders its columns by name, so it depends only on its rows, its spec and
-its column set: it is fit once per (fold, candidate, view column set) and
-every feature of that view reads it, in `assess` and in `fit_pipeline`
-alike.  The candidates of a feature read each fold's slices once, and its
-kNN candidates share one reference fit.  The kNN fills of every feature
-come from one distance pass per fold, which builds each block's planes of
-squared differences once for all the features and keeps the fills for the
-whole assessment.
+Work that does not depend on the target is shared through `Folds`, which
+holds the table and its dependencies.  Each fold's train and test rows are
+cut once for the whole assessment; every fit, transform and fill reads its
+columns by name.  A chain orders its columns by name, so it depends only on
+its rows, its spec and its column set: it is fit once per (fold, candidate,
+view column set) and every feature of that view reads it, in `assess` and
+in `fit_pipeline` alike.  The kNN fills of every feature come from one
+distance pass per fold, which builds each block's planes of squared
+differences once for all the features and keeps the fills for the whole
+assessment; a fold's first kNN request pays for every view.
 """
 
 from __future__ import annotations
@@ -204,69 +205,61 @@ def quality_score(mu: float, delta: float) -> float:
     return mu + (1.0 - mu) * delta
 
 
-def _predictors_for(t: Table, feature: str, deps) -> list[str]:
-    if deps is None:
-        return [n for n in t.column_names if n != feature]
-    return list(deps.get(feature, []))
-
-
 class Folds:
-    """The folds of one assessment of one table under `config`, with the
-    work its candidates share.
+    """One assessment of table `t` under `config`: its folds, the columns
+    each feature reads, and the work its candidates share.
 
+    - Per fold: the table's train and test rows, cut on first use and kept
+      for the whole assessment.  Every fit, transform and fill reads its
+      columns by name, so one pair of slices serves every view.
     - An iterative candidate is fit once per (fold, candidate, view column
       set), with the chain seed of `fit`, and every feature of that column
       set gets its imputer through `retarget`.
-    - Per view (a target's predictors, then the target) and fold: the train
-      and test slices, and one kNN fit whose reference rows every kNN
-      candidate reads with its own k.  These are dropped when the next view
-      starts, so they stay one view deep.
     - Per fold: the kNN fills of every view and roster k, from one pass of
       distance blocks at the fold's first kNN request (see `knn_fills`),
       kept for the whole assessment.
 
-    `fit_pipeline` uses one with no splits: its one fold is the whole table,
-    under `_FINAL_FIT_TAG`.
+    The table and the dependencies are fixed at construction, so nothing
+    kept can outlive them.  `fit_pipeline` uses one with no splits: its one
+    fold is the whole table, under `_FINAL_FIT_TAG`.
     """
 
-    def __init__(self, splits: SplitIndices | None, config: AssessConfig):
+    def __init__(self, t: Table, splits: SplitIndices | None,
+                 config: AssessConfig):
+        self.t = t
         self.splits = splits
+        self._deps = config.dependencies
         self._seed = config.seed
         self._roster_pos = {s.id: i for i, s in enumerate(config.imputers)}
         self._ks = sorted({s.params["n_neighbors"] for s in config.imputers
                            if s.family == "knn"})
+        self._rows = {}  # fold -> (train, test) rows of the table
         self._chains = {}  # (fold, imputer id, view columns) -> fitted chain
-        self._view = None  # the view columns that `_memo` belongs to
-        self._memo = {}  # (what, fold) -> shared value, see `_shared`
-        self._knn = {}  # fold -> {(predictors, target): [fills by k, warn]}
+        self._knn = {}  # fold -> {target: [fills by k, warn]}
 
-    def _shared(self, what, fold_idx, view: tuple, make):
-        """The `what` of fold `fold_idx` of the view with the columns `view`,
-        from `make()` on first use."""
-        if view != self._view:
-            self._view, self._memo = view, {}
-        key = (what, fold_idx)
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
+    def rows(self, fold_idx) -> tuple[Table, Table | None]:
+        """The (train, test) rows of fold `fold_idx` of the table; with no
+        splits, (the whole table, None)."""
+        if self.splits is None:
+            return self.t, None
+        if fold_idx not in self._rows:
+            train_idx, test_idx = self.splits.folds[fold_idx]
+            self._rows[fold_idx] = (self.t.select_rows(train_idx),
+                                    self.t.select_rows(test_idx))
+        return self._rows[fold_idx]
 
-    def slices(self, fold_idx, view: Table) -> tuple[Table, Table]:
-        """The (train, test) rows of fold `fold_idx` of `view`."""
-        train_idx, test_idx = self.splits.folds[fold_idx]
-        return self._shared(
-            "rows", fold_idx, tuple(view.column_names),
-            lambda: (view.select_rows(train_idx), view.select_rows(test_idx)))
+    def predictors(self, feature: str) -> tuple[str, ...]:
+        """The columns that impute `feature`: its dependencies, or else
+        every other column of the table."""
+        if self._deps is None:
+            return tuple(n for n in self.t.column_names if n != feature)
+        return tuple(self._deps.get(feature, []))
 
-    def fit(self, fold_idx, spec, train, target, predictors) -> FittedImputer:
-        """`spec` fit on the rows of `train`, which holds the view's columns
-        and maybe others, for `target` from `predictors`."""
-        view = (*predictors, target)
-        if spec.family == "knn":
-            ref = self._shared("knn", fold_idx, view, lambda: fit_imputer(
-                spec, train, target, predictors))
-            # of the fitted state, only k depends on the spec
-            return replace(ref, spec=spec,
-                           state=dict(ref.state, k=spec.params["n_neighbors"]))
+    def fit(self, fold_idx, spec, target: str) -> FittedImputer:
+        """`spec` fit on the training rows of fold `fold_idx`, for `target`
+        from its predictors."""
+        train, _ = self.rows(fold_idx)
+        predictors = self.predictors(target)
         if spec.family != "iterative":
             return fit_imputer(spec, train, target, predictors)
         if spec.id not in self._roster_pos:
@@ -274,32 +267,28 @@ class Folds:
         # the chain seed: the candidate's roster position and the fold
         spec = replace(spec, seed=task_seed(
             self._seed, self._roster_pos[spec.id], fold_idx))
-        key = (fold_idx, spec.id, frozenset(view))
+        key = (fold_idx, spec.id, frozenset((*predictors, target)))
         if key not in self._chains:
             self._chains[key] = fit_imputer(spec, train, target, predictors)
         return retarget(self._chains[key], train, target, predictors)
 
-    def knn_fills(self, fold_idx, fitted, t: Table, deps) -> np.ndarray:
-        """`fitted`'s fills for every test row of fold `fold_idx` of `t`,
-        where `fitted` is a kNN candidate of the roster fit on the fold's
-        training rows of one view of `t` under `deps`.
+    def knn_fills(self, fold_idx, fitted) -> np.ndarray:
+        """`fitted`'s fills for every test row of fold `fold_idx`, where
+        `fitted` is a kNN candidate of the roster from `fit`.
 
-        The fold's first request fills every view of `t` under `deps` at
-        once, for every roster k, bit for bit as `imputers.knn_fills` on
-        each view's own fit; a view missing from that pass (one under other
-        dependencies) starts another.  The one "no reference row shares an
-        observed coordinate" warning of a view and fold comes with its first
-        read.
+        The fold's first request fills every view of the table at once, for
+        every roster k, bit for bit as `imputers.knn_fills` on each view's
+        own fit; so one feature scored alone pays the kNN work of them all.
+        The one "no reference row shares an observed coordinate" warning of
+        a view and fold comes with its first read.
         """
         k = fitted.state["k"]
         if k not in self._ks:
             raise InvalidArgument(
                 f"{fitted.spec.id}: not in the assessed roster")
-        view = (fitted.predictor_columns, fitted.target_column)
-        done = self._knn.setdefault(fold_idx, {})
-        if view not in done:
-            done.update(self._knn_pass(fold_idx, t, deps, done))
-        entry = done[view]
+        if fold_idx not in self._knn:
+            self._knn[fold_idx] = self._knn_pass(fold_idx)
+        entry = self._knn[fold_idx][fitted.target_column]
         if entry[1]:
             entry[1] = False
             warnings.warn(
@@ -310,75 +299,69 @@ class Folds:
             )
         return entry[0][k]
 
-    def _knn_pass(self, fold_idx, t: Table, deps, done) -> dict:
-        """The fills of every kNN view of `t` under `deps` that `done`
-        lacks, on fold `fold_idx`, from one `knn_view_fills` pass.  A view
-        with no predictor or no observed training target has no kNN fit, so
-        the pass skips it."""
-        train_idx, test_idx = self.splits.folds[fold_idx]
+    def _knn_pass(self, fold_idx) -> dict:
+        """The fills of every kNN view of the table on fold `fold_idx`, by
+        target, from one `knn_view_fills` pass.  A view with no predictor
+        or no observed training target has no kNN fit, so the pass skips
+        it."""
+        train, test = self.rows(fold_idx)
         views = []
-        for target in t.column_names:
-            predictors = tuple(_predictors_for(t, target, deps))
-            col = t.column(target).take(train_idx)
-            if (predictors, target) in done or not predictors or (
-                    col.mask.all()):
+        for col in train.columns:
+            predictors = self.predictors(col.name)
+            if not predictors or col.mask.all():
                 continue
             refs = np.flatnonzero(~col.mask) if col.mask.any() else None
-            views.append(((predictors, target), refs, col.observed_values()))
-        names = list(dict.fromkeys(n for (p, _), *_ in views for n in p))
+            views.append((col.name, predictors, refs, col.observed_values()))
+        names = list(dict.fromkeys(n for _, p, *_ in views for n in p))
         pos = {n: i for i, n in enumerate(names)}
         filled = knn_view_fills(
-            np.column_stack([t.column(n).values[train_idx] for n in names]),
-            np.column_stack([t.column(n).values[test_idx] for n in names]),
+            np.column_stack([train.column(n).values for n in names]),
+            np.column_stack([test.column(n).values for n in names]),
             [([pos[n] for n in p], refs, y, float(y.mean()))
-             for (p, _), refs, y in views],
+             for _, p, refs, y in views],
             self._ks,
         )
-        return {v: [fills, unmatched]
-                for (v, *_), (fills, unmatched) in zip(views, filled)}
+        return {target: [fills, unmatched]
+                for (target, *_), (fills, unmatched) in zip(views, filled)}
 
 
 def imputation_score(
-    t: Table,
     feature: str,
     spec: ImputerSpec,
     folds: Folds,
     scorer=None,
-    deps: dict[str, list[str]] | None = None,
     seed: int = 0,
 ) -> ScoreOutcome:
-    """Mask-and-reimpute evaluation of one imputer on one feature.
+    """Mask-and-reimpute evaluation of one imputer on one feature of the
+    table of `folds`.
 
-    Per fold: fit on the training rows of the (possibly dependency-restricted)
-    view, mask every originally observed target cell in the test rows,
-    transform, and score re-imputations against the originals.  Cells that
-    were missing to begin with are filled too but never scored.  Returns the
-    fold mean (clamped to [0, 1]), fold std, and the pooled re-imputations
-    for the bias veto.
+    Per fold: fit on the training rows from the feature's predictors, mask
+    every originally observed target cell in the test rows, transform, and
+    score re-imputations against the originals.  Cells that were missing to
+    begin with are filled too but never scored.  Returns the fold mean
+    (clamped to [0, 1]), fold std, and the pooled re-imputations for the
+    bias veto.
 
-    Fold slices, fits and kNN fills are shared through `folds` with the
+    Fold rows, chains and kNN fills are shared through `folds` with the
     other features and candidates scored on it (see `Folds`); every share is
     bit-identical to the feature's own fit.  `seed` seeds the non-iterative
     candidates of each fold; a chain takes the seed `Folds.fit` gives it.
     """
-    col = t.column(feature)
+    col = folds.t.column(feature)
     if scorer is None:
         scorer = default_scorer_for(col.kind)
-    predictors = _predictors_for(t, feature, deps)
-    if spec.is_multivariate and not predictors:
+    if spec.is_multivariate and not folds.predictors(feature):
         raise UntrainableImputer(
             f"{spec.id}: no predictors available for {feature!r}"
         )
-    view = t.select_columns([*predictors, feature])
 
     fold_scores = []
     pooled = []
     notes = set()
     for fold_idx in range(len(folds.splits)):
         fold_spec = replace(spec, seed=task_seed(seed, fold_idx))
-        train, test = folds.slices(fold_idx, view)
-        fitted = folds.fit(fold_idx, fold_spec, train, feature,
-                           tuple(predictors))
+        fitted = folds.fit(fold_idx, fold_spec, feature)
+        _, test = folds.rows(fold_idx)
         tcol = test.column(feature)
         observed_pos = np.flatnonzero(~tcol.mask)
         if observed_pos.size == 0:
@@ -394,7 +377,7 @@ def imputation_score(
         blanked = test.with_column(blank)
         if spec.family == "knn":
             out = with_fills(fitted, blanked,
-                             folds.knn_fills(fold_idx, fitted, t, deps))
+                             folds.knn_fills(fold_idx, fitted))
         else:
             out = transform(fitted, blanked)
         got = out.column(feature).values[observed_pos]
@@ -494,23 +477,20 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
     """
     _check_assessable(t, config)
     split_seed = config.seed if config.split_seed is None else config.split_seed
-    folds = Folds(kfold_split(t.n_rows, config.n_folds, split_seed), config)
+    folds = Folds(t, kfold_split(t.n_rows, config.n_folds, split_seed),
+                  config)
     records = []
     for fi, feature in enumerate(t.column_names):
         col = t.column(feature)
         mu = completeness(col)
         candidates = []
         for ii, spec in enumerate(config.imputers):
-            n_preds = (
-                len(_predictors_for(t, feature, config.dependencies))
-                if spec.is_multivariate
-                else 0
-            )
+            n_preds = len(folds.predictors(feature)) if (
+                spec.is_multivariate) else 0
             try:
                 outcome = imputation_score(
-                    t, feature, spec, folds,
+                    feature, spec, folds,
                     scorer=config.scorer_for(col.kind),
-                    deps=config.dependencies,
                     seed=task_seed(config.seed, fi, ii),
                 )
             except (UntrainableImputer, ImputerTrainingError) as exc:
@@ -646,7 +626,7 @@ def fit_pipeline(
     without predictors raises `UntrainableImputer`.
     """
     by_id = {s.id: s for s in config.imputers}
-    folds = Folds(None, config)
+    folds = Folds(t, None, config)
     fitted = []
     drop = [r.feature for r in records if not r.kept]
     notes = []
@@ -662,9 +642,7 @@ def fit_pipeline(
             by_id[record.chosen_imputer],
             seed=task_seed(config.seed, fi, _FINAL_FIT_TAG),
         )
-        predictors = tuple(_predictors_for(t, record.feature, config.dependencies))
-        fitted.append(folds.fit(_FINAL_FIT_TAG, spec, t, record.feature,
-                                predictors))
+        fitted.append(folds.fit(_FINAL_FIT_TAG, spec, record.feature))
 
     schema = tuple(
         ColumnSchema(c.name, c.kind, c.labels) for c in t.columns

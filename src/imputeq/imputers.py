@@ -40,6 +40,43 @@ SIMPLE_STATISTICS = ("mean", "median", "mode")
 ITERATIVE_ESTIMATORS = ("ridge", "forest", "gbt")
 
 
+def _is_int(v, lo: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _is_number(v, lo: float) -> bool:
+    """A finite int or float (not a bool) of at least `lo`."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and lo <= v < math.inf)
+
+
+# family -> {parameter: (required, accepts(value), the accepted values)};
+# an optional parameter is checked when given
+_PARAMS = {
+    "simple": {
+        "statistic": (True, lambda v: v in SIMPLE_STATISTICS,
+                      f"one of {SIMPLE_STATISTICS}"),
+    },
+    "apprandom": {},
+    "knn": {
+        "n_neighbors": (True, lambda v: _is_int(v, 1), "an integer >= 1"),
+    },
+    "iterative": {
+        "estimator": (True, lambda v: v in ITERATIVE_ESTIMATORS,
+                      f"one of {ITERATIVE_ESTIMATORS}"),
+        "init_strategy": (False, lambda v: v in ("mode", "mean"),
+                          "'mode' or 'mean'"),
+        "max_iter": (False, lambda v: _is_int(v, 0), "an integer >= 0"),
+        "reg": (False, lambda v: _is_number(v, 0.0), "a number >= 0"),
+        "n_estimators": (False, lambda v: _is_int(v, 1), "an integer >= 1"),
+        "max_depth": (False, lambda v: v is None or _is_int(v, 1),
+                      "null or an integer >= 1"),
+        "learning_rate": (False, lambda v: _is_number(v, 0.0),
+                          "a number >= 0"),
+    },
+}
+
+
 @dataclass(frozen=True)
 class ImputerSpec:
     """Declarative description of one imputer; `id` names it in reports."""
@@ -50,30 +87,17 @@ class ImputerSpec:
     seed: int = 0
 
     def __post_init__(self):
+        """Check every parameter that the family reads, so that a bad value
+        fails here rather than in a fit."""
         if self.family not in FAMILIES:
             raise InvalidArgument(
                 f"imputer {self.id!r}: unknown family {self.family!r}"
             )
-        p = self.params
-        if self.family == "simple":
-            if p.get("statistic") not in SIMPLE_STATISTICS:
+        for name, (required, accepts, what) in _PARAMS[self.family].items():
+            if (required or name in self.params) and not accepts(
+                    self.params.get(name)):
                 raise InvalidArgument(
-                    f"imputer {self.id!r}: statistic must be one of "
-                    f"{SIMPLE_STATISTICS}"
-                )
-        elif self.family == "knn":
-            k = p.get("n_neighbors")
-            if not isinstance(k, int) or k < 1:
-                raise InvalidArgument(
-                    f"imputer {self.id!r}: n_neighbors must be a positive int"
-                )
-        elif self.family == "iterative":
-            est = p.get("estimator")
-            if est not in ITERATIVE_ESTIMATORS:
-                raise InvalidArgument(
-                    f"imputer {self.id!r}: estimator must be one of "
-                    f"{ITERATIVE_ESTIMATORS}"
-                )
+                    f"imputer {self.id!r}: {name} must be {what}")
 
     @property
     def is_multivariate(self) -> bool:
@@ -476,13 +500,13 @@ def _fit_column_estimator(spec: ImputerSpec, X, y, col_idx: int, round_idx: int)
         if est == "forest":
             return forest_fit(
                 X, y,
-                n_estimators=int(params.get("n_estimators", 100)),
+                n_estimators=params.get("n_estimators", 100),
                 max_depth=params.get("max_depth"),
                 seed=seed,
             )
         return gbt_fit(
             X, y,
-            n_estimators=int(params.get("n_estimators", 100)),
+            n_estimators=params.get("n_estimators", 100),
             max_depth=params.get("max_depth", 6),
             learning_rate=float(params.get("learning_rate", 0.1)),
             seed=seed,
@@ -510,10 +534,6 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     M = np.column_stack([c.values for c in cols])
     masks = np.column_stack([c.mask for c in cols])
     strategy = spec.params.get("init_strategy", "mode")
-    if strategy not in ("mode", "mean"):
-        raise InvalidArgument(
-            f"{spec.id}: init_strategy must be 'mode' or 'mean'"
-        )
     init_values = np.array(
         [_init_fill(M[:, j], masks[:, j], strategy) for j in range(M.shape[1])]
     )
@@ -534,7 +554,7 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     )
     scales[scales == 0.0] = 1.0
 
-    max_iter = int(spec.params.get("max_iter", 20))
+    max_iter = spec.params.get("max_iter", 20)
     models: dict[int, object] = {}
     other = {j: [i for i in range(M.shape[1]) if i != j] for j in visit}
     deltas = []
@@ -578,7 +598,7 @@ def _with_target_model(spec, state: dict, t_idx: int, rows_obs) -> dict:
         other = [i for i in range(M.shape[1]) if i != t_idx]
         models[t_idx] = _fit_column_estimator(
             spec, M[rows_obs][:, other], M[rows_obs, t_idx], t_idx,
-            int(spec.params.get("max_iter", 20)),
+            spec.params.get("max_iter", 20),
         )
     return {**state, "models": models}
 

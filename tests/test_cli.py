@@ -1,16 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import imputeq
 from imputeq import cli
 from imputeq.cli import main
+from imputeq.engine import records_to_jsonable
+from imputeq.report import column_summary, quality_document
 
 DATA = Path(__file__).parent / "data"
 
@@ -203,12 +210,15 @@ class TestFitApply:
         ("x", "state.ref_y", lambda ref_y: ref_y[:-1]),
         ("x", "state.ref_y", []),
         ("y", "state.models.0.weights", lambda w: w[:-1]),
+        ("y", "spec.params.max_iter", "x"),
+        ("x", "spec.params.n_neighbors", True),
     ], ids=[
         "target_column-zz", "predictor_columns-value1", "spec_family-magic",
         "simple_spec_without_statistic", "fill-NaN",
         "discrete_observed_value_set-empty", "apprandom_observed-null",
         "knn_ref_X-one_predictor_short", "knn_ref_y-one_row_short",
         "knn_ref_y-empty", "ridge_weights-one_short",
+        "chain_max_iter-string", "knn_n_neighbors-true",
     ])
     def test_apply_with_damaged_fitted_imputer_is_data_error(
         self, mixed_plan, tmp_path, capsys, target, path, value
@@ -335,6 +345,31 @@ class TestRecommendM:
         assert err["error"] == "InvalidArgument"
 
 
+@pytest.fixture(scope="module")
+def quality_doc():
+    """The records document of a seeded assessment of three columns, with
+    a threshold."""
+    rng = np.random.default_rng(2)
+    n = 60
+    a = rng.normal(0, 1, n)
+    values = np.column_stack([a, a + rng.normal(0, 0.3, n),
+                              rng.integers(0, 2, n)]).astype(float)
+    values[rng.random((n, 3)) < 0.2] = np.nan
+    t = imputeq.infer_column_kinds(imputeq.Table(tuple(
+        imputeq.Column(name, values[:, j], np.isnan(values[:, j]))
+        for j, name in enumerate("abc"))))
+    roster = (
+        imputeq.ImputerSpec("mean", "simple", {"statistic": "mean"}),
+        imputeq.ImputerSpec("knn3", "knn", {"n_neighbors": 3}),
+    )
+    with warnings.catch_warnings():  # rows that share no coordinate
+        warnings.simplefilter("ignore", imputeq.ImputeQWarning)
+        records = imputeq.assess(t, imputeq.AssessConfig(
+            roster, n_folds=3, threshold=0.5))
+    return quality_document(records_to_jsonable(records), 0.5,
+                            column_summary(t))
+
+
 class TestReport:
     def test_renders_svg_and_summary(self, workspace, capsys):
         tmp, config, data = workspace
@@ -361,6 +396,78 @@ class TestReport:
         assert rc == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "VersionMismatch"
+
+    @pytest.mark.parametrize("threshold", ["nan", "7", "-0.1"])
+    def test_bad_threshold_flag_is_config_error(self, quality_doc, tmp_path,
+                                                capsys, threshold):
+        records = tmp_path / "q.json"
+        records.write_text(json.dumps(quality_doc))
+        out = tmp_path / "c.svg"
+        rc = main(["report", "--records", str(records), "--out", str(out),
+                   "--threshold", threshold])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert (err["error"], err["path"]) == ("SchemaError", "threshold")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc["records"][0].pop("omega"),
+        lambda doc: doc.update(threshold="0.5"),
+        lambda doc: doc.update(records=7),
+        lambda doc: doc["records"][1].update(delta=float("nan")),
+        lambda doc: doc["records"][0]["imputers"][0].update(delta_std="x"),
+    ], ids=["record_without_omega", "threshold-string", "records-number",
+            "delta-NaN", "delta_std-string"])
+    def test_malformed_records_are_data_error(self, quality_doc, tmp_path,
+                                              capsys, damage):
+        doc = json.loads(json.dumps(quality_doc))
+        damage(doc)
+        records = tmp_path / "q.json"
+        records.write_text(json.dumps(doc))
+        rc = main(["report", "--records", str(records),
+                   "--out", str(tmp_path / "c.svg")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CorruptModel"
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_records_are_refused_or_drawn(self, quality_doc,
+                                                  tmp_path, data):
+        # one mutation: delete a key or list entry, or retype a value
+        doc = json.loads(json.dumps(quality_doc))
+        path, node = (), doc
+        while isinstance(node, (dict, list)) and node and (
+                not path or data.draw(st.booleans())):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            key = data.draw(st.sampled_from(keys))
+            path, node = (*path, key), node[key]
+        *parents, key = path
+        parent = doc
+        for k in parents:
+            parent = parent[k]
+        if data.draw(st.booleans(), label="delete"):
+            del parent[key]
+        else:
+            parent[key] = data.draw(st.sampled_from(
+                [v for v in ("x", 7, 0.5, True, [], {}, None)
+                 if type(v) is not type(node)]), label="new value")
+        records, out = tmp_path / "q.json", tmp_path / "c.svg"
+        records.write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            rc = main(["report", "--records", str(records),
+                       "--out", str(out)])
+        err = stderr.getvalue().splitlines()
+        assert rc in (0, 3), err
+        if rc:
+            [line] = err
+            assert set(json.loads(line)) == {"error", "message"}
+        else:
+            assert err == []
+            xml.dom.minidom.parse(str(out))
 
     def test_records_document_not_an_object_is_data_error(
         self, tmp_path, capsys
@@ -468,6 +575,24 @@ class TestErrorChannels:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "SchemaError"
         assert err["path"] == "threshold"
+
+    @pytest.mark.parametrize("imputer", [
+        {"id": "it", "family": "iterative",
+         "params": {"estimator": "ridge", "max_iter": "x"}},
+        {"id": "k", "family": "knn", "params": {"n_neighbors": True}},
+    ], ids=["max_iter-string", "n_neighbors-true"])
+    def test_bad_imputer_parameter_is_config_error(self, workspace, capsys,
+                                                   imputer):
+        tmp, config, data = workspace
+        doc = json.loads(open(config).read())
+        doc["imputers"].append(imputer)
+        open(config, "w").write(json.dumps(doc))
+        rc = main(["assess", "--config", config,
+                   "--out", str(tmp / "q.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SchemaError"
+        assert err["path"] == "imputers[2].params"
 
     @pytest.mark.parametrize("graph", [
         {"a": ["zz"]}, {"zz": ["a"]}, {"a": ["a"]},

@@ -133,6 +133,26 @@ class TestValidation:
         assert self.err_path(minimal_doc(seed=1.5)) == "seed"
         assert self.err_path(minimal_doc(seed=True)) == "seed"
 
+    @pytest.mark.parametrize("threshold", [True, False])
+    def test_threshold_is_not_a_boolean(self, threshold):
+        assert self.err_path(minimal_doc(threshold=threshold)) == "threshold"
+
+    @pytest.mark.parametrize("params", [
+        {"estimator": "ridge", "max_iter": "x"},
+        {"estimator": "ridge", "init_strategy": "median"},
+    ])
+    def test_bad_iterative_parameter(self, params):
+        doc = {"imputers": [
+            {"id": "it", "family": "iterative", "params": params},
+        ]}
+        assert self.err_path(doc) == "imputers[0].params"
+
+    def test_boolean_neighbour_count(self):
+        doc = {"imputers": [
+            {"id": "k", "family": "knn", "params": {"n_neighbors": True}},
+        ]}
+        assert self.err_path(doc) == "imputers[0].params"
+
 
 class TestScorers:
     def test_string_form(self):
@@ -177,6 +197,18 @@ class TestDependencyGraph:
         assert cfg.dependency_graph == "auto"
         assert cfg.graph_top_n == 3
         assert cfg.graph_min_importance == 0.05
+
+    def test_top_n_is_not_a_boolean(self):
+        with pytest.raises(SchemaError) as info:
+            parse_config_dict(minimal_doc(
+                dependency_graph={"type": "auto", "top_n": True}))
+        assert info.value.path == "dependency_graph.top_n"
+
+    def test_min_importance_is_not_a_boolean(self):
+        with pytest.raises(SchemaError) as info:
+            parse_config_dict(minimal_doc(
+                dependency_graph={"type": "auto", "min_importance": True}))
+        assert info.value.path == "dependency_graph.min_importance"
 
     def test_inline_dictionary(self):
         deps = {"a": ["b"], "b": []}

@@ -58,9 +58,10 @@ def make_table(columns):
     return Table(tuple(cols), len(columns[0][1]))
 
 
-def folds_of(splits, *roster, seed=0):
-    """The `Folds` of `splits` for an assessment of `roster` under `seed`."""
-    return Folds(splits, AssessConfig(roster, seed=seed))
+def folds_of(t, splits, *roster, seed=0, deps=None):
+    """The `Folds` of `t` and `splits` for an assessment of `roster` under
+    `seed` and the dependencies `deps`."""
+    return Folds(t, splits, AssessConfig(roster, seed=seed, dependencies=deps))
 
 
 def linear_pair(n=300, noise=0.05, miss=0.3, seed=0, protect=("x",)):
@@ -172,7 +173,7 @@ class TestImputationScore:
         t = linear_pair(seed=5)
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("iter_ridge", "iterative", {"estimator": "ridge"})
-        out = imputation_score(t, "y", spec, folds_of(splits, spec), seed=1)
+        out = imputation_score("y", spec, folds_of(t, splits, spec), seed=1)
         assert out.mean > 0.95
         assert len(out.fold_scores) == 5
         assert out.pooled.size > 0
@@ -182,9 +183,9 @@ class TestImputationScore:
         splits = kfold_split(t.n_rows, 5, 0)
         ridge = ImputerSpec("ir", "iterative", {"estimator": "ridge"})
         sampler = ImputerSpec("ar", "apprandom", {})
-        folds = folds_of(splits, ridge, sampler)
-        good = imputation_score(t, "y", ridge, folds, seed=1)
-        rough = imputation_score(t, "y", sampler, folds, seed=1)
+        folds = folds_of(t, splits, ridge, sampler)
+        good = imputation_score("y", ridge, folds, seed=1)
+        rough = imputation_score("y", sampler, folds, seed=1)
         assert good.mean - rough.mean >= 0.2
 
     def test_negative_fold_means_clamp_to_zero(self):
@@ -192,7 +193,7 @@ class TestImputationScore:
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("m", "simple", {"statistic": "mean"})
         out = imputation_score(
-            t, "y", spec, folds_of(splits, spec), seed=1,
+            "y", spec, folds_of(t, splits, spec), seed=1,
             scorer=lambda a, b: -0.25,
         )
         assert out.mean == 0.0
@@ -204,7 +205,7 @@ class TestImputationScore:
         spec = ImputerSpec("m", "simple", {"statistic": "mean"})
         with pytest.raises(DegenerateInput):
             imputation_score(
-                t, "y", spec, folds_of(splits, spec), seed=1,
+                "y", spec, folds_of(t, splits, spec), seed=1,
                 scorer=lambda a, b: float("nan"),
             )
 
@@ -212,7 +213,7 @@ class TestImputationScore:
         t = linear_pair(seed=9, miss=0.4)
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("m", "simple", {"statistic": "mean"})
-        out = imputation_score(t, "y", spec, folds_of(splits, spec), seed=1)
+        out = imputation_score("y", spec, folds_of(t, splits, spec), seed=1)
         n_observed = t.column("y").observed_values().size
         assert out.pooled.size == n_observed
 
@@ -221,8 +222,9 @@ class TestImputationScore:
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("knn", "knn", {"n_neighbors": 3})
         with pytest.raises(UntrainableImputer):
-            imputation_score(t, "y", spec, folds_of(splits, spec),
-                             deps={"y": []}, seed=1)
+            imputation_score("y", spec,
+                             folds_of(t, splits, spec, deps={"y": []}),
+                             seed=1)
 
     def test_dependency_view_is_predecessors_then_target(self):
         rng = np.random.default_rng(2)
@@ -233,22 +235,24 @@ class TestImputationScore:
         seen = []
 
         def spy(spec, train, target, predictors):
-            seen.append((train.column_names, predictors))
+            seen.append((train.n_rows, predictors, target))
             return fit_imputer(spec, train, target, predictors)
 
         spec = ImputerSpec("ridge", "iterative", {"estimator": "ridge"})
+        splits = kfold_split(t.n_rows, 3, 0)
         with mock.patch.object(engine, "fit_imputer", spy):
-            imputation_score(t, "A", spec,
-                             folds_of(kfold_split(t.n_rows, 3, 0), spec),
-                             deps={"A": ["D", "B"]}, seed=1)
-        assert seen == [(["D", "B", "A"], ("D", "B"))] * 3
+            imputation_score("A", spec, folds_of(t, splits, spec,
+                                                 deps={"A": ["D", "B"]}),
+                             seed=1)
+        assert seen == [(len(train), ("D", "B"), "A")
+                        for train, _ in splits]
 
     def test_deterministic_for_fixed_seed(self):
         t = linear_pair(seed=4)
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("ar", "apprandom", {})
-        a = imputation_score(t, "y", spec, folds_of(splits, spec), seed=11)
-        b = imputation_score(t, "y", spec, folds_of(splits, spec), seed=11)
+        a = imputation_score("y", spec, folds_of(t, splits, spec), seed=11)
+        b = imputation_score("y", spec, folds_of(t, splits, spec), seed=11)
         assert a.fold_scores == b.fold_scores
         assert np.array_equal(a.pooled, b.pooled)
 
@@ -507,15 +511,15 @@ class TestSharedWork:
         splits = kfold_split(t.n_rows, 3, 4)
         ii = cfg.imputers.index(spec)
         for fi, r in enumerate(records):
-            alone = imputation_score(t, r.feature, spec, Folds(splits, cfg),
+            alone = imputation_score(r.feature, spec, Folds(t, splits, cfg),
                                      seed=task_seed(4, fi, ii))
             e = r.evaluations[ii]
             assert (e.delta_mean, e.delta_std) == (alone.mean, alone.std)
 
     @pytest.mark.filterwarnings("ignore::imputeq.errors.ImputeQWarning")
-    def test_knn_fit_and_slices_once_per_feature_and_fold(self):
-        # the kNN candidates read one reference fit, and every candidate
-        # one train/test slice pair, per (feature, fold)
+    def test_rows_cut_once_per_fold_for_every_candidate(self):
+        # every candidate of every feature reads the table's one train/test
+        # pair per fold; each kNN candidate fits its own reference
         t = factor_table()
         knn10 = ImputerSpec("knn10", "knn", {"n_neighbors": 10})
         mean = ImputerSpec("mean", "simple", {"statistic": "mean"})
@@ -536,29 +540,35 @@ class TestSharedWork:
         with mock.patch.object(engine, "fit_imputer", fit_spy), \
                 mock.patch.object(Table, "select_rows", rows_spy):
             records = assess(t, cfg)
-        assert knn_fits == [f for f in "ABCD" for _ in range(3)]
-        assert [v[-1] for v in slices] == [f for f in "ABCD" for _ in range(6)]
+        assert knn_fits == [f for f in "ABCD" for _ in range(3 * 3)]
+        assert slices == [tuple("ABCD")] * (2 * 3)
         assert not any(e.skipped for r in records for e in r.evaluations)
 
     @pytest.mark.filterwarnings("ignore::imputeq.errors.ImputeQWarning")
     def test_knn_memo_follows_the_predictors(self):
-        # the same target under other predictors is another view
+        # the same target under other predictors is another view: each
+        # dict's Folds gives A the fills of its own predictors, whether
+        # another feature's request filled the fold first or not
         t = factor_table(n=120, rates=(0.1, 0.0, 0.25))
         splits = kfold_split(t.n_rows, 3, 0)
-        folds = folds_of(splits, KNN3)
-        for deps in ({"A": ["B"]}, {"A": ["C"]}):
-            shared = imputation_score(t, "A", KNN3, folds, deps=deps)
-            alone = imputation_score(t, "A", KNN3, folds_of(splits, KNN3),
-                                     deps=deps)
+        pooled = []
+        for deps in ({"A": ["B"], "C": ["A"]}, {"A": ["C"], "C": ["B"]}):
+            folds = folds_of(t, splits, KNN3, deps=deps)
+            imputation_score("C", KNN3, folds)
+            shared = imputation_score("A", KNN3, folds)
+            alone = imputation_score("A", KNN3,
+                                     folds_of(t, splits, KNN3, deps=deps))
             assert (shared.mean, shared.std) == (alone.mean, alone.std)
             np.testing.assert_array_equal(shared.pooled, alone.pooled)
+            pooled.append(shared.pooled)
+        assert not np.array_equal(*pooled)
 
     def test_complete_feature_gets_its_target_model(self):
         t = factor_table()
         assert not t.column("B").mask.any()
         splits = kfold_split(t.n_rows, 3, 0)
-        folds = folds_of(splits, RIDGE)
-        imputation_score(t, "A", RIDGE, folds, seed=1)  # fits the chains
+        folds = folds_of(t, splits, RIDGE)
+        imputation_score("A", RIDGE, folds, seed=1)  # fits the chains
         seen = []
 
         def spy(f, table):
@@ -566,7 +576,7 @@ class TestSharedWork:
             return transform(f, table)
 
         with mock.patch.object(engine, "transform", spy):
-            shared = imputation_score(t, "B", RIDGE, folds, seed=1)
+            shared = imputation_score("B", RIDGE, folds, seed=1)
         assert len(seen) == 3
         for f in seen:
             b = f.state["columns"].index("B")
@@ -574,7 +584,8 @@ class TestSharedWork:
             assert b in f.state["models"]
             assert set(f.state["models"]) == {*f.state["visit"], b}
         # bit for bit the feature's own chain
-        alone = imputation_score(t, "B", RIDGE, folds_of(splits, RIDGE), seed=1)
+        alone = imputation_score("B", RIDGE, folds_of(t, splits, RIDGE),
+                                 seed=1)
         assert (shared.mean, shared.std) == (alone.mean, alone.std)
         np.testing.assert_array_equal(shared.pooled, alone.pooled)
 
@@ -587,32 +598,32 @@ class TestSharedWork:
     def test_own_chain_is_the_shared_chain(self, spec, rates, seed, fold,
                                            data):
         # rates with repeats tie missing counts, and a zero rate leaves a
-        # column the chain never visits
+        # column the chain never visits; the dict gives every target its
+        # own order of the others
         t = factor_table(n=40, rates=rates)
         names = list(t.column_names)
-        first = data.draw(st.permutations(names), label="first view")
-        view = data.draw(st.permutations(names), label="view")
+        deps = {n: data.draw(st.permutations([m for m in names if m != n]),
+                             label=f"predictors of {n}") for n in names}
+        first = data.draw(st.sampled_from(names), label="first target")
         target = data.draw(st.sampled_from(names), label="target")
-        predictors = tuple(n for n in view if n != target)
-        folds = Folds(None, AssessConfig((spec,), seed=seed))
-        folds.fit(fold, spec, t.select_columns(first), first[-1],
-                  tuple(first[:-1]))
-        train = t.select_columns(view)
-        shared = folds.fit(fold, spec, train, target, predictors)
+        folds = Folds(t, None, AssessConfig((spec,), seed=seed,
+                                            dependencies=deps))
+        folds.fit(fold, spec, first)
+        shared = folds.fit(fold, spec, target)
         own = fit_imputer(replace(spec, seed=task_seed(seed, 0, fold)),
-                          train, target, predictors)
+                          t, target, tuple(deps[target]))
         assert json.dumps(fitted_to_jsonable(own), sort_keys=True) == (
             json.dumps(fitted_to_jsonable(shared), sort_keys=True))
-        for a, b in zip(transform(own, train).columns,
-                        transform(shared, train).columns):
+        for a, b in zip(transform(own, t).columns,
+                        transform(shared, t).columns):
             np.testing.assert_array_equal(a.values, b.values)
             np.testing.assert_array_equal(a.mask, b.mask)
 
     def test_chain_outside_the_roster_is_invalid(self):
         t = factor_table()
         with pytest.raises(InvalidArgument):
-            imputation_score(t, "A", RIDGE,
-                             folds_of(kfold_split(t.n_rows, 3, 0), GBT))
+            imputation_score("A", RIDGE,
+                             folds_of(t, kfold_split(t.n_rows, 3, 0), GBT))
 
     def test_pipeline_fits_one_chain_per_candidate_and_column_set(self):
         t = factor_table()

@@ -86,6 +86,35 @@ class TestFit:
         with pytest.raises(InvalidArgument):
             ImputerSpec("bad", "nope")
 
+    @pytest.mark.parametrize("params", [
+        {"n_neighbors": True}, {"n_neighbors": 2.0}, {},
+    ])
+    def test_knn_spec_needs_an_integer_k(self, params):
+        with pytest.raises(InvalidArgument):
+            ImputerSpec("bad", "knn", params)
+
+    @pytest.mark.parametrize("name,bad,good", [
+        ("estimator", "lasso", "gbt"),
+        ("init_strategy", "median", "mean"),
+        ("max_iter", "x", 0),
+        ("max_iter", True, 20),
+        ("max_iter", -1, 1),
+        ("reg", False, 0),
+        ("reg", -0.5, 1e-9),
+        ("reg", float("inf"), 2.5),
+        ("n_estimators", 0, 1),
+        ("n_estimators", 3.0, 3),
+        ("max_depth", 0, None),
+        ("max_depth", True, 6),
+        ("learning_rate", float("nan"), 0.0),
+        ("learning_rate", "0.1", 0.1),
+    ])
+    def test_iterative_spec_checks_each_parameter(self, name, bad, good):
+        params = {"estimator": "ridge"}
+        with pytest.raises(InvalidArgument, match=name):
+            ImputerSpec("bad", "iterative", dict(params, **{name: bad}))
+        ImputerSpec("ok", "iterative", dict(params, **{name: good}))
+
 
 class TestTransform:
     def test_no_missing_is_identity(self):

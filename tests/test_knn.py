@@ -21,7 +21,6 @@ from imputeq import imputers
 from imputeq.engine import (
     AssessConfig,
     Folds,
-    _predictors_for,
     assess,
     imputation_score,
 )
@@ -238,26 +237,28 @@ KS = (3, 5, 10)
 ROSTER = tuple(ImputerSpec(f"knn{k}", "knn", {"n_neighbors": k}) for k in KS)
 
 
-def read_fold(folds, t, deps, fold, target):
+def read_fold(folds, fold, target):
     """Every roster k's fills of `target`'s view on `fold` through `folds`,
     each fit as `imputation_score` fits it."""
-    train_idx, _ = folds.splits.folds[fold]
-    predictors = tuple(_predictors_for(t, target, deps))
-    train = t.select_rows(train_idx).select_columns([*predictors, target])
     return {spec.params["n_neighbors"]: folds.knn_fills(
-        fold, folds.fit(fold, spec, train, target, predictors), t, deps)
-        for spec in ROSTER}
+        fold, folds.fit(fold, spec, target)) for spec in ROSTER}
 
 
-def assert_fold_pass_is_per_view(t, deps, folds):
-    """Every view of `t` under `deps` that has a kNN fit gets, on every
+def assessment(t, splits, deps=None):
+    """The `Folds` of the kNN roster's assessment of `t` under `deps`."""
+    return Folds(t, splits, AssessConfig(ROSTER, dependencies=deps))
+
+
+def assert_fold_pass_is_per_view(folds):
+    """Every view of the table of `folds` that has a kNN fit gets, on every
     fold, the fills of its own fit: bit for bit `knn_fills` and the per-row
     oracle.  Returns the number of (view, fold) pairs checked."""
+    t = folds.t
     checked = 0
     for fold, (train_idx, test_idx) in enumerate(folds.splits):
         train = t.select_rows(train_idx)
         for target in t.column_names:
-            predictors = tuple(_predictors_for(t, target, deps))
+            predictors = folds.predictors(target)
             if not predictors or train.column(target).mask.all():
                 continue
             own = fit(ROSTER[0], train, target, predictors).state
@@ -266,7 +267,7 @@ def assert_fold_pass_is_per_view(t, deps, folds):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ImputeQWarning)
                 want = knn_fills(own, X, KS)
-                got = read_fold(folds, t, deps, fold, target)
+                got = read_fold(folds, fold, target)
             for k in KS:
                 assert_bits_equal(got[k], want[k])
                 assert_bits_equal(got[k], oracle(dict(own, k=k), X))
@@ -293,23 +294,23 @@ def dependency_dicts(draw, names):
        seed=st.integers(0, 2**32 - 1), rows_per_block=st.integers(1, 20))
 def test_fold_pass_is_each_views_own_fill(deps, rates, seed, rows_per_block):
     t = coded_table(40, rates, seed)
-    folds = Folds(kfold_split(t.n_rows, 3, seed % 7), AssessConfig(ROSTER))
+    folds = assessment(t, kfold_split(t.n_rows, 3, seed % 7), deps)
     # the widest block, all five planes over a fold's <= 27 training rows
     with mock.patch.object(imputers, "_KNN_BLOCK_BYTES",
                            8 * 27 * (5 + 4) * rows_per_block):
-        assert_fold_pass_is_per_view(t, deps, folds)
+        assert_fold_pass_is_per_view(folds)
 
 
-def test_same_target_under_two_dicts_on_one_folds():
-    # one Folds serves each dict's view of A, and the views of every other
-    # target, in other orders too
+def test_same_target_under_two_dicts():
+    # each dict's Folds gives its view of A, and the views of every other
+    # target, in other orders too, the fills of their own fits
     t = coded_table(60, (0.1, 0.0, 0.25, 0.3), 1)
-    folds = Folds(kfold_split(t.n_rows, 3, 0), AssessConfig(ROSTER))
+    splits = kfold_split(t.n_rows, 3, 0)
     for deps in ({"A": ["B", "C"], "C": ["D", "A"]},
                  {"A": ["C", "B"], "C": ["A", "D"]},
                  {"A": ["D"]},
                  None):
-        assert assert_fold_pass_is_per_view(t, deps, folds) > 0
+        assert assert_fold_pass_is_per_view(assessment(t, splits, deps)) > 0
 
 
 @pytest.mark.filterwarnings("ignore::imputeq.errors.ImputeQWarning")
@@ -324,9 +325,8 @@ def test_pass_skips_views_without_a_fit():
     t = t.with_column(Column("F", np.where(f_mask, np.nan, f.values), f_mask,
                              kind=ColumnKind.CONTINUOUS))
     deps = {"A": ["F", "B"], "B": ["A", "C"], "E": [], "F": ["A", "D"]}
-    folds = Folds(splits, AssessConfig(ROSTER))
     # 3 folds of A and B, 2 of F; C and D have no dependencies either
-    assert assert_fold_pass_is_per_view(t, deps, folds) == 8
+    assert assert_fold_pass_is_per_view(assessment(t, splits, deps)) == 8
     records = assess(t, AssessConfig(ROSTER, n_folds=3, dependencies=deps))
     skipped = {r.feature: [e.skipped for e in r.evaluations][:3]
                for r in records}
@@ -347,13 +347,13 @@ def test_unmatched_rows_warn_once_per_feature_and_fold():
                            kind=ColumnKind.CONTINUOUS)
                     for j, n in enumerate("ABC")), 30)
     splits = kfold_split(t.n_rows, 3, 0)
-    folds = Folds(splits, AssessConfig(ROSTER))
+    folds = assessment(t, splits)
     for fold, (_, test_idx) in enumerate(splits):
         for target in "ABC":
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
-                fills = read_fold(folds, t, None, fold, target)
-                read_fold(folds, t, None, fold, target)  # read again
+                fills = read_fold(folds, fold, target)
+                read_fold(folds, fold, target)  # read again
             unmatched = target == "A" and 7 in test_idx
             assert [str(w.message) for w in seen] == unmatched * [
                 "no reference row shares an observed coordinate; falling "
@@ -369,9 +369,9 @@ def test_knn_outside_the_roster_is_invalid():
     # the pass fills the roster's neighbour counts only
     t = coded_table(30, (0.1, 0.1, 0.1), 5)
     knn7 = ImputerSpec("knn7", "knn", {"n_neighbors": 7})
-    folds = Folds(kfold_split(t.n_rows, 3, 0), AssessConfig(ROSTER))
+    folds = assessment(t, kfold_split(t.n_rows, 3, 0))
     with pytest.raises(InvalidArgument):
-        imputation_score(t, "A", knn7, folds)
+        imputation_score("A", knn7, folds)
 
 
 def test_fold_pass_temporaries_stay_near_the_cap():
@@ -382,14 +382,11 @@ def test_fold_pass_temporaries_stay_near_the_cap():
         Column(f"c{j}", v, np.isnan(v), kind=ColumnKind.CONTINUOUS)
         for j, v in enumerate(np.where(rng.random((40, 300)) < 0.1, np.nan,
                                        rng.normal(size=(40, 300))))), 300)
-    folds = Folds(kfold_split(t.n_rows, 3, 0), AssessConfig(ROSTER))
-    train_idx, _ = folds.splits.folds[0]
-    predictors = tuple(t.column_names[1:])
-    fitted = folds.fit(0, ROSTER[0], t.select_rows(train_idx), "c0",
-                       predictors)
+    folds = assessment(t, kfold_split(t.n_rows, 3, 0))
+    fitted = folds.fit(0, ROSTER[0], "c0")
     tracemalloc.start()
     try:
-        folds.knn_fills(0, fitted, t, None)  # the pass for all 40 views
+        folds.knn_fills(0, fitted)  # the pass for all 40 views
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
