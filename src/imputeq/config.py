@@ -41,6 +41,12 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
+def _require_seed(seed, path: str) -> None:
+    """A seed names a numpy seed stream, which takes no negative number."""
+    _require(isinstance(seed, int) and not isinstance(seed, bool)
+             and seed >= 0, path, "expected an integer >= 0")
+
+
 def _check_keys(d: dict, allowed: set, path: str) -> None:
     unknown = set(d) - allowed
     if unknown:
@@ -77,8 +83,7 @@ def _parse_splitter(d, path: str):
              f"{path}.params.k", "expected an integer >= 2")
     seed = params.get("seed")
     if seed is not None:
-        _require(isinstance(seed, int) and not isinstance(seed, bool),
-                 f"{path}.params.seed", "expected an integer")
+        _require_seed(seed, f"{path}.params.seed")
     return k, seed
 
 
@@ -123,8 +128,7 @@ def _parse_imputers(items, path: str, default_seed: int):
         _require(isinstance(params, dict), f"{ip}.params",
                  "expected an object")
         seed = item.get("seed", default_seed)
-        _require(isinstance(seed, int) and not isinstance(seed, bool),
-                 f"{ip}.seed", "expected an integer")
+        _require_seed(seed, f"{ip}.seed")
         try:
             specs.append(ImputerSpec(item["id"], item["family"], params, seed))
         except InvalidArgument as exc:
@@ -167,8 +171,7 @@ def parse_config_dict(doc: dict) -> Config:
     _check_keys(doc, _TOP_KEYS, "")
 
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "seed",
-             "expected an integer")
+    _require_seed(seed, "seed")
 
     alpha = doc.get("alpha", DEFAULT_ALPHA)
     _require(
@@ -250,6 +253,7 @@ def apply_overrides(config: Config, data=None, seed=None, threshold=None):
     if data is not None:
         out = replace(out, data_path=data)
     if seed is not None:
+        _require_seed(seed, "seed")
         out = replace(out, assess=replace(out.assess, seed=seed))
     if threshold is not None:
         if not 0.0 <= threshold <= 1.0:

@@ -658,45 +658,41 @@ def fit_pipeline(
     )
 
 
-def _encode_with_schema(col: Column, schema: ColumnSchema) -> Column:
-    """Encode one raw column against the stored schema; unseen categories
-    become missing cells so a downstream imputer can fill them.  An
-    all-blank column loads as strings, so a numeric schema turns it into
-    NaN cells under the same mask."""
+def _encode_column(col: Column, schema: ColumnSchema) -> Column:
+    """Input column `col` encoded against its stored schema.  A cell whose
+    label the schema lacks (in an encoded column: a code it lacks, or one
+    that is not a finite integer) is an unseen category: it becomes a
+    missing cell, so that the column's imputer fills it, and the column
+    warns once.  An all-blank column loads as strings, so a numeric schema
+    turns it into NaN cells under the same mask."""
     if schema.labels is None:
         if col.is_encoded:
-            return replace(col, kind=schema.kind)
+            return Column(col.name, col.values, col.mask, schema.kind,
+                          col.labels)
         if not col.mask.all():
             raise SchemaMismatch(
                 f"column {col.name!r}: expected numeric values"
             )
-        return replace(col, values=np.full(col.n_rows, np.nan),
-                       kind=schema.kind)
-    code_of = {v: k for k, v in schema.labels.items()}
-    values = np.full(col.n_rows, np.nan)
-    mask = col.mask.copy()
-    unseen = 0
-    for i in range(col.n_rows):
-        if mask[i]:
-            continue
-        cell = col.values[i]
-        if not col.is_encoded:
-            code = code_of.get(cell)
-        else:
-            code = int(cell) if int(cell) in schema.labels else None
-        if code is None:
-            unseen += 1
-            mask[i] = True
-        else:
-            values[i] = code
+        return Column(col.name, np.full(col.n_rows, np.nan), col.mask,
+                      schema.kind, col.labels)
+    if col.is_encoded:
+        code_of = {k: float(k) for k in schema.labels}
+    else:
+        code_of = {v: float(k) for k, v in schema.labels.items()}
+    get, nan = code_of.get, math.nan
+    codes = [nan if m else get(cell)
+             for cell, m in zip(col.values.tolist(), col.mask.tolist())]
+    values = np.array(codes, dtype=float)  # an unseen None reads as NaN
+    unseen = codes.count(None)
     if unseen:
         warnings.warn(
             f"column {col.name!r}: {unseen} unseen categories treated as "
             "missing",
             ImputeQWarning,
-            stacklevel=3,
+            stacklevel=3,  # the caller of apply_pipeline
         )
-    return Column(col.name, values, mask, kind=schema.kind, labels=schema.labels)
+    return Column(col.name, values, np.isnan(values), schema.kind,
+                  schema.labels)
 
 
 def apply_pipeline(plan: PipelinePlan, t: Table) -> Table:
@@ -704,25 +700,33 @@ def apply_pipeline(plan: PipelinePlan, t: Table) -> Table:
 
     The input must carry exactly the plan's columns.  Output columns are
     encoded; kept features come back with no missing cells.
+
+    Each column is encoded once; each imputer whose target has a missing
+    cell then runs `transform` on the working table, so later imputers read
+    earlier fills, and a target with none is skipped.  The input is not
+    changed, but an output column that needed neither encoding nor filling
+    may share its arrays with the input column.
     """
-    plan_names = [s.name for s in plan.schema]
-    have = set(t.column_names)
-    want = set(plan_names)
-    if have != want:
-        missing = sorted(want - have)
-        extra = sorted(have - want)
+    given = {c.name: c for c in t.columns}
+    want = {s.name for s in plan.schema}
+    if given.keys() != want:
+        missing = sorted(want - given.keys())
+        extra = sorted(given.keys() - want)
         raise SchemaMismatch(
             f"column set differs from plan (missing: {missing}, extra: {extra})"
         )
-    by_name = {s.name: s for s in plan.schema}
-    cols = tuple(
-        _encode_with_schema(t.column(n), by_name[n]) for n in plan_names
-    )
-    work = Table(cols, t.n_rows)
+    cols = []
+    for s in plan.schema:  # a loop, not a comprehension: see stacklevel
+        cols.append(_encode_column(given[s.name], s))
+    work = Table(tuple(cols), t.n_rows)
+    incomplete = {c.name for c in cols if np.count_nonzero(c.mask)}
     for f in plan.fitted:
-        work = transform(f, work)
-    keep = [n for n in plan_names if n not in set(plan.drop_list)]
-    return work.select_columns(keep)
+        if f.target_column in incomplete:
+            work = transform(f, work)
+    if plan.drop_list:
+        drop = set(plan.drop_list)
+        work = work.select_columns([c.name for c in cols if c.name not in drop])
+    return work
 
 
 def plan_to_jsonable(plan: PipelinePlan) -> dict:

@@ -672,10 +672,10 @@ def censor_to_observed(values: np.ndarray, observed_set: np.ndarray) -> np.ndarr
     if s.size == 0:
         raise InvalidArgument("observed set is empty")
     pos = np.searchsorted(s, values)
-    left = np.clip(pos - 1, 0, s.size - 1)
-    right = np.clip(pos, 0, s.size - 1)
-    pick_left = np.abs(values - s[left]) <= np.abs(s[right] - values)
-    return np.where(pick_left, s[left], s[right])
+    left = s[np.maximum(pos - 1, 0)]
+    right = s[np.minimum(pos, s.size - 1)]
+    return np.where(np.abs(values - left) <= np.abs(right - values),
+                    left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,12 @@ class TestFitApply:
         assert out.read_bytes() == (
             DATA / "tree_plan_v2_applied.csv").read_bytes()
 
+    def test_committed_mixed_csv_is_the_fixture(self, mixed_csv):
+        # the CI smoke step serves the v2 plan to this file with the
+        # console script
+        assert (DATA / "mixed.csv").read_bytes() == Path(
+            mixed_csv).read_bytes()
+
     def test_plan_bytes_do_not_depend_on_the_hash_seed(self, workspace):
         tmp, config, data = workspace
         doc = json.loads(Path(config).read_text())
@@ -593,6 +599,27 @@ class TestErrorChannels:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "SchemaError"
         assert err["path"] == "imputers[2].params"
+
+    @pytest.mark.parametrize("edit, flags, path", [
+        ({"seed": -1}, [], "seed"),
+        ({"splitter": {"type": "kfold", "params": {"seed": -3}}}, [],
+         "splitter.params.seed"),
+        ({"imputers": [{"id": "mean", "family": "simple", "seed": -2,
+                        "params": {"statistic": "mean"}}]}, [],
+         "imputers[0].seed"),
+        ({}, ["--seed", "-1"], "seed"),
+    ], ids=["top-level", "splitter", "imputer", "flag"])
+    def test_negative_seed_is_config_error(self, workspace, capsys, edit,
+                                           flags, path):
+        tmp, config, data = workspace
+        doc = json.loads(open(config).read())
+        open(config, "w").write(json.dumps(dict(doc, **edit)))
+        rc = main(["assess", "--config", config,
+                   "--out", str(tmp / "q.json"), *flags])
+        assert rc == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["path"]) == ("SchemaError", path)
 
     @pytest.mark.parametrize("graph", [
         {"a": ["zz"]}, {"zz": ["a"]}, {"a": ["a"]},

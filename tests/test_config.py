@@ -132,6 +132,7 @@ class TestValidation:
     def test_seed_must_be_integer(self):
         assert self.err_path(minimal_doc(seed=1.5)) == "seed"
         assert self.err_path(minimal_doc(seed=True)) == "seed"
+        assert self.err_path(minimal_doc(seed=-1)) == "seed"
 
     @pytest.mark.parametrize("threshold", [True, False])
     def test_threshold_is_not_a_boolean(self, threshold):
@@ -276,6 +277,12 @@ class TestOverrides:
         cfg = parse_config_dict(minimal_doc())
         with pytest.raises(SchemaError):
             apply_overrides(cfg, threshold=-0.1)
+
+    def test_negative_seed_override(self):
+        cfg = parse_config_dict(minimal_doc())
+        with pytest.raises(SchemaError) as info:
+            apply_overrides(cfg, seed=-1)
+        assert info.value.path == "seed"
 
     def test_splitter_seed_reaches_engine(self):
         cfg = parse_config_dict(minimal_doc(
