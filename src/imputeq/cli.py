@@ -20,7 +20,7 @@ from .audit import (
     pipeline_strategy,
     single_imputer_strategy,
 )
-from .config import Config, apply_overrides, parse_config
+from .config import Config, apply_overrides, load_json_file, parse_config
 from .depgraph import (
     build_dependency_graph,
     transitive_dependencies,
@@ -109,13 +109,8 @@ def _resolve_dependencies(config: Config, t: Table):
     if spec == "auto":
         graph = build_dependency_graph(t, **_graph_kwargs(config))
         return transitive_dependencies(graph)
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataIoError(f"cannot read dependency file {spec!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError("dependency_graph", f"invalid JSON: {exc}")
+    doc = load_json_file(spec, "dependency file",
+                         lambda msg: SchemaError("dependency_graph", msg))
     if not isinstance(doc, dict) or not all(
         isinstance(v, list) for v in doc.values()
     ):
@@ -256,13 +251,7 @@ def _check_records(records) -> None:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.records, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataIoError(f"cannot read records {args.records!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CorruptModel(f"records file is not JSON: {exc}")
+    doc = load_json_file(args.records, "records", CorruptModel)
     if not isinstance(doc, dict):
         raise CorruptModel("records file is not a JSON object")
     if doc.get("format") != QUALITY_FORMAT:

@@ -234,17 +234,24 @@ def parse_config_dict(doc: dict) -> Config:
     )
 
 
-def parse_config(path: str) -> Config:
+def load_json_file(path: str, what: str, invalid):
+    """The JSON document in the file at `path`.  A file that cannot be read
+    is a DataIoError; one that is not UTF-8 JSON, or nests too deep to
+    parse, raises `invalid(message)`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise DataIoError(f"cannot read config {path!r}: {exc}") from exc
+        raise DataIoError(f"cannot read {what} {path!r}: {exc}") from exc
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    return parse_config_dict(doc)
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise invalid(f"invalid JSON: {exc}") from exc
+
+
+def parse_config(path: str) -> Config:
+    return parse_config_dict(
+        load_json_file(path, "config", lambda msg: SchemaError("$", msg)))
 
 
 def apply_overrides(config: Config, data=None, seed=None, threshold=None):

@@ -749,8 +749,14 @@ def plan_to_jsonable(plan: PipelinePlan) -> dict:
 
 
 def serialize_pipeline(plan: PipelinePlan) -> bytes:
+    """The plan as compact canonical JSON: sorted keys, no whitespace.
+
+    Without `indent` the standard library keeps its C encoder.  Plans
+    written with indentation hold the same document and still load.
+    """
     blob = json.dumps(
-        plan_to_jsonable(plan), sort_keys=True, indent=2, allow_nan=False
+        plan_to_jsonable(plan), sort_keys=True, separators=(",", ":"),
+        allow_nan=False,
     )
     return blob.encode("utf-8")
 
@@ -765,7 +771,7 @@ def deserialize_pipeline(
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"unreadable pipeline data: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptModel("pipeline document is not an object")

@@ -525,8 +525,9 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     Missing cells start at the column mode; columns are revisited in
     descending-missingness order (ties by name), each refit against all the
     others, until the imputed cells stop moving or max_iter rounds pass.
-    The last model per visited column is kept for transform; the target
-    always gets one.  The converged matrix stays in the state (not
+    A column with no observed training value keeps its initial fill and is
+    not visited.  The last model per visited column is kept for transform;
+    the target always gets one.  The converged matrix stays in the state (not
     serialized), so that `retarget` can give another column its model.
     """
     names = sorted([*predictors, target])
@@ -544,7 +545,7 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     visit = [
         int(j)
         for j in np.argsort(-miss_counts, kind="mergesort")
-        if miss_counts[j] > 0
+        if 0 < miss_counts[j] < M.shape[0]
     ]
     scales = np.array(
         [
@@ -684,9 +685,12 @@ def censor_to_observed(values: np.ndarray, observed_set: np.ndarray) -> np.ndarr
 
 def encode_array(a: np.ndarray) -> list:
     a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        return [None if math.isnan(v) else v for v in a.tolist()]
-    return [encode_array(row) for row in a]
+    nan = np.isnan(a)
+    if not nan.any():
+        return a.tolist()
+    out = a.astype(object)
+    out[nan] = None
+    return out.tolist()
 
 
 def decode_array(x: list, ndim: int = 1) -> np.ndarray:

@@ -167,7 +167,7 @@ def load_csv(
             except StopIteration:
                 raise DataIoError(f"{path}: empty file, header required") from None
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataIoError(f"cannot read {path}: {exc}") from exc
 
     header = [h.strip() for h in header]

@@ -648,6 +648,58 @@ class TestErrorChannels:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "InvalidArgument"
 
+    # one case per input reader and failure: bytes that are not UTF-8, and
+    # a JSON document nested deeper than the parser's recursion limit
+    NOT_UTF8 = b"a,b\n\xff\xfe,1\n"
+    TOO_DEEP = b"[" * 100_000
+
+    @pytest.mark.parametrize("reader, bad, code, error, path", [
+        ("assess-data", NOT_UTF8, 3, "DataIoError", None),
+        ("apply-data", NOT_UTF8, 3, "DataIoError", None),
+        ("config", NOT_UTF8, 2, "SchemaError", "$"),
+        ("config", TOO_DEEP, 2, "SchemaError", "$"),
+        ("dependency-file", NOT_UTF8, 2, "SchemaError", "dependency_graph"),
+        ("dependency-file", TOO_DEEP, 2, "SchemaError", "dependency_graph"),
+        ("records", NOT_UTF8, 3, "CorruptModel", None),
+        ("records", TOO_DEEP, 3, "CorruptModel", None),
+        ("pipeline", TOO_DEEP, 3, "CorruptModel", None),
+    ], ids=["assess-data-utf8", "apply-data-utf8", "config-utf8",
+            "config-deep", "dependency-file-utf8", "dependency-file-deep",
+            "records-utf8", "records-deep", "pipeline-deep"])
+    def test_undecodable_or_too_deep_input_is_input_error(
+        self, workspace, capsys, reader, bad, code, error, path
+    ):
+        tmp, config, data = workspace
+        target = tmp / "bad.input"
+        target.write_bytes(bad)
+        out = str(tmp / "out")
+        if reader == "assess-data":
+            argv = ["assess", "--config", config, "--data", str(target),
+                    "--out", out]
+        elif reader == "apply-data":
+            pipe = str(tmp / "pipe.json")
+            assert main(["fit", "--config", config, "--out", pipe]) == 0
+            argv = ["apply", "--pipeline", pipe, "--data", str(target),
+                    "--out", out]
+        elif reader == "config":
+            argv = ["assess", "--config", str(target), "--out", out]
+        elif reader == "dependency-file":
+            doc = json.loads(open(config).read())
+            doc["dependency_graph"] = str(target)
+            open(config, "w").write(json.dumps(doc))
+            argv = ["fit", "--config", config, "--out", out]
+        elif reader == "records":
+            argv = ["report", "--records", str(target), "--out", out]
+        else:
+            argv = ["apply", "--pipeline", str(target), "--data", data,
+                    "--out", out]
+        capsys.readouterr()
+        assert main(argv) == code
+        [line] = capsys.readouterr().err.strip().splitlines()
+        err = json.loads(line)
+        assert err["error"] == error
+        assert err.get("path") == path
+
     def test_unexpected_exception_is_internal_error(self, workspace,
                                                     monkeypatch, capsys):
         tmp, config, data = workspace

@@ -1,6 +1,7 @@
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -421,6 +422,52 @@ class TestAssess:
         assert all(e.skipped and e.bias is None for e in void.evaluations)
         assert by_name["a"].notes == ()
 
+    @staticmethod
+    def pair_and_blank(n=60):
+        """Columns a and b = 2a + noise, a fifth of each blank, and the
+        same table with an all-blank column z."""
+        rng = np.random.default_rng(0)
+        a = rng.normal(0, 1, n)
+        t = inject_mcar(make_table([
+            ("a", a, ColumnKind.CONTINUOUS),
+            ("b", 2 * a + rng.normal(0, 0.3, n), ColumnKind.CONTINUOUS),
+        ]), 0.2, seed=1)
+        blank = Column("z", np.full(n, np.nan), np.ones(n, dtype=bool),
+                       kind=ColumnKind.CONTINUOUS)
+        return t, Table((*t.columns, blank), n)
+
+    def test_all_blank_column_leaves_other_chains_alone(self):
+        # the blank column keeps its initial fill and gets no model, so
+        # the chain still trains, and a and b score as without it
+        t, with_blank = self.pair_and_blank()
+        cfg = AssessConfig(BASIC_ROSTER, n_folds=3, seed=2)
+        alone = {r.feature: r for r in assess(t, cfg)}
+        both = {r.feature: r for r in assess(with_blank, cfg)}
+        for name in "ab":
+            assert alone[name].chosen_imputer == "iter_ridge"
+            assert both[name].chosen_imputer == "iter_ridge"
+            assert both[name].delta == pytest.approx(alone[name].delta,
+                                                     rel=1e-12)
+        assert both["z"].chosen_imputer == "apprandom"
+
+    def test_dependency_naming_a_blank_predictor_still_trains(self):
+        t, with_blank = self.pair_and_blank()
+        cfg = AssessConfig(BASIC_ROSTER, n_folds=3, seed=2)
+        alone = {r.feature: r for r in assess(
+            t, replace(cfg, dependencies={"a": ["b"], "b": ["a"]}))}
+        cfg = replace(cfg, dependencies={"a": ["b", "z"], "b": ["a"]})
+        named = {r.feature: r for r in assess(with_blank, cfg)}
+        ridge = {e.imputer_id: e for e in named["a"].evaluations}["iter_ridge"]
+        assert not ridge.skipped and ridge.n_predictors == 2
+        assert named["a"].chosen_imputer == "iter_ridge"
+        assert named["a"].delta == pytest.approx(alone["a"].delta, rel=1e-12)
+        plan = fit_pipeline(with_blank, list(named.values()), cfg)
+        chain = next(f for f in plan.fitted if f.target_column == "a")
+        z = chain.state["columns"].index("z")
+        assert z not in chain.state["visit"] and z not in chain.state["models"]
+        filled = apply_pipeline(plan, with_blank)
+        assert not filled.column("a").mask.any()
+
     @pytest.mark.parametrize("deps", [{"y": ["zz"]}, {"zz": []}, {"y": ["y"]}])
     def test_bad_dependency_dict_rejected(self, deps):
         t = linear_pair(seed=8)
@@ -777,6 +824,18 @@ class TestPipeline:
         knn = next(f for f in plan.fitted if f.spec.family == "knn")
         assert knn.state["k"] == knn.spec.params["n_neighbors"]
         assert knn.state["global_mean"] == knn.state["ref_y"].mean()
+
+    def test_indented_plan_reserializes_to_its_canonical_dump(self):
+        # a plan written with indent=2 by the earlier writer loads, and is
+        # written back as the compact canonical dump of its own document
+        blob = (Path(__file__).parent / "data" / "tree_plan_v2.json"
+                ).read_bytes()
+        compact = serialize_pipeline(deserialize_pipeline(blob))
+        assert compact == json.dumps(
+            json.loads(blob), sort_keys=True, separators=(",", ":"),
+            allow_nan=False,
+        ).encode()
+        assert (len(blob), len(compact)) == (65_895, 14_939)
 
     @pytest.mark.parametrize("damage", [
         "left0-to-root", "right-past-end", "left-child-before-parent",

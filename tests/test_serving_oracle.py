@@ -4,10 +4,12 @@ The oracle encodes every column on its own, cell by cell, into a `Column`,
 then folds `transform` over the plan's imputers, one table per step, and
 keeps the columns off the drop list.  `apply_pipeline` must give the same
 output bit for bit, the same warnings and errors, and leave its input
-unchanged.  A second test pins the served bytes of the heart fixture.
+unchanged.  Two more tests pin the served bytes and the plan bytes of the
+heart fixture.
 """
 
 import hashlib
+import json
 import math
 import warnings
 
@@ -19,6 +21,7 @@ from imputeq.engine import (
     QualityRecord,
     apply_pipeline,
     fit_pipeline,
+    serialize_pipeline,
 )
 from imputeq.errors import ImputeQError, ImputeQWarning, SchemaMismatch
 from imputeq.imputers import ImputerSpec, transform
@@ -261,13 +264,18 @@ def digest(h, table: Table) -> None:
         h.update(c.mask.tobytes())
 
 
-def test_heart_served_bytes_are_pinned(heart_csv):
+def heart_plan(heart_csv):
+    """The raw heart fixture table and the plan `HEART_PLAN` fits on it."""
     raw = load_csv(heart_csv)
     t = infer_column_kinds(label_encode(raw))
     records = [QualityRecord(name, 0.8, (), chosen, 0.5, 0.9,
                              name != "ca", False)
                for name, chosen in HEART_PLAN.items()]
-    plan = fit_pipeline(t, records, AssessConfig(imputers=ROSTER, seed=5))
+    return raw, fit_pipeline(t, records, AssessConfig(imputers=ROSTER, seed=5))
+
+
+def test_heart_served_bytes_are_pinned(heart_csv):
+    raw, plan = heart_plan(heart_csv)
     batch = hashlib.sha256()
     digest(batch, apply_pipeline(plan, raw))
     rows = hashlib.sha256()
@@ -276,3 +284,19 @@ def test_heart_served_bytes_are_pinned(heart_csv):
         digest(rows, apply_pipeline(plan, one))
     assert batch.hexdigest() == HEART_BATCH_SHA256
     assert rows.hexdigest() == HEART_ROWS_SHA256
+
+
+# sha256 of the heart fixture's plan bytes: the compact canonical dump of
+# the document the indented writer produced (517,352 -> 135,753 bytes)
+HEART_PLAN_SHA256 = (
+    "ce90ab8c896d838b4a038933bfde4f25f591a7871bfc2d1f289ed997a797731f")
+
+
+def test_heart_plan_bytes_are_canonical_and_pinned(heart_csv):
+    _, plan = heart_plan(heart_csv)
+    blob = serialize_pipeline(plan)
+    assert blob == json.dumps(
+        json.loads(blob), sort_keys=True, separators=(",", ":"),
+        allow_nan=False,
+    ).encode()
+    assert hashlib.sha256(blob).hexdigest() == HEART_PLAN_SHA256
