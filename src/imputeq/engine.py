@@ -814,8 +814,9 @@ def deserialize_pipeline(
             missing_sentinels=tuple(sentinels),
         )
         _check_plan(plan)
-    except (AttributeError, KeyError, TypeError, ValueError,
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
             InvalidArgument) as exc:
+        # OverflowError: an integer too large for a stored int64 array
         raise CorruptModel(f"pipeline data missing or malformed: {exc}") from exc
     return plan
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from .errors import (
@@ -87,12 +89,16 @@ class ImputerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        """Check every parameter that the family reads, so that a bad value
-        fails here rather than in a fit."""
+        """Check the seed and every parameter that the family reads, so
+        that a bad value fails here rather than in a fit or a transform."""
         if self.family not in FAMILIES:
             raise InvalidArgument(
                 f"imputer {self.id!r}: unknown family {self.family!r}"
             )
+        # a seed names a numpy seed stream, which takes no negative number
+        if not _is_int(self.seed, 0):
+            raise InvalidArgument(
+                f"imputer {self.id!r}: seed must be an integer >= 0")
         for name, (required, accepts, what) in _PARAMS[self.family].items():
             if (required or name in self.params) and not accepts(
                     self.params.get(name)):
@@ -102,6 +108,14 @@ class ImputerSpec:
     @property
     def is_multivariate(self) -> bool:
         return self.family in ("knn", "iterative")
+
+    @cached_property
+    def seed_words(self) -> _SeedWords:
+        """The PCG64 seed words of `np.random.default_rng(seed)`, derived
+        on first use and never serialized: `np.random.PCG64(seed_words)`
+        starts the same stream without hashing the seed again."""
+        return _SeedWords(
+            np.random.SeedSequence(self.seed).generate_state(4, np.uint64))
 
     def to_jsonable(self) -> dict:
         return {
@@ -114,7 +128,18 @@ class ImputerSpec:
     @classmethod
     def from_jsonable(cls, d: dict) -> "ImputerSpec":
         return cls(d["id"], d["family"], dict(d.get("params", {})),
-                   int(d.get("seed", 0)))
+                   d.get("seed", 0))
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands PCG64 its four precomputed uint64 seed
+    words, the only state it asks for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def default_imputer_roster(seed: int = 0) -> list[ImputerSpec]:
@@ -249,7 +274,8 @@ def transform(f: FittedImputer, t: Table) -> Table:
     if f.spec.family == "simple":
         fills = np.full(missing.size, f.state["fill"])
     elif f.spec.family == "apprandom":
-        fills = apprandom_sample(f.state["observed"], missing.size, f.spec.seed)
+        fills = apprandom_sample(f.state["observed"], missing.size,
+                                 f.spec.seed_words)
     elif f.spec.family == "knn":
         X = _predictor_matrix(t, f.predictor_columns)
         fills = knn_fill(f.state, X[missing])
@@ -291,15 +317,21 @@ def _apply_rounding(f, col, fills):
     return lo + rounded * span
 
 
-def apprandom_sample(observed: np.ndarray, n: int, seed: int) -> np.ndarray:
+def apprandom_sample(observed: np.ndarray, n: int, seed) -> np.ndarray:
     """Draw n values with replacement from the observed empirical
-    distribution."""
+    distribution: `observed[np.random.default_rng(seed).integers(0, size,
+    n)]`, where `seed` is an integer seed or an `ImputerSpec.seed_words`."""
     observed = np.asarray(observed, dtype=float)
     if observed.size == 0:
         raise UntrainableImputer("no observed values to sample from")
     if n == 0:
         return np.empty(0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if n == 1:
+        # the scalar draw is the first of the array draw, at a third of
+        # its cost
+        i = rng.integers(0, observed.size)
+        return observed[i:i + 1].copy()
     return observed[rng.integers(0, observed.size, n)]
 
 

@@ -148,7 +148,8 @@ def load_csv(
     schema_hints: dict[str, ColumnKind] | None = None,
     missing_sentinels=DEFAULT_MISSING_SENTINELS,
 ) -> Table:
-    """Read an RFC-4180 style CSV (header required) into a raw Table.
+    """Read an RFC-4180 style CSV (header required) into a raw Table; a
+    leading UTF-8 byte-order mark, as spreadsheets write, is skipped.
 
     Cells matching a missing sentinel are masked, and so are numeric cells
     that parse as NaN or infinity.  A column is parsed as
@@ -160,7 +161,7 @@ def load_csv(
     hints = schema_hints or {}
     sentinels = set(missing_sentinels)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

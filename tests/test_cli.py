@@ -212,6 +212,10 @@ class TestFitApply:
         ("y", "state.models.0.weights", lambda w: w[:-1]),
         ("y", "spec.params.max_iter", "x"),
         ("x", "spec.params.n_neighbors", True),
+        ("c", "spec.seed", -1),
+        ("c", "spec.seed", 1.5),
+        ("c", "spec.seed", True),
+        ("c", "spec.seed", "7"),
     ], ids=[
         "target_column-zz", "predictor_columns-value1", "spec_family-magic",
         "simple_spec_without_statistic", "fill-NaN",
@@ -219,6 +223,8 @@ class TestFitApply:
         "knn_ref_X-one_predictor_short", "knn_ref_y-one_row_short",
         "knn_ref_y-empty", "ridge_weights-one_short",
         "chain_max_iter-string", "knn_n_neighbors-true",
+        "apprandom_seed-negative", "apprandom_seed-float",
+        "apprandom_seed-true", "apprandom_seed-string",
     ])
     def test_apply_with_damaged_fitted_imputer_is_data_error(
         self, mixed_plan, tmp_path, capsys, target, path, value

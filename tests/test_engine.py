@@ -840,7 +840,7 @@ class TestPipeline:
     @pytest.mark.parametrize("damage", [
         "left0-to-root", "right-past-end", "left-child-before-parent",
         "left-one-short", "value-one-short", "feature-scalar",
-        "all-arrays-empty",
+        "all-arrays-empty", "feature-below-int64",
     ])
     def test_tree_that_cannot_end_or_is_ragged_is_corrupt(self, tree_plan,
                                                           damage):
@@ -869,6 +869,8 @@ class TestPipeline:
             tree["value"].pop()
         elif damage == "feature-scalar":
             tree["feature"] = -1
+        elif damage == "feature-below-int64":
+            tree["feature"][0] = -2**63 - 1
         else:
             for key in ("feature", "threshold", "left", "right", "value"):
                 tree[key] = []

@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from imputeq.errors import ImputeQWarning, InvalidArgument, UntrainableImputer
@@ -89,6 +90,11 @@ class TestFit:
             ImputerSpec("bad", "knn", {"n_neighbors": 0})
         with pytest.raises(InvalidArgument):
             ImputerSpec("bad", "nope")
+        # a seed is an int >= 0, in a spec as in a loaded plan
+        for seed in (-1, 1.5, True, "7", None):
+            with pytest.raises(InvalidArgument, match="seed"):
+                ImputerSpec.from_jsonable(
+                    {"id": "bad", "family": "apprandom", "seed": seed})
 
     @pytest.mark.parametrize("params", [
         {"n_neighbors": True}, {"n_neighbors": 2.0}, {},
@@ -223,6 +229,23 @@ class TestAppRandomSample:
             if not chi2_independence(observed, draws).rejected:
                 passes += 1
         assert passes >= 90
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), size=st.integers(1, 5000),
+           m=st.one_of(st.just(1), st.integers(0, 64)))
+    def test_fills_are_the_first_draws_of_the_seed_stream(self, seed, size,
+                                                          m):
+        observed = np.arange(size, dtype=float)
+        t = Table((col("x", np.r_[observed, np.full(m, np.nan)],
+                       ColumnKind.CONTINUOUS),))
+        f = fit(ImputerSpec("r", "apprandom", {}, seed), t, "x")
+        loaded = fitted_from_jsonable(
+            json.loads(json.dumps(fitted_to_jsonable(f))))
+        want = observed[np.random.default_rng(seed).integers(0, size, m)]
+        # f twice: the second call reuses the seed words of the first
+        for g in (f, f, loaded):
+            got = transform(g, t).column("x").values[size:]
+            np.testing.assert_array_equal(got, want)
 
 
 class TestKnnImpute:

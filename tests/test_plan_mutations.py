@@ -3,11 +3,11 @@
 Each example makes one mutation of a valid plan: one that uses kNN, a
 ridge chain, the mean and empirical sampling (the `mixed_plan` fixture),
 or one with forest and GBT chains (`tree_plan`).  The mutation deletes a
-key or a list entry, retypes a value, writes NaN, or renames a column
-reference.  The command must then either refuse the plan as a data
-error (exit 3, one JSON error object as the last stderr line, no traceback)
-or serve it (exit 0) with every kept column complete and every observed
-input cell unchanged.
+key or a list entry, retypes a value, writes NaN or a negative integer, or
+renames a column reference.  The command must then either refuse the plan
+as a data error (exit 3, one JSON error object as the last stderr line, no
+traceback) or serve it (exit 0) with every kept column complete and every
+observed input cell unchanged.
 """
 
 import contextlib
@@ -57,7 +57,8 @@ def _chain_roots(doc):
 def mutations(draw, doc, roots=((),)):
     """One mutation of `doc`, as (path, new value); all but a rename are
     at or below a path drawn from `roots`."""
-    op = draw(st.sampled_from(["delete", "retype", "nan", "rename"]))
+    op = draw(st.sampled_from(
+        ["delete", "retype", "nan", "negative", "rename"]))
     if op == "rename":
         columns = [s["name"] for s in doc["schema"]]
         path = draw(st.sampled_from(list(_column_references(doc, columns))))
@@ -77,6 +78,10 @@ def mutations(draw, doc, roots=((),)):
         return path, DELETE
     if op == "nan":
         return path, math.nan
+    if op == "negative":
+        # a retyped value is never a negative int: seeds, counts and
+        # indices take none
+        return path, draw(st.integers(max_value=-1))
     others = [v for v in OTHER_TYPES if _json_type(v) is not _json_type(node)]
     return path, draw(st.sampled_from(others))
 

@@ -37,16 +37,20 @@ def make_column(name, values, kind=None, labels=None):
 class TestLoadCsv:
     def test_basic_numeric_and_sentinels(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("a,b\n1,x\n2,y\n?,x\nNA,\n")
-        t = load_csv(p)
-        a = t.column("a")
-        assert a.is_encoded
-        assert list(a.mask) == [False, False, True, True]
-        assert a.values[0] == 1.0 and np.isnan(a.values[2])
-        b = t.column("b")
-        assert not b.is_encoded
-        assert list(b.mask) == [False, False, False, True]
-        assert b.values[1] == "y"
+        # the second file starts with the byte-order mark that spreadsheets
+        # write in front of a UTF-8 CSV
+        for bom in (b"", b"\xef\xbb\xbf"):
+            p.write_bytes(bom + b"a,b\n1,x\n2,y\n?,x\nNA,\n")
+            t = load_csv(p)
+            assert t.column_names == ["a", "b"]
+            a = t.column("a")
+            assert a.is_encoded
+            assert list(a.mask) == [False, False, True, True]
+            assert a.values[0] == 1.0 and np.isnan(a.values[2])
+            b = t.column("b")
+            assert not b.is_encoded
+            assert list(b.mask) == [False, False, False, True]
+            assert b.values[1] == "y"
 
     def test_non_finite_cells_are_missing(self, tmp_path):
         p = tmp_path / "t.csv"
