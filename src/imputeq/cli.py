@@ -20,7 +20,7 @@ from .audit import (
     pipeline_strategy,
     single_imputer_strategy,
 )
-from .config import Config, apply_overrides, load_json_file, parse_config
+from .config import apply_overrides, load_json_file, parse_config_dict
 from .depgraph import (
     build_dependency_graph,
     transitive_dependencies,
@@ -60,7 +60,14 @@ from .report import (
     quality_summary_text,
     write_bytes_atomic,
 )
-from .table import Table, infer_column_kinds, label_encode, load_csv, write_csv
+from .table import (
+    DEFAULT_MISSING_SENTINELS,
+    Table,
+    infer_column_kinds,
+    label_encode,
+    load_csv,
+    write_csv,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,80 +87,85 @@ _DATA_ERRORS = (
 )
 
 
-def _load_table(config: Config) -> Table:
-    if not config.data_path:
+def _config_from_args(args) -> tuple[dict, AssessConfig]:
+    """The validated config document, and its engine config under the
+    --seed and --threshold flags."""
+    doc = load_json_file(args.config, "config",
+                         lambda msg: SchemaError("$", msg))
+    config = apply_overrides(
+        parse_config_dict(doc),
+        seed=args.seed,
+        threshold=getattr(args, "threshold", None),
+    )
+    return doc, config
+
+
+def _sentinels(doc: dict) -> tuple[str, ...]:
+    return tuple(doc.get("data", {}).get("missing_sentinels",
+                                         DEFAULT_MISSING_SENTINELS))
+
+
+def _load_table(doc: dict, args) -> Table:
+    """The table at --data, or else at the document's data.path."""
+    path = doc.get("data", {}).get("path") if args.data is None else args.data
+    if not path:
         raise SchemaError("data.path", "no data file given (config or --data)")
-    t = load_csv(config.data_path, missing_sentinels=config.missing_sentinels)
+    t = load_csv(path, missing_sentinels=_sentinels(doc))
     t = label_encode(t)
     return infer_column_kinds(t)
 
 
-def _graph_kwargs(config: Config) -> dict:
-    """build_dependency_graph keyword arguments from the config."""
-    kwargs = {"seed": config.assess.seed}
-    if config.graph_top_n is not None:
-        kwargs["top_n"] = config.graph_top_n
-    if config.graph_min_importance is not None:
-        kwargs["min_importance"] = config.graph_min_importance
-    return kwargs
+def _graph_spec(doc: dict, config: AssessConfig) -> tuple[object, dict]:
+    """The document's dependency_graph as None, "auto", a file path or an
+    inline predecessor dict, and the build_dependency_graph keyword
+    arguments, which {"type": "auto", ...} may set."""
+    spec, kwargs = doc.get("dependency_graph"), {"seed": config.seed}
+    if isinstance(spec, dict) and spec.get("type") == "auto":
+        kwargs.update((k, spec[k]) for k in ("top_n", "min_importance")
+                      if spec.get(k) is not None)
+        spec = "auto"
+    return spec, kwargs
 
 
-def _resolve_dependencies(config: Config, t: Table):
-    """Turn the config's dependency_graph field into a predecessor dict."""
-    spec = config.dependency_graph
-    if spec is None:
-        return None
-    if isinstance(spec, dict):
-        validate_dependency_dict(spec, t.column_names)
-        return spec
-    if spec == "auto":
-        graph = build_dependency_graph(t, **_graph_kwargs(config))
-        return transitive_dependencies(graph)
-    doc = load_json_file(spec, "dependency file",
-                         lambda msg: SchemaError("dependency_graph", msg))
-    if not isinstance(doc, dict) or not all(
-        isinstance(v, list) for v in doc.values()
-    ):
-        raise SchemaError("dependency_graph",
-                          "expected a feature -> predecessors object")
-    deps = {k: [str(p) for p in v] for k, v in doc.items()}
-    validate_dependency_dict(deps, t.column_names)
-    return deps
-
-
-def _assess_config(config: Config, t: Table) -> AssessConfig:
-    """The engine config with the dependency spec resolved against t."""
-    return replace(config.assess, dependencies=_resolve_dependencies(config, t))
-
-
-def _config_from_args(args) -> Config:
-    config = parse_config(args.config)
-    return apply_overrides(
-        config,
-        data=getattr(args, "data", None),
-        seed=getattr(args, "seed", None),
-        threshold=getattr(args, "threshold", None),
-    )
+def _with_dependencies(doc: dict, config: AssessConfig,
+                       t: Table) -> AssessConfig:
+    """`config` with the document's dependency_graph resolved against t."""
+    deps, kwargs = _graph_spec(doc, config)
+    if deps == "auto":
+        deps = transitive_dependencies(build_dependency_graph(t, **kwargs))
+    elif deps is not None:
+        if isinstance(deps, str):
+            file = load_json_file(
+                deps, "dependency file",
+                lambda msg: SchemaError("dependency_graph", msg))
+            if not isinstance(file, dict) or not all(
+                isinstance(v, list) for v in file.values()
+            ):
+                raise SchemaError("dependency_graph",
+                                  "expected a feature -> predecessors object")
+            deps = {k: [str(p) for p in v] for k, v in file.items()}
+        validate_dependency_dict(deps, t.column_names)
+    return replace(config, dependencies=deps)
 
 
 def cmd_assess(args) -> int:
-    config = _config_from_args(args)
-    t = _load_table(config)
-    records = assess(t, _assess_config(config, t))
-    doc = quality_document(
+    doc, config = _config_from_args(args)
+    t = _load_table(doc, args)
+    records = assess(t, _with_dependencies(doc, config, t))
+    quality = quality_document(
         records_to_jsonable(records),
-        threshold=config.assess.threshold,
+        threshold=config.threshold,
         columns=column_summary(t),
     )
-    write_bytes_atomic(args.out, dumps_canonical(doc))
+    write_bytes_atomic(args.out, dumps_canonical(quality))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    config = _config_from_args(args)
-    t = _load_table(config)
-    graph = build_dependency_graph(t, **_graph_kwargs(config))
+    doc, config = _config_from_args(args)
+    t = _load_table(doc, args)
+    graph = build_dependency_graph(t, **_graph_spec(doc, config)[1])
     deps = transitive_dependencies(graph)
     write_bytes_atomic(args.out, dumps_canonical(deps))
     print(f"wrote {args.out}")
@@ -161,12 +173,12 @@ def cmd_graph(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = _config_from_args(args)
-    t = _load_table(config)
-    acfg = _assess_config(config, t)
-    records = assess(t, acfg)
-    plan = replace(fit_pipeline(t, records, acfg),
-                   missing_sentinels=config.missing_sentinels)
+    doc, config = _config_from_args(args)
+    t = _load_table(doc, args)
+    config = _with_dependencies(doc, config, t)
+    records = assess(t, config)
+    plan = replace(fit_pipeline(t, records, config),
+                   missing_sentinels=_sentinels(doc))
     write_bytes_atomic(args.out, serialize_pipeline(plan))
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -187,13 +199,13 @@ def cmd_apply(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    config = _config_from_args(args)
-    ids = [spec.id for spec in config.assess.imputers]
+    doc, config = _config_from_args(args)
+    ids = [spec.id for spec in config.imputers]
     if "iqa" in ids:
         raise SchemaError(f"imputers[{ids.index('iqa')}].id",
                           "'iqa' names the pipeline strategy in an audit")
-    t = _load_table(config)
-    acfg = _assess_config(config, t)
+    t = _load_table(doc, args)
+    acfg = _with_dependencies(doc, config, t)
     try:
         levels = [float(s) for s in args.levels.split(",") if s.strip()]
     except ValueError:

@@ -2,38 +2,32 @@
 
 The file is a single object; unknown keys anywhere are rejected so typos
 fail loudly instead of silently running with defaults.  Error messages carry
-a dotted path ("imputers[2].params") to the offending key.
+a dotted path ("imputers[2].params") to the offending key.  The file parses
+into an `AssessConfig`; its `data` and `dependency_graph` sections are
+validated here but read only by the CLI.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .engine import DEFAULT_ALPHA, DEFAULT_FOLDS, SCORER_REGISTRY, AssessConfig
+from .engine import (
+    DEFAULT_ALPHA,
+    DEFAULT_FOLDS,
+    SCORER_REGISTRY,
+    AssessConfig,
+    _is_strings,
+)
 from .errors import DataIoError, InvalidArgument, SchemaError
-from .imputers import FAMILIES, ImputerSpec
-from .table import DEFAULT_MISSING_SENTINELS, ColumnKind
+from .imputers import FAMILIES, ImputerSpec, _is_int
+from .table import ColumnKind
 
 _TOP_KEYS = {
     "data", "splitter", "scorers", "imputers", "threshold", "alpha",
     "dependency_graph", "seed", "encoder",
 }
 _GRAPH_AUTO_KEYS = {"type", "top_n", "min_importance"}
-
-
-@dataclass(frozen=True)
-class Config:
-    """Engine settings plus what the CLI needs to load the data and derive
-    the dependency dictionary."""
-
-    assess: AssessConfig
-    data_path: str | None = None
-    missing_sentinels: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
-    # None, "auto", a file path, or an inline predecessor dict
-    dependency_graph: object = None
-    graph_top_n: int | None = None
-    graph_min_importance: float | None = None
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -43,8 +37,7 @@ def _require(cond: bool, path: str, message: str) -> None:
 
 def _require_seed(seed, path: str) -> None:
     """A seed names a numpy seed stream, which takes no negative number."""
-    _require(isinstance(seed, int) and not isinstance(seed, bool)
-             and seed >= 0, path, "expected an integer >= 0")
+    _require(_is_int(seed, 0), path, "expected an integer >= 0")
 
 
 def _check_keys(d: dict, allowed: set, path: str) -> None:
@@ -54,20 +47,14 @@ def _check_keys(d: dict, allowed: set, path: str) -> None:
         raise SchemaError(f"{path}.{first}" if path else first, "unknown key")
 
 
-def _parse_data(d, path: str):
+def _check_data(d, path: str) -> None:
     _require(isinstance(d, dict), path, "expected an object")
     _check_keys(d, {"path", "missing_sentinels"}, path)
-    data_path = d.get("path")
-    if data_path is not None:
-        _require(isinstance(data_path, str), f"{path}.path",
+    if d.get("path") is not None:
+        _require(isinstance(d["path"], str), f"{path}.path",
                  "expected a string")
-    sentinels = d.get("missing_sentinels", list(DEFAULT_MISSING_SENTINELS))
-    _require(
-        isinstance(sentinels, list)
-        and all(isinstance(s, str) for s in sentinels),
-        f"{path}.missing_sentinels", "expected a list of strings",
-    )
-    return data_path, tuple(sentinels)
+    _require(_is_strings(d.get("missing_sentinels", [])),
+             f"{path}.missing_sentinels", "expected a list of strings")
 
 
 def _parse_splitter(d, path: str):
@@ -79,8 +66,7 @@ def _parse_splitter(d, path: str):
     _require(isinstance(params, dict), f"{path}.params", "expected an object")
     _check_keys(params, {"k", "seed"}, f"{path}.params")
     k = params.get("k", DEFAULT_FOLDS)
-    _require(isinstance(k, int) and not isinstance(k, bool) and k >= 2,
-             f"{path}.params.k", "expected an integer >= 2")
+    _require(_is_int(k, 2), f"{path}.params.k", "expected an integer >= 2")
     seed = params.get("seed")
     if seed is not None:
         _require_seed(seed, f"{path}.params.seed")
@@ -136,37 +122,33 @@ def _parse_imputers(items, path: str, default_seed: int):
     return tuple(specs)
 
 
-def _parse_graph(v, path: str):
-    """Returns (spec, top_n, min_importance); spec is "auto", a path string,
-    or an inline predecessor dict."""
+def _check_graph(v, path: str) -> None:
+    """`v` is "auto", a file path, {"type": "auto", ...} or an inline
+    predecessor dictionary."""
     if isinstance(v, str):
-        return ("auto" if v == "auto" else v), None, None
+        return
     _require(isinstance(v, dict), path,
              'expected "auto", a file path, or an inline dictionary')
     if v.get("type") == "auto":
         _check_keys(v, _GRAPH_AUTO_KEYS, path)
         top_n = v.get("top_n")
         if top_n is not None:
-            _require(isinstance(top_n, int) and not isinstance(top_n, bool)
-                     and top_n >= 1, f"{path}.top_n",
+            _require(_is_int(top_n, 1), f"{path}.top_n",
                      "expected an integer >= 1")
         mi = v.get("min_importance")
         if mi is not None:
             _require(isinstance(mi, (int, float))
                      and not isinstance(mi, bool) and mi >= 0,
                      f"{path}.min_importance", "expected a number >= 0")
-        return "auto", top_n, mi
+        return
     # inline predecessor dictionary: every value must be a list of names
     for feat, preds in v.items():
-        _require(
-            isinstance(preds, list)
-            and all(isinstance(p, str) for p in preds),
-            f"{path}.{feat}", "expected a list of feature names",
-        )
-    return {k: list(vv) for k, vv in v.items()}, None, None
+        _require(_is_strings(preds), f"{path}.{feat}",
+                 "expected a list of feature names")
 
 
-def parse_config_dict(doc: dict) -> Config:
+def parse_config_dict(doc: dict) -> AssessConfig:
+    """The engine config of a config document, which is validated whole."""
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     _check_keys(doc, _TOP_KEYS, "")
 
@@ -188,9 +170,8 @@ def parse_config_dict(doc: dict) -> Config:
         )
         threshold = float(threshold)
 
-    data_path, sentinels = (None, DEFAULT_MISSING_SENTINELS)
     if "data" in doc:
-        data_path, sentinels = _parse_data(doc["data"], "data")
+        _check_data(doc["data"], "data")
 
     n_folds, split_seed = DEFAULT_FOLDS, None
     if "splitter" in doc:
@@ -210,27 +191,17 @@ def parse_config_dict(doc: dict) -> Config:
     _require("imputers" in doc, "imputers", "required key is missing")
     imputers = _parse_imputers(doc["imputers"], "imputers", seed)
 
-    graph, top_n, min_importance = None, None, None
     if "dependency_graph" in doc:
-        graph, top_n, min_importance = _parse_graph(
-            doc["dependency_graph"], "dependency_graph"
-        )
+        _check_graph(doc["dependency_graph"], "dependency_graph")
 
-    return Config(
-        assess=AssessConfig(
-            imputers=imputers,
-            n_folds=n_folds,
-            seed=seed,
-            alpha=float(alpha),
-            threshold=threshold,
-            scorers=scorers,
-            split_seed=split_seed,
-        ),
-        data_path=data_path,
-        missing_sentinels=sentinels,
-        dependency_graph=graph,
-        graph_top_n=top_n,
-        graph_min_importance=min_importance,
+    return AssessConfig(
+        imputers=imputers,
+        n_folds=n_folds,
+        seed=seed,
+        alpha=float(alpha),
+        threshold=threshold,
+        scorers=scorers,
+        split_seed=split_seed,
     )
 
 
@@ -249,21 +220,18 @@ def load_json_file(path: str, what: str, invalid):
         raise invalid(f"invalid JSON: {exc}") from exc
 
 
-def parse_config(path: str) -> Config:
+def parse_config(path: str) -> AssessConfig:
     return parse_config_dict(
         load_json_file(path, "config", lambda msg: SchemaError("$", msg)))
 
 
-def apply_overrides(config: Config, data=None, seed=None, threshold=None):
+def apply_overrides(config: AssessConfig, seed=None, threshold=None):
     """CLI flags win over file values."""
-    out = config
-    if data is not None:
-        out = replace(out, data_path=data)
     if seed is not None:
         _require_seed(seed, "seed")
-        out = replace(out, assess=replace(out.assess, seed=seed))
+        config = replace(config, seed=seed)
     if threshold is not None:
         if not 0.0 <= threshold <= 1.0:
             raise SchemaError("threshold", "expected a number in [0, 1]")
-        out = replace(out, assess=replace(out.assess, threshold=threshold))
-    return out
+        config = replace(config, threshold=threshold)
+    return config

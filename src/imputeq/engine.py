@@ -55,6 +55,8 @@ from .errors import (
 from .imputers import (
     FittedImputer,
     ImputerSpec,
+    _is_int,
+    _is_number,
     fit as fit_imputer,
     fitted_from_jsonable,
     fitted_to_jsonable,
@@ -119,17 +121,22 @@ class AssessConfig:
     def __post_init__(self):
         if not self.imputers:
             raise InvalidArgument("at least one imputer is required")
+        if not _is_int(self.seed, 0):
+            raise InvalidArgument("seed must be an integer >= 0")
+        if not (self.split_seed is None or _is_int(self.split_seed, 0)):
+            raise InvalidArgument("split_seed must be None or an integer >= 0")
         if not any(s.family == "apprandom" for s in self.imputers):
             fallback = ImputerSpec("apprandom", "apprandom", {}, self.seed)
             object.__setattr__(self, "imputers", (*self.imputers, fallback))
         ids = [s.id for s in self.imputers]
         if len(set(ids)) != len(ids):
             raise InvalidArgument("imputer ids must be unique")
-        if self.n_folds < 2:
-            raise InvalidArgument("n_folds must be >= 2")
-        if not 0.0 < self.alpha < 1.0:
+        if not _is_int(self.n_folds, 2):
+            raise InvalidArgument("n_folds must be an integer >= 2")
+        if not (_is_number(self.alpha, 0.0) and 0.0 < self.alpha < 1.0):
             raise InvalidArgument("alpha must be in (0, 1)")
-        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
+        if self.threshold is not None and not (
+                _is_number(self.threshold, 0.0) and self.threshold <= 1.0):
             raise InvalidArgument("threshold must be in [0, 1]")
         if self.scorers:
             kinds = {k.value for k in ColumnKind}
@@ -761,13 +768,11 @@ def serialize_pipeline(plan: PipelinePlan) -> bytes:
     return blob.encode("utf-8")
 
 
-def deserialize_pipeline(
-    data: bytes, expected_config_hash: str | None = None
-) -> PipelinePlan:
+def deserialize_pipeline(data: bytes) -> PipelinePlan:
     """Parse pipeline JSON back into a plan.
 
-    A version or format mismatch is an error; a mere config-hash difference
-    only warns, since the learned state is still usable.
+    A format or version mismatch is a `VersionMismatch`; any other damage,
+    to a top-level field or to the learned state, is `CorruptModel`.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -783,34 +788,30 @@ def deserialize_pipeline(
         raise VersionMismatch(
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )
-    if expected_config_hash is not None and doc.get("config_hash") != (
-        expected_config_hash
-    ):
-        warnings.warn(
-            "pipeline was fit under a different configuration",
-            ImputeQWarning,
-            stacklevel=2,
-        )
     sentinels = doc.get("missing_sentinels", list(DEFAULT_MISSING_SENTINELS))
-    if not isinstance(sentinels, list) or not all(
-        isinstance(v, str) for v in sentinels
-    ):
+    if not _is_strings(sentinels):
         raise CorruptModel("pipeline missing_sentinels is not a list of strings")
     try:
-        deps = doc["dependencies"]
+        schema = tuple(ColumnSchema.from_jsonable(s) for s in doc["schema"])
+        deps, notes = doc["dependencies"], doc.get("notes", [])
+        if not (_is_int(doc["seed"], 0)
+                and isinstance(doc["config_hash"], str)
+                and _is_strings(notes)
+                and (deps is None or isinstance(deps, dict)
+                     and all(map(_is_strings, deps.values())))):
+            raise CorruptModel(
+                "pipeline seed, config_hash, notes or dependencies is "
+                "malformed")
+        if deps is not None:
+            validate_dependency_dict(deps, [s.name for s in schema])
         plan = PipelinePlan(
-            schema=tuple(
-                ColumnSchema.from_jsonable(s) for s in doc["schema"]
-            ),
+            schema=schema,
             fitted=tuple(fitted_from_jsonable(f) for f in doc["fitted"]),
             drop_list=tuple(doc["drop_list"]),
-            dependencies=(
-                None if deps is None
-                else {k: list(v) for k, v in deps.items()}
-            ),
-            seed=int(doc["seed"]),
+            dependencies=deps,
+            seed=doc["seed"],
             config_hash=doc["config_hash"],
-            notes=tuple(doc.get("notes", [])),
+            notes=tuple(notes),
             missing_sentinels=tuple(sentinels),
         )
         _check_plan(plan)
@@ -819,6 +820,10 @@ def deserialize_pipeline(
         # OverflowError: an integer too large for a stored int64 array
         raise CorruptModel(f"pipeline data missing or malformed: {exc}") from exc
     return plan
+
+
+def _is_strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
 def _check_plan(plan: PipelinePlan) -> None:

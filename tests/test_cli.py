@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -247,6 +248,25 @@ class TestFitApply:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "CorruptModel"
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "7"), ("seed", 1.5), ("seed", True), ("seed", -1),
+        ("config_hash", 5), ("config_hash", None),
+        ("notes", "abc"), ("notes", [1, 2]),
+        ("dependencies", {"x": "xy"}), ("dependencies", {"zzz": ["qq"]}),
+    ])
+    def test_apply_with_damaged_top_level_field_is_data_error(
+        self, tmp_path, capsys, field, value
+    ):
+        doc = json.loads((DATA / "tree_plan_v2.json").read_text())
+        doc[field] = value
+        pipe = tmp_path / "pipe.json"
+        pipe.write_text(json.dumps(doc))
+        rc = main(["apply", "--pipeline", str(pipe),
+                   "--data", str(DATA / "mixed.csv"),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line)["error"] == "CorruptModel"
 
     def test_plan_with_predictor_first_chains_serves_the_same_rows(
         self, mixed_csv, tmp_path
@@ -337,6 +357,73 @@ class TestGraph:
         assert set(deps) == {"a", "b", "color"}
         for preds in deps.values():
             assert isinstance(preds, list)
+
+
+# sha256 of what assess, fit and graph write for tests/data/mixed_config.json
+# on tests/data/mixed.csv: one case per dependency_graph form (the "file"
+# form names a file holding PINNED_INLINE_DEPS) and one with --seed 13 and
+# --threshold 0.6 (graph takes no --threshold)
+PINNED_INLINE_DEPS = {"x": ["y"], "y": ["x", "n"], "n": ["c"], "c": ["b"],
+                      "b": []}
+PINNED_CLI_DIGESTS = {
+    "absent": (
+        "537e76892d0ba6e70e8588d3f541e6ec5fd79bbd5b9f44bd526a8cd32d99c1f9",
+        "d848e48ba4a372a9409bc1700020dabba2051996c14a31c6d01c8e14f6977ab9",
+        "50f34d33b45b773871aef4b420a1b051d6c1345cbcd7a8097e82520383963a54"),
+    "auto": (
+        "537e76892d0ba6e70e8588d3f541e6ec5fd79bbd5b9f44bd526a8cd32d99c1f9",
+        "8200f87fb9f16bd003a842c0aad43f653b6be6227e74082a7e8685048dae3b51",
+        "50f34d33b45b773871aef4b420a1b051d6c1345cbcd7a8097e82520383963a54"),
+    "auto_object": (
+        "62dc41ad302be741dfcca0f23abed904ed3dfc44d23eee9a15f1518ab889739e",
+        "6863711766d728305be8c982f985f9dd9fa94c680265500c522adf5be839e4a9",
+        "d3b00c984c669f707750f71fd6e86fdf16b473f3025cda71bced3a77af98c76f"),
+    "inline": (
+        "e1f4eb717db05cc1932be4ff81dcd136cb3114b954b46c6f0fb3ea32980ba24a",
+        "678d6de904ef6b8cd5e04b02ff5aa150c00ca617c2d7b56c1f6f9bc48ff77a05",
+        "50f34d33b45b773871aef4b420a1b051d6c1345cbcd7a8097e82520383963a54"),
+    "file": (
+        "e1f4eb717db05cc1932be4ff81dcd136cb3114b954b46c6f0fb3ea32980ba24a",
+        "678d6de904ef6b8cd5e04b02ff5aa150c00ca617c2d7b56c1f6f9bc48ff77a05",
+        "50f34d33b45b773871aef4b420a1b051d6c1345cbcd7a8097e82520383963a54"),
+    "flags": (
+        "98536a7e38cc909d40b3d0fbbe7572f9bf4d47f93001763d804483fb07ed6885",
+        "43fdb43a363c13c539a1c5ff42e17d5ed8688383f2a3db29e736ddd35da7a2b0",
+        "4ea2a376358f87d1d7a181b41064bf1376e73a161c6a9e87434907ba74f51550"),
+}
+
+
+class TestPinnedOutputs:
+    # kNN warns where a row observes none of its predecessors
+    @pytest.mark.filterwarnings("ignore::imputeq.ImputeQWarning")
+    @pytest.mark.parametrize("form", list(PINNED_CLI_DIGESTS))
+    def test_config_driven_outputs_are_pinned(self, tmp_path, capsys, form):
+        doc = json.loads((DATA / "mixed_config.json").read_text())
+        deps = tmp_path / "deps.json"
+        deps.write_text(json.dumps(PINNED_INLINE_DEPS))
+        graph = {
+            "auto": "auto",
+            "auto_object": {"type": "auto", "top_n": 2,
+                            "min_importance": 0.0},
+            "inline": PINNED_INLINE_DEPS,
+            "file": str(deps),
+        }.get(form)
+        if graph is not None:
+            doc["dependency_graph"] = graph
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        digests = []
+        for command in ("assess", "fit", "graph"):
+            out = tmp_path / f"{command}.out"
+            argv = [command, "--config", str(config),
+                    "--data", str(DATA / "mixed.csv"), "--out", str(out)]
+            if form == "flags":
+                argv += ["--seed", "13"]
+                if command != "graph":
+                    argv += ["--threshold", "0.6"]
+            assert main(argv) == 0, capsys.readouterr().err
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert tuple(digests) == PINNED_CLI_DIGESTS[form]
 
 
 class TestRecommendM:

@@ -1,16 +1,14 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from imputeq.cli import _assess_config
-from imputeq.config import (
-    Config,
-    apply_overrides,
-    parse_config,
-    parse_config_dict,
-)
-from imputeq.errors import DataIoError, SchemaError
+from imputeq.cli import _graph_spec, _load_table, _with_dependencies
+from imputeq.config import apply_overrides, parse_config, parse_config_dict
+from imputeq.engine import AssessConfig
+from imputeq.errors import DataIoError, InvalidArgument, SchemaError
+from imputeq.imputers import ImputerSpec
 from imputeq.table import Column, Table
 
 
@@ -49,23 +47,23 @@ TABLE_ROSTER = [
 class TestDefaults:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config_dict(minimal_doc())
-        assert cfg.assess.n_folds == 5
-        assert cfg.assess.alpha == 0.05
-        assert cfg.assess.seed == 0
-        assert cfg.assess.threshold is None
-        assert cfg.assess.split_seed is None
+        assert cfg.n_folds == 5
+        assert cfg.alpha == 0.05
+        assert cfg.seed == 0
+        assert cfg.threshold is None
+        assert cfg.split_seed is None
 
     def test_fallback_imputer_auto_appended(self):
         cfg = parse_config_dict(minimal_doc())
-        assert [s.id for s in cfg.assess.imputers] == ["mean", "apprandom"]
+        assert [s.id for s in cfg.imputers] == ["mean", "apprandom"]
 
     def test_no_append_when_already_present(self):
         cfg = parse_config_dict({"imputers": TABLE_ROSTER})
-        assert len(cfg.assess.imputers) == 10
+        assert len(cfg.imputers) == 10
 
     def test_full_roster_parses_to_ten_specs(self):
         cfg = parse_config_dict({"imputers": TABLE_ROSTER})
-        assert [s.id for s in cfg.assess.imputers] == [
+        assert [s.id for s in cfg.imputers] == [
             "mean", "median", "mode", "random", "knn3", "knn5", "knn10",
             "iter_br", "iter_rf", "iter_xgb",
         ]
@@ -134,6 +132,18 @@ class TestValidation:
         assert self.err_path(minimal_doc(seed=True)) == "seed"
         assert self.err_path(minimal_doc(seed=-1)) == "seed"
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True),
+        ("split_seed", -1), ("split_seed", 1.5), ("split_seed", False),
+        ("n_folds", 1), ("n_folds", 2.5), ("n_folds", True),
+        ("threshold", True), ("threshold", False), ("threshold", "0.5"),
+        ("alpha", True), ("alpha", False), ("alpha", "0.05"),
+    ])
+    def test_engine_config_checks_its_own_fields(self, field, value):
+        mean = ImputerSpec("mean", "simple", {"statistic": "mean"})
+        with pytest.raises(InvalidArgument):
+            AssessConfig(imputers=(mean,), **{field: value})
+
     @pytest.mark.parametrize("threshold", [True, False])
     def test_threshold_is_not_a_boolean(self, threshold):
         assert self.err_path(minimal_doc(threshold=threshold)) == "threshold"
@@ -158,13 +168,13 @@ class TestValidation:
 class TestScorers:
     def test_string_form(self):
         cfg = parse_config_dict(minimal_doc(scorers={"continuous": "nrmse"}))
-        assert cfg.assess.scorers == {"continuous": "nrmse"}
+        assert cfg.scorers == {"continuous": "nrmse"}
 
     def test_object_form(self):
         cfg = parse_config_dict(
             minimal_doc(scorers={"binary": {"name": "balanced_accuracy"}})
         )
-        assert cfg.assess.scorers == {"binary": "balanced_accuracy"}
+        assert cfg.scorers == {"binary": "balanced_accuracy"}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError) as info:
@@ -184,20 +194,21 @@ class TestScorers:
         assert info.value.path == "scorers.continuous.params"
 
 
+def graph_spec(doc):
+    """The CLI's reading of the document's dependency_graph."""
+    return _graph_spec(doc, parse_config_dict(doc))
+
+
 class TestDependencyGraph:
     def test_auto_string(self):
-        cfg = parse_config_dict(minimal_doc(dependency_graph="auto"))
-        assert cfg.dependency_graph == "auto"
-        assert cfg.graph_top_n is None
+        assert graph_spec(minimal_doc(dependency_graph="auto")) == (
+            "auto", {"seed": 0})
 
     def test_auto_with_params(self):
-        cfg = parse_config_dict(minimal_doc(
-            dependency_graph={"type": "auto", "top_n": 3,
-                              "min_importance": 0.05}
-        ))
-        assert cfg.dependency_graph == "auto"
-        assert cfg.graph_top_n == 3
-        assert cfg.graph_min_importance == 0.05
+        doc = minimal_doc(seed=3, dependency_graph={
+            "type": "auto", "top_n": 3, "min_importance": 0.05})
+        assert graph_spec(doc) == (
+            "auto", {"seed": 3, "top_n": 3, "min_importance": 0.05})
 
     def test_top_n_is_not_a_boolean(self):
         with pytest.raises(SchemaError) as info:
@@ -213,12 +224,12 @@ class TestDependencyGraph:
 
     def test_inline_dictionary(self):
         deps = {"a": ["b"], "b": []}
-        cfg = parse_config_dict(minimal_doc(dependency_graph=deps))
-        assert cfg.dependency_graph == deps
+        assert graph_spec(minimal_doc(dependency_graph=deps)) == (
+            deps, {"seed": 0})
 
     def test_path_string(self):
-        cfg = parse_config_dict(minimal_doc(dependency_graph="deps.json"))
-        assert cfg.dependency_graph == "deps.json"
+        assert graph_spec(minimal_doc(dependency_graph="deps.json"))[0] == (
+            "deps.json")
 
     def test_bad_inline_value(self):
         with pytest.raises(SchemaError) as info:
@@ -227,16 +238,20 @@ class TestDependencyGraph:
 
     def test_inline_dict_becomes_engine_dependencies(self):
         deps = {"a": ["b"], "b": []}
-        cfg = parse_config_dict(minimal_doc(dependency_graph=deps))
-        assert cfg.assess.dependencies is None  # resolved against the data
-        assert _assess_config(cfg, two_columns()).dependencies == deps
+        doc = minimal_doc(dependency_graph=deps)
+        cfg = parse_config_dict(doc)
+        assert cfg.dependencies is None  # resolved against the data
+        assert _with_dependencies(
+            doc, cfg, two_columns()).dependencies == deps
 
     def test_explicit_dependencies_win(self, tmp_path):
         resolved = {"a": [], "b": ["a"]}
         p = tmp_path / "deps.json"
         p.write_text(json.dumps(resolved))
-        cfg = parse_config_dict(minimal_doc(dependency_graph=str(p)))
-        assert _assess_config(cfg, two_columns()).dependencies == resolved
+        doc = minimal_doc(dependency_graph=str(p))
+        cfg = parse_config_dict(doc)
+        assert _with_dependencies(
+            doc, cfg, two_columns()).dependencies == resolved
 
 
 class TestFileHandling:
@@ -244,7 +259,7 @@ class TestFileHandling:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_doc(seed=7)))
         cfg = parse_config(str(p))
-        assert cfg.assess.seed == 7
+        assert cfg.seed == 7
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataIoError):
@@ -259,14 +274,19 @@ class TestFileHandling:
 
 
 class TestOverrides:
-    def test_flags_win(self):
+    def test_flags_win(self, tmp_path):
         cfg = parse_config_dict(minimal_doc(seed=1, threshold=0.5))
-        out = apply_overrides(cfg, data="other.csv", seed=9, threshold=0.8)
-        assert out.data_path == "other.csv"
-        assert out.assess.seed == 9
-        assert out.assess.threshold == 0.8
+        out = apply_overrides(cfg, seed=9, threshold=0.8)
+        assert out.seed == 9
+        assert out.threshold == 0.8
         # the appended fallback keeps the file's seed
-        assert out.assess.imputers == cfg.assess.imputers
+        assert out.imputers == cfg.imputers
+        # --data replaces the document's data path
+        data = tmp_path / "data.csv"
+        data.write_text("a\n1\n")
+        doc = minimal_doc(data={"path": str(tmp_path / "nope.csv")})
+        args = argparse.Namespace(data=str(data))
+        assert _load_table(doc, args).column_names == ["a"]
 
     def test_none_means_keep(self):
         cfg = parse_config_dict(minimal_doc(seed=1, threshold=0.5))
@@ -288,5 +308,5 @@ class TestOverrides:
         cfg = parse_config_dict(minimal_doc(
             splitter={"type": "kfold", "params": {"k": 4, "seed": 99}}
         ))
-        assert cfg.assess.n_folds == 4
-        assert cfg.assess.split_seed == 99
+        assert cfg.n_folds == 4
+        assert cfg.split_seed == 99

@@ -1,5 +1,4 @@
 import json
-import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -902,16 +901,6 @@ class TestPipeline:
             other = dict(doc, schema_version=version)
             with pytest.raises(VersionMismatch):
                 deserialize_pipeline(json.dumps(other).encode())
-
-    def test_config_hash_mismatch_warns_only(self):
-        t, cfg, records, plan = self.fit_plan(seed=2)
-        blob = serialize_pipeline(plan)
-        with pytest.warns(ImputeQWarning):
-            plan2 = deserialize_pipeline(blob, expected_config_hash="nope")
-        assert plan2.config_hash == plan.config_hash
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            deserialize_pipeline(blob, expected_config_hash=plan.config_hash)
 
     def test_schema_mismatch_on_column_set(self):
         t, cfg, records, plan = self.fit_plan(seed=2)
