@@ -20,7 +20,12 @@ from .audit import (
     pipeline_strategy,
     single_imputer_strategy,
 )
-from .config import apply_overrides, load_json_file, parse_config_dict
+from .config import (
+    apply_overrides,
+    document_paths,
+    load_json_file,
+    parse_config_dict,
+)
 from .depgraph import (
     build_dependency_graph,
     transitive_dependencies,
@@ -74,7 +79,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-_CONFIG_ERRORS = (SchemaError, InvalidArgument, InvalidFoldCount)
+_CONFIG_ERRORS = (InvalidArgument, InvalidFoldCount)  # SchemaError is one
 _DATA_ERRORS = (
     DataIoError,
     ParseError,
@@ -133,19 +138,14 @@ def _with_dependencies(doc: dict, config: AssessConfig,
     deps, kwargs = _graph_spec(doc, config)
     if deps == "auto":
         deps = transitive_dependencies(build_dependency_graph(t, **kwargs))
-    elif deps is not None:
-        if isinstance(deps, str):
-            file = load_json_file(
-                deps, "dependency file",
-                lambda msg: SchemaError("dependency_graph", msg))
-            if not isinstance(file, dict) or not all(
-                isinstance(v, list) for v in file.values()
-            ):
-                raise SchemaError("dependency_graph",
-                                  "expected a feature -> predecessors object")
-            deps = {k: [str(p) for p in v] for k, v in file.items()}
+    elif isinstance(deps, str):
+        deps = load_json_file(deps, "dependency file",
+                              lambda msg: SchemaError("dependency_graph", msg))
+    with document_paths():
+        config = replace(config, dependencies=deps)
+    if deps is not None:
         validate_dependency_dict(deps, t.column_names)
-    return replace(config, dependencies=deps)
+    return config
 
 
 def cmd_assess(args) -> int:

@@ -1,27 +1,27 @@
-"""JSON configuration: parsing, validation, defaults.
+"""JSON configuration: the config document's shape and its defaults.
 
 The file is a single object; unknown keys anywhere are rejected so typos
-fail loudly instead of silently running with defaults.  Error messages carry
-a dotted path ("imputers[2].params") to the offending key.  The file parses
-into an `AssessConfig`; its `data` and `dependency_graph` sections are
-validated here but read only by the CLI.
+fail loudly instead of silently running with defaults.  This module checks
+only what the document alone can show: its keys, its object and list
+shapes, the `splitter`, `encoder` and scorer object forms, and the `data`
+and `dependency_graph` sections, which only the CLI reads.  Every value
+that reaches the engine is judged once, by `AssessConfig` and
+`ImputerSpec`; a `SchemaError` at one of their fields is re-raised at the
+document path that the field is read from ("splitter.params.k",
+"imputers[2].params").
 """
 
 from __future__ import annotations
 
 import json
+import re
+from contextlib import contextmanager
 from dataclasses import replace
 
-from .engine import (
-    DEFAULT_ALPHA,
-    DEFAULT_FOLDS,
-    SCORER_REGISTRY,
-    AssessConfig,
-    _is_strings,
-)
-from .errors import DataIoError, InvalidArgument, SchemaError
-from .imputers import FAMILIES, ImputerSpec, _is_int
-from .table import ColumnKind
+from .depgraph import _is_strings, check_dependency_shape
+from .engine import DEFAULT_ALPHA, DEFAULT_FOLDS, AssessConfig, _require
+from .errors import DataIoError, SchemaError
+from .imputers import ImputerSpec, _is_int
 
 _TOP_KEYS = {
     "data", "splitter", "scorers", "imputers", "threshold", "alpha",
@@ -29,15 +29,24 @@ _TOP_KEYS = {
 }
 _GRAPH_AUTO_KEYS = {"type", "top_n", "min_importance"}
 
+# the document path of each engine field that the document spells otherwise;
+# a dependency file's own keys are no document path
+_ENGINE_PATHS = {
+    "n_folds": "splitter.params.k",
+    "split_seed": "splitter.params.seed",
+    "dependencies": "dependency_graph",
+}
 
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise SchemaError(path, message)
 
-
-def _require_seed(seed, path: str) -> None:
-    """A seed names a numpy seed stream, which takes no negative number."""
-    _require(_is_int(seed, 0), path, "expected an integer >= 0")
+@contextmanager
+def document_paths(paths: dict = _ENGINE_PATHS):
+    """Re-raise a SchemaError at an engine field (the name before the
+    first "." or "[" of its path) at the document path `paths` gives it."""
+    try:
+        yield
+    except SchemaError as exc:
+        field = re.match(r"[^.\[]*", exc.path).group()
+        raise SchemaError(paths.get(field, exc.path), exc.message) from exc
 
 
 def _check_keys(d: dict, allowed: set, path: str) -> None:
@@ -47,162 +56,105 @@ def _check_keys(d: dict, allowed: set, path: str) -> None:
         raise SchemaError(f"{path}.{first}" if path else first, "unknown key")
 
 
-def _check_data(d, path: str) -> None:
+def _object(d, allowed: set, path: str) -> dict:
+    """`d`, which must be an object with no key outside `allowed`."""
     _require(isinstance(d, dict), path, "expected an object")
-    _check_keys(d, {"path", "missing_sentinels"}, path)
+    _check_keys(d, allowed, path)
+    return d
+
+
+def _check_data(d) -> None:
     if d.get("path") is not None:
-        _require(isinstance(d["path"], str), f"{path}.path",
-                 "expected a string")
+        _require(isinstance(d["path"], str), "data.path", "expected a string")
     _require(_is_strings(d.get("missing_sentinels", [])),
-             f"{path}.missing_sentinels", "expected a list of strings")
+             "data.missing_sentinels", "expected a list of strings")
 
 
-def _parse_splitter(d, path: str):
-    _require(isinstance(d, dict), path, "expected an object")
-    _check_keys(d, {"type", "params"}, path)
-    _require(d.get("type") == "kfold", f"{path}.type",
-             "only 'kfold' is supported")
-    params = d.get("params", {})
-    _require(isinstance(params, dict), f"{path}.params", "expected an object")
-    _check_keys(params, {"k", "seed"}, f"{path}.params")
-    k = params.get("k", DEFAULT_FOLDS)
-    _require(_is_int(k, 2), f"{path}.params.k", "expected an integer >= 2")
-    seed = params.get("seed")
-    if seed is not None:
-        _require_seed(seed, f"{path}.params.seed")
-    return k, seed
-
-
-def _parse_scorers(d, path: str):
-    _require(isinstance(d, dict), path, "expected an object")
-    kinds = {k.value for k in ColumnKind}
+def _scorer_names(d) -> dict:
+    """Each kind's scorer name, from the string or the object form."""
+    _require(isinstance(d, dict), "scorers", "expected an object")
     out = {}
     for kind_name, v in d.items():
-        kp = f"{path}.{kind_name}"
-        _require(kind_name in kinds, kp,
-                 f"unknown column kind (expected one of {sorted(kinds)})")
         if isinstance(v, dict):
+            kp = f"scorers.{kind_name}"
             _check_keys(v, {"name", "params"}, kp)
-            name = v.get("name")
-            params = v.get("params", {})
-            _require(params == {}, f"{kp}.params",
+            _require(v.get("params", {}) == {}, f"{kp}.params",
                      "scorers take no parameters")
-        else:
-            name = v
-        _require(isinstance(name, str) and name in SCORER_REGISTRY, kp,
-                 f"unknown scorer (expected one of {sorted(SCORER_REGISTRY)})")
-        out[kind_name] = name
-    return out or None
+            v = v.get("name")
+        out[kind_name] = v
+    return out
 
 
-def _parse_imputers(items, path: str, default_seed: int):
-    _require(isinstance(items, list) and items, path,
-             "expected a non-empty list")
-    specs = []
-    seen = set()
-    for i, item in enumerate(items):
-        ip = f"{path}[{i}]"
-        _require(isinstance(item, dict), ip, "expected an object")
-        _check_keys(item, {"id", "family", "params", "seed"}, ip)
-        _require(isinstance(item.get("id"), str) and item["id"], f"{ip}.id",
-                 "expected a non-empty string")
-        _require(item["id"] not in seen, f"{ip}.id", "duplicate imputer id")
-        seen.add(item["id"])
-        _require(item.get("family") in FAMILIES, f"{ip}.family",
-                 f"expected one of {sorted(FAMILIES)}")
-        params = item.get("params", {})
-        _require(isinstance(params, dict), f"{ip}.params",
-                 "expected an object")
-        seed = item.get("seed", default_seed)
-        _require_seed(seed, f"{ip}.seed")
-        try:
-            specs.append(ImputerSpec(item["id"], item["family"], params, seed))
-        except InvalidArgument as exc:
-            raise SchemaError(f"{ip}.params", str(exc)) from exc
-    return tuple(specs)
+def _spec(item, i: int, seed) -> ImputerSpec:
+    """The imputers[i] entry; without a seed of its own it takes the
+    document's, and a bad one is an error at `seed`."""
+    ip = f"imputers[{i}]"
+    _require(isinstance(item, dict), ip, "expected an object")
+    _check_keys(item, {"id", "family", "params", "seed"}, ip)
+    paths = {f: f"{ip}.{f}" for f in ("id", "family", "params")}
+    paths["seed"] = f"{ip}.seed" if "seed" in item else "seed"
+    with document_paths(paths):
+        return ImputerSpec(item.get("id"), item.get("family"),
+                           item.get("params", {}), item.get("seed", seed))
 
 
-def _check_graph(v, path: str) -> None:
+def _check_graph(v) -> None:
     """`v` is "auto", a file path, {"type": "auto", ...} or an inline
     predecessor dictionary."""
+    path = "dependency_graph"
     if isinstance(v, str):
         return
     _require(isinstance(v, dict), path,
              'expected "auto", a file path, or an inline dictionary')
-    if v.get("type") == "auto":
-        _check_keys(v, _GRAPH_AUTO_KEYS, path)
-        top_n = v.get("top_n")
-        if top_n is not None:
-            _require(_is_int(top_n, 1), f"{path}.top_n",
-                     "expected an integer >= 1")
-        mi = v.get("min_importance")
-        if mi is not None:
-            _require(isinstance(mi, (int, float))
-                     and not isinstance(mi, bool) and mi >= 0,
-                     f"{path}.min_importance", "expected a number >= 0")
+    if v.get("type") != "auto":
+        check_dependency_shape(v, path)
         return
-    # inline predecessor dictionary: every value must be a list of names
-    for feat, preds in v.items():
-        _require(_is_strings(preds), f"{path}.{feat}",
-                 "expected a list of feature names")
+    _check_keys(v, _GRAPH_AUTO_KEYS, path)
+    top_n = v.get("top_n")
+    if top_n is not None:
+        _require(_is_int(top_n, 1), f"{path}.top_n", "expected an integer >= 1")
+    mi = v.get("min_importance")
+    if mi is not None:
+        _require(isinstance(mi, (int, float))
+                 and not isinstance(mi, bool) and mi >= 0,
+                 f"{path}.min_importance", "expected a number >= 0")
 
 
 def parse_config_dict(doc: dict) -> AssessConfig:
     """The engine config of a config document, which is validated whole."""
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     _check_keys(doc, _TOP_KEYS, "")
-
-    seed = doc.get("seed", 0)
-    _require_seed(seed, "seed")
-
-    alpha = doc.get("alpha", DEFAULT_ALPHA)
-    _require(
-        isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0, "alpha",
-        "expected a number in (0, 1)",
-    )
-
-    threshold = doc.get("threshold")
-    if threshold is not None:
-        _require(
-            isinstance(threshold, (int, float))
-            and not isinstance(threshold, bool) and 0.0 <= threshold <= 1.0,
-            "threshold", "expected a number in [0, 1]",
-        )
-        threshold = float(threshold)
-
-    if "data" in doc:
-        _check_data(doc["data"], "data")
-
-    n_folds, split_seed = DEFAULT_FOLDS, None
+    _check_data(_object(doc.get("data", {}), {"path", "missing_sentinels"},
+                        "data"))
+    splitter = _object(doc.get("splitter", {}), {"type", "params"},
+                       "splitter")
     if "splitter" in doc:
-        n_folds, split_seed = _parse_splitter(doc["splitter"], "splitter")
-
-    scorers = None
-    if "scorers" in doc:
-        scorers = _parse_scorers(doc["scorers"], "scorers")
-
+        _require(splitter.get("type") == "kfold", "splitter.type",
+                 "only 'kfold' is supported")
+    params = _object(splitter.get("params", {}), {"k", "seed"},
+                     "splitter.params")
     if "encoder" in doc:
-        enc = doc["encoder"]
-        _require(isinstance(enc, dict), "encoder", "expected an object")
-        _check_keys(enc, {"type"}, "encoder")
-        _require(enc.get("type") == "label", "encoder.type",
+        encoder = _object(doc["encoder"], {"type"}, "encoder")
+        _require(encoder.get("type") == "label", "encoder.type",
                  "only 'label' is supported")
-
-    _require("imputers" in doc, "imputers", "required key is missing")
-    imputers = _parse_imputers(doc["imputers"], "imputers", seed)
-
+    scorers = _scorer_names(doc.get("scorers", {}))
     if "dependency_graph" in doc:
-        _check_graph(doc["dependency_graph"], "dependency_graph")
-
-    return AssessConfig(
-        imputers=imputers,
-        n_folds=n_folds,
-        seed=seed,
-        alpha=float(alpha),
-        threshold=threshold,
-        scorers=scorers,
-        split_seed=split_seed,
-    )
+        _check_graph(doc["dependency_graph"])
+    _require("imputers" in doc, "imputers", "required key is missing")
+    _require(isinstance(doc["imputers"], list), "imputers", "expected a list")
+    seed = doc.get("seed", 0)
+    imputers = tuple(_spec(item, i, seed)
+                     for i, item in enumerate(doc["imputers"]))
+    with document_paths():
+        return AssessConfig(
+            imputers=imputers,
+            n_folds=params.get("k", DEFAULT_FOLDS),
+            seed=seed,
+            alpha=doc.get("alpha", DEFAULT_ALPHA),
+            threshold=doc.get("threshold"),
+            scorers=scorers or None,
+            split_seed=params.get("seed"),
+        )
 
 
 def load_json_file(path: str, what: str, invalid):
@@ -225,13 +177,7 @@ def parse_config(path: str) -> AssessConfig:
         load_json_file(path, "config", lambda msg: SchemaError("$", msg)))
 
 
-def apply_overrides(config: AssessConfig, seed=None, threshold=None):
-    """CLI flags win over file values."""
-    if seed is not None:
-        _require_seed(seed, "seed")
-        config = replace(config, seed=seed)
-    if threshold is not None:
-        if not 0.0 <= threshold <= 1.0:
-            raise SchemaError("threshold", "expected a number in [0, 1]")
-        config = replace(config, threshold=threshold)
-    return config
+def apply_overrides(config: AssessConfig, **flags) -> AssessConfig:
+    """`config` with each flag that is not None (the CLI's --seed and
+    --threshold) in place of the file's value."""
+    return replace(config, **{k: v for k, v in flags.items() if v is not None})

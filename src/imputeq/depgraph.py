@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, SmallSampleWarning
+from .errors import InvalidArgument, SchemaError, SmallSampleWarning
 from .estimators import (
     forest_fit,
     forest_predict,
@@ -222,10 +222,27 @@ def transitive_dependencies(g: DependencyGraph) -> dict[str, list[str]]:
     return out
 
 
+def _is_strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def check_dependency_shape(deps, path: str) -> None:
+    """Raise SchemaError unless `deps` has the form of a dependency
+    dictionary: an object (else at `path`) whose every value is a list of
+    feature names (else at `path.<feature>`)."""
+    if not isinstance(deps, dict):
+        raise SchemaError(path, "expected a feature -> predecessors object")
+    for feature, preds in deps.items():
+        if not _is_strings(preds):
+            raise SchemaError(f"{path}.{feature}",
+                              "expected a list of feature names")
+
+
 def validate_dependency_dict(
     deps: dict[str, list[str]], columns: list[str]
 ) -> None:
-    """Check a user-supplied dependency dictionary against a column set."""
+    """Check a dependency dictionary of the right form (see
+    `check_dependency_shape`) against a column set."""
     known = set(columns)
     for key, preds in deps.items():
         if key not in known:

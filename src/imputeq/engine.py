@@ -40,7 +40,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .depgraph import validate_dependency_dict
+from .depgraph import (
+    _is_strings,
+    check_dependency_shape,
+    validate_dependency_dict,
+)
 from .estimators import GbtModel, RidgeModel
 from .errors import (
     CorruptModel,
@@ -48,6 +52,7 @@ from .errors import (
     ImputeQWarning,
     ImputerTrainingError,
     InvalidArgument,
+    SchemaError,
     SchemaMismatch,
     UntrainableImputer,
     VersionMismatch,
@@ -92,6 +97,11 @@ SCORER_REGISTRY = {
 }
 
 
+def _require(cond: bool, path: str, message: str) -> None:
+    if not cond:
+        raise SchemaError(path, message)
+
+
 def default_scorer_for(kind: ColumnKind):
     if kind is ColumnKind.BINARY:
         return balanced_accuracy
@@ -119,32 +129,49 @@ class AssessConfig:
     split_seed: int | None = None
 
     def __post_init__(self):
-        if not self.imputers:
-            raise InvalidArgument("at least one imputer is required")
-        if not _is_int(self.seed, 0):
-            raise InvalidArgument("seed must be an integer >= 0")
-        if not (self.split_seed is None or _is_int(self.split_seed, 0)):
-            raise InvalidArgument("split_seed must be None or an integer >= 0")
-        if not any(s.family == "apprandom" for s in self.imputers):
+        """Check every field: a bad one raises SchemaError at its name
+        ("seed", "imputers[1].id", "scorers.binary", "dependencies.a").
+        `alpha` and `threshold` are kept as floats."""
+        specs = self.imputers
+        _require(isinstance(specs, (list, tuple)) and len(specs) > 0,
+                 "imputers", "expected a non-empty sequence of ImputerSpecs")
+        ids = set()
+        for i, s in enumerate(specs):
+            _require(isinstance(s, ImputerSpec), f"imputers[{i}]",
+                     "expected an ImputerSpec")
+            _require(s.id not in ids, f"imputers[{i}].id",
+                     "duplicate imputer id")
+            ids.add(s.id)
+        _require(_is_int(self.seed, 0), "seed", "expected an integer >= 0")
+        if not any(s.family == "apprandom" for s in specs):
+            _require("apprandom" not in ids, "imputers",
+                     "'apprandom' is the id of the appended fallback")
             fallback = ImputerSpec("apprandom", "apprandom", {}, self.seed)
-            object.__setattr__(self, "imputers", (*self.imputers, fallback))
-        ids = [s.id for s in self.imputers]
-        if len(set(ids)) != len(ids):
-            raise InvalidArgument("imputer ids must be unique")
-        if not _is_int(self.n_folds, 2):
-            raise InvalidArgument("n_folds must be an integer >= 2")
-        if not (_is_number(self.alpha, 0.0) and 0.0 < self.alpha < 1.0):
-            raise InvalidArgument("alpha must be in (0, 1)")
-        if self.threshold is not None and not (
-                _is_number(self.threshold, 0.0) and self.threshold <= 1.0):
-            raise InvalidArgument("threshold must be in [0, 1]")
-        if self.scorers:
-            kinds = {k.value for k in ColumnKind}
-            for kind_name, scorer_name in self.scorers.items():
-                if kind_name not in kinds:
-                    raise InvalidArgument(f"unknown column kind {kind_name!r}")
-                if scorer_name not in SCORER_REGISTRY:
-                    raise InvalidArgument(f"unknown scorer {scorer_name!r}")
+            object.__setattr__(self, "imputers", (*specs, fallback))
+        _require(_is_int(self.n_folds, 2), "n_folds",
+                 "expected an integer >= 2")
+        _require(self.split_seed is None or _is_int(self.split_seed, 0),
+                 "split_seed", "expected None or an integer >= 0")
+        _require(_is_number(self.alpha, 0.0) and 0.0 < self.alpha < 1.0,
+                 "alpha", "expected a number in (0, 1)")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        if self.threshold is not None:
+            _require(_is_number(self.threshold, 0.0) and self.threshold <= 1.0,
+                     "threshold", "expected a number in [0, 1]")
+            object.__setattr__(self, "threshold", float(self.threshold))
+        if self.scorers is not None:
+            _require(isinstance(self.scorers, dict), "scorers",
+                     "expected a dict of column kind -> scorer name")
+            kinds = sorted(k.value for k in ColumnKind)
+            for kind_name, name in self.scorers.items():
+                path = f"scorers.{kind_name}"
+                _require(kind_name in kinds, path,
+                         f"unknown column kind (expected one of {kinds})")
+                _require(isinstance(name, str) and name in SCORER_REGISTRY,
+                         path, "unknown scorer (expected one of "
+                         f"{sorted(SCORER_REGISTRY)})")
+        if self.dependencies is not None:
+            check_dependency_shape(self.dependencies, "dependencies")
 
     def scorer_for(self, kind: ColumnKind):
         if self.scorers and kind.value in self.scorers:
@@ -796,13 +823,11 @@ def deserialize_pipeline(data: bytes) -> PipelinePlan:
         deps, notes = doc["dependencies"], doc.get("notes", [])
         if not (_is_int(doc["seed"], 0)
                 and isinstance(doc["config_hash"], str)
-                and _is_strings(notes)
-                and (deps is None or isinstance(deps, dict)
-                     and all(map(_is_strings, deps.values())))):
-            raise CorruptModel(
-                "pipeline seed, config_hash, notes or dependencies is "
-                "malformed")
+                and _is_strings(notes)):
+            raise CorruptModel("pipeline seed, config_hash or notes is "
+                               "malformed")
         if deps is not None:
+            check_dependency_shape(deps, "dependencies")
             validate_dependency_dict(deps, [s.name for s in schema])
         plan = PipelinePlan(
             schema=schema,
@@ -820,10 +845,6 @@ def deserialize_pipeline(data: bytes) -> PipelinePlan:
         # OverflowError: an integer too large for a stored int64 array
         raise CorruptModel(f"pipeline data missing or malformed: {exc}") from exc
     return plan
-
-
-def _is_strings(v) -> bool:
-    return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
 def _check_plan(plan: PipelinePlan) -> None:

@@ -43,11 +43,13 @@ class ImputerTrainingError(ImputeQError):
     """An estimator failed while fitting a multivariate imputer."""
 
 
-class SchemaError(ImputeQError):
-    """A configuration file violates the config schema."""
+class SchemaError(InvalidArgument):
+    """A config value is malformed: `path` names its field, or its key in
+    the config file ("imputers[2].params")."""
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 

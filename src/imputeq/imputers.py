@@ -26,6 +26,7 @@ from .errors import (
     ImputeQWarning,
     ImputerTrainingError,
     InvalidArgument,
+    SchemaError,
     UntrainableImputer,
 )
 from .estimators import (
@@ -89,21 +90,25 @@ class ImputerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        """Check the seed and every parameter that the family reads, so
-        that a bad value fails here rather than in a fit or a transform."""
+        """Check every field and every parameter that the family reads, so
+        that a bad value fails here rather than in a fit or a transform.
+        A bad field raises SchemaError at its name."""
+        if not (isinstance(self.id, str) and self.id):
+            raise SchemaError("id", "expected a non-empty string")
         if self.family not in FAMILIES:
-            raise InvalidArgument(
-                f"imputer {self.id!r}: unknown family {self.family!r}"
-            )
+            raise SchemaError("family", f"imputer {self.id!r}: expected one "
+                              f"of {sorted(FAMILIES)}")
         # a seed names a numpy seed stream, which takes no negative number
         if not _is_int(self.seed, 0):
-            raise InvalidArgument(
-                f"imputer {self.id!r}: seed must be an integer >= 0")
+            raise SchemaError(
+                "seed", f"imputer {self.id!r}: expected an integer >= 0")
+        if not isinstance(self.params, dict):
+            raise SchemaError("params", f"imputer {self.id!r}: expected a dict")
         for name, (required, accepts, what) in _PARAMS[self.family].items():
             if (required or name in self.params) and not accepts(
                     self.params.get(name)):
-                raise InvalidArgument(
-                    f"imputer {self.id!r}: {name} must be {what}")
+                raise SchemaError(
+                    "params", f"imputer {self.id!r}: {name} must be {what}")
 
     @property
     def is_multivariate(self) -> bool:
@@ -127,7 +132,7 @@ class ImputerSpec:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "ImputerSpec":
-        return cls(d["id"], d["family"], dict(d.get("params", {})),
+        return cls(d["id"], d["family"], d.get("params", {}),
                    d.get("seed", 0))
 
 

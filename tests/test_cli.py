@@ -204,6 +204,7 @@ class TestFitApply:
         ("n", "predictor_columns", ["zz"]),
         ("n", "spec.family", "magic"),
         ("n", "spec.params", {}),
+        ("n", "spec.params", lambda params: list(params.items())),
         ("n", "state.fill", float("nan")),
         ("n", "observed_value_set", []),
         ("c", "state.observed.0", None),
@@ -219,7 +220,7 @@ class TestFitApply:
         ("c", "spec.seed", "7"),
     ], ids=[
         "target_column-zz", "predictor_columns-value1", "spec_family-magic",
-        "simple_spec_without_statistic", "fill-NaN",
+        "simple_spec_without_statistic", "spec_params-pairs", "fill-NaN",
         "discrete_observed_value_set-empty", "apprandom_observed-null",
         "knn_ref_X-one_predictor_short", "knn_ref_y-one_row_short",
         "knn_ref_y-empty", "ridge_weights-one_short",
@@ -740,6 +741,26 @@ class TestErrorChannels:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "InvalidArgument"
+
+    @pytest.mark.parametrize("deps", [
+        {"b": [1]}, {"b": [None]}, {"b": "a"}, ["b"],
+    ], ids=["number", "null", "string", "list"])
+    def test_malformed_dependency_file_is_schema_error(self, workspace,
+                                                       capsys, deps):
+        # predecessors are names as written: none is coerced to a string
+        tmp, config, data = workspace
+        file = tmp / "deps.json"
+        file.write_text(json.dumps(deps))
+        doc = json.loads(open(config).read())
+        doc["dependency_graph"] = str(file)
+        open(config, "w").write(json.dumps(doc))
+        rc = main(["assess", "--config", config,
+                   "--out", str(tmp / "q.json")])
+        assert rc == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["path"]) == ("SchemaError",
+                                               "dependency_graph")
 
     # one case per input reader and failure: bytes that are not UTF-8, and
     # a JSON document nested deeper than the parser's recursion limit

@@ -1,8 +1,13 @@
 import argparse
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imputeq.cli import _graph_spec, _load_table, _with_dependencies
 from imputeq.config import apply_overrides, parse_config, parse_config_dict
@@ -10,6 +15,8 @@ from imputeq.engine import AssessConfig
 from imputeq.errors import DataIoError, InvalidArgument, SchemaError
 from imputeq.imputers import ImputerSpec
 from imputeq.table import Column, Table
+
+DATA = Path(__file__).parent / "data"
 
 
 def two_columns():
@@ -138,11 +145,35 @@ class TestValidation:
         ("n_folds", 1), ("n_folds", 2.5), ("n_folds", True),
         ("threshold", True), ("threshold", False), ("threshold", "0.5"),
         ("alpha", True), ("alpha", False), ("alpha", "0.05"),
+        ("scorers", ["nrmse"]), ("dependencies", {"a": "bc"}),
+        ("dependencies", ["a"]),
     ])
     def test_engine_config_checks_its_own_fields(self, field, value):
         mean = ImputerSpec("mean", "simple", {"statistic": "mean"})
         with pytest.raises(InvalidArgument):
             AssessConfig(imputers=(mean,), **{field: value})
+
+    @pytest.mark.parametrize("build, args", [
+        (AssessConfig, (("mean",),)),
+        (ImputerSpec, (5, "simple", {"statistic": "mean"})),
+        (ImputerSpec, ("", "simple", {"statistic": "mean"})),
+        (ImputerSpec, ("m", "simple", [("statistic", "mean")])),
+    ], ids=["imputer-not-a-spec", "id-number", "id-empty", "params-list"])
+    def test_engine_types_check_every_field(self, build, args):
+        with pytest.raises(InvalidArgument):
+            build(*args)
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("n_folds", 1, "n_folds"),
+        ("scorers", {"binary": "mape"}, "scorers.binary"),
+        ("dependencies", {"a": ["b"], "c": "a"}, "dependencies.c"),
+    ])
+    def test_library_errors_name_the_field(self, field, value, path):
+        mean = ImputerSpec("mean", "simple", {"statistic": "mean"})
+        with pytest.raises(SchemaError) as info:
+            AssessConfig(imputers=(mean,), **{field: value})
+        assert info.value.path == path
+        assert isinstance(info.value, InvalidArgument)
 
     @pytest.mark.parametrize("threshold", [True, False])
     def test_threshold_is_not_a_boolean(self, threshold):
@@ -310,3 +341,54 @@ class TestOverrides:
         ))
         assert cfg.n_folds == 4
         assert cfg.split_seed == 99
+
+
+def full_doc():
+    """The committed mixed config with every top-level key in use."""
+    doc = json.loads((DATA / "mixed_config.json").read_text())
+    doc.update(
+        scorers={"continuous": "nrmse",
+                 "binary": {"name": "balanced_accuracy"}},
+        dependency_graph={"y": ["x"], "c": ["x", "n"]},
+        alpha=0.05,
+        encoder={"type": "label"},
+    )
+    return doc
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_mutation_parses_or_is_a_schema_error(self, data):
+        # one mutation: delete a key or list entry, retype a value, or write
+        # NaN, a negative number or a duplicate list entry
+        doc = full_doc()
+        path, node = (), doc
+        while isinstance(node, (dict, list)) and node and (
+                not path or data.draw(st.booleans())):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            key = data.draw(st.sampled_from(keys))
+            path, node = (*path, key), node[key]
+        *parents, key = path
+        parent = doc
+        for k in parents:
+            parent = parent[k]
+        ops = ["delete", "retype", "nan", "negative"]
+        op = data.draw(st.sampled_from(
+            ops + ["duplicate"] if isinstance(parent, list) else ops))
+        if op == "delete":
+            del parent[key]
+        elif op == "duplicate":
+            parent.insert(key, json.loads(json.dumps(node)))
+        elif op == "retype":
+            parent[key] = data.draw(st.sampled_from(
+                [v for v in ("x", 7, 0.5, True, [], {}, None)
+                 if type(v) is not type(node)]))
+        else:
+            parent[key] = math.nan if op == "nan" else data.draw(
+                st.sampled_from([-1, -0.5]))
+        try:
+            assert isinstance(parse_config_dict(doc), AssessConfig)
+        except SchemaError as exc:
+            head = re.match(r"[^.\[]*", exc.path).group()
+            assert exc.path == "$" or head in full_doc(), exc.path
