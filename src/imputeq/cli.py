@@ -23,6 +23,7 @@ from .audit import (
 from .config import (
     apply_overrides,
     document_paths,
+    graph_limits,
     load_json_file,
     parse_config_dict,
 )
@@ -126,8 +127,7 @@ def _graph_spec(doc: dict, config: AssessConfig) -> tuple[object, dict]:
     arguments, which {"type": "auto", ...} may set."""
     spec, kwargs = doc.get("dependency_graph"), {"seed": config.seed}
     if isinstance(spec, dict) and spec.get("type") == "auto":
-        kwargs.update((k, spec[k]) for k in ("top_n", "min_importance")
-                      if spec.get(k) is not None)
+        kwargs.update(graph_limits(spec))
         spec = "auto"
     return spec, kwargs
 

@@ -18,10 +18,10 @@ import re
 from contextlib import contextmanager
 from dataclasses import replace
 
-from .depgraph import _is_strings, check_dependency_shape
+from .depgraph import _is_strings, check_dependency_shape, check_graph_limits
 from .engine import DEFAULT_ALPHA, DEFAULT_FOLDS, AssessConfig, _require
 from .errors import DataIoError, SchemaError
-from .imputers import ImputerSpec, _is_int
+from .imputers import ImputerSpec
 
 _TOP_KEYS = {
     "data", "splitter", "scorers", "imputers", "threshold", "alpha",
@@ -110,14 +110,16 @@ def _check_graph(v) -> None:
         check_dependency_shape(v, path)
         return
     _check_keys(v, _GRAPH_AUTO_KEYS, path)
-    top_n = v.get("top_n")
-    if top_n is not None:
-        _require(_is_int(top_n, 1), f"{path}.top_n", "expected an integer >= 1")
-    mi = v.get("min_importance")
-    if mi is not None:
-        _require(isinstance(mi, (int, float))
-                 and not isinstance(mi, bool) and mi >= 0,
-                 f"{path}.min_importance", "expected a number >= 0")
+    given = graph_limits(v)
+    with document_paths({k: f"{path}.{k}" for k in given}):
+        check_graph_limits(**given)
+
+
+def graph_limits(v: dict) -> dict:
+    """The `build_dependency_graph` limits that a {"type": "auto", ...}
+    dependency_graph sets; a null one keeps the default."""
+    return {k: v[k] for k in ("top_n", "min_importance")
+            if v.get(k) is not None}
 
 
 def parse_config_dict(doc: dict) -> AssessConfig:

@@ -88,6 +88,18 @@ class DependencyGraph:
         )
 
 
+def check_graph_limits(top_n=DEFAULT_TOP_N,
+                       min_importance=DEFAULT_MIN_IMPORTANCE) -> None:
+    """Raise SchemaError at `top_n` unless it is an integer >= 1, and at
+    `min_importance` unless it is a number >= 0."""
+    if not (isinstance(top_n, int) and not isinstance(top_n, bool)
+            and top_n >= 1):
+        raise SchemaError("top_n", "expected an integer >= 1")
+    if not (isinstance(min_importance, (int, float))
+            and not isinstance(min_importance, bool) and min_importance >= 0):
+        raise SchemaError("min_importance", "expected a number >= 0")
+
+
 def _fit_regressor(name: str, params: dict, X, y, seed: int):
     if name == "ridge":
         m = ridge_fit(X, y, reg=float(params.get("reg", 1.0)))
@@ -129,6 +141,7 @@ def build_dependency_graph(
     """
     if regressor not in GRAPH_REGRESSORS:
         raise InvalidArgument(f"regressor must be one of {GRAPH_REGRESSORS}")
+    check_graph_limits(top_n, min_importance)
     params = regressor_params or {}
     names = t.column_names
     if len(names) < 2:

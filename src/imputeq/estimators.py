@@ -166,7 +166,7 @@ class _TreeBuilder:
                 split = self._best_split(XT, ysub, idx, ks)
             if split is None:
                 if hess is None:
-                    v = float(ysub.mean())
+                    v = float(ysub.sum()) / idx.size
                 else:
                     v = float(ysub.sum()) / max(float(hess[idx].sum()), 1e-12)
                 value[node] = v
@@ -241,20 +241,60 @@ def tree_fit(Xm, y, max_depth=None) -> TreeModel:
     return _TreeBuilder(max_depth).build(X, y)[0]
 
 
+# (tree, row) cells that one traversal pass moves at most; a larger walk runs
+# in blocks of this many cells, which bounds its index and mask arrays
+_WALK_CELLS = 4096
+
+
+def _leaf_values(trees, X: np.ndarray) -> np.ndarray:
+    """The leaf value that each row of `X` reaches in each tree, as a
+    (len(trees), rows) array.
+
+    The trees are laid end to end (their arrays concatenated, child links
+    shifted to the concatenated numbering), and every (tree, row) cell steps
+    down one level per pass, so a walk takes as many passes as its deepest
+    path rather than the sum of the trees' depths.
+    """
+    n, p = X.shape
+    out = np.empty(len(trees) * n)
+    if out.size == 0:
+        return out.reshape(len(trees), n)
+    sizes = [t.feature.size for t in trees]
+    root = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(root, sizes)
+    feature = np.concatenate([t.feature for t in trees])
+    if feature.max() >= p:
+        # the flat walk below would read another row's cell
+        raise InvalidArgument(
+            f"model reads column {feature.max()} of a {p}-column matrix")
+    leaf = feature < 0
+    # each node's children as the pair (right, left), so that
+    # `2 * node + (x <= threshold)` picks the child; a leaf is its own child
+    # on both sides (and reads column 0, which it ignores), so it stays put
+    # while deeper cells are still walking
+    child = np.column_stack([np.concatenate([t.right for t in trees]),
+                             np.concatenate([t.left for t in trees])])
+    child += shift[:, None]
+    child[leaf] = np.flatnonzero(leaf)[:, None]
+    child = child.ravel()
+    feature = np.maximum(feature, 0)
+    threshold = np.concatenate([t.threshold for t in trees])
+    value = np.concatenate([t.value for t in trees])
+    Xf = np.ascontiguousarray(X).ravel()
+    for start in range(0, out.size, _WALK_CELLS):
+        stop = min(start + _WALK_CELLS, out.size)
+        tree, row = np.divmod(np.arange(start, stop), n)
+        node = root[tree]
+        base = row * p
+        while not leaf[node].all():
+            go_left = Xf[base + feature[node]] <= threshold[node]
+            node = child[2 * node + go_left]
+        out[start:stop] = value[node]
+    return out.reshape(len(trees), n)
+
+
 def tree_predict(model: TreeModel, Xm) -> np.ndarray:
-    X = _as_matrix(Xm)
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feat = model.feature[node]
-        active = np.flatnonzero(feat >= 0)
-        if active.size == 0:
-            break
-        f = feat[active]
-        go_left = X[active, f] <= model.threshold[node[active]]
-        node[active] = np.where(
-            go_left, model.left[node[active]], model.right[node[active]]
-        )
-    return model.value[node]
+    return _leaf_values((model,), _as_matrix(Xm))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +359,8 @@ def forest_fit(
 def forest_predict(model: ForestModel, Xm) -> np.ndarray:
     X = _as_matrix(Xm)
     out = np.zeros(X.shape[0])
-    for t in model.trees:
-        out += tree_predict(t, X)
+    for v in _leaf_values(model.trees, X):
+        out += v
     return out / len(model.trees)
 
 
@@ -431,8 +471,8 @@ def gbt_raw_score(model: GbtModel, Xm) -> np.ndarray:
     X = _as_matrix(Xm)
     out = np.full(X.shape[0], model.base_score)
     if model.learning_rate != 0.0:
-        for t in model.trees:
-            out += model.learning_rate * tree_predict(t, X)
+        for v in model.learning_rate * _leaf_values(model.trees, X):
+            out += v
     return out
 
 

@@ -253,6 +253,15 @@ class TestDependencyGraph:
                 dependency_graph={"type": "auto", "min_importance": True}))
         assert info.value.path == "dependency_graph.min_importance"
 
+    @pytest.mark.parametrize("name, value", [
+        ("top_n", 0), ("top_n", 2.5), ("min_importance", -1.0),
+    ])
+    def test_graph_limits_are_checked(self, name, value):
+        with pytest.raises(SchemaError) as info:
+            parse_config_dict(minimal_doc(
+                dependency_graph={"type": "auto", name: value}))
+        assert info.value.path == f"dependency_graph.{name}"
+
     def test_inline_dictionary(self):
         deps = {"a": ["b"], "b": []}
         assert graph_spec(minimal_doc(dependency_graph=deps)) == (

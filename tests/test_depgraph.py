@@ -171,6 +171,20 @@ class TestBuildGraph:
             g = build_dependency_graph(t, seed=9, regressor="ridge")
         assert not any(b == "sparse" for _, b, _ in g.edges)
 
+    @pytest.mark.parametrize("name, value", [
+        ("top_n", 0), ("top_n", True), ("top_n", 2.5),
+        ("min_importance", -1.0), ("min_importance", True),
+    ])
+    def test_limits_are_checked(self, name, value):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=60)
+        t = Table((col("a", a), col("b", a + rng.normal(size=60)),
+                   col("c", rng.normal(size=60))))
+        with pytest.raises(InvalidArgument) as info:
+            build_dependency_graph(t, seed=11, regressor="ridge",
+                                   **{name: value})
+        assert info.value.path == name
+
 
 class TestValidateDict:
     def test_accepts_valid(self):

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imputeq import estimators
 from imputeq.errors import DegenerateInput, InvalidArgument
 from imputeq.estimators import (
     forest_fit,
@@ -250,3 +255,90 @@ class TestSerialization:
             np.testing.assert_allclose(
                 model_predict(m, grid), model_predict(m2, grid), atol=1e-15
             )
+
+
+def reference_tree_predict(tree, X):
+    """One row and one tree at a time: descend until a leaf."""
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out[i] = tree.value[node]
+    return out
+
+
+def reference_predictions(m, X):
+    """entry point -> the value it must return, summed tree by tree."""
+    if isinstance(m, estimators.TreeModel):
+        v = reference_tree_predict(m, X)
+        return {"tree_predict": v, "model_predict": v}
+    if isinstance(m, estimators.ForestModel):
+        out = np.zeros(X.shape[0])
+        for t in m.trees:
+            out += reference_tree_predict(t, X)
+        v = out / len(m.trees)
+        return {"forest_predict": v, "model_predict": v}
+    raw = np.full(X.shape[0], m.base_score)
+    if m.learning_rate != 0.0:
+        for t in m.trees:
+            raw += m.learning_rate * reference_tree_predict(t, X)
+    if m.loss == "squared":
+        return {"gbt_raw_score": raw, "model_predict": raw}
+    return {"gbt_raw_score": raw,
+            "gbt_predict_proba": estimators._sigmoid(raw),
+            "model_predict": (raw >= 0.0).astype(float)}
+
+
+@st.composite
+def fitted_models(draw):
+    """A tree, forest or GBT fit to a small table whose cells come from a
+    few levels, so that features tie, plus query rows from the same
+    levels (so that queries land on thresholds)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 3, 50]))
+    n, p = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    X = rng.integers(0, levels, size=(n, p)) / 2.0
+    y = X.sum(axis=1) + rng.normal(size=n)
+    max_depth = draw(st.sampled_from([None, 1, 2, 5]))
+    kind = draw(st.sampled_from(["tree", "forest", "squared", "logistic"]))
+    if kind == "tree":
+        m = tree_fit(X, y, max_depth=max_depth)
+    elif kind == "forest":
+        m = forest_fit(X, y, n_estimators=draw(st.integers(1, 6)),
+                       max_depth=max_depth, seed=draw(st.integers(0, 9)),
+                       bootstrap=draw(st.booleans()))
+    else:
+        if kind == "logistic":
+            y = (y > np.median(y)).astype(float)
+        m = gbt_fit(X, y, n_estimators=draw(st.integers(0, 6)),
+                    max_depth=max_depth, loss=kind,
+                    learning_rate=draw(st.sampled_from([0.0, 0.1, 0.5])))
+    rows = draw(st.sampled_from([0, 1, 2, 97]))
+    return m, rng.integers(-1, levels + 1, size=(rows, p)) / 2.0
+
+
+class TestLockstepWalk:
+    @settings(max_examples=120, deadline=None)
+    @given(fitted_models(), st.sampled_from([1, 7, 4096]))
+    def test_predictions_match_tree_by_tree_loop(self, fitted, cells):
+        # the walk moves every (tree, row) cell one level per pass, in
+        # blocks of at most _WALK_CELLS cells; each entry point must return
+        # the bits of a loop over the trees, whatever the block size, on
+        # the model and on its serialized copy
+        m, X = fitted
+        copy = model_from_jsonable(m.to_jsonable())
+        with mock.patch.object(estimators, "_WALK_CELLS", cells):
+            for name, want in reference_predictions(m, X).items():
+                for model in (m, copy):
+                    got = getattr(estimators, name)(model, X)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), name
+
+    def test_matrix_narrower_than_model_rejected(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(30, 3))
+        m = forest_fit(X, X[:, 2], n_estimators=2, seed=0)
+        with pytest.raises(InvalidArgument):
+            forest_predict(m, X[:, :2])
