@@ -25,6 +25,7 @@ from .estimators import (
     ridge_fit,
     ridge_predict,
 )
+from .imputers import _is_int, check_estimator_params
 from .metrics import r2
 from .table import Table
 
@@ -107,7 +108,7 @@ def _fit_regressor(name: str, params: dict, X, y, seed: int):
     if name == "gbt":
         m = gbt_fit(
             X, y,
-            n_estimators=int(params.get("n_estimators", 100)),
+            n_estimators=params.get("n_estimators", 100),
             max_depth=params.get("max_depth", 6),
             learning_rate=float(params.get("learning_rate", 0.1)),
             seed=seed,
@@ -115,7 +116,7 @@ def _fit_regressor(name: str, params: dict, X, y, seed: int):
         return lambda Z: gbt_predict(m, Z)
     m = forest_fit(
         X, y,
-        n_estimators=int(params.get("n_estimators", 50)),
+        n_estimators=params.get("n_estimators", 50),
         max_depth=params.get("max_depth"),
         seed=seed,
     )
@@ -138,11 +139,20 @@ def build_dependency_graph(
     and the top importance contributors (at or above the threshold) become
     incoming edges.  Targets with too few usable rows keep an empty
     in-neighborhood and a warning is emitted.
+
+    `regressor_params` takes the keys and values that an iterative imputer
+    with that estimator takes; a bad argument raises SchemaError at its
+    name (`regressor_params.<key>` for a parameter).
     """
     if regressor not in GRAPH_REGRESSORS:
         raise InvalidArgument(f"regressor must be one of {GRAPH_REGRESSORS}")
     check_graph_limits(top_n, min_importance)
     params = regressor_params or {}
+    check_estimator_params(regressor, params, "regressor_params")
+    if not _is_int(n_repeats, 1):
+        raise SchemaError("n_repeats", "expected an integer >= 1")
+    if not _is_int(seed, 0):
+        raise SchemaError("seed", "expected an integer >= 0")
     names = t.column_names
     if len(names) < 2:
         return DependencyGraph(tuple(names), (), top_n, min_importance)

@@ -16,6 +16,7 @@ and every stochastic choice flows from an explicit seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,25 @@ def _check_complete(X: np.ndarray, y: np.ndarray) -> None:
         raise InvalidArgument("X and y row counts differ")
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise InvalidArgument("estimators require complete, finite data")
+
+
+def _is_integer(v, lo: int) -> bool:
+    """An integer (a numpy one too, not a bool) of at least `lo`."""
+    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and v >= lo)
+
+
+def _check_tree_params(max_depth=None, mtry=None) -> None:
+    for name, v in (("max_depth", max_depth), ("mtry", mtry)):
+        if not (v is None or _is_integer(v, 1)):
+            raise InvalidArgument(
+                f"{name} must be None or an integer >= 1, got {v!r}")
+
+
+def _check_n_estimators(n_estimators, lo: int) -> None:
+    if not _is_integer(n_estimators, lo):
+        raise InvalidArgument(
+            f"n_estimators must be an integer >= {lo}, got {n_estimators!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +154,23 @@ class TreeModel:
         )
 
 
+# a node whose candidate features times rows is below this is searched in
+# plain Python floats, and so is its whole subtree: below it a split costs
+# less in Python than numpy's per-call overhead (about 25 calls per split)
+_PLAIN_CELLS = 128
+
+
 class _TreeBuilder:
     """Grows one regression tree depth-first.
 
     Splits minimize squared error of the response; with a hessian array the
     leaf values become Newton steps (sum of residuals over sum of hessians)
-    while the split search still runs on the residuals.  Each node searches
-    all its candidate features in one block: a stable argsort per feature
-    row, running sums of the response in that order, and the gain of every
-    threshold that separates distinct values.
+    while the split search still runs on the residuals.  A large node
+    searches all its candidate features in one numpy block: a stable argsort
+    per feature row, running sums of the response in that order, and the
+    gain of every threshold that separates distinct values.  A small node
+    (see `_PLAIN_CELLS`) runs the same search, operation for operation, in
+    plain Python floats, so both give the same tree bit for bit.
     """
 
     def __init__(self, max_depth, rng=None, mtry=None):
@@ -152,14 +180,24 @@ class _TreeBuilder:
 
     def build(self, X, y, hess=None):
         """The tree, and the leaf value of each training row."""
+        n, p = X.shape
         XT = np.ascontiguousarray(X.T)
         # left-child sizes 1..n-1 of any node; reversed they are n-k
-        ks = np.arange(1.0, X.shape[0])
-        feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
-        row_value = np.empty(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]), 0)]
+        ks = np.arange(1.0, n)
+        n_candidates = p if self.mtry is None else min(self.mtry, p)
+        nodes = ([-1], [0.0], [-1], [-1], [0.0])
+        value = nodes[4]
+        row_value = np.empty(n)
+        stack = [(0, np.arange(n), 0)]
         while stack:
             node, idx, depth = stack.pop()
+            if idx.size * n_candidates < _PLAIN_CELLS:
+                # the whole subtree now, which is the order the stack would
+                # grow it in
+                row_value[idx] = self._grow_plain(
+                    nodes, node, depth, XT[:, idx].tolist(), y[idx].tolist(),
+                    None if hess is None else hess[idx].tolist())
+                continue
             ysub = y[idx]
             split = None
             if depth < self.max_depth and ysub.max() != ysub.min():
@@ -172,21 +210,10 @@ class _TreeBuilder:
                 value[node] = v
                 row_value[idx] = v
                 continue
-            feat, thr, left_idx, right_idx = split
-            feature[node] = feat
-            threshold[node] = thr
-            # children are numbered left then right and the left subtree is
-            # grown first, so node numbering and the forest's per-node feature
-            # draws follow a fixed order regardless of data
-            left[node] = len(feature)
-            right[node] = len(feature) + 1
-            feature += [-1, -1]
-            threshold += [0.0, 0.0]
-            left += [-1, -1]
-            right += [-1, -1]
-            value += [0.0, 0.0]
-            stack.append((right[node], right_idx, depth + 1))
-            stack.append((left[node], left_idx, depth + 1))
+            left, right = _add_children(nodes, node, *split[:2])
+            stack.append((right, split[3], depth + 1))
+            stack.append((left, split[2], depth + 1))
+        feature, threshold, left, right, value = nodes
         tree = TreeModel(
             np.asarray(feature, dtype=np.int64),
             np.asarray(threshold, dtype=float),
@@ -233,11 +260,148 @@ class _TreeBuilder:
         go_left = xs[best] <= thr
         return int(fs[best]), thr, idx[go_left], idx[~go_left]
 
+    def _grow_plain(self, nodes, root, depth, cols, y, hess):
+        """Grow the subtree at `root` from the node's own rows: `cols` holds
+        each feature's values and `y` (and `hess`) the responses, as lists.
+        Gives the leaf value of each of those rows."""
+        value = nodes[4]
+        row_value = [0.0] * len(y)
+        stack = [(root, list(range(len(y))), depth)]
+        while stack:
+            node, rows, depth = stack.pop()
+            ys = [y[i] for i in rows]
+            total = _float_sum(ys)
+            split = None
+            if depth < self.max_depth and max(ys) != min(ys):
+                split = self._plain_split(cols, y, rows, total)
+            if split is None:
+                if hess is None:
+                    v = total / len(rows)
+                else:
+                    v = total / max(_float_sum([hess[i] for i in rows]), 1e-12)
+                value[node] = v
+                for i in rows:
+                    row_value[i] = v
+                continue
+            left, right = _add_children(nodes, node, *split[:2])
+            stack.append((right, split[3], depth + 1))
+            stack.append((left, split[2], depth + 1))
+        return row_value
+
+    def _plain_split(self, cols, y, rows, total):
+        """`_best_split` of the node `rows` (ascending) in Python floats,
+        with the same operations in the same order: a stable sort, running
+        sums, gains c*c/k + r*r/(n-k) and the first maximal threshold.
+
+        Where numpy's max meets a NaN gain, this one may skip it, but no
+        such feature can win either way: a NaN gain needs a NaN or infinite
+        total, which makes `base` NaN or inf.  Likewise a NaN response,
+        which Python's max and min may miss, ends in a leaf either way; it
+        arises only in boosting, which draws no features."""
+        n = len(rows)
+        base = total * total / n
+        best, best_gain, best_thr = -1, -math.inf, 0.0
+        for f in self._candidate_features(len(cols)).tolist():
+            col = cols[f]
+            order = sorted(rows, key=col.__getitem__)
+            # c is the sum of the first k responses; started at 0.0, not at
+            # the first response, it can differ only in the sign of a zero,
+            # which the squares below drop
+            c, prev = 0.0, col[order[0]]
+            top, thr = -math.inf, 0.0
+            for k, i in enumerate(order):
+                x = col[i]
+                if x != prev:
+                    r = total - c
+                    g = c * c / k + r * r / (n - k)
+                    if g > top:
+                        top, thr = g, prev
+                c += y[i]
+                prev = x
+            gain = top - base
+            if gain > best_gain + 1e-12:
+                best, best_gain, best_thr = f, gain, thr
+        if best < 0:
+            return None
+        col = cols[best]
+        return (best, best_thr, [i for i in rows if col[i] <= best_thr],
+                [i for i in rows if not col[i] <= best_thr])
+
+
+def _add_children(nodes, node, feat, thr):
+    """Split `node` on (feat, thr) and append its two leaf children, left
+    then right; gives their numbers.  Children are numbered left then right
+    and the left subtree is grown first, so node numbering and the forest's
+    per-node feature draws follow a fixed order regardless of data."""
+    feature, threshold, left, right, value = nodes
+    feature[node] = feat
+    threshold[node] = thr
+    left[node], right[node] = len(feature), len(feature) + 1
+    feature += [-1, -1]
+    threshold += [0.0, 0.0]
+    left += [-1, -1]
+    right += [-1, -1]
+    value += [0.0, 0.0]
+    return left[node], right[node]
+
+
+def _running_sum(terms: list):
+    """terms[0] + terms[1] + ..., left to right: a fresh array (for array
+    terms) unless `terms` has one member."""
+    if len(terms) == 1:
+        return terms[0]
+    out = terms[0] + terms[1]
+    for a in terms[2:]:
+        out += a
+    return out
+
+
+def _pairwise_sum(terms: list):
+    """The sum of `terms` (floats, or arrays summed elementwise) in numpy's
+    pairwise order for a sum of len(terms) values: a running sum below 8,
+    eight running accumulators up to 128, and halves cut at a multiple of 8
+    above.  An array result is fresh, unless `terms` has one member; at
+    most four (plus one per halving) arrays of its size are alive."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _pairwise_sum(terms[:half])
+        out += _pairwise_sum(terms[half:])
+        return out
+    if n < 8:
+        return _running_sum(terms)
+    m = n - n % 8
+
+    def pair(i):  # accumulators i and i + 1, added
+        a, b = _running_sum(terms[i:m:8]), _running_sum(terms[i + 1:m:8])
+        if m > 8:  # `a` is fresh
+            a += b
+            return a
+        return a + b
+
+    out = pair(0)
+    out += pair(2)
+    right = pair(4)
+    right += pair(6)
+    out += right
+    for a in terms[m:]:
+        out += a
+    return out
+
+
+def _float_sum(values: list) -> float:
+    """`np.sum(values)` bit for bit: numpy's pairwise order, and numpy's
+    own sign for a zero total (all terms -0.0), where numpy versions may
+    differ."""
+    s = _pairwise_sum(values)
+    return s if s != 0.0 else float(np.sum(values))
+
 
 def tree_fit(Xm, y, max_depth=None) -> TreeModel:
     X = _as_matrix(Xm)
     y = np.asarray(y, dtype=float)
     _check_complete(X, y)
+    _check_tree_params(max_depth)
     return _TreeBuilder(max_depth).build(X, y)[0]
 
 
@@ -340,8 +504,8 @@ def forest_fit(
     X = _as_matrix(Xm)
     y = np.asarray(y, dtype=float)
     _check_complete(X, y)
-    if n_estimators < 1:
-        raise InvalidArgument("n_estimators must be >= 1")
+    _check_n_estimators(n_estimators, 1)
+    _check_tree_params(max_depth, mtry)
     p = X.shape[1]
     if mtry is None:
         mtry = max(1, math.ceil(p / 3))
@@ -440,8 +604,13 @@ def gbt_fit(
     _check_complete(X, y)
     if loss not in _LOSSES:
         raise InvalidArgument(f"loss must be one of {_LOSSES}, got {loss!r}")
-    if n_estimators < 0:
-        raise InvalidArgument("n_estimators must be >= 0")
+    _check_n_estimators(n_estimators, 0)
+    _check_tree_params(max_depth)
+    if not (isinstance(learning_rate, numbers.Real)
+            and not isinstance(learning_rate, bool)
+            and 0.0 <= learning_rate < math.inf):
+        raise InvalidArgument(
+            f"learning_rate must be a finite number >= 0, got {learning_rate!r}")
     if loss == "logistic":
         uniq = np.unique(y)
         if not np.isin(uniq, (0.0, 1.0)).all():

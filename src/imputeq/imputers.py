@@ -30,6 +30,7 @@ from .errors import (
     UntrainableImputer,
 )
 from .estimators import (
+    _pairwise_sum,
     forest_fit,
     gbt_fit,
     model_from_jsonable,
@@ -78,6 +79,29 @@ _PARAMS = {
                           "a number >= 0"),
     },
 }
+
+
+# the iterative parameters that each estimator reads
+_ESTIMATOR_PARAMS = {
+    "ridge": ("reg",),
+    "forest": ("n_estimators", "max_depth"),
+    "gbt": ("n_estimators", "max_depth", "learning_rate"),
+}
+
+
+def check_estimator_params(estimator: str, params: dict, path: str) -> None:
+    """Raise SchemaError at `path` unless `params` is a dict, and at
+    `path.<key>` for a key that `estimator` does not read or a value that
+    an iterative `ImputerSpec` refuses."""
+    if not isinstance(params, dict):
+        raise SchemaError(path, "expected a dict")
+    for name, v in params.items():
+        if name not in _ESTIMATOR_PARAMS[estimator]:
+            raise SchemaError(f"{path}.{name}",
+                              f"not a parameter of the {estimator} estimator")
+        _, accepts, what = _PARAMS["iterative"][name]
+        if not accepts(v):
+            raise SchemaError(f"{path}.{name}", f"expected {what}")
 
 
 @dataclass(frozen=True)
@@ -442,47 +466,6 @@ def knn_view_fills(train_X: np.ndarray, X: np.ndarray, views, ks) -> list:
             for k, f in fills[i].items():
                 _prefix_means(near, np.minimum(k, n_finite), f[lo:lo + len(q)])
     return list(zip(fills, unmatched))
-
-
-def _pairwise_sum(planes: list) -> np.ndarray:
-    """The elementwise sum of the non-negative arrays `planes` in numpy's
-    pairwise order for a last-axis sum of len(planes) values: a running sum
-    below 8, eight running accumulators up to 128, and halves cut at a
-    multiple of 8 above.  A fresh array, unless `planes` has one member;
-    at most four (plus one per halving) arrays of its size are alive."""
-    n = len(planes)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        out = _pairwise_sum(planes[:half])
-        out += _pairwise_sum(planes[half:])
-        return out
-    if n < 8:
-        return _running_sum(planes)
-    m = n - n % 8
-
-    def pair(i):  # accumulators i and i + 1, added
-        a, b = _running_sum(planes[i:m:8]), _running_sum(planes[i + 1:m:8])
-        return np.add(a, b, out=a if m > 8 else None)
-
-    out = pair(0)
-    out += pair(2)
-    right = pair(4)
-    right += pair(6)
-    out += right
-    for a in planes[m:]:
-        out += a
-    return out
-
-
-def _running_sum(planes: list) -> np.ndarray:
-    """planes[0] + planes[1] + ..., left to right: a fresh array unless
-    `planes` has one member."""
-    if len(planes) == 1:
-        return planes[0]
-    out = planes[0] + planes[1]
-    for a in planes[2:]:
-        out += a
-    return out
 
 
 def _prefix_means(near: np.ndarray, k: np.ndarray, out) -> None:

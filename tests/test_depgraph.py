@@ -186,6 +186,36 @@ class TestBuildGraph:
         assert info.value.path == name
 
 
+    @pytest.mark.parametrize("kwargs, path", [
+        ({"regressor_params": ["max_depth"]}, "regressor_params"),
+        ({"regressor_params": {"max_depth": -1}}, "regressor_params.max_depth"),
+        ({"regressor_params": {"max_depth": "6"}}, "regressor_params.max_depth"),
+        ({"regressor_params": {"n_estimators": 2.7}},
+         "regressor_params.n_estimators"),
+        ({"regressor_params": {"n_trees": 5}}, "regressor_params.n_trees"),
+        ({"regressor_params": {"learning_rate": 0.1}},
+         "regressor_params.learning_rate"),
+        ({"regressor": "ridge", "regressor_params": {"n_estimators": 5}},
+         "regressor_params.n_estimators"),
+        ({"regressor": "ridge", "regressor_params": {"reg": -1.0}},
+         "regressor_params.reg"),
+        ({"regressor": "gbt", "regressor_params": {"learning_rate": np.nan}},
+         "regressor_params.learning_rate"),
+        ({"n_repeats": 2.5}, "n_repeats"),
+        ({"n_repeats": 0}, "n_repeats"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.0}, "seed"),
+    ])
+    def test_arguments_are_checked(self, kwargs, path):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=60)
+        t = Table((col("a", a), col("b", 2 * a + rng.normal(size=60)),
+                   col("c", rng.normal(size=60))))
+        with pytest.raises(InvalidArgument) as info:
+            build_dependency_graph(t, **kwargs)
+        assert info.value.path == path
+
+
 class TestValidateDict:
     def test_accepts_valid(self):
         validate_dependency_dict({"a": ["b"], "b": []}, ["a", "b"])

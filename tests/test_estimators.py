@@ -213,6 +213,41 @@ class TestGbt:
         np.testing.assert_array_equal(gbt_raw_score(a, X), gbt_raw_score(b, X))
 
 
+class TestHyperparameters:
+    @pytest.mark.parametrize("fit, name, value", [
+        (tree_fit, "max_depth", 0),
+        (tree_fit, "max_depth", -2),
+        (tree_fit, "max_depth", 1.5),
+        (forest_fit, "max_depth", 0),
+        (forest_fit, "max_depth", True),
+        (forest_fit, "mtry", 0),
+        (forest_fit, "mtry", -1),
+        (forest_fit, "mtry", 2.0),
+        (forest_fit, "n_estimators", 0),
+        (forest_fit, "n_estimators", 2.5),
+        (gbt_fit, "max_depth", -2),
+        (gbt_fit, "max_depth", "6"),
+        (gbt_fit, "n_estimators", -1),
+        (gbt_fit, "n_estimators", 2.5),
+        (gbt_fit, "learning_rate", float("nan")),
+        (gbt_fit, "learning_rate", float("inf")),
+        (gbt_fit, "learning_rate", -0.5),
+        (gbt_fit, "learning_rate", True),
+    ])
+    def test_bad_values_are_refused(self, fit, name, value):
+        X = np.random.default_rng(15).normal(size=(20, 3))
+        with pytest.raises(InvalidArgument, match=name):
+            fit(X, X[:, 0], **{name: value})
+
+    def test_edge_values_are_taken(self):
+        X = np.random.default_rng(16).normal(size=(20, 3))
+        y = X[:, 0]
+        assert tree_fit(X, y, max_depth=np.int64(1)).feature.size == 3
+        assert len(forest_fit(X, y, n_estimators=np.int64(2), mtry=1).trees) == 2
+        assert gbt_fit(X, y, n_estimators=0).trees == ()
+        assert gbt_fit(X, y, n_estimators=2, learning_rate=0).trees == ()
+
+
 class TestPermutationImportance:
     def test_copy_feature_takes_all_importance(self):
         rng = np.random.default_rng(11)

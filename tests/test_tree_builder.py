@@ -1,4 +1,6 @@
-"""The node-vectorized tree builder against the per-feature reference.
+"""The tree builder, with both of its split searches (the numpy block
+search of large nodes and the plain-float search of small ones), against
+the per-feature reference.
 
 `_ReferenceBuilder` is the builder the estimators used before the split
 search was vectorized: one Python pass per candidate feature per node.  It
@@ -18,6 +20,12 @@ from imputeq.estimators import (
     tree_fit,
     tree_predict,
 )
+
+# targets near 1e154-1e300 overflow squares and sums on purpose, and numpy
+# says so on each
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
 
 
 class _ReferenceBuilder:
@@ -129,17 +137,22 @@ def _assert_trees_identical(got, want):
 
 
 @st.composite
-def tables(draw):
-    """Random (X, y) with ties, duplicated rows, constant columns and
-    binary columns; y is binary half of the time."""
-    n = draw(st.integers(2, 300))
+def tables(draw, min_rows=2):
+    """Random (X, y) with ties, duplicated rows, constant columns, binary
+    columns and columns of signed zeros.  y is binary, a rounded signal, a
+    signal with signed zeros (or all -0.0), or a signal scaled to
+    1e154-1e300, where squares and sums overflow to inf."""
+    n = draw(st.integers(min_rows, 300))
     p = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cols = []
     for _ in range(p):
-        kind = draw(st.sampled_from(["normal", "ties", "binary", "constant"]))
+        kind = draw(st.sampled_from(
+            ["normal", "ties", "binary", "constant", "signed_zeros"]))
         if kind == "normal":
             cols.append(rng.normal(size=n))
+        elif kind == "signed_zeros":  # -0.0 and 0.0 tie; thresholds keep sign
+            cols.append(rng.choice(np.array([-0.0, 0.0, 1.0]), n))
         elif kind == "ties":
             cols.append(rng.integers(0, draw(st.integers(2, 6)), n) * 0.5)
         elif kind == "binary":
@@ -149,10 +162,17 @@ def tables(draw):
     X = np.column_stack(cols)
     if draw(st.booleans()):
         X[rng.integers(0, n, n // 3)] = X[rng.integers(0, n, n // 3)]
-    if draw(st.booleans()):
-        y = rng.integers(0, 2, n).astype(float)
-    else:
-        y = np.round(X[:, 0] + rng.normal(size=n), draw(st.integers(0, 3)))
+    target = draw(st.sampled_from(["binary", "signal", "zeros", "huge"]))
+    if target == "binary":
+        return X, rng.integers(0, 2, n).astype(float)
+    y = np.round(X[:, 0] + rng.normal(size=n), draw(st.integers(0, 3)))
+    if target == "zeros":
+        y[rng.random(n) < 0.5] = 0.0
+        y[rng.random(n) < 0.5] *= -1.0
+        if draw(st.booleans()):
+            y[:] = -0.0
+    elif target == "huge":
+        y *= 10.0 ** draw(st.sampled_from([154, 200, 300]))
     return X, y
 
 
@@ -161,6 +181,21 @@ def tables(draw):
 def test_tree_fit_matches_reference(data, depth):
     X, y = data
     got = tree_fit(X, y, max_depth=depth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
+        want = tree_fit(X, y, max_depth=depth)
+    _assert_trees_identical([got], [want])
+
+
+# every node on the numpy block search, and every node on the plain search
+@pytest.mark.parametrize("plain_cells", [0, 10**9])
+@settings(max_examples=120, deadline=None)
+@given(data=tables(), depth=st.sampled_from([None, 1, 3, 6]))
+def test_each_search_alone_matches_reference(plain_cells, data, depth):
+    X, y = data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_PLAIN_CELLS", plain_cells)
+        got = tree_fit(X, y, max_depth=depth)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
         want = tree_fit(X, y, max_depth=depth)
@@ -179,6 +214,22 @@ def test_forest_fit_matches_reference(data, depth, mtry, bootstrap, seed):
     X, y = data
     kwargs = dict(n_estimators=3, max_depth=depth, seed=seed,
                   bootstrap=bootstrap, mtry=mtry)
+    got = forest_fit(X, y, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
+        want = forest_fit(X, y, **kwargs)
+    _assert_trees_identical(got.trees, want.trees)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=tables(min_rows=200), depth=st.sampled_from([None, 8]),
+       seed=st.integers(0, 1000))
+def test_forest_switches_search_mid_tree(data, depth, seed):
+    # one candidate feature: the root (200 rows or more) is searched in
+    # numpy, and its descendants below the size rule in plain floats
+    X, y = data
+    assert 0 < estimators._PLAIN_CELLS <= X.shape[0]
+    kwargs = dict(n_estimators=2, max_depth=depth, seed=seed, mtry=1)
     got = forest_fit(X, y, **kwargs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
