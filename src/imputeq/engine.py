@@ -45,7 +45,7 @@ from .depgraph import (
     check_dependency_shape,
     validate_dependency_dict,
 )
-from .estimators import GbtModel, RidgeModel
+from .estimators import MODEL_TYPES, GbtModel, RidgeModel
 from .errors import (
     CorruptModel,
     DegenerateInput,
@@ -849,10 +849,11 @@ def deserialize_pipeline(data: bytes) -> PipelinePlan:
 
 def _check_plan(plan: PipelinePlan) -> None:
     """Refuse a loaded plan that cannot serve: each kept column has one
-    imputer, whose columns are in the schema; stored numbers are finite
-    (a NaN kNN reference cell marks a missing predictor) and stored arrays
-    non-empty, in the shapes their columns imply; and a target that is not
-    continuous has observed values, each with a string label if labelled."""
+    imputer, whose columns are in the schema; a chain's models are of its
+    spec's estimator; stored numbers are finite (a NaN kNN reference cell
+    marks a missing predictor) and stored arrays non-empty, in the shapes
+    their columns imply; and a target that is not continuous has observed
+    values, each with a string label if labelled."""
     schema = {s.name: s for s in plan.schema}
     if sorted(f.target_column for f in plan.fitted) != sorted(
         set(schema) - set(plan.drop_list)
@@ -873,10 +874,12 @@ def _check_plan(plan: PipelinePlan) -> None:
                                         len(f.predictor_columns))
         if "columns" in state:
             p, models = len(cols), state["models"]
+            estimator = MODEL_TYPES[f.spec.params["estimator"]]
             ok = ok and (f.target_column in cols
                          and state["init_values"].shape == (p,)
                          and {*state["visit"], *models} <= set(range(p))
-                         and all(_chain_model_reads(m, p - 1, numbers)
+                         and all(isinstance(m, estimator)
+                                 and _chain_model_reads(m, p - 1, numbers)
                                  for m in models.values()))
         if target.labels is not None:
             ok = ok and target.labels and set(values.tolist()) <= set(

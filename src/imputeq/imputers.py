@@ -87,6 +87,7 @@ _ESTIMATOR_PARAMS = {
     "forest": ("n_estimators", "max_depth"),
     "gbt": ("n_estimators", "max_depth", "learning_rate"),
 }
+_MODEL_PARAMS = {name for names in _ESTIMATOR_PARAMS.values() for name in names}
 
 
 def check_estimator_params(estimator: str, params: dict, path: str) -> None:
@@ -133,6 +134,16 @@ class ImputerSpec:
                     self.params.get(name)):
                 raise SchemaError(
                     "params", f"imputer {self.id!r}: {name} must be {what}")
+        # a key that no fit reads is refused rather than ignored
+        reads, owner = set(_PARAMS[self.family]), f"the {self.family} family"
+        if self.family == "iterative":
+            owner = f"the {self.params['estimator']} estimator"
+            reads -= _MODEL_PARAMS.difference(
+                _ESTIMATOR_PARAMS[self.params["estimator"]])
+        for name in self.params:
+            if name not in reads:
+                raise SchemaError("params", f"imputer {self.id!r}: {name!r} "
+                                  f"is not a parameter of {owner}")
 
     @property
     def is_multivariate(self) -> bool:

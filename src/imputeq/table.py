@@ -156,7 +156,8 @@ def load_csv(
     numeric when at least one non-missing cell parses as a number and no
     kind hint says otherwise; a non-parseable cell in such a column raises
     :class:`ParseError`.  Columns with no numeric cells stay as strings for
-    later label encoding.
+    later label encoding.  A header that names a column twice raises
+    :class:`DataIoError`.
     """
     hints = schema_hints or {}
     sentinels = set(missing_sentinels)
@@ -172,6 +173,10 @@ def load_csv(
         raise DataIoError(f"cannot read {path}: {exc}") from exc
 
     header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise DataIoError(f"{path}: column {name!r} is repeated in the "
+                          "header")
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise RaggedRows(
@@ -181,30 +186,33 @@ def load_csv(
     n = len(rows)
     columns = []
     for name, cells in zip(header, zip(*rows) if rows else [()] * len(header)):
-        raw = [cell.strip() for cell in cells]
-        missing = [cell in sentinels for cell in raw]
-        mask = np.array(missing, dtype=bool)
-        number_of = {cell: _number(cell) for cell in set(raw)}
-        numbers = [None if m else number_of[cell]
-                   for cell, m in zip(raw, missing)]
+        # each distinct cell is stripped, checked and parsed once; `codes`
+        # gives every row the index of its cell among the distinct ones
+        index = {cell: k for k, cell in enumerate(dict.fromkeys(cells))}
+        codes = np.fromiter(map(index.__getitem__, cells), np.intp, n)
+        distinct = [cell.strip() for cell in index]
+        missing = np.array([cell in sentinels for cell in distinct],
+                           dtype=bool)
+        numbers = [None if m else _number(cell)
+                   for cell, m in zip(distinct, missing.tolist())]
         numeric = np.array([x is not None for x in numbers], dtype=bool)
         hinted = hints.get(name)
-        as_strings = hinted is ColumnKind.CATEGORICAL or not numeric.any()
-        if as_strings:
-            values = np.array(
-                [None if m else cell for cell, m in zip(raw, missing)],
-                dtype=object)
-            columns.append(Column(name, values, mask, kind=hinted))
-        else:
-            bad = ~numeric & ~mask
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ParseError(i, name, raw[i])
-            parsed = np.array([np.nan if x is None else x for x in numbers],
-                              dtype=float)
-            nonfinite = ~np.isfinite(parsed)
-            parsed[nonfinite] = np.nan
-            columns.append(Column(name, parsed, mask | nonfinite, kind=hinted))
+        if hinted is ColumnKind.CATEGORICAL or not numeric.any():
+            strings = np.array(distinct, dtype=object)
+            strings[missing] = None
+            columns.append(
+                Column(name, strings[codes], missing[codes], kind=hinted))
+            continue
+        bad = (~numeric & ~missing)[codes]
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ParseError(i, name, distinct[codes[i]])
+        parsed = np.array([np.nan if x is None else x for x in numbers],
+                          dtype=float)
+        nonfinite = ~np.isfinite(parsed)
+        parsed[nonfinite] = np.nan
+        columns.append(Column(name, parsed[codes], (missing | nonfinite)[codes],
+                              kind=hinted))
     return Table(tuple(columns), n)
 
 
@@ -234,20 +242,28 @@ _NO_LABEL = object()
 def _csv_cells(c: Column) -> list[str]:
     """The CSV cells of column `c`, one per row: empty when masked, else
     the label of the code, the raw string, or the number written as an
-    integer when it is one and with 12 significant digits otherwise."""
+    integer when it is one and with 12 significant digits otherwise.  An
+    encoded column formats each distinct value once."""
+    if not c.is_encoded:
+        return ["" if m else str(v) for v, m in
+                zip(c.values.tolist(), c.mask.tolist())]
+    observed = c.values[~c.mask]
+    # distinct by bit pattern: -0.0 and 0.0 write differently as an
+    # unlabelled code ("-0.0", "0.0")
+    keys = observed.view(np.int64) if observed.dtype == np.float64 else observed
+    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = observed[first]
     if c.labels is not None:
-        def cell(i, v):
-            label = c.labels.get(int(v), _NO_LABEL)
-            return str(c.values[i]) if label is _NO_LABEL else label
-    elif not c.is_encoded:
-        def cell(i, v):
-            return str(v)
+        texts = [c.labels.get(int(v), _NO_LABEL) for v in distinct.tolist()]
+        texts = [str(distinct[k]) if t is _NO_LABEL else t
+                 for k, t in enumerate(texts)]
     else:
-        def cell(i, v):
-            v = float(v)
-            return str(int(v)) if v == int(v) else "%.12g" % v
-    return ["" if m else cell(i, v) for i, (v, m) in
-            enumerate(zip(c.values.tolist(), c.mask.tolist()))]
+        texts = [str(int(v)) if v == int(v) else "%.12g" % v
+                 for v in map(float, distinct.tolist())]
+    # the last text, "", is every masked cell's
+    at = np.full(c.n_rows, len(texts))
+    at[~c.mask] = codes
+    return np.array(texts + [""], dtype=object)[at].tolist()
 
 
 def label_encode(table: Table) -> Table:

@@ -169,6 +169,20 @@ class TestFitApply:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "SchemaMismatch"
 
+    def test_apply_with_repeated_header_is_data_error(self, workspace,
+                                                      capsys):
+        tmp, config, data = workspace
+        pipe = str(tmp / "pipe.json")
+        main(["fit", "--config", config, "--out", pipe])
+        bad = tmp / "bad.csv"
+        bad.write_text("a,a,b\n1,2,3\n")
+        capsys.readouterr()
+        rc = main(["apply", "--pipeline", pipe, "--data", str(bad),
+                   "--out", str(tmp / "o.csv")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataIoError" and "'a'" in err["message"]
+
     def test_apply_with_corrupt_pipeline_is_data_error(self, workspace,
                                                        capsys):
         tmp, config, data = workspace
@@ -680,7 +694,9 @@ class TestErrorChannels:
         {"id": "it", "family": "iterative",
          "params": {"estimator": "ridge", "max_iter": "x"}},
         {"id": "k", "family": "knn", "params": {"n_neighbors": True}},
-    ], ids=["max_iter-string", "n_neighbors-true"])
+        {"id": "f", "family": "iterative",
+         "params": {"estimator": "forest", "n_trees": 5}},
+    ], ids=["max_iter-string", "n_neighbors-true", "unread-key"])
     def test_bad_imputer_parameter_is_config_error(self, workspace, capsys,
                                                    imputer):
         tmp, config, data = workspace

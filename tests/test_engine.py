@@ -891,6 +891,25 @@ class TestPipeline:
         with pytest.raises(CorruptModel):
             deserialize_pipeline(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("imputer,params,match", [
+        # the models stay those of the committed plan
+        ("iter_gbt", {"estimator": "ridge", "max_iter": 2}, "stored state"),
+        ("iter_gbt", {"estimator": "forest", "max_depth": 3, "max_iter": 2,
+                      "n_estimators": 2}, "stored state"),
+        ("iter_forest", {"estimator": "gbt", "max_depth": 3, "max_iter": 2,
+                         "n_estimators": 2}, "stored state"),
+        ("iter_forest", {"estimator": "forest", "max_iter": 2,
+                         "learning_rate": 0.1}, "learning_rate"),
+    ])
+    def test_chain_spec_that_does_not_fit_its_models_is_corrupt(
+            self, imputer, params, match):
+        doc = json.loads((Path(__file__).parent / "data" / "tree_plan_v2.json"
+                          ).read_bytes())
+        fitted = next(f for f in doc["fitted"] if f["spec"]["id"] == imputer)
+        fitted["spec"]["params"] = params
+        with pytest.raises(CorruptModel, match=match):
+            deserialize_pipeline(json.dumps(doc).encode())
+
     def test_wrong_format_or_version_rejected(self):
         t, cfg, records, plan = self.fit_plan(seed=2)
         doc = json.loads(serialize_pipeline(plan))

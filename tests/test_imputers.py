@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from imputeq.errors import ImputeQWarning, InvalidArgument, UntrainableImputer
+from imputeq.errors import (
+    ImputeQWarning,
+    InvalidArgument,
+    SchemaError,
+    UntrainableImputer,
+)
 from imputeq.imputers import (
     FittedImputer,
     ImputerSpec,
@@ -120,10 +125,28 @@ class TestFit:
         ("learning_rate", "0.1", 0.1),
     ])
     def test_iterative_spec_checks_each_parameter(self, name, bad, good):
-        params = {"estimator": "ridge"}
+        # each key with an estimator that reads it
+        reader = {"n_estimators": "forest", "max_depth": "gbt",
+                  "learning_rate": "gbt"}
+        params = {"estimator": reader.get(name, "ridge")}
         with pytest.raises(InvalidArgument, match=name):
             ImputerSpec("bad", "iterative", dict(params, **{name: bad}))
         ImputerSpec("ok", "iterative", dict(params, **{name: good}))
+
+    @pytest.mark.parametrize("family,params,key", [
+        ("iterative", {"estimator": "forest", "n_trees": 5}, "n_trees"),
+        ("iterative", {"estimator": "forest", "learning_rate": 0.3},
+         "learning_rate"),
+        ("iterative", {"estimator": "ridge", "max_depth": 3}, "max_depth"),
+        ("iterative", {"estimator": "gbt", "reg": 1.0}, "reg"),
+        ("simple", {"statistic": "mean", "stat": "median"}, "stat"),
+        ("knn", {"n_neighbors": 3, "statistic": "mean"}, "statistic"),
+        ("apprandom", {"seed": 3}, "seed"),
+    ])
+    def test_spec_refuses_a_key_that_nothing_reads(self, family, params, key):
+        with pytest.raises(SchemaError, match=repr(key)) as exc:
+            ImputerSpec("bad", family, params)
+        assert exc.value.path == "params"
 
 
 class TestTransform:

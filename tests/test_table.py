@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imputeq.errors import (
+    DataIoError,
     InvalidArgument,
     InvalidFoldCount,
     ParseError,
@@ -75,6 +76,13 @@ class TestLoadCsv:
         with pytest.raises(RaggedRows):
             load_csv(p)
 
+    @pytest.mark.parametrize("header", ["a,a,b", "a,b, a", "b,a,a"])
+    def test_repeated_header_is_a_data_error(self, tmp_path, header):
+        p = tmp_path / "t.csv"
+        p.write_text(header + "\n1,2,3\n")
+        with pytest.raises(DataIoError, match="'a'"):
+            load_csv(p)
+
     def test_categorical_hint_keeps_numeric_strings(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("code\n1\n2\n1\n")
@@ -122,16 +130,24 @@ def write_csv_per_cell(table, path):
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-10**6, 10**6).map(float),
-    st.sampled_from([-0.0, 0.0, 0.1 + 0.2, 1 / 3, 1e-7, 2.5e15, 1e20,
-                     -123456.789012345]),
+    st.sampled_from([-0.0, 0.0, 0.1 + 0.2, 1 / 3, 1e-7, 1e12, 123456789012.0,
+                     2.5e15, 1e20, -123456.789012345]),
 )
-# codes 3 and 4 have no label and write as numbers
+# codes 3 and 4 have no label in LABELS and write as numbers; a column
+# takes a random part of it, so code 0 (and -0.0) can be unlabelled too
 LABELS = {0: "red", 1: "dark, green", 2: 'say "blue"'}
+CODES = st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, 3.0, 4.0])
+
+
+def repeating(cells):
+    """Cells drawn from a small pool of `cells`, so that a column repeats
+    its values as real columns do."""
+    return st.lists(cells, min_size=1, max_size=4).flatmap(st.sampled_from)
 
 
 @st.composite
 def csv_tables(draw):
-    n = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 12))
     cols = []
     for j in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(["number", "labelled", "raw"]))
@@ -139,22 +155,27 @@ def csv_tables(draw):
                         dtype=bool)
         labels = None
         if kind == "raw":
-            values = np.array(draw(st.lists(st.text(max_size=6), min_size=n,
-                                            max_size=n)), dtype=object)
+            strings = draw(st.sampled_from([st.text(max_size=6),
+                                            repeating(st.text(max_size=6))]))
+            values = np.array(draw(st.lists(strings, min_size=n, max_size=n)),
+                              dtype=object)
             values[mask] = None
         else:
-            cells = (NUMBERS if kind == "number"
-                     else st.integers(0, 4).map(float))
+            if kind == "number":
+                cells = draw(st.sampled_from([NUMBERS, repeating(NUMBERS)]))
+            else:
+                cells = CODES
+                kept = draw(st.sets(st.sampled_from(sorted(LABELS))))
+                labels = {k: v for k, v in LABELS.items() if k in kept}
             values = np.array(draw(st.lists(cells, min_size=n, max_size=n)),
                               dtype=float)
             values[mask] = np.nan
-            labels = LABELS if kind == "labelled" else None
         cols.append(Column(f"c{j}", values, mask, labels=labels))
     return Table(tuple(cols), n)
 
 
 class TestWriteCsv:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(csv_tables())
     def test_bytes_equal_the_per_cell_writer(self, t):
         with tempfile.TemporaryDirectory() as d:
@@ -165,18 +186,20 @@ class TestWriteCsv:
                 assert a.read() == b.read()
 
 
-def load_csv_per_cell(path, hints):
+def load_csv_per_cell(path, hints, sentinels):
     """The parse of `load_csv` before it went by column, kept as its
     oracle; the ragged-row check comes first in both."""
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     header = [h.strip() for h in header]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise RaggedRows(i + 1)
     n = len(rows)
     columns = []
     for j, name in enumerate(header):
         raw = [rows[i][j].strip() for i in range(n)]
-        mask = np.array([cell in ("", "NA", "NaN", "?") for cell in raw],
-                        dtype=bool)
+        mask = np.array([cell in sentinels for cell in raw], dtype=bool)
         parsed = np.full(n, np.nan)
         numeric = np.zeros(n, dtype=bool)
         for i, cell in enumerate(raw):
@@ -204,31 +227,53 @@ def load_csv_per_cell(path, hints):
     return Table(tuple(columns), n)
 
 
-CELLS = st.sampled_from(["", " ", "NA", "NaN", "?", "nan", "inf", "-inf",
-                         "1", " 2.5 ", "-0", "1e3", "1_0", "x", "y z", "a,b",
-                         '"q"'])
+CELLS = st.sampled_from(["", " ", "NA", " NA ", "NaN", "?", "-999", "nan",
+                         "inf", "-inf", "1e400", "1", " 2.5 ", "2.5", "-0",
+                         "0", "1e3", "1_000", "x", "y z", "a,b", '"q"'])
+HEADER = ["a", " b", "c", "d"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A header and rows whose columns draw from a few cells each, so that
+    cells repeat and whole columns can be blank, text or numbers; now and
+    then one row is one field short or long."""
+    width = draw(st.integers(1, len(HEADER)))
+    n = draw(st.integers(0, 12))
+    pools = [draw(st.lists(CELLS, min_size=1, max_size=4))
+             for _ in range(width)]
+    rows = [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(n)]
+    if rows and draw(st.integers(0, 9)) == 0:
+        row = rows[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.append("1")
+        else:
+            row.pop()
+    return [HEADER[:width], *rows]
 
 
 class TestLoadCsvByColumn:
-    @settings(max_examples=200, deadline=None)
-    @given(rows=st.integers(0, 6).flatmap(lambda n: st.lists(
-        st.lists(CELLS, min_size=3, max_size=3), min_size=n, max_size=n)),
-        categorical=st.booleans())
-    def test_tables_and_errors_equal_the_per_cell_parse(self, rows,
-                                                        categorical):
-        hints = {"b": ColumnKind.CATEGORICAL} if categorical else {}
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts(),
+           hints=st.dictionaries(st.sampled_from("abcd"),
+                                 st.sampled_from(ColumnKind)),
+           sentinels=st.sampled_from([("", "NA", "NaN", "?"), ("", "-999")]))
+    def test_tables_and_errors_equal_the_per_cell_parse(self, text, hints,
+                                                        sentinels):
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "t.csv")
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows([["a", " b", "c"], *rows])
+                csv.writer(fh).writerows(text)
             outcomes = []
             for load in (load_csv, load_csv_per_cell):
                 try:
-                    outcomes.append(load(path, hints))
+                    outcomes.append(load(path, hints, sentinels))
                 except ParseError as exc:
                     outcomes.append((exc.row, exc.col, exc.cell))
+                except RaggedRows:
+                    outcomes.append(RaggedRows)
         got, want = outcomes
-        if isinstance(want, tuple):
+        if not isinstance(want, Table):
             assert got == want
             return
         assert got.n_rows == want.n_rows
