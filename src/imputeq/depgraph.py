@@ -25,7 +25,7 @@ from .estimators import (
     ridge_fit,
     ridge_predict,
 )
-from .imputers import _is_int, check_estimator_params
+from .imputers import _init_fill, _is_int, check_estimator_params
 from .metrics import r2
 from .table import Table
 
@@ -158,14 +158,7 @@ def build_dependency_graph(
         return DependencyGraph(tuple(names), (), top_n, min_importance)
 
     # column-wide mode fills for predictor gaps, computed once
-    fills = {}
-    for c in t.columns:
-        obs = c.observed_values()
-        if obs.size == 0:
-            fills[c.name] = 0.0
-        else:
-            uniq, counts = np.unique(obs, return_counts=True)
-            fills[c.name] = float(uniq[np.argmax(counts)])
+    fills = {c.name: _init_fill(c.values, c.mask, "mode") for c in t.columns}
 
     edges = []
     for t_idx, target in enumerate(names):

@@ -171,6 +171,11 @@ class _TreeBuilder:
     gain of every threshold that separates distinct values.  A small node
     (see `_PLAIN_CELLS`) runs the same search, operation for operation, in
     plain Python floats, so both give the same tree bit for bit.
+
+    Every sum is a running sum, left to right from its first term: a node's
+    response total (and hessian sum) over its own rows in ascending row
+    order, summed afresh at each node, so rounding does not build up down a
+    path, and a one-row leaf is its target exactly.
     """
 
     def __init__(self, max_depth, rng=None, mtry=None):
@@ -199,14 +204,15 @@ class _TreeBuilder:
                     None if hess is None else hess[idx].tolist())
                 continue
             ysub = y[idx]
+            total = float(ysub.cumsum()[-1])
             split = None
             if depth < self.max_depth and ysub.max() != ysub.min():
-                split = self._best_split(XT, ysub, idx, ks)
+                split = self._best_split(XT, ysub, total, idx, ks)
             if split is None:
                 if hess is None:
-                    v = float(ysub.sum()) / idx.size
+                    v = total / idx.size
                 else:
-                    v = float(ysub.sum()) / max(float(hess[idx].sum()), 1e-12)
+                    v = total / max(float(hess[idx].cumsum()[-1]), 1e-12)
                 value[node] = v
                 row_value[idx] = v
                 continue
@@ -228,13 +234,13 @@ class _TreeBuilder:
             return np.arange(p)
         return np.sort(self.rng.choice(p, size=self.mtry, replace=False))
 
-    def _best_split(self, XT, ysub, idx, ks):
-        """(feature, threshold, left rows, right rows), or None.
+    def _best_split(self, XT, ysub, total, idx, ks):
+        """(feature, threshold, left rows, right rows), or None; `total` is
+        the running sum of `ysub`.
 
         Within a feature the first maximal gain (lowest threshold) wins;
         across features a later one wins only when strictly better by 1e-12.
         """
-        total = ysub.sum()
         n = idx.size
         base = total * total / n
         fs = self._candidate_features(XT.shape[0])
@@ -270,7 +276,7 @@ class _TreeBuilder:
         while stack:
             node, rows, depth = stack.pop()
             ys = [y[i] for i in rows]
-            total = _float_sum(ys)
+            total = _running_sum(ys)
             split = None
             if depth < self.max_depth and max(ys) != min(ys):
                 split = self._plain_split(cols, y, rows, total)
@@ -278,7 +284,8 @@ class _TreeBuilder:
                 if hess is None:
                     v = total / len(rows)
                 else:
-                    v = total / max(_float_sum([hess[i] for i in rows]), 1e-12)
+                    v = total / max(_running_sum([hess[i] for i in rows]),
+                                    1e-12)
                 value[node] = v
                 for i in rows:
                     row_value[i] = v
@@ -292,6 +299,9 @@ class _TreeBuilder:
         """`_best_split` of the node `rows` (ascending) in Python floats,
         with the same operations in the same order: a stable sort, running
         sums, gains c*c/k + r*r/(n-k) and the first maximal threshold.
+        `total` is the running sum of the node's responses in row order, the
+        adds of the block search's `cumsum`; it is never the builtin `sum`,
+        whose float result changed in Python 3.12.
 
         Where numpy's max meets a NaN gain, this one may skip it, but no
         such feature can win either way: a NaN gain needs a NaN or infinite
@@ -345,56 +355,17 @@ def _add_children(nodes, node, feat, thr):
     return left[node], right[node]
 
 
-def _running_sum(terms: list):
-    """terms[0] + terms[1] + ..., left to right: a fresh array (for array
-    terms) unless `terms` has one member."""
+def _running_sum(terms):
+    """terms[0] + terms[1] + ..., left to right from the first term: the one
+    summation order of every tree node and kNN distance.  Floats give a
+    float; arrays (summed elementwise) give a fresh array unless `terms` has
+    one member."""
     if len(terms) == 1:
         return terms[0]
     out = terms[0] + terms[1]
     for a in terms[2:]:
         out += a
     return out
-
-
-def _pairwise_sum(terms: list):
-    """The sum of `terms` (floats, or arrays summed elementwise) in numpy's
-    pairwise order for a sum of len(terms) values: a running sum below 8,
-    eight running accumulators up to 128, and halves cut at a multiple of 8
-    above.  An array result is fresh, unless `terms` has one member; at
-    most four (plus one per halving) arrays of its size are alive."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        out = _pairwise_sum(terms[:half])
-        out += _pairwise_sum(terms[half:])
-        return out
-    if n < 8:
-        return _running_sum(terms)
-    m = n - n % 8
-
-    def pair(i):  # accumulators i and i + 1, added
-        a, b = _running_sum(terms[i:m:8]), _running_sum(terms[i + 1:m:8])
-        if m > 8:  # `a` is fresh
-            a += b
-            return a
-        return a + b
-
-    out = pair(0)
-    out += pair(2)
-    right = pair(4)
-    right += pair(6)
-    out += right
-    for a in terms[m:]:
-        out += a
-    return out
-
-
-def _float_sum(values: list) -> float:
-    """`np.sum(values)` bit for bit: numpy's pairwise order, and numpy's
-    own sign for a zero total (all terms -0.0), where numpy versions may
-    differ."""
-    s = _pairwise_sum(values)
-    return s if s != 0.0 else float(np.sum(values))
 
 
 def tree_fit(Xm, y, max_depth=None) -> TreeModel:

@@ -30,7 +30,7 @@ from .errors import (
     UntrainableImputer,
 )
 from .estimators import (
-    _pairwise_sum,
+    _running_sum,
     forest_fit,
     gbt_fit,
     model_from_jsonable,
@@ -427,16 +427,14 @@ def knn_view_fills(train_X: np.ndarray, X: np.ndarray, views, ks) -> list:
 
     Query rows go in blocks.  A block is coordinate-major: one plane of
     squared shared differences per column, (query rows x references), built
-    once for every view.  Each view sums its own planes in numpy's pairwise
-    order for its number of columns, selects its neighbours once for the
-    largest k, nearest first, and takes every k's fill as the mean over a
-    prefix of that one order; then the block is dropped.
+    once for every view.  Each view sums its own planes left to right in its
+    predictors' order, selects its neighbours once for the largest k,
+    nearest first, and takes every k's fill as the mean over a prefix of
+    that one order; then the block is dropped.
     """
     n, p_all = train_X.shape
-    p_max = max(len(v[0]) for v in views)
-    # the most arrays of a plane's size that `_pairwise_sum` holds at once
-    temps = 1 if p_max < 8 else 4 + max(0, (p_max - 1).bit_length() - 7)
-    rows = max(1, min(len(X), _KNN_BLOCK_BYTES // (8 * n * (p_all + temps))))
+    # the planes and the one array that sums a view's planes
+    rows = max(1, min(len(X), _KNN_BLOCK_BYTES // (8 * n * (p_all + 1))))
     # the planes come in groups of columns, each one array under 128 KiB,
     # glibc's default mmap threshold: freeing a larger array raises the
     # threshold, and with it the memory that the process keeps
@@ -462,7 +460,7 @@ def knn_view_fills(train_X: np.ndarray, X: np.ndarray, views, ks) -> list:
             sq.extend(g)
         q_seen = (~np.isnan(q)).astype(float)
         for i, (cols, refs, ref_y, _) in enumerate(views):
-            ss = _pairwise_sum([sq[c] for c in cols])
+            ss = _running_sum([sq[c] for c in cols])
             shared = (q_seen * reads[i]) @ seen  # exact counts over `cols`
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = np.divide(len(cols), shared)
@@ -474,18 +472,19 @@ def knn_view_fills(train_X: np.ndarray, X: np.ndarray, views, ks) -> list:
             n_finite = np.isfinite(d).sum(axis=1)
             unmatched[i] = unmatched[i] or not n_finite.all()
             near = ref_y[_nearest_first(d, min(max(ks), len(ref_y)))]
+            sums = near.cumsum(axis=1)
             for k, f in fills[i].items():
-                _prefix_means(near, np.minimum(k, n_finite), f[lo:lo + len(q)])
+                _prefix_means(sums, np.minimum(k, n_finite), f[lo:lo + len(q)])
     return list(zip(fills, unmatched))
 
 
-def _prefix_means(near: np.ndarray, k: np.ndarray, out) -> None:
-    """Write into `out` each row's mean over its first k[i] entries of
-    `near`; rows with k[i] == 0 keep the value `out` holds."""
-    for kk in set(k.tolist()) - {0}:  # one pass per prefix length
-        sel = k == kk
-        # a fresh (rows, kk) array sums each row in numpy's order for kk
-        out[sel] = near[sel, :kk].sum(axis=1) / kk
+def _prefix_means(sums: np.ndarray, k: np.ndarray, out) -> None:
+    """Write into `out` each row's mean over its first k[i] neighbours,
+    given `sums`, the running sums of each row's neighbour targets nearest
+    first (one `cumsum` serves every k): sums[i, k[i] - 1] / k[i].  Rows
+    with k[i] == 0 keep the value `out` holds."""
+    sel = np.flatnonzero(k)
+    out[sel] = sums[sel, k[sel] - 1] / k[sel]
 
 
 def _nearest_first(d: np.ndarray, k: int) -> np.ndarray:

@@ -243,11 +243,18 @@ def _csv_cells(c: Column) -> list[str]:
     """The CSV cells of column `c`, one per row: empty when masked, else
     the label of the code, the raw string, or the number written as an
     integer when it is one and with 12 significant digits otherwise.  An
-    encoded column formats each distinct value once."""
+    encoded column formats each distinct value once; an unmasked NaN or
+    infinity in one is a `DegenerateInput`."""
     if not c.is_encoded:
         return ["" if m else str(v) for v, m in
                 zip(c.values.tolist(), c.mask.tolist())]
     observed = c.values[~c.mask]
+    bad = ~np.isfinite(observed)
+    if bad.any():
+        row = np.flatnonzero(~c.mask)[bad.argmax()]
+        raise DegenerateInput(
+            f"column {c.name!r}: row {row + 1} holds {c.values[row]}, which "
+            "is not marked missing and has no CSV cell")
     # distinct by bit pattern: -0.0 and 0.0 write differently as an
     # unlabelled code ("-0.0", "0.0")
     keys = observed.view(np.int64) if observed.dtype == np.float64 else observed

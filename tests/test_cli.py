@@ -19,6 +19,7 @@ from imputeq import cli
 from imputeq.cli import main
 from imputeq.engine import records_to_jsonable
 from imputeq.report import column_summary, quality_document
+from imputeq.table import Column
 
 DATA = Path(__file__).parent / "data"
 
@@ -182,6 +183,28 @@ class TestFitApply:
         assert rc == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "DataIoError" and "'a'" in err["message"]
+
+    def test_apply_writing_an_unmasked_nan_is_data_error(
+            self, workspace, monkeypatch, capsys):
+        tmp, config, data = workspace
+        pipe = str(tmp / "pipe.json")
+        assert main(["fit", "--config", config, "--out", pipe]) == 0
+
+        def unmask_nan(plan, t):
+            a = t.column("a")
+            return t.with_column(Column("a", np.full(t.n_rows, np.nan),
+                                        np.zeros(t.n_rows, dtype=bool),
+                                        kind=a.kind))
+
+        monkeypatch.setattr(cli, "apply_pipeline", unmask_nan)
+        capsys.readouterr()
+        rc = main(["apply", "--pipeline", pipe, "--data", data,
+                   "--out", str(tmp / "o.csv")])
+        assert rc == 3
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "DegenerateInput"
+        assert "'a': row 1 holds nan" in err["message"]
 
     def test_apply_with_corrupt_pipeline_is_data_error(self, workspace,
                                                        capsys):

@@ -3,9 +3,11 @@
 `_knn_one` and `_knn_distances` below are the original one-row-at-a-time
 implementation, kept as the oracle: the blockwise path must pick the same
 neighbours and sum them in the same order, so every fill is bit-identical,
-also when one block's distances serve several neighbour counts.  The fold
-pass of `engine.Folds`, which fills every view of a fold from one set of
-distance planes, is held to the same oracle view by view.
+also when one block's distances serve several neighbour counts.  Every sum
+is a running sum, left to right: a distance over the predictors in order,
+a fill over the neighbours nearest first.  The fold pass of `engine.Folds`,
+which fills every view of a fold from one set of distance planes, is held
+to the same oracle view by view.
 """
 
 import tracemalloc
@@ -29,6 +31,7 @@ from imputeq.imputers import ImputerSpec, fit, knn_fill, knn_fills
 from imputeq.table import (
     Column,
     ColumnKind,
+    SplitIndices,
     Table,
     infer_column_kinds,
     kfold_split,
@@ -42,7 +45,7 @@ def _knn_distances(ref_X, row):
     shared = ~np.isnan(ref_X) & ~np.isnan(row)[None, :]
     counts = shared.sum(axis=1)
     diff = np.where(shared, ref_X - row[None, :], 0.0)
-    ss = (diff * diff).sum(axis=1)
+    ss = np.cumsum(diff * diff, axis=1)[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.sqrt(p / counts * ss)
     d[counts == 0] = np.inf
@@ -56,7 +59,7 @@ def _knn_one(state, row):
         return state["global_mean"]
     k = min(state["k"], int(finite.sum()))
     order = np.argsort(d, kind="mergesort")  # stable: ties keep row order
-    return float(state["ref_y"][order[:k]].mean())
+    return float(np.cumsum(state["ref_y"][order[:k]])[-1] / k)
 
 
 def oracle(state, X):
@@ -198,22 +201,6 @@ def test_block_temporaries_stay_near_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2 * imputers._KNN_BLOCK_BYTES
-
-
-# ---------------------------------------------------------------------------
-# the pairwise sum of coordinate-major planes
-
-
-def test_pairwise_sum_is_numpys_last_axis_sum():
-    # lengths 1-300 take the running sum (< 8), the eight accumulators
-    # (8-128) and one or two halvings above 128
-    rng = np.random.default_rng(0)
-    for n in range(1, 301):
-        a = rng.random((40, n)) * 10.0 ** rng.integers(-6, 7, (40, n))
-        a[rng.random((40, n)) < 0.2] = 0.0
-        planes = list(np.ascontiguousarray(a.T))
-        assert_bits_equal(imputers._pairwise_sum(planes),
-                          np.add.reduce(a, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +378,50 @@ def test_fold_pass_temporaries_stay_near_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2 * imputers._KNN_BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the summation order: left to right, not numpy's pairwise order
+
+# Eight predictors.  Left to right, each of reference A's seven small
+# squared terms rounds against a running total near 1, and A's squared
+# distance to the all-zero row ends above B's; numpy's pairwise order adds
+# the small terms to one another first and ends below B's, so there A would
+# be the nearer one.
+FLIP_REFS = np.array([[1.0] + [5 * 2.0**-28] * 7,  # A
+                      [1.0, 7 * 2.0**-27] + [0.0] * 6])  # B
+FLIP_Y = np.array([10.0, 20.0])
+
+
+def test_distance_sums_predictors_left_to_right():
+    state = {"ref_X": FLIP_REFS, "ref_y": FLIP_Y, "k": 1, "global_mean": 0.0}
+    assert knn_fill(state, np.zeros((1, 8))).tolist() == [20.0]  # B
+
+
+def test_fold_pass_sums_predictors_left_to_right():
+    # rows A and B train fold 0, the all-zero row is its test row, and T
+    # reads the eight predictors
+    names = [f"P{j}" for j in range(8)]
+    X = np.vstack([FLIP_REFS, np.zeros(8)])
+    no_mask = np.zeros(3, dtype=bool)
+    t = Table(tuple(Column(n, X[:, j], no_mask, kind=ColumnKind.CONTINUOUS)
+                    for j, n in enumerate(names))
+              + (Column("T", np.array([10.0, 20.0, 0.0]), no_mask,
+                        kind=ColumnKind.CONTINUOUS),), 3)
+    splits = SplitIndices(((np.array([0, 1]), np.array([2])),
+                           (np.array([2]), np.array([0, 1]))))
+    knn1 = ImputerSpec("knn1", "knn", {"n_neighbors": 1})
+    folds = Folds(t, splits, AssessConfig((knn1,), dependencies={"T": names}))
+    assert folds.knn_fills(0, folds.fit(0, knn1, "T")).tolist() == [20.0]
+
+
+def test_neighbour_mean_sums_nearest_first_left_to_right():
+    # the nearest target is 1, the nine others 2**-53 each: left to right
+    # each of them rounds away, while numpy's pairwise order for ten terms
+    # keeps pairs of them and ends at 1 + 4 * 2**-52
+    state = {"ref_X": np.arange(10.0)[:, None],
+             "ref_y": np.array([1.0] + [2.0**-53] * 9), "k": 10,
+             "global_mean": 0.0}
+    got = knn_fills(state, np.zeros((1, 1)), (3, 10))
+    assert got[10].tolist() == [1.0 / 10]
+    assert got[3].tolist() == [1.0 / 3]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from imputeq.errors import (
     DataIoError,
+    DegenerateInput,
     InvalidArgument,
     InvalidFoldCount,
     ParseError,
@@ -184,6 +185,18 @@ class TestWriteCsv:
             write_csv_per_cell(t, want)
             with open(got, "rb") as a, open(want, "rb") as b:
                 assert a.read() == b.read()
+
+    @pytest.mark.parametrize("labels", [None, {1: "one"}])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unmasked_non_finite_is_degenerate(self, tmp_path, bad, labels):
+        # row 2 is masked; row 3 is the first unmasked non-finite cell
+        values = np.array([1.0, np.nan, bad, bad])
+        mask = np.array([False, True, False, False])
+        t = Table((Column("x", values, mask, labels=labels),), 4)
+        out = tmp_path / "o.csv"
+        with pytest.raises(DegenerateInput, match=f"'x': row 3 holds {bad}"):
+            write_csv(t, out)
+        assert not out.exists()
 
 
 def load_csv_per_cell(path, hints, sentinels):

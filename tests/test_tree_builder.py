@@ -4,7 +4,9 @@ the per-feature reference.
 
 `_ReferenceBuilder` is the builder the estimators used before the split
 search was vectorized: one Python pass per candidate feature per node.  It
-defines the trees every fit must keep reproducing, bit for bit.
+defines the trees every fit must keep reproducing, bit for bit.  Like the
+estimators, it sums each node's responses (and hessians) as a running sum
+in ascending row order, from the first term.
 """
 
 import numpy as np
@@ -26,6 +28,11 @@ from imputeq.estimators import (
 pytestmark = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning")
+
+
+def _running_sum(a):
+    """a[0] + a[1] + ..., left to right."""
+    return np.cumsum(a)[-1]
 
 
 class _ReferenceBuilder:
@@ -50,10 +57,10 @@ class _ReferenceBuilder:
         return len(self.feature) - 1
 
     def _leaf_value(self, idx, y, hess):
+        total = float(_running_sum(y[idx]))
         if hess is None:
-            return float(y[idx].mean())
-        denom = float(hess[idx].sum())
-        return float(y[idx].sum()) / max(denom, 1e-12)
+            return total / idx.size
+        return total / max(float(_running_sum(hess[idx])), 1e-12)
 
     def build(self, X, y, hess=None):
         """Same interface as `_TreeBuilder.build`; the per-row values come
@@ -95,7 +102,7 @@ class _ReferenceBuilder:
         best_gain = -np.inf
         best = (-1, 0.0, None, None)
         ysub = y[idx]
-        total = ysub.sum()
+        total = _running_sum(ysub)
         n = idx.size
         base = total * total / n
         for f in self._candidate_features(X.shape[1]):
@@ -269,3 +276,16 @@ def test_row_values_equal_tree_predict(data, depth, newton):
         y = -grad
     tree, fitted = _TreeBuilder(depth).build(X, y, hess=hess)
     np.testing.assert_array_equal(_bits(fitted), _bits(tree_predict(tree, X)))
+
+
+@pytest.mark.parametrize("plain_cells", [0, 10**9])
+def test_leaf_sums_rows_left_to_right(plain_cells):
+    # one leaf of ten rows: the first target is 1 and the nine others
+    # 2**-53, which each round away left to right (numpy's pairwise order
+    # would keep pairs of them); a one-row leaf is its target, -0.0 too
+    y = np.array([1.0] + [2.0**-53] * 9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_PLAIN_CELLS", plain_cells)
+        assert tree_fit(np.zeros((10, 1)), y).value.tolist() == [1.0 / 10]
+        tree = tree_fit(np.array([[0.0], [1.0]]), np.array([-0.0, 1.0]))
+    assert _bits(tree.value).tolist() == _bits([0.0, -0.0, 1.0]).tolist()
