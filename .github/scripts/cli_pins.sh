@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# The pinned CLI outputs and exit codes, run by every CI job after
+# `pip install`: it needs the `imputeq` console script on PATH, the repo
+# root as the working directory, and RUNNER_TEMP set to a scratch directory.
+set -euo pipefail
+
+echo "console script serves the committed tree plan"
+imputeq apply --pipeline tests/data/tree_plan_v2.json --data tests/data/mixed.csv --out "$RUNNER_TEMP/applied.csv"
+cmp "$RUNNER_TEMP/applied.csv" tests/data/tree_plan_v2_applied.csv
+
+echo "console script fits the committed config"
+imputeq fit --config tests/data/mixed_config.json --out "$RUNNER_TEMP/mixed_fit.json"
+echo "d848e48ba4a372a9409bc1700020dabba2051996c14a31c6d01c8e14f6977ab9  $RUNNER_TEMP/mixed_fit.json" | sha256sum -c
+
+echo "a config value error exits 2 at its document path"
+python -c '
+import json, sys
+doc = json.load(open("tests/data/mixed_config.json"))
+doc["splitter"]["params"]["k"] = 1
+json.dump(doc, open(sys.argv[1], "w"))
+' "$RUNNER_TEMP/k1.json"
+rc=0
+imputeq fit --config "$RUNNER_TEMP/k1.json" --out "$RUNNER_TEMP/k1_fit.json" 2> "$RUNNER_TEMP/k1.err" || rc=$?
+test "$rc" = 2
+python -c '
+import json, sys
+[line] = open(sys.argv[1]).read().splitlines()
+assert json.loads(line)["path"] == "splitter.params.k", line
+' "$RUNNER_TEMP/k1.err"
+
+echo "a params key that no fit reads exits 2 at its document path"
+python -c '
+import json, sys
+doc = json.load(open("tests/data/mixed_config.json"))
+doc["imputers"][2]["params"]["n_trees"] = 5
+json.dump(doc, open(sys.argv[1], "w"))
+' "$RUNNER_TEMP/unread.json"
+rc=0
+imputeq fit --config "$RUNNER_TEMP/unread.json" --out "$RUNNER_TEMP/unread_fit.json" 2> "$RUNNER_TEMP/unread.err" || rc=$?
+test "$rc" = 2
+python -c '
+import json, sys
+[line] = open(sys.argv[1]).read().splitlines()
+assert json.loads(line)["path"] == "imputers[2].params", line
+' "$RUNNER_TEMP/unread.err"
+
+echo "a data CSV with a repeated header exits 3"
+printf 'a,a,b\n1,2,3\n' > "$RUNNER_TEMP/repeated.csv"
+rc=0
+imputeq apply --pipeline tests/data/tree_plan_v2.json --data "$RUNNER_TEMP/repeated.csv" --out "$RUNNER_TEMP/repeated_applied.csv" || rc=$?
+test "$rc" = 3
+
+echo "console script builds a forest dependency graph"
+python -c '
+import json, sys
+doc = json.load(open("tests/data/mixed_config.json"))
+doc["dependency_graph"] = {"type": "auto", "top_n": 2}
+json.dump(doc, open(sys.argv[1], "w"))
+' "$RUNNER_TEMP/graph.json"
+imputeq graph --config "$RUNNER_TEMP/graph.json" --out "$RUNNER_TEMP/deps.json"
+echo "d3b00c984c669f707750f71fd6e86fdf16b473f3025cda71bced3a77af98c76f  $RUNNER_TEMP/deps.json" | sha256sum -c
+
+echo "the indented plan re-serializes compact and serves the same rows"
+python -c '
+import json, sys
+from imputeq.engine import deserialize_pipeline, serialize_pipeline
+blob = open("tests/data/tree_plan_v2.json", "rb").read()
+compact = serialize_pipeline(deserialize_pipeline(blob))
+assert compact == json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+open(sys.argv[1], "wb").write(compact)
+' "$RUNNER_TEMP/compact.json"
+imputeq apply --pipeline "$RUNNER_TEMP/compact.json" --data tests/data/mixed.csv --out "$RUNNER_TEMP/compact_applied.csv"
+cmp "$RUNNER_TEMP/compact_applied.csv" tests/data/tree_plan_v2_applied.csv

@@ -29,10 +29,6 @@ from .metrics import auroc, mean_ci
 from .table import Column, Table, inject_mcar, kfold_split
 
 DEFAULT_AUDIT_FOLDS = 5
-# boosted-classifier capacity for the mask-prediction task
-AUDIT_N_ESTIMATORS = 100
-AUDIT_MAX_DEPTH = 6
-AUDIT_LEARNING_RATE = 0.1
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,8 @@ def audit_feature(
     seed: int = 0,
     feature: str = "",
 ) -> FeatureAudit:
-    """Mean cross-validated AUROC for predicting one feature's mask.
+    """Mean cross-validated AUROC for predicting one feature's mask with a
+    logistic `gbt_fit` at its default capacity.
 
     Needs at least 2k cells of each class so every fold sees both; thin
     masks are reported as skipped, mirroring blank rows in a results table.
@@ -208,9 +205,6 @@ def audit_feature(
         model = gbt_fit(
             X[train],
             y[train].astype(float),
-            n_estimators=AUDIT_N_ESTIMATORS,
-            max_depth=AUDIT_MAX_DEPTH,
-            learning_rate=AUDIT_LEARNING_RATE,
             loss="logistic",
             seed=task_seed(seed, fold_idx),
         )

@@ -17,15 +17,20 @@ import numpy as np
 
 from .errors import InvalidArgument, SchemaError, SmallSampleWarning
 from .estimators import (
+    ESTIMATORS,
+    GRAPH_DEFAULTS,
+    _is_int,
+    check_estimator_params,
     forest_fit,
     forest_predict,
     gbt_fit,
     gbt_predict,
+    is_estimator,
     permutation_importance,
     ridge_fit,
     ridge_predict,
 )
-from .imputers import _init_fill, _is_int, check_estimator_params
+from .imputers import _init_fill
 from .metrics import r2
 from .table import Table
 
@@ -34,8 +39,6 @@ DEFAULT_MIN_IMPORTANCE = 0.01
 DEFAULT_HOLDOUT_FRACTION = 0.25
 DEFAULT_N_REPEATS = 5
 MIN_USABLE_ROWS = 20
-
-GRAPH_REGRESSORS = ("forest", "ridge", "gbt")
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,7 @@ def check_graph_limits(top_n=DEFAULT_TOP_N,
                        min_importance=DEFAULT_MIN_IMPORTANCE) -> None:
     """Raise SchemaError at `top_n` unless it is an integer >= 1, and at
     `min_importance` unless it is a number >= 0."""
-    if not (isinstance(top_n, int) and not isinstance(top_n, bool)
-            and top_n >= 1):
+    if not _is_int(top_n, 1):
         raise SchemaError("top_n", "expected an integer >= 1")
     if not (isinstance(min_importance, (int, float))
             and not isinstance(min_importance, bool) and min_importance >= 0):
@@ -103,23 +105,12 @@ def check_graph_limits(top_n=DEFAULT_TOP_N,
 
 def _fit_regressor(name: str, params: dict, X, y, seed: int):
     if name == "ridge":
-        m = ridge_fit(X, y, reg=float(params.get("reg", 1.0)))
+        m = ridge_fit(X, y, **params)
         return lambda Z: ridge_predict(m, Z)
     if name == "gbt":
-        m = gbt_fit(
-            X, y,
-            n_estimators=params.get("n_estimators", 100),
-            max_depth=params.get("max_depth", 6),
-            learning_rate=float(params.get("learning_rate", 0.1)),
-            seed=seed,
-        )
+        m = gbt_fit(X, y, seed=seed, **params)
         return lambda Z: gbt_predict(m, Z)
-    m = forest_fit(
-        X, y,
-        n_estimators=params.get("n_estimators", 50),
-        max_depth=params.get("max_depth"),
-        seed=seed,
-    )
+    m = forest_fit(X, y, seed=seed, **params)
     return lambda Z: forest_predict(m, Z)
 
 
@@ -141,14 +132,16 @@ def build_dependency_graph(
     in-neighborhood and a warning is emitted.
 
     `regressor_params` takes the keys and values that an iterative imputer
-    with that estimator takes; a bad argument raises SchemaError at its
-    name (`regressor_params.<key>` for a parameter).
+    with that estimator takes, with its fit's defaults (`GRAPH_DEFAULTS`
+    apart); a bad argument raises SchemaError at its name
+    (`regressor_params.<key>` for a parameter).
     """
-    if regressor not in GRAPH_REGRESSORS:
-        raise InvalidArgument(f"regressor must be one of {GRAPH_REGRESSORS}")
+    if not is_estimator(regressor):
+        raise SchemaError("regressor", f"expected one of {tuple(ESTIMATORS)}")
     check_graph_limits(top_n, min_importance)
-    params = regressor_params or {}
+    params = {} if regressor_params is None else regressor_params
     check_estimator_params(regressor, params, "regressor_params")
+    params = {**GRAPH_DEFAULTS.get(regressor, {}), **params}
     if not _is_int(n_repeats, 1):
         raise SchemaError("n_repeats", "expected an integer >= 1")
     if not _is_int(seed, 0):

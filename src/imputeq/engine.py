@@ -45,7 +45,7 @@ from .depgraph import (
     check_dependency_shape,
     validate_dependency_dict,
 )
-from .estimators import MODEL_TYPES, GbtModel, RidgeModel
+from .estimators import _is_int, _is_number, chain_model_reads, model_numbers
 from .errors import (
     CorruptModel,
     DegenerateInput,
@@ -60,8 +60,6 @@ from .errors import (
 from .imputers import (
     FittedImputer,
     ImputerSpec,
-    _is_int,
-    _is_number,
     fit as fit_imputer,
     fitted_from_jsonable,
     fitted_to_jsonable,
@@ -874,12 +872,12 @@ def _check_plan(plan: PipelinePlan) -> None:
                                         len(f.predictor_columns))
         if "columns" in state:
             p, models = len(cols), state["models"]
-            estimator = MODEL_TYPES[f.spec.params["estimator"]]
+            estimator = f.spec.params["estimator"]
+            numbers += [x for m in models.values() for x in model_numbers(m)]
             ok = ok and (f.target_column in cols
                          and state["init_values"].shape == (p,)
                          and {*state["visit"], *models} <= set(range(p))
-                         and all(isinstance(m, estimator)
-                                 and _chain_model_reads(m, p - 1, numbers)
+                         and all(chain_model_reads(m, estimator, p - 1)
                                  for m in models.values()))
         if target.labels is not None:
             ok = ok and target.labels and set(values.tolist()) <= set(
@@ -890,37 +888,6 @@ def _check_plan(plan: PipelinePlan) -> None:
                 f"{f.spec.id}: the stored state of {f.target_column!r} is "
                 "damaged or names a column the plan lacks"
             )
-
-
-def _chain_model_reads(m, p: int, numbers: list) -> bool:
-    """Whether chain model `m` reads `p` inputs and its trees are sound (a
-    forest, which averages them, has at least one, and a GBT has the squared
-    loss that chains fit); appends its numbers."""
-    if isinstance(m, RidgeModel):
-        numbers += [m.weights, m.intercept, m.reg_strength]
-        return m.weights.shape == (p,)
-    if isinstance(m, GbtModel):
-        numbers += [m.base_score, m.learning_rate]
-        if m.loss != "squared":
-            return False
-    elif not m.trees:
-        return False
-    numbers += [a for t in m.trees for a in (t.threshold, t.value)]
-    return all(_tree_reads(t, p) for t in m.trees)
-
-
-def _tree_reads(t, p: int) -> bool:
-    """Whether tree `t` reads at most `p` inputs and prediction ends: its
-    five arrays have one non-zero length n, and each split node i has both
-    children in (i, n), so every path descends to a leaf."""
-    n = t.value.size
-    arrays = (t.feature, t.threshold, t.left, t.right, t.value)
-    if not (n and all(a.shape == (n,) for a in arrays)):
-        return False
-    split = np.flatnonzero(t.feature >= 0)
-    return bool((t.feature < p).all()) and all(
-        ((c[split] > split) & (c[split] < n)).all() for c in (t.left, t.right)
-    )
 
 
 # ---------------------------------------------------------------------------

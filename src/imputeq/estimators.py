@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidArgument
+from .errors import DegenerateInput, InvalidArgument, SchemaError
 
 _MAX_DEPTH_CAP = 64  # stands in for "unlimited"
 
@@ -48,6 +49,25 @@ def _is_integer(v, lo: int) -> bool:
     """An integer (a numpy one too, not a bool) of at least `lo`."""
     return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
             and v >= lo)
+
+
+def _is_int(v, lo: int) -> bool:
+    """A Python int (not a bool) of at least `lo`: an integer that a config
+    or plan document can hold."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _is_number(v, lo: float) -> bool:
+    """A finite int or float (not a bool) of at least `lo`."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and lo <= v < math.inf)
+
+
+def _check_finite(name: str, v) -> None:
+    if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and 0.0 <= v < math.inf):
+        raise InvalidArgument(
+            f"{name} must be a finite number >= 0, got {v!r}")
 
 
 def _check_tree_params(max_depth=None, mtry=None) -> None:
@@ -99,8 +119,8 @@ def ridge_fit(Xm, y, reg: float = 1.0) -> RidgeModel:
     X = _as_matrix(Xm)
     y = np.asarray(y, dtype=float)
     _check_complete(X, y)
-    if reg < 0:
-        raise InvalidArgument("reg must be non-negative")
+    _check_finite("reg", reg)
+    reg = float(reg)
     xm = X.mean(axis=0)
     ym = float(y.mean())
     Xc = X - xm
@@ -111,7 +131,7 @@ def ridge_fit(Xm, y, reg: float = 1.0) -> RidgeModel:
         w = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         w = np.linalg.lstsq(A, b, rcond=None)[0]
-    return RidgeModel(w, ym - float(xm @ w), reg)
+    return _finite(RidgeModel(w, ym - float(xm @ w), reg))
 
 
 def ridge_predict(model: RidgeModel, Xm) -> np.ndarray:
@@ -373,7 +393,7 @@ def tree_fit(Xm, y, max_depth=None) -> TreeModel:
     y = np.asarray(y, dtype=float)
     _check_complete(X, y)
     _check_tree_params(max_depth)
-    return _TreeBuilder(max_depth).build(X, y)[0]
+    return _finite(_TreeBuilder(max_depth).build(X, y)[0])
 
 
 # (tree, row) cells that one traversal pass moves at most; a larger walk runs
@@ -459,15 +479,8 @@ class ForestModel:
         )
 
 
-def forest_fit(
-    Xm,
-    y,
-    n_estimators: int = 100,
-    max_depth=None,
-    seed: int = 0,
-    bootstrap: bool = True,
-    mtry: int | None = None,
-) -> ForestModel:
+def forest_fit(Xm, y, n_estimators: int = 100, max_depth=None, seed: int = 0,
+               bootstrap: bool = True, mtry: int | None = None) -> ForestModel:
     """Bagged CART trees with per-split feature subsampling.
 
     mtry defaults to ceil(p / 3) as is usual for regression forests.
@@ -488,7 +501,7 @@ def forest_fit(
         yb = y if idx is None else y[idx]
         builder = _TreeBuilder(max_depth, rng=rng, mtry=mtry)
         trees.append(builder.build(Xb, yb)[0])
-    return ForestModel(tuple(trees), max_depth, seed)
+    return _finite(ForestModel(tuple(trees), max_depth, seed))
 
 
 def forest_predict(model: ForestModel, Xm) -> np.ndarray:
@@ -552,15 +565,9 @@ def logistic_grad_hess(y: np.ndarray, margin: np.ndarray):
     return p - y, p * (1.0 - p)
 
 
-def gbt_fit(
-    Xm,
-    y,
-    n_estimators: int = 100,
-    max_depth: int | None = 6,
-    learning_rate: float = 0.1,
-    loss: str = "squared",
-    seed: int = 0,
-) -> GbtModel:
+def gbt_fit(Xm, y, n_estimators: int = 100, max_depth: int | None = 6,
+            learning_rate: float = 0.1, loss: str = "squared",
+            seed: int = 0) -> GbtModel:
     """Stagewise boosting on negative gradients.
 
     Squared loss fits plain residuals with mean-valued leaves; logistic loss
@@ -577,11 +584,8 @@ def gbt_fit(
         raise InvalidArgument(f"loss must be one of {_LOSSES}, got {loss!r}")
     _check_n_estimators(n_estimators, 0)
     _check_tree_params(max_depth)
-    if not (isinstance(learning_rate, numbers.Real)
-            and not isinstance(learning_rate, bool)
-            and 0.0 <= learning_rate < math.inf):
-        raise InvalidArgument(
-            f"learning_rate must be a finite number >= 0, got {learning_rate!r}")
+    _check_finite("learning_rate", learning_rate)
+    learning_rate = float(learning_rate)
     if loss == "logistic":
         uniq = np.unique(y)
         if not np.isin(uniq, (0.0, 1.0)).all():
@@ -604,7 +608,8 @@ def gbt_fit(
             tree, fitted = _TreeBuilder(max_depth).build(X, resid, hess=hess)
             margin = margin + learning_rate * fitted
             trees.append(tree)
-    return GbtModel(tuple(trees), base, learning_rate, loss, max_depth, seed)
+    return _finite(
+        GbtModel(tuple(trees), base, learning_rate, loss, max_depth, seed))
 
 
 def gbt_raw_score(model: GbtModel, Xm) -> np.ndarray:
@@ -630,19 +635,105 @@ def gbt_predict_proba(model: GbtModel, Xm) -> np.ndarray:
     return _sigmoid(gbt_raw_score(model, Xm))
 
 
-MODEL_TYPES = {
-    "ridge": RidgeModel,
-    "tree": TreeModel,
-    "forest": ForestModel,
-    "gbt": GbtModel,
+# ---------------------------------------------------------------------------
+# the estimator table: what a chain or a dependency graph may fit, and the
+# rules of each hyperparameter; its default is the one in the fit signature
+
+
+class Estimator(NamedTuple):
+    model: type
+    params: dict  # each key the fit reads -> (accepts(value), what it accepts)
+
+
+_COUNT = (lambda v: _is_int(v, 1), "an integer >= 1")
+_DEPTH = (lambda v: v is None or _is_int(v, 1), "null or an integer >= 1")
+_RATE = (lambda v: _is_number(v, 0.0), "a number >= 0")
+
+ESTIMATORS = {
+    "ridge": Estimator(RidgeModel, {"reg": _RATE}),
+    "forest": Estimator(ForestModel, {"n_estimators": _COUNT,
+                                      "max_depth": _DEPTH}),
+    "gbt": Estimator(GbtModel, {"n_estimators": _COUNT, "max_depth": _DEPTH,
+                                "learning_rate": _RATE}),
 }
+
+# a dependency graph's one default that is not its fit's: 50 forest trees
+GRAPH_DEFAULTS = {"forest": {"n_estimators": 50}}
+
+
+def is_estimator(v) -> bool:
+    """Whether `v` names an estimator (a str: an unhashable key raises)."""
+    return isinstance(v, str) and v in ESTIMATORS
+
+
+def check_estimator_params(estimator: str, params: dict, path: str) -> None:
+    """Raise SchemaError at `path` unless `params` is a dict, and at
+    `path.<key>` for a key that the fit of `estimator` does not read or a
+    value that its rule refuses."""
+    if not isinstance(params, dict):
+        raise SchemaError(path, "expected a dict")
+    rules = ESTIMATORS[estimator].params
+    for name, v in params.items():
+        if name not in rules:
+            raise SchemaError(f"{path}.{name}",
+                              f"not a parameter of the {estimator} estimator")
+        accepts, what = rules[name]
+        if not accepts(v):
+            raise SchemaError(f"{path}.{name}", f"expected {what}")
 
 
 def model_from_jsonable(d: dict):
     kind = d.get("type")
-    if kind not in MODEL_TYPES:
+    if kind == "tree":
+        return TreeModel.from_jsonable(d)
+    if not is_estimator(kind):
         raise InvalidArgument(f"unknown model type {kind!r}")
-    return MODEL_TYPES[kind].from_jsonable(d)
+    return ESTIMATORS[kind].model.from_jsonable(d)
+
+
+def model_numbers(m) -> list:
+    """The numbers that model `m` stores, as floats and arrays."""
+    if isinstance(m, RidgeModel):
+        return [m.weights, m.intercept, m.reg_strength]
+    if isinstance(m, TreeModel):
+        return [m.threshold, m.value]
+    own = [m.base_score, m.learning_rate] if isinstance(m, GbtModel) else []
+    return own + [a for t in m.trees for a in (t.threshold, t.value)]
+
+
+def _finite(model):
+    """`model`, unless a number it stores overflowed to an inf or a NaN."""
+    if not all(math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()
+               for x in model_numbers(model)):
+        raise DegenerateInput(
+            f"the fitted {type(model).__name__} holds a non-finite number")
+    return model
+
+
+def chain_model_reads(m, estimator: str, p: int) -> bool:
+    """Whether a loaded chain model `m` is a model of `estimator` that reads
+    `p` inputs, with sound trees (a forest, which averages them, has at
+    least one, and a GBT has the squared loss that chains fit)."""
+    if not isinstance(m, ESTIMATORS[estimator].model):
+        return False
+    if isinstance(m, RidgeModel):
+        return m.weights.shape == (p,)
+    sound = m.loss == "squared" if isinstance(m, GbtModel) else bool(m.trees)
+    return sound and all(_tree_reads(t, p) for t in m.trees)
+
+
+def _tree_reads(t: TreeModel, p: int) -> bool:
+    """Whether tree `t` reads at most `p` inputs and prediction ends: its
+    five arrays have one non-zero length n, and each split node i has both
+    children in (i, n), so every path descends to a leaf."""
+    n = t.value.size
+    arrays = (t.feature, t.threshold, t.left, t.right, t.value)
+    if not (n and all(a.shape == (n,) for a in arrays)):
+        return False
+    split = np.flatnonzero(t.feature >= 0)
+    return bool((t.feature < p).all()) and all(
+        ((c[split] > split) & (c[split] < n)).all() for c in (t.left, t.right)
+    )
 
 
 def model_predict(model, Xm) -> np.ndarray:

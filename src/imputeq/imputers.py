@@ -30,9 +30,12 @@ from .errors import (
     UntrainableImputer,
 )
 from .estimators import (
+    ESTIMATORS,
+    _is_int,
     _running_sum,
     forest_fit,
     gbt_fit,
+    is_estimator,
     model_from_jsonable,
     model_predict,
     ridge_fit,
@@ -41,21 +44,11 @@ from .table import Column, ColumnKind, Table
 
 FAMILIES = ("simple", "apprandom", "knn", "iterative")
 SIMPLE_STATISTICS = ("mean", "median", "mode")
-ITERATIVE_ESTIMATORS = ("ridge", "forest", "gbt")
-
-
-def _is_int(v, lo: int) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
-
-
-def _is_number(v, lo: float) -> bool:
-    """A finite int or float (not a bool) of at least `lo`."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and lo <= v < math.inf)
 
 
 # family -> {parameter: (required, accepts(value), the accepted values)};
-# an optional parameter is checked when given
+# an optional parameter is checked when given, and so is each parameter that
+# an iterative spec's estimator reads (see `ESTIMATORS`)
 _PARAMS = {
     "simple": {
         "statistic": (True, lambda v: v in SIMPLE_STATISTICS,
@@ -66,43 +59,12 @@ _PARAMS = {
         "n_neighbors": (True, lambda v: _is_int(v, 1), "an integer >= 1"),
     },
     "iterative": {
-        "estimator": (True, lambda v: v in ITERATIVE_ESTIMATORS,
-                      f"one of {ITERATIVE_ESTIMATORS}"),
+        "estimator": (True, is_estimator, f"one of {tuple(ESTIMATORS)}"),
         "init_strategy": (False, lambda v: v in ("mode", "mean"),
                           "'mode' or 'mean'"),
         "max_iter": (False, lambda v: _is_int(v, 0), "an integer >= 0"),
-        "reg": (False, lambda v: _is_number(v, 0.0), "a number >= 0"),
-        "n_estimators": (False, lambda v: _is_int(v, 1), "an integer >= 1"),
-        "max_depth": (False, lambda v: v is None or _is_int(v, 1),
-                      "null or an integer >= 1"),
-        "learning_rate": (False, lambda v: _is_number(v, 0.0),
-                          "a number >= 0"),
     },
 }
-
-
-# the iterative parameters that each estimator reads
-_ESTIMATOR_PARAMS = {
-    "ridge": ("reg",),
-    "forest": ("n_estimators", "max_depth"),
-    "gbt": ("n_estimators", "max_depth", "learning_rate"),
-}
-_MODEL_PARAMS = {name for names in _ESTIMATOR_PARAMS.values() for name in names}
-
-
-def check_estimator_params(estimator: str, params: dict, path: str) -> None:
-    """Raise SchemaError at `path` unless `params` is a dict, and at
-    `path.<key>` for a key that `estimator` does not read or a value that
-    an iterative `ImputerSpec` refuses."""
-    if not isinstance(params, dict):
-        raise SchemaError(path, "expected a dict")
-    for name, v in params.items():
-        if name not in _ESTIMATOR_PARAMS[estimator]:
-            raise SchemaError(f"{path}.{name}",
-                              f"not a parameter of the {estimator} estimator")
-        _, accepts, what = _PARAMS["iterative"][name]
-        if not accepts(v):
-            raise SchemaError(f"{path}.{name}", f"expected {what}")
 
 
 @dataclass(frozen=True)
@@ -129,19 +91,20 @@ class ImputerSpec:
                 "seed", f"imputer {self.id!r}: expected an integer >= 0")
         if not isinstance(self.params, dict):
             raise SchemaError("params", f"imputer {self.id!r}: expected a dict")
-        for name, (required, accepts, what) in _PARAMS[self.family].items():
+        rules, owner = _PARAMS[self.family], f"the {self.family} family"
+        est = self.params.get("estimator")
+        if self.family == "iterative" and is_estimator(est):
+            rules = {**rules, **{name: (False, *rule) for name, rule
+                                 in ESTIMATORS[est].params.items()}}
+            owner = f"the {est} estimator"
+        for name, (required, accepts, what) in rules.items():
             if (required or name in self.params) and not accepts(
                     self.params.get(name)):
                 raise SchemaError(
                     "params", f"imputer {self.id!r}: {name} must be {what}")
         # a key that no fit reads is refused rather than ignored
-        reads, owner = set(_PARAMS[self.family]), f"the {self.family} family"
-        if self.family == "iterative":
-            owner = f"the {self.params['estimator']} estimator"
-            reads -= _MODEL_PARAMS.difference(
-                _ESTIMATOR_PARAMS[self.params["estimator"]])
         for name in self.params:
-            if name not in reads:
+            if name not in rules:
                 raise SchemaError("params", f"imputer {self.id!r}: {name!r} "
                                   f"is not a parameter of {owner}")
 
@@ -521,26 +484,16 @@ def _init_fill(values: np.ndarray, mask: np.ndarray, strategy: str) -> float:
 
 
 def _fit_column_estimator(spec: ImputerSpec, X, y, col_idx: int, round_idx: int):
-    params = spec.params
+    """The chain's estimator fit to one column, with the hyperparameters
+    that the spec gives; the fit's own defaults stand for the rest."""
+    est = spec.params["estimator"]
+    given = {k: v for k, v in spec.params.items()
+             if k in ESTIMATORS[est].params}
     try:
-        est = params["estimator"]
         if est == "ridge":
-            return ridge_fit(X, y, reg=float(params.get("reg", 1.0)))
-        seed = task_seed(spec.seed, col_idx, round_idx)
-        if est == "forest":
-            return forest_fit(
-                X, y,
-                n_estimators=params.get("n_estimators", 100),
-                max_depth=params.get("max_depth"),
-                seed=seed,
-            )
-        return gbt_fit(
-            X, y,
-            n_estimators=params.get("n_estimators", 100),
-            max_depth=params.get("max_depth", 6),
-            learning_rate=float(params.get("learning_rate", 0.1)),
-            seed=seed,
-        )
+            return ridge_fit(X, y, **given)
+        fit = forest_fit if est == "forest" else gbt_fit
+        return fit(X, y, seed=task_seed(spec.seed, col_idx, round_idx), **given)
     except Exception as exc:
         raise ImputerTrainingError(
             f"{spec.id}: estimator failed on column index {col_idx}: {exc}"

@@ -9,7 +9,7 @@ from imputeq.depgraph import (
     transitive_dependencies,
     validate_dependency_dict,
 )
-from imputeq.errors import InvalidArgument, SmallSampleWarning
+from imputeq.errors import InvalidArgument, SchemaError, SmallSampleWarning
 from imputeq.table import Column, ColumnKind, Table
 
 
@@ -205,13 +205,17 @@ class TestBuildGraph:
         ({"n_repeats": 0}, "n_repeats"),
         ({"seed": -1}, "seed"),
         ({"seed": 1.0}, "seed"),
+        ({"regressor_params": []}, "regressor_params"),
+        ({"regressor": "lasso"}, "regressor"),
+        ({"regressor": ["forest"]}, "regressor"),
+        ({"regressor": None}, "regressor"),
     ])
     def test_arguments_are_checked(self, kwargs, path):
         rng = np.random.default_rng(12)
         a = rng.normal(size=60)
         t = Table((col("a", a), col("b", 2 * a + rng.normal(size=60)),
                    col("c", rng.normal(size=60))))
-        with pytest.raises(InvalidArgument) as info:
+        with pytest.raises(SchemaError) as info:
             build_dependency_graph(t, **kwargs)
         assert info.value.path == path
 

@@ -233,6 +233,11 @@ class TestHyperparameters:
         (gbt_fit, "learning_rate", float("inf")),
         (gbt_fit, "learning_rate", -0.5),
         (gbt_fit, "learning_rate", True),
+        (ridge_fit, "reg", float("nan")),
+        (ridge_fit, "reg", float("inf")),
+        (ridge_fit, "reg", -1.0),
+        (ridge_fit, "reg", True),
+        (ridge_fit, "reg", "1"),
     ])
     def test_bad_values_are_refused(self, fit, name, value):
         X = np.random.default_rng(15).normal(size=(20, 3))
@@ -246,6 +251,27 @@ class TestHyperparameters:
         assert len(forest_fit(X, y, n_estimators=np.int64(2), mtry=1).trees) == 2
         assert gbt_fit(X, y, n_estimators=0).trees == ()
         assert gbt_fit(X, y, n_estimators=2, learning_rate=0).trees == ()
+        # a rate is stored as a float, whatever number type it came as
+        ridge = ridge_fit(X, y, reg=np.int64(1))
+        gbt = gbt_fit(X, y, n_estimators=1, learning_rate=1)
+        for got in (ridge.reg_strength, gbt.learning_rate):
+            assert type(got) is float and got == 1.0
+
+    @pytest.mark.parametrize("fit, scale_x, scale_y", [
+        (tree_fit, 1.0, 1e307),
+        (forest_fit, 1.0, 1e307),
+        (gbt_fit, 1.0, 1e307),
+        (ridge_fit, 1e200, 1.0),
+    ])
+    def test_a_model_that_overflows_is_refused(self, fit, scale_x, scale_y):
+        # positive targets near the float maximum overflow a leaf mean (and
+        # the boosting base score); huge inputs overflow ridge's Gram matrix
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(40, 3))
+        y = rng.random(40) + 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInput, match="non-finite"):
+                fit(X * scale_x, y * scale_y)
 
 
 class TestPermutationImportance:

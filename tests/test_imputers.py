@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from imputeq.errors import (
     ImputeQWarning,
+    ImputerTrainingError,
     InvalidArgument,
     SchemaError,
     UntrainableImputer,
@@ -123,14 +124,17 @@ class TestFit:
         ("max_depth", True, 6),
         ("learning_rate", float("nan"), 0.0),
         ("learning_rate", "0.1", 0.1),
+        ("estimator", ["ridge"], "ridge"),
+        ("estimator", {"forest": 1}, "forest"),
     ])
     def test_iterative_spec_checks_each_parameter(self, name, bad, good):
         # each key with an estimator that reads it
         reader = {"n_estimators": "forest", "max_depth": "gbt",
                   "learning_rate": "gbt"}
         params = {"estimator": reader.get(name, "ridge")}
-        with pytest.raises(InvalidArgument, match=name):
+        with pytest.raises(SchemaError, match=name) as exc:
             ImputerSpec("bad", "iterative", dict(params, **{name: bad}))
+        assert exc.value.path == "params"
         ImputerSpec("ok", "iterative", dict(params, **{name: good}))
 
     @pytest.mark.parametrize("family,params,key", [
@@ -370,6 +374,21 @@ class TestIterative:
         assert not out.mask.any()
         assert np.isfinite(out.values).all()
         assert out.values[1] == pytest.approx(8.0, abs=1.0)
+
+    def test_a_column_model_that_overflows_is_a_training_error(self):
+        # targets near the float maximum overflow a leaf mean: the fit
+        # refuses the model, and the chain reports a training error, which
+        # the assessment records as a skipped candidate
+        t, _ = linear_pair_table(seed=6)
+        y = t.column("y")
+        # finite observed values in [1e307, 2e307]
+        big = Column("y", y.values / 20.0 * 1e307 + 1e307, y.mask,
+                     kind=ColumnKind.CONTINUOUS)
+        spec = ImputerSpec("it", "iterative",
+                           {"estimator": "forest", "n_estimators": 3})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ImputerTrainingError, match="non-finite"):
+                fit(spec, t.with_column(big), "y", ("x",))
 
 
 class TestAdaptiveRounding:
