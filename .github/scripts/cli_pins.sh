@@ -71,3 +71,11 @@ open(sys.argv[1], "wb").write(compact)
 ' "$RUNNER_TEMP/compact.json"
 imputeq apply --pipeline "$RUNNER_TEMP/compact.json" --data tests/data/mixed.csv --out "$RUNNER_TEMP/compact_applied.csv"
 cmp "$RUNNER_TEMP/compact_applied.csv" tests/data/tree_plan_v2_applied.csv
+
+echo "console script assesses the committed config and charts its records"
+imputeq assess --config tests/data/mixed_config.json --out "$RUNNER_TEMP/quality.json"
+imputeq report --records "$RUNNER_TEMP/quality.json" --out "$RUNNER_TEMP/quality.svg" > "$RUNNER_TEMP/report.txt"
+# structure only: the records carry scipy p-values, whose last bits may
+# differ across scipy versions
+grep -q "features kept" "$RUNNER_TEMP/report.txt"
+test "$(head -c 5 "$RUNNER_TEMP/quality.svg")" = "<?xml"

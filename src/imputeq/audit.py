@@ -26,6 +26,7 @@ from .errors import (
 from .estimators import gbt_fit, gbt_predict_proba
 from .imputers import ImputerSpec, fit as fit_imputer, task_seed, transform
 from .metrics import auroc, mean_ci
+from .report import Jsonable
 from .table import Column, Table, inject_mcar, kfold_split
 
 DEFAULT_AUDIT_FOLDS = 5
@@ -41,31 +42,13 @@ class FeatureAudit:
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Jsonable):
     strategy: str
     missingness_level: float
     per_feature: tuple[FeatureAudit, ...]
     strategy_average: float | None
     notes: tuple[str, ...] = ()
-
-    def to_jsonable(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "missingness_level": self.missingness_level,
-            "lower_is_better": True,
-            "per_feature": [
-                {
-                    "feature": f.feature,
-                    "skipped": f.skipped,
-                    "mean_auroc": f.mean_auroc,
-                    "ci_half_width": f.ci_half_width,
-                    "reason": f.reason,
-                }
-                for f in self.per_feature
-            ],
-            "strategy_average": self.strategy_average,
-            "notes": list(self.notes),
-        }
+    json_tags = {"lower_is_better": True}
 
 
 def single_imputer_strategy(family: str, params: dict | None = None):

@@ -42,6 +42,7 @@ from .engine import (
     records_to_jsonable,
     serialize_pipeline,
 )
+from .estimators import _is_number
 from .errors import (
     CorruptModel,
     DataIoError,
@@ -237,12 +238,6 @@ def cmd_recommend_m(args) -> int:
     return EXIT_OK
 
 
-def _number_in(v, lo: float, hi: float) -> bool:
-    """Whether `v` is a JSON number (not true or false) in [lo, hi]."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and lo <= v <= hi)
-
-
 def _check_records(records) -> None:
     """Raise CorruptModel unless `records` is a list of quality records,
     each with the fields that the chart and the summary read."""
@@ -250,14 +245,14 @@ def _check_records(records) -> None:
         raise CorruptModel("records is not a list")
     for i, r in enumerate(records):
         if not (isinstance(r, dict)
-                and all(_number_in(r.get(k), 0.0, 1.0)
+                and all(_is_number(r.get(k), 0.0, 1.0)
                         for k in ("completeness", "delta", "omega"))
                 and all(isinstance(r.get(k), str)
                         for k in ("feature", "chosen_imputer"))
                 and isinstance(r.get("imputers", []), list)
                 and all(isinstance(e, dict) and "id" in e and (
                     e.get("delta_std") is None
-                    or _number_in(e["delta_std"], 0.0, sys.float_info.max))
+                    or _is_number(e["delta_std"], 0.0))
                     for e in r.get("imputers", []))):
             raise CorruptModel(f"record {i} is malformed")
 
@@ -283,7 +278,7 @@ def cmd_report(args) -> int:
     threshold = args.threshold if args.threshold is not None else (
         doc.get("threshold")
     )
-    if not (threshold is None or _number_in(threshold, 0.0, 1.0)):
+    if not (threshold is None or _is_number(threshold, 0.0, 1.0)):
         raise CorruptModel("records threshold is not a number in [0, 1]")
     write_bytes_atomic(args.out, emit_quality_svg(records, threshold))
     print(quality_summary_text(records))

@@ -86,16 +86,15 @@ def _scorer_names(d) -> dict:
 
 
 def _spec(item, i: int, seed) -> ImputerSpec:
-    """The imputers[i] entry; without a seed of its own it takes the
-    document's, and a bad one is an error at `seed`."""
+    """The imputers[i] entry, seeded with the document's `seed` (a bad one
+    is an error at `seed`).  An entry takes no seed of its own: `assess` and
+    `fit_pipeline` seed every task from the run seed."""
     ip = f"imputers[{i}]"
     _require(isinstance(item, dict), ip, "expected an object")
-    _check_keys(item, {"id", "family", "params", "seed"}, ip)
-    paths = {f: f"{ip}.{f}" for f in ("id", "family", "params")}
-    paths["seed"] = f"{ip}.seed" if "seed" in item else "seed"
-    with document_paths(paths):
+    _check_keys(item, {"id", "family", "params"}, ip)
+    with document_paths({f: f"{ip}.{f}" for f in ("id", "family", "params")}):
         return ImputerSpec(item.get("id"), item.get("family"),
-                           item.get("params", {}), item.get("seed", seed))
+                           item.get("params", {}), seed)
 
 
 def _check_graph(v) -> None:

@@ -20,6 +20,7 @@ from .estimators import (
     ESTIMATORS,
     GRAPH_DEFAULTS,
     _is_int,
+    _is_number,
     check_estimator_params,
     forest_fit,
     forest_predict,
@@ -32,6 +33,7 @@ from .estimators import (
 )
 from .imputers import _init_fill
 from .metrics import r2
+from .report import Jsonable
 from .table import Table
 
 DEFAULT_TOP_N = 8
@@ -42,7 +44,7 @@ MIN_USABLE_ROWS = 20
 
 
 @dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(Jsonable):
     """Directed graph; an edge (a, b, w) says a is predictive of b with
     permutation importance w."""
 
@@ -74,14 +76,6 @@ class DependencyGraph:
         preds.sort(key=lambda p: (-p[1], p[0]))
         return preds
 
-    def to_jsonable(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "edges": [[a, b, w] for a, b, w in self.edges],
-            "top_n": self.top_n,
-            "min_importance": self.min_importance,
-        }
-
     @classmethod
     def from_jsonable(cls, d: dict) -> "DependencyGraph":
         return cls(
@@ -95,12 +89,11 @@ class DependencyGraph:
 def check_graph_limits(top_n=DEFAULT_TOP_N,
                        min_importance=DEFAULT_MIN_IMPORTANCE) -> None:
     """Raise SchemaError at `top_n` unless it is an integer >= 1, and at
-    `min_importance` unless it is a number >= 0."""
+    `min_importance` unless it is a finite number >= 0."""
     if not _is_int(top_n, 1):
         raise SchemaError("top_n", "expected an integer >= 1")
-    if not (isinstance(min_importance, (int, float))
-            and not isinstance(min_importance, bool) and min_importance >= 0):
-        raise SchemaError("min_importance", "expected a number >= 0")
+    if not _is_number(min_importance, 0.0):
+        raise SchemaError("min_importance", "expected a finite number >= 0")
 
 
 def _fit_regressor(name: str, params: dict, X, y, seed: int):

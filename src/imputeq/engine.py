@@ -70,6 +70,7 @@ from .imputers import (
     with_fills,
 )
 from .metrics import balanced_accuracy, macro_balanced_accuracy, nrmse_score
+from .report import Jsonable, to_jsonable
 from .stattests import TestResult, distribution_compatible
 from .table import (
     DEFAULT_MISSING_SENTINELS,
@@ -109,7 +110,7 @@ def default_scorer_for(kind: ColumnKind):
 
 
 @dataclass(frozen=True)
-class AssessConfig:
+class AssessConfig(Jsonable):
     """Engine knobs; the CLI config file parses into this.
 
     A roster without an `apprandom` candidate gets one appended, seeded with
@@ -154,8 +155,8 @@ class AssessConfig:
                  "alpha", "expected a number in (0, 1)")
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.threshold is not None:
-            _require(_is_number(self.threshold, 0.0) and self.threshold <= 1.0,
-                     "threshold", "expected a number in [0, 1]")
+            _require(_is_number(self.threshold, 0.0, 1.0), "threshold",
+                     "expected a number in [0, 1]")
             object.__setattr__(self, "threshold", float(self.threshold))
         if self.scorers is not None:
             _require(isinstance(self.scorers, dict), "scorers",
@@ -175,18 +176,6 @@ class AssessConfig:
         if self.scorers and kind.value in self.scorers:
             return SCORER_REGISTRY[self.scorers[kind.value]]
         return default_scorer_for(kind)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "imputers": [s.to_jsonable() for s in self.imputers],
-            "n_folds": self.n_folds,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "threshold": self.threshold,
-            "dependencies": self.dependencies,
-            "scorers": self.scorers,
-            "split_seed": self.split_seed,
-        }
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_jsonable(), sort_keys=True)
@@ -604,21 +593,10 @@ def recommend_imputations(gamma: float, target_efficiency: float) -> int:
 
 
 @dataclass(frozen=True)
-class ColumnSchema:
+class ColumnSchema(Jsonable):
     name: str
     kind: ColumnKind
     labels: dict[int, str] | None = None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind.value,
-            "labels": (
-                None
-                if self.labels is None
-                else {str(k): v for k, v in self.labels.items()}
-            ),
-        }
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "ColumnSchema":
@@ -894,43 +872,14 @@ def _check_plan(plan: PipelinePlan) -> None:
 # report payload
 
 
-def _test_result_jsonable(r: TestResult | None):
-    if r is None:
-        return None
-    return {
-        "statistic": r.statistic,
-        "p_value": r.p_value,
-        "test": r.test.value,
-        "rejected": r.rejected,
-        "notes": list(r.notes),
-    }
-
-
 def records_to_jsonable(records: list[QualityRecord]) -> list[dict]:
+    """Each record's document: its fields, with its evaluations under
+    "imputers" and each evaluation's `imputer_id` under "id"."""
     out = []
     for r in records:
-        out.append(
-            {
-                "feature": r.feature,
-                "completeness": r.completeness,
-                "delta": r.delta,
-                "omega": r.omega,
-                "chosen_imputer": r.chosen_imputer,
-                "kept": r.kept,
-                "fallback_used": r.fallback_used,
-                "notes": list(r.notes),
-                "imputers": [
-                    {
-                        "id": e.imputer_id,
-                        "delta_mean": e.delta_mean,
-                        "delta_std": e.delta_std,
-                        "n_predictors": e.n_predictors,
-                        "skipped": e.skipped,
-                        "bias": _test_result_jsonable(e.bias),
-                        "notes": list(e.notes),
-                    }
-                    for e in r.evaluations
-                ],
-            }
-        )
+        doc = to_jsonable(r)
+        doc["imputers"] = doc.pop("evaluations")
+        for e in doc["imputers"]:
+            e["id"] = e.pop("imputer_id")
+        out.append(doc)
     return out

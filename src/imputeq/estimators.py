@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateInput, InvalidArgument, SchemaError
+from .report import Jsonable
 
 _MAX_DEPTH_CAP = 64  # stands in for "unlimited"
 
@@ -57,15 +59,16 @@ def _is_int(v, lo: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
-def _is_number(v, lo: float) -> bool:
-    """A finite int or float (not a bool) of at least `lo`."""
+def _is_number(v, lo: float, hi: float = sys.float_info.max) -> bool:
+    """An int or float (not a bool) in [lo, hi]: the one rule of a number
+    that a document gives.  Its default `hi` refuses an inf, a NaN and an
+    int too large for a float."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and lo <= v < math.inf)
+            and lo <= v <= hi)
 
 
 def _check_finite(name: str, v) -> None:
-    if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and 0.0 <= v < math.inf):
+    if not _is_number(v.item() if isinstance(v, np.generic) else v, 0.0):
         raise InvalidArgument(
             f"{name} must be a finite number >= 0, got {v!r}")
 
@@ -88,18 +91,11 @@ def _check_n_estimators(n_estimators, lo: int) -> None:
 
 
 @dataclass(frozen=True)
-class RidgeModel:
+class RidgeModel(Jsonable):
     weights: np.ndarray
     intercept: float
     reg_strength: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "type": "ridge",
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept,
-            "reg_strength": self.reg_strength,
-        }
+    json_tags = {"type": "ridge"}
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "RidgeModel":
@@ -144,7 +140,7 @@ def ridge_predict(model: RidgeModel, Xm) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TreeModel:
+class TreeModel(Jsonable):
     """Binary tree in parallel arrays; feature == -1 marks a leaf."""
 
     feature: np.ndarray
@@ -152,16 +148,7 @@ class TreeModel:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    def to_jsonable(self) -> dict:
-        return {
-            "type": "tree",
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+    json_tags = {"type": "tree"}
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "TreeModel":
@@ -457,18 +444,11 @@ def tree_predict(model: TreeModel, Xm) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ForestModel:
+class ForestModel(Jsonable):
     trees: tuple[TreeModel, ...]
     max_depth: int | None
     seed: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "type": "forest",
-            "trees": [t.to_jsonable() for t in self.trees],
-            "max_depth": self.max_depth,
-            "seed": self.seed,
-        }
+    json_tags = {"type": "forest"}
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "ForestModel":
@@ -519,24 +499,14 @@ _LOSSES = ("squared", "logistic")
 
 
 @dataclass(frozen=True)
-class GbtModel:
+class GbtModel(Jsonable):
     trees: tuple[TreeModel, ...]
     base_score: float
     learning_rate: float
     loss: str
     max_depth: int | None
     seed: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "type": "gbt",
-            "trees": [t.to_jsonable() for t in self.trees],
-            "base_score": self.base_score,
-            "learning_rate": self.learning_rate,
-            "loss": self.loss,
-            "max_depth": self.max_depth,
-            "seed": self.seed,
-        }
+    json_tags = {"type": "gbt"}
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "GbtModel":
@@ -647,7 +617,7 @@ class Estimator(NamedTuple):
 
 _COUNT = (lambda v: _is_int(v, 1), "an integer >= 1")
 _DEPTH = (lambda v: v is None or _is_int(v, 1), "null or an integer >= 1")
-_RATE = (lambda v: _is_number(v, 0.0), "a number >= 0")
+_RATE = (lambda v: _is_number(v, 0.0), "a finite number >= 0")
 
 ESTIMATORS = {
     "ridge": Estimator(RidgeModel, {"reg": _RATE}),

@@ -40,6 +40,7 @@ from .estimators import (
     model_predict,
     ridge_fit,
 )
+from .report import Jsonable, to_jsonable
 from .table import Column, ColumnKind, Table
 
 FAMILIES = ("simple", "apprandom", "knn", "iterative")
@@ -65,10 +66,13 @@ _PARAMS = {
         "max_iter": (False, lambda v: _is_int(v, 0), "an integer >= 0"),
     },
 }
+# the iterative family's own defaults: a chain starts from each column's
+# mode and runs at most 20 rounds
+ITERATIVE_DEFAULTS = {"init_strategy": "mode", "max_iter": 20}
 
 
 @dataclass(frozen=True)
-class ImputerSpec:
+class ImputerSpec(Jsonable):
     """Declarative description of one imputer; `id` names it in reports."""
 
     id: str
@@ -120,14 +124,6 @@ class ImputerSpec:
         return _SeedWords(
             np.random.SeedSequence(self.seed).generate_state(4, np.uint64))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "id": self.id,
-            "family": self.family,
-            "params": dict(self.params),
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_jsonable(cls, d: dict) -> "ImputerSpec":
         return cls(d["id"], d["family"], d.get("params", {}),
@@ -148,7 +144,7 @@ class _SeedWords(ISeedSequence):
 def default_imputer_roster(seed: int = 0) -> list[ImputerSpec]:
     """The stock candidate set: three constants, empirical sampling, three
     neighborhood sizes, and three chained-model variants."""
-    it = {"init_strategy": "mode", "max_iter": 20}
+    it = dict(ITERATIVE_DEFAULTS)
     return [
         ImputerSpec("mean", "simple", {"statistic": "mean"}, seed),
         ImputerSpec("median", "simple", {"statistic": "median"}, seed),
@@ -517,10 +513,10 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     cols = [train.column(n) for n in names]
     M = np.column_stack([c.values for c in cols])
     masks = np.column_stack([c.mask for c in cols])
-    strategy = spec.params.get("init_strategy", "mode")
-    init_values = np.array(
-        [_init_fill(M[:, j], masks[:, j], strategy) for j in range(M.shape[1])]
-    )
+    params = {**ITERATIVE_DEFAULTS, **spec.params}
+    init_values = np.array([_init_fill(M[:, j], masks[:, j],
+                                       params["init_strategy"])
+                            for j in range(M.shape[1])])
     for j in range(M.shape[1]):
         M[masks[:, j], j] = init_values[j]
 
@@ -538,11 +534,10 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     )
     scales[scales == 0.0] = 1.0
 
-    max_iter = spec.params.get("max_iter", 20)
     models: dict[int, object] = {}
     other = {j: [i for i in range(M.shape[1]) if i != j] for j in visit}
     deltas = []
-    for round_idx in range(max_iter):
+    for round_idx in range(params["max_iter"]):
         max_delta = 0.0
         for j in visit:
             rows_obs = ~masks[:, j]
@@ -582,7 +577,7 @@ def _with_target_model(spec, state: dict, t_idx: int, rows_obs) -> dict:
         other = [i for i in range(M.shape[1]) if i != t_idx]
         models[t_idx] = _fit_column_estimator(
             spec, M[rows_obs][:, other], M[rows_obs, t_idx], t_idx,
-            spec.params.get("max_iter", 20),
+            {**ITERATIVE_DEFAULTS, **spec.params}["max_iter"],
         )
     return {**state, "models": models}
 
@@ -702,9 +697,7 @@ def fitted_to_jsonable(f: FittedImputer) -> dict:
             "columns": list(state["columns"]),
             "init_values": encode_array(state["init_values"]),
             "visit": list(state["visit"]),
-            "models": {
-                str(j): m.to_jsonable() for j, m in state["models"].items()
-            },
+            "models": to_jsonable(state["models"]),
         }
     return {
         "spec": f.spec.to_jsonable(),

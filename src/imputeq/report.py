@@ -7,10 +7,14 @@ files every time.
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 import tempfile
+from dataclasses import fields, is_dataclass
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from .table import Table
 
@@ -52,6 +56,47 @@ def write_bytes_atomic(path: str, data: bytes) -> None:
 def dumps_canonical(doc) -> bytes:
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     return (text + "\n").encode("utf-8")
+
+
+# the types whose values a JSON document holds as they are (exact types:
+# a subclass such as numpy's float64 takes the longer way, to the same end)
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+def to_jsonable(x):
+    """The JSON document of `x`, the one encoder of every plan, record and
+    audit document: a dataclass is an object of its fields (after the fixed
+    keys `json_tags` of a `Jsonable` class), an array its `tolist()`, a
+    tuple a list, an enum its value, and a dict's keys are strings.
+    Anything else is left as it is, for `json.dumps` to write or refuse."""
+    if type(x) in _LEAVES:
+        return x
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [v if type(v) in _LEAVES else to_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): v if type(v) in _LEAVES else to_jsonable(v)
+                for k, v in x.items()}
+    if isinstance(x, enum.Enum):
+        return x.value
+    if not is_dataclass(x):
+        return x
+    doc = dict(getattr(x, "json_tags", {}))
+    for f in fields(x):
+        v = getattr(x, f.name)
+        doc[f.name] = v if type(v) in _LEAVES else to_jsonable(v)
+    return doc
+
+
+class Jsonable:
+    """A dataclass whose document is `to_jsonable` of it; `json_tags` holds
+    the keys of fixed value that its class writes besides its fields."""
+
+    json_tags: dict = {}
+
+    def to_jsonable(self) -> dict:
+        return to_jsonable(self)
 
 
 def column_summary(t: Table) -> list[dict]:

@@ -754,6 +754,20 @@ class TestErrorChannels:
         err = json.loads(line)
         assert (err["error"], err["path"]) == ("SchemaError", path)
 
+    def test_an_imputer_seed_is_config_error(self, workspace, capsys):
+        # every task seed derives from the run seed, so an imputer takes none
+        tmp, config, data = workspace
+        doc = json.loads(open(config).read())
+        doc["imputers"][0]["seed"] = 7
+        open(config, "w").write(json.dumps(doc))
+        rc = main(["assess", "--config", config,
+                   "--out", str(tmp / "q.json")])
+        assert rc == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["path"]) == ("SchemaError",
+                                               "imputers[0].seed")
+
     @pytest.mark.parametrize("graph", [
         {"a": ["zz"]}, {"zz": ["a"]}, {"a": ["a"]},
     ])

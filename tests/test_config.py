@@ -179,9 +179,12 @@ class TestValidation:
     def test_threshold_is_not_a_boolean(self, threshold):
         assert self.err_path(minimal_doc(threshold=threshold)) == "threshold"
 
+    # 10**400 is an integer that no float holds; a JSON document may hold it
     @pytest.mark.parametrize("params", [
         {"estimator": "ridge", "max_iter": "x"},
         {"estimator": "ridge", "init_strategy": "median"},
+        {"estimator": "ridge", "reg": 10**400},
+        {"estimator": "gbt", "learning_rate": 10**400},
     ])
     def test_bad_iterative_parameter(self, params):
         doc = {"imputers": [
@@ -194,6 +197,14 @@ class TestValidation:
             {"id": "k", "family": "knn", "params": {"n_neighbors": True}},
         ]}
         assert self.err_path(doc) == "imputers[0].params"
+
+    def test_an_imputer_seed_is_an_unknown_key(self):
+        doc = minimal_doc(seed=4)
+        doc["imputers"][0]["seed"] = 4
+        with pytest.raises(SchemaError, match="unknown key") as info:
+            parse_config_dict(doc)
+        assert info.value.path == "imputers[0].seed"
+        assert parse_config_dict(minimal_doc(seed=4)).imputers[0].seed == 4
 
 
 class TestScorers:
@@ -255,6 +266,9 @@ class TestDependencyGraph:
 
     @pytest.mark.parametrize("name, value", [
         ("top_n", 0), ("top_n", 2.5), ("min_importance", -1.0),
+        ("min_importance", math.inf),  # Python's json reads Infinity
+        pytest.param("min_importance", 10**400,
+                     id="min_importance-10**400"),
     ])
     def test_graph_limits_are_checked(self, name, value):
         with pytest.raises(SchemaError) as info:

@@ -209,6 +209,14 @@ class TestBuildGraph:
         ({"regressor": "lasso"}, "regressor"),
         ({"regressor": ["forest"]}, "regressor"),
         ({"regressor": None}, "regressor"),
+        # 10**400 is an int that no float holds: refused at its name, not
+        # an OverflowError from inside a fit
+        ({"regressor": "ridge", "regressor_params": {"reg": 10**400}},
+         "regressor_params.reg"),
+        ({"regressor": "gbt", "regressor_params": {"learning_rate": 10**400}},
+         "regressor_params.learning_rate"),
+        ({"min_importance": 10**400}, "min_importance"),
+        ({"min_importance": np.inf}, "min_importance"),
     ])
     def test_arguments_are_checked(self, kwargs, path):
         rng = np.random.default_rng(12)

@@ -11,7 +11,9 @@ from imputeq import depgraph, estimators
 from imputeq.depgraph import build_dependency_graph
 from imputeq.errors import SchemaError
 from imputeq.estimators import ESTIMATORS, GRAPH_DEFAULTS
+from imputeq import imputers
 from imputeq.imputers import (
+    ITERATIVE_DEFAULTS,
     ImputerSpec,
     default_imputer_roster,
     fit,
@@ -109,6 +111,33 @@ def test_the_roster_iterative_params_are_the_chain_defaults():
         defaults = {**FAMILY_DEFAULTS, **CHAIN_DEFAULTS[name]}
         assert {k: defaults[k] for k in s.params if k != "estimator"} == {
             k: v for k, v in s.params.items() if k != "estimator"}
+
+
+def test_the_family_defaults_are_declared_once(monkeypatch):
+    assert ITERATIVE_DEFAULTS == FAMILY_DEFAULTS
+    # the roster spells them out, so its config hashes do not depend on them
+    for s in default_imputer_roster():
+        if s.family == "iterative":
+            assert {k: s.params[k] for k in ITERATIVE_DEFAULTS} == (
+                ITERATIVE_DEFAULTS)
+    # and a chain reads the declared ones: with two incomplete columns, one
+    # round from the means is not 20 rounds from the modes, and the model of
+    # the complete target `c`, which the chain never visits, is seeded with
+    # the round count
+    t = table()
+    a = t.column("a").values.copy()
+    a[::7] = np.nan
+    t = t.with_column(Column("a", a, np.isnan(a), kind=ColumnKind.CONTINUOUS))
+    forest = {"estimator": "forest", "n_estimators": 3}
+    spec = ImputerSpec("f", "iterative", forest)
+    before = fitted_to_jsonable(fit(spec, t, "c", ("a", "b")))["state"]
+    monkeypatch.setitem(imputers.ITERATIVE_DEFAULTS, "max_iter", 1)
+    monkeypatch.setitem(imputers.ITERATIVE_DEFAULTS, "init_strategy", "mean")
+    spelled = ImputerSpec("f", "iterative", {
+        **forest, "max_iter": 1, "init_strategy": "mean"})
+    after, want = (fitted_to_jsonable(fit(s, t, "c", ("a", "b")))["state"]
+                   for s in (spec, spelled))
+    assert after == want != before
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))

@@ -238,6 +238,10 @@ class TestHyperparameters:
         (ridge_fit, "reg", -1.0),
         (ridge_fit, "reg", True),
         (ridge_fit, "reg", "1"),
+        # an int too large for a float
+        pytest.param(ridge_fit, "reg", 10**400, id="ridge_fit-reg-10**400"),
+        pytest.param(gbt_fit, "learning_rate", 10**400,
+                     id="gbt_fit-learning_rate-10**400"),
     ])
     def test_bad_values_are_refused(self, fit, name, value):
         X = np.random.default_rng(15).normal(size=(20, 3))
