@@ -12,6 +12,17 @@ echo "console script fits the committed config"
 imputeq fit --config tests/data/mixed_config.json --out "$RUNNER_TEMP/mixed_fit.json"
 echo "d848e48ba4a372a9409bc1700020dabba2051996c14a31c6d01c8e14f6977ab9  $RUNNER_TEMP/mixed_fit.json" | sha256sum -c
 
+# mixed_fit.json holds kNN and empirical-sampling state; the tree plan
+# below holds the simple family's and forest and GBT chains
+echo "the fitted plan reads back and writes the same bytes"
+python -c '
+import sys
+from imputeq.engine import deserialize_pipeline, serialize_pipeline
+blob = open(sys.argv[1], "rb").read()
+open(sys.argv[2], "wb").write(serialize_pipeline(deserialize_pipeline(blob)))
+' "$RUNNER_TEMP/mixed_fit.json" "$RUNNER_TEMP/mixed_refit.json"
+cmp "$RUNNER_TEMP/mixed_fit.json" "$RUNNER_TEMP/mixed_refit.json"
+
 echo "a config value error exits 2 at its document path"
 python -c '
 import json, sys
@@ -69,6 +80,7 @@ compact = serialize_pipeline(deserialize_pipeline(blob))
 assert compact == json.dumps(json.loads(blob), sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
 open(sys.argv[1], "wb").write(compact)
 ' "$RUNNER_TEMP/compact.json"
+echo "0341d90d3355795ed428c49908153486689b332c3be30579e8624b25d1fc6544  $RUNNER_TEMP/compact.json" | sha256sum -c
 imputeq apply --pipeline "$RUNNER_TEMP/compact.json" --data tests/data/mixed.csv --out "$RUNNER_TEMP/compact_applied.csv"
 cmp "$RUNNER_TEMP/compact_applied.csv" tests/data/tree_plan_v2_applied.csv
 

@@ -22,8 +22,9 @@ from .errors import (
     ImputeQError,
     ImputerTrainingError,
     InvalidArgument,
+    InvalidFoldCount,
 )
-from .estimators import gbt_fit, gbt_predict_proba
+from .estimators import _is_integer, gbt_fit, gbt_predict_proba
 from .imputers import ImputerSpec, fit as fit_imputer, task_seed, transform
 from .metrics import auroc, mean_ci
 from .report import Jsonable
@@ -226,11 +227,14 @@ def audit_all(
 
     Reports come back grouped by level in input order, strategies in input
     order within each level.  A strategy that fails outright at some level
-    yields a report with every feature skipped instead of aborting the run.
+    yields a report with every feature skipped instead of aborting the run;
+    a bad level or fold count `k` raises before any strategy runs.
     """
     for level in levels:
         if not 0.0 <= level < 1.0:
             raise InvalidArgument(f"level must be in [0, 1), got {level}")
+    if not (_is_integer(k, 2) and k <= t.n_rows):
+        raise InvalidFoldCount(f"k={k!r} outside [2, {t.n_rows}]")
     reports = []
     for li, level in enumerate(levels):
         injected = inject_to_level(t, level, task_seed(seed, li))

@@ -58,6 +58,7 @@ from .errors import (
     VersionMismatch,
 )
 from .imputers import (
+    STORED_STATE,
     FittedImputer,
     ImputerSpec,
     fit as fit_imputer,
@@ -67,6 +68,7 @@ from .imputers import (
     retarget,
     task_seed,
     transform,
+    warn_unmatched,
     with_fills,
 )
 from .metrics import balanced_accuracy, macro_balanced_accuracy, nrmse_score
@@ -298,10 +300,10 @@ class Folds:
         `fitted` is a kNN candidate of the roster from `fit`.
 
         The fold's first request fills every view of the table at once, for
-        every roster k, bit for bit as `imputers.knn_fills` on each view's
-        own fit; so one feature scored alone pays the kNN work of them all.
-        The one "no reference row shares an observed coordinate" warning of
-        a view and fold comes with its first read.
+        every roster k, bit for bit as `transform` serves each view's own
+        fit; so one feature scored alone pays the kNN work of them all.
+        The one `warn_unmatched` warning of a view and fold comes with its
+        first read.
         """
         k = fitted.state["k"]
         if k not in self._ks:
@@ -312,12 +314,7 @@ class Folds:
         entry = self._knn[fold_idx][fitted.target_column]
         if entry[1]:
             entry[1] = False
-            warnings.warn(
-                "no reference row shares an observed coordinate; falling "
-                "back to the global mean",
-                ImputeQWarning,
-                stacklevel=2,
-            )
+            warn_unmatched(stacklevel=2)
         return entry[0][k]
 
     def _knn_pass(self, fold_idx) -> dict:
@@ -799,9 +796,9 @@ def deserialize_pipeline(data: bytes) -> PipelinePlan:
         deps, notes = doc["dependencies"], doc.get("notes", [])
         if not (_is_int(doc["seed"], 0)
                 and isinstance(doc["config_hash"], str)
-                and _is_strings(notes)):
-            raise CorruptModel("pipeline seed, config_hash or notes is "
-                               "malformed")
+                and _is_strings(notes) and _is_strings(doc["drop_list"])):
+            raise CorruptModel("pipeline seed, config_hash, notes or "
+                               "drop_list is malformed")
         if deps is not None:
             check_dependency_shape(deps, "dependencies")
             validate_dependency_dict(deps, [s.name for s in schema])
@@ -824,22 +821,24 @@ def deserialize_pipeline(data: bytes) -> PipelinePlan:
 
 
 def _check_plan(plan: PipelinePlan) -> None:
-    """Refuse a loaded plan that cannot serve: each kept column has one
-    imputer, whose columns are in the schema; a chain's models are of its
-    spec's estimator; stored numbers are finite (a NaN kNN reference cell
-    marks a missing predictor) and stored arrays non-empty, in the shapes
-    their columns imply; and a target that is not continuous has observed
-    values, each with a string label if labelled."""
+    """Refuse a loaded plan that cannot serve: each schema column is either
+    on the drop list or the target of one imputer, once, and the imputer's
+    columns are in the schema; a chain's models are of its spec's
+    estimator; stored numbers are finite (a NaN kNN reference cell marks a
+    missing predictor) and stored arrays non-empty, in the shapes their
+    columns imply; and a target that is not continuous has observed values,
+    each with a string label if labelled."""
     schema = {s.name: s for s in plan.schema}
-    if sorted(f.target_column for f in plan.fitted) != sorted(
-        set(schema) - set(plan.drop_list)
-    ):
-        raise CorruptModel("fitted imputers do not target the kept columns")
+    if sorted([*(f.target_column for f in plan.fitted),
+               *plan.drop_list]) != sorted(schema):
+        raise CorruptModel("fitted imputers and drop_list do not cover the "
+                           "schema columns once each")
     for f in plan.fitted:
         state, cols = f.state, f.state.get("columns", ())
         values, target = f.observed_value_set, schema[f.target_column]
-        numbers = [values] + [state[k] for k in (
-            "fill", "observed", "ref_y", "init_values") if k in state]
+        numbers = [values] + [
+            state[k] for k, kind in STORED_STATE[f.spec.family].items()
+            if kind in ("number", "vector")]
         ok = ({*f.predictor_columns, *cols} <= set(schema)
               and all(np.size(x) for x in numbers[1:])
               and (values.size or target.kind is ColumnKind.CONTINUOUS))

@@ -73,6 +73,11 @@ def _check_finite(name: str, v) -> None:
             f"{name} must be a finite number >= 0, got {v!r}")
 
 
+def _as_depth(max_depth) -> int | None:
+    """A checked `max_depth` as a model stores it: a Python int or None."""
+    return None if max_depth is None else int(max_depth)
+
+
 def _check_tree_params(max_depth=None, mtry=None) -> None:
     for name, v in (("max_depth", max_depth), ("mtry", mtry)):
         if not (v is None or _is_integer(v, 1)):
@@ -80,10 +85,9 @@ def _check_tree_params(max_depth=None, mtry=None) -> None:
                 f"{name} must be None or an integer >= 1, got {v!r}")
 
 
-def _check_n_estimators(n_estimators, lo: int) -> None:
-    if not _is_integer(n_estimators, lo):
-        raise InvalidArgument(
-            f"n_estimators must be an integer >= {lo}, got {n_estimators!r}")
+def _check_integer(name: str, v, lo: int) -> None:
+    if not _is_integer(v, lo):
+        raise InvalidArgument(f"{name} must be an integer >= {lo}, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +472,8 @@ def forest_fit(Xm, y, n_estimators: int = 100, max_depth=None, seed: int = 0,
     X = _as_matrix(Xm)
     y = np.asarray(y, dtype=float)
     _check_complete(X, y)
-    _check_n_estimators(n_estimators, 1)
+    _check_integer("n_estimators", n_estimators, 1)
+    _check_integer("seed", seed, 0)
     _check_tree_params(max_depth, mtry)
     p = X.shape[1]
     if mtry is None:
@@ -481,7 +486,7 @@ def forest_fit(Xm, y, n_estimators: int = 100, max_depth=None, seed: int = 0,
         yb = y if idx is None else y[idx]
         builder = _TreeBuilder(max_depth, rng=rng, mtry=mtry)
         trees.append(builder.build(Xb, yb)[0])
-    return _finite(ForestModel(tuple(trees), max_depth, seed))
+    return _finite(ForestModel(tuple(trees), _as_depth(max_depth), int(seed)))
 
 
 def forest_predict(model: ForestModel, Xm) -> np.ndarray:
@@ -552,7 +557,8 @@ def gbt_fit(Xm, y, n_estimators: int = 100, max_depth: int | None = 6,
     _check_complete(X, y)
     if loss not in _LOSSES:
         raise InvalidArgument(f"loss must be one of {_LOSSES}, got {loss!r}")
-    _check_n_estimators(n_estimators, 0)
+    _check_integer("n_estimators", n_estimators, 0)
+    _check_integer("seed", seed, 0)
     _check_tree_params(max_depth)
     _check_finite("learning_rate", learning_rate)
     learning_rate = float(learning_rate)
@@ -579,7 +585,8 @@ def gbt_fit(Xm, y, n_estimators: int = 100, max_depth: int | None = 6,
             margin = margin + learning_rate * fitted
             trees.append(tree)
     return _finite(
-        GbtModel(tuple(trees), base, learning_rate, loss, max_depth, seed))
+        GbtModel(tuple(trees), base, learning_rate, loss,
+                 _as_depth(max_depth), int(seed)))
 
 
 def gbt_raw_score(model: GbtModel, Xm) -> np.ndarray:

@@ -276,8 +276,14 @@ def transform(f: FittedImputer, t: Table) -> Table:
         fills = apprandom_sample(f.state["observed"], missing.size,
                                  f.spec.seed_words)
     elif f.spec.family == "knn":
-        X = _predictor_matrix(t, f.predictor_columns)
-        fills = knn_fill(f.state, X[missing])
+        # one view that reads every predictor and reference, at one k
+        s, k = f.state, f.state["k"]
+        X = _predictor_matrix(t, f.predictor_columns)[missing]
+        view = (range(X.shape[1]), None, s["ref_y"], s["global_mean"])
+        [(by_k, unmatched)] = knn_view_fills(s["ref_X"], X, [view], (k,))
+        if unmatched:
+            warn_unmatched()
+        fills = by_k[k]
     else:
         fills = _iterative_transform(f, t, missing)
     return _write_fills(f, t, col, missing, fills)
@@ -339,50 +345,36 @@ def apprandom_sample(observed: np.ndarray, n: int, seed) -> np.ndarray:
 _KNN_BLOCK_BYTES = 1 << 20
 
 
-def knn_fill(state: dict, X: np.ndarray) -> np.ndarray:
-    """kNN fills for the query rows `X` with the state's k; see
-    `knn_fills`."""
-    return knn_fills(state, X, (state["k"],))[state["k"]]
-
-
-def knn_fills(state: dict, X: np.ndarray, ks) -> dict[int, np.ndarray]:
-    """kNN fills for the query rows `X` for every neighbour count in `ks`,
-    block by block: the one view of `knn_view_fills` that reads every
-    predictor and reference of the state.
-
-    The distance to a reference row is the Euclidean distance over the
-    coordinates both rows observe, scaled up by total/shared coordinate
-    count: sqrt(p / shared * sum of squared shared differences); no shared
-    coordinate gives +inf.  Each fill is the mean target of the k nearest
-    references, ties going to the earlier reference row; a row with fewer
-    than k finite distances uses all of them, and a row with none falls back
-    to the global mean with one warning per call.  Observed values must be
-    finite: NaN is the only marker of a missing coordinate.
-    """
-    ref_X = state["ref_X"]
-    view = (range(ref_X.shape[1]), None, state["ref_y"], state["global_mean"])
-    [(fills, unmatched)] = knn_view_fills(ref_X, X, [view], ks)
-    if unmatched:
-        warnings.warn(
-            "no reference row shares an observed coordinate; falling back "
-            "to the global mean",
-            ImputeQWarning,
-            stacklevel=3,
-        )
-    return fills
+def warn_unmatched(stacklevel: int = 1) -> None:
+    """Warn that a kNN fill gave some row the global mean, with the
+    `stacklevel` of a `warnings.warn` that the caller made itself."""
+    warnings.warn("no reference row shares an observed coordinate; falling "
+                  "back to the global mean", ImputeQWarning,
+                  stacklevel=stacklevel + 1)
 
 
 def knn_view_fills(train_X: np.ndarray, X: np.ndarray, views, ks) -> list:
     """The kNN fills of the query rows `X` under several views of the
     candidate reference rows `train_X`, over the same columns, for every
-    neighbour count in `ks`; each is bit for bit `knn_fills` of that view's
-    state alone.
+    neighbour count in `ks`; each view's fills are bit for bit those of
+    that view alone.
 
     A view is (cols, refs, ref_y, global_mean): the columns it reads, in
     its predictors' order; the rows of `train_X` that are its references
     (None: all of them), with their targets; and the fill of a row that
     shares no coordinate with any reference.  Gives, per view, its fills by
-    k and whether some row had no such reference.
+    k and whether some row had no such reference (the caller warns: see
+    `warn_unmatched`).
+
+    The distance to a reference row is the Euclidean distance over the
+    coordinates both rows observe, scaled up by total/shared coordinate
+    count: sqrt(p / shared * sum of squared shared differences), where p
+    counts the view's columns; no shared coordinate gives +inf.  Each fill
+    is the mean target of the k nearest references, ties going to the
+    earlier reference row; a row with fewer than k finite distances uses
+    all of them, and a row with none takes the view's global mean.
+    Observed values must be finite: NaN is the only marker of a missing
+    coordinate.
 
     Query rows go in blocks.  A block is coordinate-major: one plane of
     squared shared differences per column, (query rows x references), built
@@ -681,53 +673,46 @@ def decode_array(x: list, ndim: int = 1) -> np.ndarray:
     return a
 
 
+# how each kind of stored field is written and read
+_CODECS = {
+    "number": (float, float),
+    "vector": (encode_array, decode_array),
+    "matrix": (encode_array, lambda x: decode_array(x, ndim=2)),  # NaN cells
+    "names": (list, tuple),
+    "indices": (list, lambda x: tuple(int(j) for j in x)),
+    "models": (to_jsonable, lambda d: {int(j): model_from_jsonable(m)
+                                       for j, m in d.items()}),
+}
+
+# family -> {field of its state that a plan stores: the field's kind}; a
+# kNN state's `k` and `global_mean` are derived from the spec and `ref_y`
+# on loading, and a chain's `deltas` and `matrix` are never stored
+STORED_STATE = {
+    "simple": {"fill": "number"},
+    "apprandom": {"observed": "vector"},
+    "knn": {"ref_X": "matrix", "ref_y": "vector"},
+    "iterative": {"columns": "names", "init_values": "vector",
+                  "visit": "indices", "models": "models"},
+}
+
+
 def fitted_to_jsonable(f: FittedImputer) -> dict:
-    state = f.state
-    if f.spec.family == "simple":
-        enc_state = {"fill": state["fill"]}
-    elif f.spec.family == "apprandom":
-        enc_state = {"observed": encode_array(state["observed"])}
-    elif f.spec.family == "knn":
-        enc_state = {
-            "ref_X": encode_array(state["ref_X"]),
-            "ref_y": encode_array(state["ref_y"]),
-        }
-    else:
-        enc_state = {
-            "columns": list(state["columns"]),
-            "init_values": encode_array(state["init_values"]),
-            "visit": list(state["visit"]),
-            "models": to_jsonable(state["models"]),
-        }
     return {
         "spec": f.spec.to_jsonable(),
         "target_column": f.target_column,
         "predictor_columns": list(f.predictor_columns),
-        "state": enc_state,
+        "state": {name: _CODECS[kind][0](f.state[name])
+                  for name, kind in STORED_STATE[f.spec.family].items()},
         "observed_value_set": encode_array(f.observed_value_set),
     }
 
 
 def fitted_from_jsonable(d: dict) -> FittedImputer:
     spec = ImputerSpec.from_jsonable(d["spec"])
-    raw = d["state"]
-    if spec.family == "simple":
-        state = {"fill": float(raw["fill"])}
-    elif spec.family == "apprandom":
-        state = {"observed": decode_array(raw["observed"])}
-    elif spec.family == "knn":
-        state = _knn_state(spec, decode_array(raw["ref_X"], ndim=2),
-                           decode_array(raw["ref_y"]))
-    else:
-        state = {
-            "columns": tuple(raw["columns"]),
-            "init_values": decode_array(raw["init_values"]),
-            "visit": tuple(int(j) for j in raw["visit"]),
-            "models": {
-                int(j): model_from_jsonable(m)
-                for j, m in raw["models"].items()
-            },
-        }
+    state = {name: _CODECS[kind][1](d["state"][name])
+             for name, kind in STORED_STATE[spec.family].items()}
+    if spec.family == "knn":
+        state = _knn_state(spec, **state)
     return FittedImputer(
         spec=spec,
         target_column=d["target_column"],

@@ -10,7 +10,11 @@ from imputeq.audit import (
     inject_to_level,
     single_imputer_strategy,
 )
-from imputeq.errors import InvalidArgument, UntrainableImputer
+from imputeq.errors import (
+    InvalidArgument,
+    InvalidFoldCount,
+    UntrainableImputer,
+)
 from imputeq.table import Column, ColumnKind, Table, inject_mcar
 
 
@@ -177,6 +181,16 @@ class TestAuditAll:
         t = continuous_table(n=100, seed=30)
         with pytest.raises(InvalidArgument):
             audit_all(t, {}, [1.0], seed=0)
+
+    @pytest.mark.parametrize("k", [1, 0, 61, 2.5, True, "5", None])
+    def test_invalid_fold_count_rejected(self, k):
+        # a fold count outside [2, 60] fails up front, not as a report of
+        # skipped features
+        t = inject_mcar(continuous_table(n=60, seed=39), 0.3, seed=40)
+        strategies = {"m": single_imputer_strategy("simple",
+                                                   {"statistic": "mean"})}
+        with pytest.raises(InvalidFoldCount):
+            audit_all(t, strategies, [0.3], seed=0, k=k)
 
     def test_failing_strategy_recorded_not_raised(self):
         t = inject_mcar(continuous_table(n=150, seed=31), 0.3, seed=32)

@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -242,6 +243,12 @@ class TestHyperparameters:
         pytest.param(ridge_fit, "reg", 10**400, id="ridge_fit-reg-10**400"),
         pytest.param(gbt_fit, "learning_rate", 10**400,
                      id="gbt_fit-learning_rate-10**400"),
+        (forest_fit, "seed", -1),
+        (forest_fit, "seed", 1.0),
+        (forest_fit, "seed", None),
+        (gbt_fit, "seed", -1),
+        (gbt_fit, "seed", True),
+        (gbt_fit, "seed", "1"),
     ])
     def test_bad_values_are_refused(self, fit, name, value):
         X = np.random.default_rng(15).normal(size=(20, 3))
@@ -260,6 +267,17 @@ class TestHyperparameters:
         gbt = gbt_fit(X, y, n_estimators=1, learning_rate=1)
         for got in (ridge.reg_strength, gbt.learning_rate):
             assert type(got) is float and got == 1.0
+
+    @pytest.mark.parametrize("fit", [forest_fit, gbt_fit])
+    def test_numpy_integers_are_stored_as_ints(self, fit):
+        # a model fit with numpy-integer hyperparameters writes the document
+        # of the same fit with Python ints
+        X = np.eye(3)
+        got = fit(X, np.arange(3.0), n_estimators=2, max_depth=np.int64(2),
+                  seed=np.int64(1)).to_jsonable()
+        want = fit(X, np.arange(3.0), n_estimators=2, max_depth=2,
+                   seed=1).to_jsonable()
+        assert json.dumps(got) == json.dumps(want)
 
     @pytest.mark.parametrize("fit, scale_x, scale_y", [
         (tree_fit, 1.0, 1e307),

@@ -25,7 +25,6 @@ from imputeq.imputers import (
     fit,
     fitted_from_jsonable,
     fitted_to_jsonable,
-    knn_fill,
     transform,
 )
 from imputeq.metrics import nrmse_score
@@ -275,46 +274,39 @@ class TestAppRandomSample:
             np.testing.assert_array_equal(got, want)
 
 
+def knn_fill(ref_X, ref_y, query, k):
+    """The fill that `transform` writes for the one row `query` by a kNN
+    imputer of `k` fit on reference rows `ref_X` with targets `ref_y`."""
+    X = np.vstack([ref_X, query])
+    names = tuple(f"p{j}" for j in range(X.shape[1]))
+    t = Table(tuple(col(n, X[:, j], ColumnKind.CONTINUOUS)
+                    for j, n in enumerate(names))
+              + (col("y", [*ref_y, np.nan], ColumnKind.CONTINUOUS),))
+    f = fit(ImputerSpec("knn", "knn", {"n_neighbors": k}), t, "y", names)
+    return transform(f, t).column("y").values[-1]
+
+
 class TestKnnImpute:
     def test_mean_of_equidistant(self):
-        state = {
-            "ref_X": np.array([[1.0], [3.0], [1.0]]),
-            "ref_y": np.array([1.0, 2.0, 3.0]),
-            "k": 3,
-            "global_mean": 0.0,
-        }
         # query at 2.0 is distance 1 from every reference
-        assert knn_fill(state, np.array([[2.0]]))[0] == pytest.approx(2.0)
+        assert knn_fill([[1.0], [3.0], [1.0]], [1.0, 2.0, 3.0], [2.0],
+                        k=3) == pytest.approx(2.0)
 
     def test_distance_scaling_tie_prefers_earlier(self):
         # ref A shares 1 of 2 coords (diff 1): d = sqrt(2/1 * 1) = sqrt(2)
         # ref B shares both coords (diffs 1,1): d = sqrt(2/2 * 2) = sqrt(2)
-        state = {
-            "ref_X": np.array([[1.0, np.nan], [1.0, 1.0]]),
-            "ref_y": np.array([7.0, 9.0]),
-            "k": 1,
-            "global_mean": 0.0,
-        }
-        assert knn_fill(state, np.array([[0.0, 0.0]]))[0] == 7.0
+        assert knn_fill([[1.0, np.nan], [1.0, 1.0]], [7.0, 9.0], [0.0, 0.0],
+                        k=1) == 7.0
 
     def test_no_overlap_falls_back_to_global_mean(self):
-        state = {
-            "ref_X": np.array([[np.nan], [np.nan]]),
-            "ref_y": np.array([1.0, 2.0]),
-            "k": 1,
-            "global_mean": 42.0,
-        }
-        with pytest.warns(ImputeQWarning):
-            assert knn_fill(state, np.array([[1.0]]))[0] == 42.0
+        # neither reference observes the query's one coordinate
+        with pytest.warns(ImputeQWarning, match="global mean"):
+            assert knn_fill([[np.nan, 5.0], [np.nan, 6.0]], [1.0, 2.0],
+                            [1.0, np.nan], k=1) == 1.5
 
     def test_k_capped_at_references(self):
-        state = {
-            "ref_X": np.array([[0.0], [1.0]]),
-            "ref_y": np.array([2.0, 4.0]),
-            "k": 10,
-            "global_mean": 0.0,
-        }
-        assert knn_fill(state, np.array([[0.5]]))[0] == pytest.approx(3.0)
+        assert knn_fill([[0.0], [1.0]], [2.0, 4.0], [0.5],
+                        k=10) == pytest.approx(3.0)
 
 
 def linear_pair_table(seed=0, n=200, miss=0.3):
@@ -468,31 +460,46 @@ class TestRosterAndSerialization:
         # repr tells -0.0 from 0.0, and a float from None or an int
         assert repr(encode_array(a)) == repr(per_value(a))
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ImputerSpec("m", "simple", {"statistic": "median"}),
-            ImputerSpec("r", "apprandom", seed=9),
-            ImputerSpec("k", "knn", {"n_neighbors": 2}),
-            ImputerSpec(
-                "it", "iterative",
-                {"estimator": "ridge", "init_strategy": "mode",
-                 "max_iter": 3, "reg": 1.0},
-            ),
-        ],
-    )
-    def test_fitted_roundtrip(self, spec):
+    # each family's stored state; "q" has missing cells, so a kNN fit that
+    # reads it holds NaN reference cells
+    @pytest.mark.parametrize("spec, preds", [
+        pytest.param(ImputerSpec("m", "simple", {"statistic": "median"}), (),
+                     id="spec0"),
+        pytest.param(ImputerSpec("r", "apprandom", seed=9), (), id="spec1"),
+        pytest.param(ImputerSpec("k", "knn", {"n_neighbors": 2}), ("p",),
+                     id="spec2"),
+        pytest.param(ImputerSpec(
+            "it", "iterative",
+            {"estimator": "ridge", "init_strategy": "mode", "max_iter": 3,
+             "reg": 1.0}), ("p",), id="spec3"),
+        pytest.param(ImputerSpec("k", "knn", {"n_neighbors": 2}), ("p", "q"),
+                     id="knn-nan-reference-cells"),
+        pytest.param(ImputerSpec(
+            "it", "iterative",
+            {"estimator": "forest", "max_iter": 2, "n_estimators": 3,
+             "max_depth": 3}, seed=4), ("p", "q"), id="forest-chain"),
+        pytest.param(ImputerSpec(
+            "it", "iterative",
+            {"estimator": "gbt", "max_iter": 2, "n_estimators": 3,
+             "max_depth": 2, "learning_rate": 0.3}), ("p", "q"),
+            id="gbt-chain"),
+    ])
+    def test_fitted_roundtrip(self, spec, preds):
         rng = np.random.default_rng(8)
         p = rng.normal(size=30)
         y = p * 3 + rng.normal(scale=0.1, size=30)
         y[rng.random(30) < 0.3] = np.nan
+        q = p - rng.normal(size=30)
+        q[rng.random(30) < 0.3] = np.nan
         t = Table((
             col("p", p, ColumnKind.CONTINUOUS),
+            col("q", q, ColumnKind.CONTINUOUS),
             col("y", y, ColumnKind.CONTINUOUS),
         ))
-        preds = ("p",) if spec.is_multivariate else ()
         f = fit(spec, t, "y", preds)
         f2 = fitted_from_jsonable(fitted_to_jsonable(f))
+        assert json.dumps(fitted_to_jsonable(f2)) == json.dumps(
+            fitted_to_jsonable(f))
         out1 = transform(f, t).column("y").values
         out2 = transform(f2, t).column("y").values
         np.testing.assert_allclose(out1, out2, atol=1e-12)

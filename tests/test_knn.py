@@ -3,11 +3,13 @@
 `_knn_one` and `_knn_distances` below are the original one-row-at-a-time
 implementation, kept as the oracle: the blockwise path must pick the same
 neighbours and sum them in the same order, so every fill is bit-identical,
-also when one block's distances serve several neighbour counts.  Every sum
-is a running sum, left to right: a distance over the predictors in order,
-a fill over the neighbours nearest first.  The fold pass of `engine.Folds`,
-which fills every view of a fold from one set of distance planes, is held
-to the same oracle view by view.
+also when one block's distances serve several neighbour counts.  A kNN
+state is read through `knn_view_fills` with its one view of every
+predictor and reference (`view_fills`), and served through `transform`
+(`served`).  Every sum is a running sum, left to right: a distance over
+the predictors in order, a fill over the neighbours nearest first.  The
+fold pass of `engine.Folds`, which fills every view of a fold from one set
+of distance planes, is held to the same oracle view by view.
 """
 
 import tracemalloc
@@ -27,7 +29,13 @@ from imputeq.engine import (
     imputation_score,
 )
 from imputeq.errors import ImputeQWarning, InvalidArgument
-from imputeq.imputers import ImputerSpec, fit, knn_fill, knn_fills
+from imputeq.imputers import (
+    FittedImputer,
+    ImputerSpec,
+    fit,
+    knn_view_fills,
+    transform,
+)
 from imputeq.table import (
     Column,
     ColumnKind,
@@ -70,6 +78,29 @@ def assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def view_fills(state, X, ks):
+    """The fills of query rows `X` by k under `state`'s one view, which
+    reads every predictor and reference."""
+    view = (range(state["ref_X"].shape[1]), None, state["ref_y"],
+            state["global_mean"])
+    [(fills, _)] = knn_view_fills(state["ref_X"], X, [view], ks)
+    return fills
+
+
+def served(state, X):
+    """The fills that `transform` writes for query rows `X`, each a row of
+    a table whose continuous target is missing, by a kNN imputer with
+    `state` and its k."""
+    names = tuple(f"p{j}" for j in range(X.shape[1]))
+    cols = [Column(n, X[:, j], np.isnan(X[:, j]), kind=ColumnKind.CONTINUOUS)
+            for j, n in enumerate(names)]
+    cols.append(Column("y", np.full(len(X), np.nan), np.ones(len(X), bool),
+                       kind=ColumnKind.CONTINUOUS))
+    spec = ImputerSpec("knn", "knn", {"n_neighbors": state["k"]})
+    f = FittedImputer(spec, "y", names, state, np.empty(0))
+    return transform(f, Table(tuple(cols), len(X))).column("y").values
+
+
 def test_heart_every_feature_k_and_fold(heart_csv):
     t = infer_column_kinds(label_encode(load_csv(heart_csv)))
     names = t.column_names
@@ -80,7 +111,7 @@ def test_heart_every_feature_k_and_fold(heart_csv):
         for train_idx, test_idx in kfold_split(t.n_rows, 5, 0):
             spec = ImputerSpec("knn3", "knn", {"n_neighbors": 3})
             state = fit(spec, t.select_rows(train_idx), feature, preds).state
-            fills = knn_fills(state, X[test_idx], (3, 5, 10))
+            fills = view_fills(state, X[test_idx], (3, 5, 10))
             for k in (3, 5, 10):
                 want = oracle(dict(state, k=k), X[test_idx])
                 assert_bits_equal(fills[k], want)
@@ -127,8 +158,8 @@ def test_matches_per_row_oracle(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ImputeQWarning)
         with mock.patch.object(imputers, "_KNN_BLOCK_BYTES", block_bytes):
-            one = knn_fill(state, X)
-            got = knn_fills(state, X, ks)
+            one = served(state, X)
+            got = view_fills(state, X, ks)
         assert_bits_equal(one, oracle(state, X))
         for k in ks:
             assert_bits_equal(got[k], oracle(dict(state, k=k), X))
@@ -146,7 +177,7 @@ def test_shared_blocks_with_short_rows_and_uneven_blocks():
     }
     X = np.array([[0.5, 1.0], [np.nan, 2.5], [3.0, np.nan]])
     with mock.patch.object(imputers, "_KNN_BLOCK_BYTES", 8 * 5 * 2 * 2):
-        got = knn_fills(state, X, (1, 3, 10))
+        got = view_fills(state, X, (1, 3, 10))
     for k in (1, 3, 10):
         assert_bits_equal(got[k], oracle(dict(state, k=k), X))
     assert got[10][1] == 3.5  # the mean of its two reachable references
@@ -166,7 +197,7 @@ def test_finite_count_between_requested_ks():
     for rows_per_block in (1, 2, 3):
         with mock.patch.object(imputers, "_KNN_BLOCK_BYTES",
                                8 * 12 * 2 * rows_per_block):
-            got = knn_fills(state, X, (3, 5, 10))
+            got = view_fills(state, X, (3, 5, 10))
         for k in (3, 5, 10):
             assert_bits_equal(got[k], oracle(dict(state, k=k), X))
         assert got[5][0] == got[10][0]
@@ -183,7 +214,7 @@ def test_fallback_warns_once_per_call():
     }
     X = np.array([[1.0, np.nan], [0.0, 1.9], [5.0, np.nan]])
     with pytest.warns(ImputeQWarning, match="global mean") as record:
-        out = knn_fill(state, X)
+        out = served(state, X)
     assert len(record) == 1
     assert out.tolist() == [42.0, 2.0, 42.0]
 
@@ -196,7 +227,7 @@ def test_block_temporaries_stay_near_the_cap():
     X = rng.normal(size=(m, p))
     tracemalloc.start()
     try:
-        knn_fills(state, X, (3, 5, 10))
+        view_fills(state, X, (3, 5, 10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -238,8 +269,8 @@ def assessment(t, splits, deps=None):
 
 def assert_fold_pass_is_per_view(folds):
     """Every view of the table of `folds` that has a kNN fit gets, on every
-    fold, the fills of its own fit: bit for bit `knn_fills` and the per-row
-    oracle.  Returns the number of (view, fold) pairs checked."""
+    fold, the fills of its own fit: bit for bit `view_fills` and the
+    per-row oracle.  Returns the number of (view, fold) pairs checked."""
     t = folds.t
     checked = 0
     for fold, (train_idx, test_idx) in enumerate(folds.splits):
@@ -253,7 +284,7 @@ def assert_fold_pass_is_per_view(folds):
                 [t.column(n).values[test_idx] for n in predictors])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ImputeQWarning)
-                want = knn_fills(own, X, KS)
+                want = view_fills(own, X, KS)
                 got = read_fold(folds, fold, target)
             for k in KS:
                 assert_bits_equal(got[k], want[k])
@@ -395,7 +426,7 @@ FLIP_Y = np.array([10.0, 20.0])
 
 def test_distance_sums_predictors_left_to_right():
     state = {"ref_X": FLIP_REFS, "ref_y": FLIP_Y, "k": 1, "global_mean": 0.0}
-    assert knn_fill(state, np.zeros((1, 8))).tolist() == [20.0]  # B
+    assert served(state, np.zeros((1, 8))).tolist() == [20.0]  # B
 
 
 def test_fold_pass_sums_predictors_left_to_right():
@@ -422,6 +453,6 @@ def test_neighbour_mean_sums_nearest_first_left_to_right():
     state = {"ref_X": np.arange(10.0)[:, None],
              "ref_y": np.array([1.0] + [2.0**-53] * 9), "k": 10,
              "global_mean": 0.0}
-    got = knn_fills(state, np.zeros((1, 1)), (3, 10))
+    got = view_fills(state, np.zeros((1, 1)), (3, 10))
     assert got[10].tolist() == [1.0 / 10]
     assert got[3].tolist() == [1.0 / 3]

@@ -15,7 +15,9 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from imputeq.cli import main
@@ -23,6 +25,7 @@ from imputeq.cli import main
 # a value of every JSON type; a retyped value takes one of another type
 OTHER_TYPES = ["x", 7, [], {}, None]
 DELETE = object()  # the new value of a mutation that removes the value
+DATA = Path(__file__).parent / "data"
 
 
 def _json_type(v):
@@ -165,3 +168,38 @@ def test_damaged_tree_plan_is_refused_or_served_completely(
     with open(tree_plan[0]) as fh:
         roots = ((), *_chain_roots(json.load(fh)))
     _check_damaged_plan(tree_plan, tmp_path_factory, data, roots)
+
+
+def _apply_plan_doc(doc, tmp_path):
+    """`imputeq apply` of plan document `doc` on the mixed table: its exit
+    code and stderr."""
+    pipe = tmp_path / "pipe.json"
+    pipe.write_text(json.dumps(doc))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        rc = main(["apply", "--pipeline", str(pipe),
+                   "--data", str(DATA / "mixed.csv"),
+                   "--out", str(tmp_path / "out.csv")])
+    return rc, stderr.getvalue()
+
+
+# the committed tree plan keeps every column; "b" is the last one fitted
+@pytest.mark.parametrize("drop_list, exit_code", [
+    (["b"], 0),
+    (["nope"], 3),
+    ([5], 3),
+    (["b", "b"], 3),
+    ("b", 3),
+])
+def test_drop_list_names_schema_columns_once(drop_list, exit_code, tmp_path):
+    with open(DATA / "tree_plan_v2.json") as fh:
+        doc = json.load(fh)
+    doc["fitted"] = [f for f in doc["fitted"] if f["target_column"] != "b"]
+    doc["drop_list"] = drop_list
+    rc, err = _apply_plan_doc(doc, tmp_path)
+    assert rc == exit_code, err
+    if rc:
+        error = json.loads(err.strip().splitlines()[-1])
+        assert error["error"] == "CorruptModel"
+        assert "drop_list" in error["message"]
