@@ -61,6 +61,23 @@ rc=0
 imputeq apply --pipeline tests/data/tree_plan_v2.json --data "$RUNNER_TEMP/repeated.csv" --out "$RUNNER_TEMP/repeated_applied.csv" || rc=$?
 test "$rc" = 3
 
+echo "a plan value of another type exits 3 at its document path"
+python -c '
+import json, sys
+doc = json.load(open("tests/data/tree_plan_v2.json"))
+doc["fitted"][2]["state"]["fill"] = "2.5"
+json.dump(doc, open(sys.argv[1], "w"))
+' "$RUNNER_TEMP/fill_string.json"
+rc=0
+imputeq apply --pipeline "$RUNNER_TEMP/fill_string.json" --data tests/data/mixed.csv --out "$RUNNER_TEMP/fill_string.csv" 2> "$RUNNER_TEMP/fill_string.err" || rc=$?
+test "$rc" = 3
+python -c '
+import json, sys
+error = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert error["error"] == "CorruptModel", error
+assert error["message"].startswith("fitted[2].state.fill: "), error
+' "$RUNNER_TEMP/fill_string.err"
+
 echo "console script builds a forest dependency graph"
 python -c '
 import json, sys

@@ -18,10 +18,11 @@ import re
 from contextlib import contextmanager
 from dataclasses import replace
 
-from .depgraph import _is_strings, check_dependency_shape, check_graph_limits
+from .depgraph import check_graph_limits
 from .engine import DEFAULT_ALPHA, DEFAULT_FOLDS, AssessConfig, _require
 from .errors import DataIoError, SchemaError
 from .imputers import ImputerSpec
+from .report import from_jsonable
 
 _TOP_KEYS = {
     "data", "splitter", "scorers", "imputers", "threshold", "alpha",
@@ -66,8 +67,8 @@ def _object(d, allowed: set, path: str) -> dict:
 def _check_data(d) -> None:
     if d.get("path") is not None:
         _require(isinstance(d["path"], str), "data.path", "expected a string")
-    _require(_is_strings(d.get("missing_sentinels", [])),
-             "data.missing_sentinels", "expected a list of strings")
+    from_jsonable(list[str], d.get("missing_sentinels", []),
+                  "data.missing_sentinels")
 
 
 def _scorer_names(d) -> dict:
@@ -106,7 +107,7 @@ def _check_graph(v) -> None:
     _require(isinstance(v, dict), path,
              'expected "auto", a file path, or an inline dictionary')
     if v.get("type") != "auto":
-        check_dependency_shape(v, path)
+        from_jsonable(dict[str, list[str]], v, path)
         return
     _check_keys(v, _GRAPH_AUTO_KEYS, path)
     given = graph_limits(v)

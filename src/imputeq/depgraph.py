@@ -76,15 +76,6 @@ class DependencyGraph(Jsonable):
         preds.sort(key=lambda p: (-p[1], p[0]))
         return preds
 
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "DependencyGraph":
-        return cls(
-            tuple(d["nodes"]),
-            tuple((a, b, float(w)) for a, b, w in d["edges"]),
-            int(d["top_n"]),
-            float(d["min_importance"]),
-        )
-
 
 def check_graph_limits(top_n=DEFAULT_TOP_N,
                        min_importance=DEFAULT_MIN_IMPORTANCE) -> None:
@@ -132,6 +123,7 @@ def build_dependency_graph(
     if not is_estimator(regressor):
         raise SchemaError("regressor", f"expected one of {tuple(ESTIMATORS)}")
     check_graph_limits(top_n, min_importance)
+    min_importance = float(min_importance)  # a float field, as read back
     params = {} if regressor_params is None else regressor_params
     check_estimator_params(regressor, params, "regressor_params")
     params = {**GRAPH_DEFAULTS.get(regressor, {}), **params}
@@ -224,27 +216,11 @@ def transitive_dependencies(g: DependencyGraph) -> dict[str, list[str]]:
     return out
 
 
-def _is_strings(v) -> bool:
-    return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
-
-def check_dependency_shape(deps, path: str) -> None:
-    """Raise SchemaError unless `deps` has the form of a dependency
-    dictionary: an object (else at `path`) whose every value is a list of
-    feature names (else at `path.<feature>`)."""
-    if not isinstance(deps, dict):
-        raise SchemaError(path, "expected a feature -> predecessors object")
-    for feature, preds in deps.items():
-        if not _is_strings(preds):
-            raise SchemaError(f"{path}.{feature}",
-                              "expected a list of feature names")
-
-
 def validate_dependency_dict(
     deps: dict[str, list[str]], columns: list[str]
 ) -> None:
-    """Check a dependency dictionary of the right form (see
-    `check_dependency_shape`) against a column set."""
+    """Check a dependency dictionary of the right form (a
+    `dict[str, list[str]]`) against a column set."""
     known = set(columns)
     for key, preds in deps.items():
         if key not in known:

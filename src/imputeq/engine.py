@@ -37,14 +37,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .depgraph import (
-    _is_strings,
-    check_dependency_shape,
-    validate_dependency_dict,
-)
+from .depgraph import validate_dependency_dict
 from .estimators import _is_int, _is_number, chain_model_reads, model_numbers
 from .errors import (
     CorruptModel,
@@ -72,7 +69,7 @@ from .imputers import (
     with_fills,
 )
 from .metrics import balanced_accuracy, macro_balanced_accuracy, nrmse_score
-from .report import Jsonable, to_jsonable
+from .report import Jsonable, Vector, field_types, from_jsonable, to_jsonable
 from .stattests import TestResult, distribution_compatible
 from .table import (
     DEFAULT_MISSING_SENTINELS,
@@ -172,14 +169,17 @@ class AssessConfig(Jsonable):
                          path, "unknown scorer (expected one of "
                          f"{sorted(SCORER_REGISTRY)})")
         if self.dependencies is not None:
-            check_dependency_shape(self.dependencies, "dependencies")
+            from_jsonable(dict[str, list[str]], self.dependencies,
+                          "dependencies")
 
     def scorer_for(self, kind: ColumnKind):
         if self.scorers and kind.value in self.scorers:
             return SCORER_REGISTRY[self.scorers[kind.value]]
         return default_scorer_for(kind)
 
+    @cached_property
     def config_hash(self) -> str:
+        """The hash of the config's document, derived on first use."""
         blob = json.dumps(self.to_jsonable(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -595,15 +595,6 @@ class ColumnSchema(Jsonable):
     kind: ColumnKind
     labels: dict[int, str] | None = None
 
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "ColumnSchema":
-        labels = d.get("labels")
-        return cls(
-            d["name"],
-            ColumnKind(d["kind"]),
-            None if labels is None else {int(k): v for k, v in labels.items()},
-        )
-
 
 @dataclass(frozen=True)
 class PipelinePlan:
@@ -660,7 +651,7 @@ def fit_pipeline(
         drop_list=tuple(drop),
         dependencies=config.dependencies,
         seed=config.seed,
-        config_hash=config.config_hash(),
+        config_hash=config.config_hash,
         notes=tuple(notes),
     )
 
@@ -736,6 +727,10 @@ def apply_pipeline(plan: PipelinePlan, t: Table) -> Table:
     return work
 
 
+# the plan document's fields, as `deserialize_pipeline` first reads them
+_PLAN_FIELDS = {**field_types(PipelinePlan), "fitted": tuple[dict, ...]}
+
+
 def plan_to_jsonable(plan: PipelinePlan) -> dict:
     doc = {
         "format": PIPELINE_FORMAT,
@@ -784,39 +779,27 @@ def deserialize_pipeline(data: bytes) -> PipelinePlan:
         raise VersionMismatch(
             f"not a pipeline file (format={doc.get('format')!r})"
         )
-    if doc.get("schema_version") != PIPELINE_SCHEMA_VERSION:
-        raise VersionMismatch(
-            f"unsupported schema_version {doc.get('schema_version')!r}"
-        )
-    sentinels = doc.get("missing_sentinels", list(DEFAULT_MISSING_SENTINELS))
-    if not _is_strings(sentinels):
-        raise CorruptModel("pipeline missing_sentinels is not a list of strings")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != PIPELINE_SCHEMA_VERSION:
+        raise VersionMismatch(f"unsupported schema_version {version!r}")
+    # the fields of the plan; `missing_sentinels` is written only when it
+    # is not the default, and each fitted imputer's state is read by its
+    # family
+    body = {"missing_sentinels": list(DEFAULT_MISSING_SENTINELS), **doc}
+    del body["format"], body["schema_version"]
     try:
-        schema = tuple(ColumnSchema.from_jsonable(s) for s in doc["schema"])
-        deps, notes = doc["dependencies"], doc.get("notes", [])
-        if not (_is_int(doc["seed"], 0)
-                and isinstance(doc["config_hash"], str)
-                and _is_strings(notes) and _is_strings(doc["drop_list"])):
-            raise CorruptModel("pipeline seed, config_hash, notes or "
-                               "drop_list is malformed")
-        if deps is not None:
-            check_dependency_shape(deps, "dependencies")
-            validate_dependency_dict(deps, [s.name for s in schema])
-        plan = PipelinePlan(
-            schema=schema,
-            fitted=tuple(fitted_from_jsonable(f) for f in doc["fitted"]),
-            drop_list=tuple(doc["drop_list"]),
-            dependencies=deps,
-            seed=doc["seed"],
-            config_hash=doc["config_hash"],
-            notes=tuple(notes),
-            missing_sentinels=tuple(sentinels),
-        )
-        _check_plan(plan)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
-            InvalidArgument) as exc:
-        # OverflowError: an integer too large for a stored int64 array
-        raise CorruptModel(f"pipeline data missing or malformed: {exc}") from exc
+        values = from_jsonable(_PLAN_FIELDS, body, "")
+        values["fitted"] = tuple(fitted_from_jsonable(f, f"fitted[{i}]")
+                                 for i, f in enumerate(values["fitted"]))
+        plan = PipelinePlan(**values)
+        if plan.dependencies is not None:
+            validate_dependency_dict(plan.dependencies,
+                                     [s.name for s in plan.schema])
+    except SchemaError as exc:
+        raise CorruptModel(str(exc)) from exc
+    except InvalidArgument as exc:
+        raise CorruptModel(f"dependencies: {exc}") from exc
+    _check_plan(plan)
     return plan
 
 
@@ -827,18 +810,20 @@ def _check_plan(plan: PipelinePlan) -> None:
     estimator; stored numbers are finite (a NaN kNN reference cell marks a
     missing predictor) and stored arrays non-empty, in the shapes their
     columns imply; and a target that is not continuous has observed values,
-    each with a string label if labelled."""
+    each with a label if labelled.  Its seed, like an imputer's, is >= 0."""
+    if plan.seed < 0:
+        raise CorruptModel("seed: expected an integer >= 0")
     schema = {s.name: s for s in plan.schema}
     if sorted([*(f.target_column for f in plan.fitted),
                *plan.drop_list]) != sorted(schema):
-        raise CorruptModel("fitted imputers and drop_list do not cover the "
-                           "schema columns once each")
-    for f in plan.fitted:
+        raise CorruptModel("drop_list: the fitted imputers and the drop list "
+                           "do not cover the schema columns once each")
+    for i, f in enumerate(plan.fitted):
         state, cols = f.state, f.state.get("columns", ())
         values, target = f.observed_value_set, schema[f.target_column]
         numbers = [values] + [
-            state[k] for k, kind in STORED_STATE[f.spec.family].items()
-            if kind in ("number", "vector")]
+            state[k] for k, tp in STORED_STATE[f.spec.family].items()
+            if tp in (float, Vector)]
         ok = ({*f.predictor_columns, *cols} <= set(schema)
               and all(np.size(x) for x in numbers[1:])
               and (values.size or target.kind is ColumnKind.CONTINUOUS))
@@ -858,12 +843,13 @@ def _check_plan(plan: PipelinePlan) -> None:
                                  for m in models.values()))
         if target.labels is not None:
             ok = ok and target.labels and set(values.tolist()) <= set(
-                target.labels
-            ) and all(isinstance(v, str) for v in target.labels.values())
-        if not (ok and all(np.isfinite(x).all() for x in numbers)):
+                target.labels)
+        # one pass over every stored number: each is a float or a vector
+        if not (ok and np.isfinite(np.hstack(numbers)).all()):
             raise CorruptModel(
-                f"{f.spec.id}: the stored state of {f.target_column!r} is "
-                "damaged or names a column the plan lacks"
+                f"fitted[{i}]: {f.spec.id}: the stored state of "
+                f"{f.target_column!r} is damaged or names a column the plan "
+                "lacks"
             )
 
 

@@ -19,14 +19,15 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Annotated, NamedTuple, Union
 
 import numpy as np
 
 from .errors import DegenerateInput, InvalidArgument, SchemaError
-from .report import Jsonable
+from .report import Jsonable, Vector
 
 _MAX_DEPTH_CAP = 64  # stands in for "unlimited"
+IntVector = Annotated[np.ndarray, list[int]]  # read back as int64
 
 
 def _as_matrix(Xm) -> np.ndarray:
@@ -96,18 +97,10 @@ def _check_integer(name: str, v, lo: int) -> None:
 
 @dataclass(frozen=True)
 class RidgeModel(Jsonable):
-    weights: np.ndarray
+    weights: Vector
     intercept: float
     reg_strength: float
     json_tags = {"type": "ridge"}
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "RidgeModel":
-        return cls(
-            np.asarray(d["weights"], dtype=float),
-            float(d["intercept"]),
-            float(d["reg_strength"]),
-        )
 
 
 def ridge_fit(Xm, y, reg: float = 1.0) -> RidgeModel:
@@ -147,22 +140,12 @@ def ridge_predict(model: RidgeModel, Xm) -> np.ndarray:
 class TreeModel(Jsonable):
     """Binary tree in parallel arrays; feature == -1 marks a leaf."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
+    feature: IntVector
+    threshold: Vector
+    left: IntVector
+    right: IntVector
+    value: Vector
     json_tags = {"type": "tree"}
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "TreeModel":
-        return cls(
-            np.asarray(d["feature"], dtype=np.int64),
-            np.asarray(d["threshold"], dtype=float),
-            np.asarray(d["left"], dtype=np.int64),
-            np.asarray(d["right"], dtype=np.int64),
-            np.asarray(d["value"], dtype=float),
-        )
 
 
 # a node whose candidate features times rows is below this is searched in
@@ -454,14 +437,6 @@ class ForestModel(Jsonable):
     seed: int
     json_tags = {"type": "forest"}
 
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "ForestModel":
-        return cls(
-            tuple(TreeModel.from_jsonable(t) for t in d["trees"]),
-            d["max_depth"],
-            int(d["seed"]),
-        )
-
 
 def forest_fit(Xm, y, n_estimators: int = 100, max_depth=None, seed: int = 0,
                bootstrap: bool = True, mtry: int | None = None) -> ForestModel:
@@ -512,17 +487,6 @@ class GbtModel(Jsonable):
     max_depth: int | None
     seed: int
     json_tags = {"type": "gbt"}
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "GbtModel":
-        return cls(
-            tuple(TreeModel.from_jsonable(t) for t in d["trees"]),
-            float(d["base_score"]),
-            float(d["learning_rate"]),
-            d["loss"],
-            d["max_depth"],
-            int(d["seed"]),
-        )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -634,6 +598,10 @@ ESTIMATORS = {
                                 "learning_rate": _RATE}),
 }
 
+# the model of a chain column: one of the estimators' models, told apart by
+# its "type" tag
+ChainModel = Union[tuple(e.model for e in ESTIMATORS.values())]
+
 # a dependency graph's one default that is not its fit's: 50 forest trees
 GRAPH_DEFAULTS = {"forest": {"n_estimators": 50}}
 
@@ -657,15 +625,6 @@ def check_estimator_params(estimator: str, params: dict, path: str) -> None:
         accepts, what = rules[name]
         if not accepts(v):
             raise SchemaError(f"{path}.{name}", f"expected {what}")
-
-
-def model_from_jsonable(d: dict):
-    kind = d.get("type")
-    if kind == "tree":
-        return TreeModel.from_jsonable(d)
-    if not is_estimator(kind):
-        raise InvalidArgument(f"unknown model type {kind!r}")
-    return ESTIMATORS[kind].model.from_jsonable(d)
 
 
 def model_numbers(m) -> list:

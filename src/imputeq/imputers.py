@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -31,16 +32,16 @@ from .errors import (
 )
 from .estimators import (
     ESTIMATORS,
+    ChainModel,
     _is_int,
     _running_sum,
     forest_fit,
     gbt_fit,
     is_estimator,
-    model_from_jsonable,
     model_predict,
     ridge_fit,
 )
-from .report import Jsonable, to_jsonable
+from .report import Jsonable, Vector, field_types, from_jsonable, to_jsonable
 from .table import Column, ColumnKind, Table
 
 FAMILIES = ("simple", "apprandom", "knn", "iterative")
@@ -124,11 +125,6 @@ class ImputerSpec(Jsonable):
         return _SeedWords(
             np.random.SeedSequence(self.seed).generate_state(4, np.uint64))
 
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "ImputerSpec":
-        return cls(d["id"], d["family"], d.get("params", {}),
-                   d.get("seed", 0))
-
 
 class _SeedWords(ISeedSequence):
     """A seed sequence that hands PCG64 its four precomputed uint64 seed
@@ -169,7 +165,7 @@ class FittedImputer:
     target_column: str
     predictor_columns: tuple[str, ...]
     state: dict
-    observed_value_set: np.ndarray  # empty for a continuous target
+    observed_value_set: Vector  # empty for a continuous target
 
 
 def task_seed(*parts: int) -> int:
@@ -663,36 +659,18 @@ def encode_array(a: np.ndarray) -> list:
     return out.tolist()
 
 
-def decode_array(x: list, ndim: int = 1) -> np.ndarray:
-    """The array `encode_array` wrote: a rectangular list `ndim` deep of
-    numbers, each None read as NaN; anything else raises ValueError or
-    TypeError."""
-    a = np.array(x, dtype=float)
-    if a.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-d list of numbers")
-    return a
+# a kNN's reference rows: a missing cell is NaN, and null in a plan
+NanMatrix = Annotated[np.ndarray, list[list[float | None]]]
 
-
-# how each kind of stored field is written and read
-_CODECS = {
-    "number": (float, float),
-    "vector": (encode_array, decode_array),
-    "matrix": (encode_array, lambda x: decode_array(x, ndim=2)),  # NaN cells
-    "names": (list, tuple),
-    "indices": (list, lambda x: tuple(int(j) for j in x)),
-    "models": (to_jsonable, lambda d: {int(j): model_from_jsonable(m)
-                                       for j, m in d.items()}),
-}
-
-# family -> {field of its state that a plan stores: the field's kind}; a
+# family -> {field of its state that a plan stores: the field's type}; a
 # kNN state's `k` and `global_mean` are derived from the spec and `ref_y`
 # on loading, and a chain's `deltas` and `matrix` are never stored
 STORED_STATE = {
-    "simple": {"fill": "number"},
-    "apprandom": {"observed": "vector"},
-    "knn": {"ref_X": "matrix", "ref_y": "vector"},
-    "iterative": {"columns": "names", "init_values": "vector",
-                  "visit": "indices", "models": "models"},
+    "simple": {"fill": float},
+    "apprandom": {"observed": Vector},
+    "knn": {"ref_X": NanMatrix, "ref_y": Vector},
+    "iterative": {"columns": tuple[str, ...], "init_values": Vector,
+                  "visit": tuple[int, ...], "models": dict[int, ChainModel]},
 }
 
 
@@ -701,22 +679,19 @@ def fitted_to_jsonable(f: FittedImputer) -> dict:
         "spec": f.spec.to_jsonable(),
         "target_column": f.target_column,
         "predictor_columns": list(f.predictor_columns),
-        "state": {name: _CODECS[kind][0](f.state[name])
-                  for name, kind in STORED_STATE[f.spec.family].items()},
+        "state": {name: (encode_array if tp is NanMatrix else to_jsonable)(
+                      f.state[name])
+                  for name, tp in STORED_STATE[f.spec.family].items()},
         "observed_value_set": encode_array(f.observed_value_set),
     }
 
 
-def fitted_from_jsonable(d: dict) -> FittedImputer:
-    spec = ImputerSpec.from_jsonable(d["spec"])
-    state = {name: _CODECS[kind][1](d["state"][name])
-             for name, kind in STORED_STATE[spec.family].items()}
-    if spec.family == "knn":
-        state = _knn_state(spec, **state)
-    return FittedImputer(
-        spec=spec,
-        target_column=d["target_column"],
-        predictor_columns=tuple(d["predictor_columns"]),
-        state=state,
-        observed_value_set=decode_array(d["observed_value_set"]),
-    )
+def fitted_from_jsonable(d: dict, path: str = "fitted") -> FittedImputer:
+    """The imputer that `fitted_to_jsonable` wrote as `d`, its state read by
+    the types that `STORED_STATE` gives its family."""
+    f = from_jsonable(field_types(FittedImputer), d, path)
+    f["state"] = from_jsonable(STORED_STATE[f["spec"].family], f["state"],
+                               f"{path}.state")
+    if f["spec"].family == "knn":
+        f["state"] = _knn_state(f["spec"], **f["state"])
+    return FittedImputer(**f)

@@ -8,14 +8,20 @@ files every time.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import os
 import tempfile
+import types
+import typing
 from dataclasses import fields, is_dataclass
+from itertools import chain, repeat
+from typing import Annotated, Union
 from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .errors import InvalidArgument, SchemaError
 from .table import Table
 
 QUALITY_FORMAT = "imputeq-quality-records"
@@ -97,6 +103,157 @@ class Jsonable:
 
     def to_jsonable(self) -> dict:
         return to_jsonable(self)
+
+
+# an array field is annotated with the type of its document:
+# `Annotated[np.ndarray, list[list[float | None]]]` reads a matrix with
+# null for NaN
+Vector = Annotated[np.ndarray, list[float]]
+_SCALARS = {float: "a float", int: "an integer", str: "a string"}
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """Each field of dataclass `cls` and its annotated type, resolved once."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def from_jsonable(tp, doc, path: str):
+    """The value of type `tp` that `to_jsonable` writes as `doc`: the one
+    decoder of documents.  A value not of its type as written raises
+    SchemaError at its document path.  A float, int or str is exactly that
+    JSON type (an int is no bool or 3.0, a float no int); a `dict[int, V]`
+    key is an int in canonical decimal form; an enum is its value; an array
+    is the list type it is annotated with (see `Vector`); a union of
+    classes is the one whose `json_tags` the object holds.  A dataclass, or
+    a dict of {key: type}, is an object of exactly its keys and the class's
+    tags (checked, not read); an InvalidArgument from the class is reported
+    at `path`.  A bare `dict` is any object, left for its class to check."""
+    if type(tp) is dict:
+        return _object_reader(tuple(tp.items()), (), dict)(doc, path)
+    return _reader(tp)(doc, path)
+
+
+@functools.cache
+def _reader(tp):
+    """The function (doc, path) -> value that reads type `tp`, built once
+    per type, so that reading a value inspects no type."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _SCALARS:
+        def read(doc, path):
+            if type(doc) is not tp:
+                raise SchemaError(path, f"expected {_SCALARS[tp]}")
+            return doc
+    elif origin is Annotated:
+        ndim, cell = 0, args[1]
+        while typing.get_origin(cell) is list:
+            ndim, cell = ndim + 1, typing.get_args(cell)[0]
+        return functools.partial(_array, args[1], ndim,
+                                 set(typing.get_args(cell) or [cell]))
+    elif origin in (Union, types.UnionType):
+        members = [(m, _reader(m)) for m in args if m is not type(None)]
+
+        def read(doc, path):
+            if doc is None and len(members) < len(args):
+                return None
+            for m, r in members:
+                if len(members) == 1 or type(doc) is dict and all(
+                        doc.get(k) == v for k, v in m.json_tags.items()):
+                    return r(doc, path)
+            names = " or ".join(m.__name__ for m, _ in members)
+            raise SchemaError(path, f"expected a {names}")
+    elif origin in (tuple, list):
+        n = None if origin is list or args[-1] is Ellipsis else len(args)
+        items = [_reader(a) for a in args if a is not Ellipsis]
+
+        def read(doc, path):
+            if not isinstance(doc, list) or n is not None and len(doc) != n:
+                raise SchemaError(path, "expected a list"
+                                  + f" of {n}" * (n is not None))
+            if n is None and args[0] in _SCALARS and set(
+                    map(type, doc)) <= {args[0]}:
+                return origin(doc)  # checked at C speed
+            return origin(r(v, f"{path}[{i}]") for i, (r, v) in enumerate(
+                zip(items if n else repeat(items[0]), doc)))
+    elif tp is dict or origin is dict:
+        value = _reader(args[1]) if args else None
+
+        def read(doc, path):
+            if not isinstance(doc, dict):
+                raise SchemaError(path, "expected an object")
+            return doc if value is None else {
+                _int_key(k, path) if args[0] is int else k:
+                value(v, f"{path}.{k}") for k, v in doc.items()}
+    elif isinstance(tp, enum.EnumMeta):
+        values = [m.value for m in tp]
+
+        def read(doc, path):
+            if doc not in values:
+                raise SchemaError(path, f"expected one of {values}")
+            return tp(doc)
+    else:
+        return _object_reader(tuple(field_types(tp).items()), tuple(
+            getattr(tp, "json_tags", {}).items()), tp)
+    return read
+
+
+@functools.cache
+def _object_reader(want: tuple, tags: tuple, cls):
+    """The reader of an object of exactly the keys of `want` and the fixed
+    `tags` ((key, type) and (key, value) pairs), which gives `cls` of its
+    values."""
+    items = [(k, f".{k}", _reader(t)) for k, t in want]
+    keys = {k for k, _ in want + tags}
+
+    def read(doc, path):
+        if not isinstance(doc, dict):
+            raise SchemaError(path, "expected an object")
+        if doc.keys() != keys:
+            key = min(keys ^ doc.keys())
+            raise SchemaError(_at(path, key), "required key is missing"
+                              if key in keys else "unknown key")
+        for k, v in tags:
+            if type(doc[k]) is not type(v) or doc[k] != v:
+                raise SchemaError(f"{path}.{k}", f"expected {v!r}")
+        values = {k: r(doc[k], path + at if path else k) for k, at, r in items}
+        try:
+            return cls(**values)
+        except SchemaError as exc:
+            raise SchemaError(_at(path, exc.path), exc.message) from exc
+        except InvalidArgument as exc:
+            raise SchemaError(path, str(exc)) from exc
+    return read
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _int_key(k: str, path: str) -> int:
+    try:
+        if str(int(k)) == k:
+            return int(k)
+    except ValueError:
+        pass
+    raise SchemaError(f"{path}.{k}", "expected an integer key")
+
+
+def _array(form, ndim, cells, doc, path: str) -> np.ndarray:
+    """The array that `doc` lists in the form `form`, a list type `ndim`
+    deep of `cells`; its cells' types are checked at C speed, not one by
+    one."""
+    a = None
+    if type(doc) is list and (set(map(type, doc)) <= cells if ndim == 1 else
+                              set(map(type, doc)) <= {list} and set(map(
+                                  type, chain.from_iterable(doc))) <= cells):
+        try:
+            a = np.array(doc, dtype=np.int64 if int in cells else float)
+        except (ValueError, OverflowError):
+            pass  # ragged, or an int outside int64
+    if a is None or a.ndim != ndim:
+        raise SchemaError(path, f"expected a rectangular {form}")
+    return a
 
 
 def column_summary(t: Table) -> list[dict]:

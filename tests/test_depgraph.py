@@ -10,6 +10,7 @@ from imputeq.depgraph import (
     validate_dependency_dict,
 )
 from imputeq.errors import InvalidArgument, SchemaError, SmallSampleWarning
+from imputeq.report import from_jsonable
 from imputeq.table import Column, ColumnKind, Table
 
 
@@ -58,9 +59,8 @@ class TestGraphType:
 
     def test_json_roundtrip(self):
         g = four_node_graph()
-        g2 = DependencyGraph.from_jsonable(
-            json.loads(json.dumps(g.to_jsonable()))
-        )
+        g2 = from_jsonable(DependencyGraph,
+                           json.loads(json.dumps(g.to_jsonable())), "graph")
         assert g2 == g
 
 

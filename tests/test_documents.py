@@ -19,6 +19,7 @@ from imputeq.engine import (
 )
 from imputeq.estimators import ForestModel, GbtModel, RidgeModel, TreeModel
 from imputeq.imputers import ImputerSpec, default_imputer_roster
+from imputeq.report import from_jsonable
 from imputeq.table import ColumnKind
 
 TREE = TreeModel(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]),
@@ -105,6 +106,18 @@ def test_each_document_is_its_fields(name):
     assert dumped(obj.to_jsonable()) == dumped(doc)
 
 
+# the classes that a plan or graph document is read back into
+READ = ["ridge", "tree", "forest", "gbt", "spec", "schema",
+        "schema-unlabelled", "graph"]
+
+
+@pytest.mark.parametrize("name", READ)
+def test_each_read_document_decodes_to_its_own_document(name):
+    obj, doc = CASES[name]
+    back = from_jsonable(type(obj), json.loads(dumped(doc)), name)
+    assert dumped(back.to_jsonable()) == dumped(doc)
+
+
 def test_a_record_document_renames_evaluations_and_their_ids():
     # imported through the module: pytest would collect a Test* name
     bias = stattests.TestResult(0.3, 0.04, stattests.TestKind.KS, True,
@@ -132,5 +145,5 @@ def test_a_record_document_renames_evaluations_and_their_ids():
 
 def test_the_default_roster_config_hash_is_pinned():
     config = AssessConfig(tuple(default_imputer_roster()))
-    assert config.config_hash() == (
+    assert config.config_hash == (
         "8a0e8b912a3c2e8380e9f1854cfe106723b7385716546101ae7ba121601e81d7")

@@ -16,7 +16,6 @@ from imputeq.estimators import (
     gbt_predict_proba,
     gbt_raw_score,
     logistic_grad_hess,
-    model_from_jsonable,
     model_predict,
     permutation_importance,
     ridge_fit,
@@ -25,6 +24,7 @@ from imputeq.estimators import (
     tree_predict,
 )
 from imputeq.metrics import auroc, nrmse_score, r2
+from imputeq.report import from_jsonable
 
 
 class TestRidge:
@@ -334,7 +334,9 @@ class TestSerialization:
         ]
         grid = rng.normal(size=(15, 3))
         for m in models:
-            m2 = model_from_jsonable(m.to_jsonable())
+            doc = json.loads(json.dumps(m.to_jsonable()))
+            m2 = from_jsonable(type(m), doc, "model")
+            assert m2.to_jsonable() == doc
             np.testing.assert_allclose(
                 model_predict(m, grid), model_predict(m2, grid), atol=1e-15
             )
@@ -411,7 +413,7 @@ class TestLockstepWalk:
         # the bits of a loop over the trees, whatever the block size, on
         # the model and on its serialized copy
         m, X = fitted
-        copy = model_from_jsonable(m.to_jsonable())
+        copy = from_jsonable(type(m), m.to_jsonable(), "model")
         with mock.patch.object(estimators, "_WALK_CELLS", cells):
             for name, want in reference_predictions(m, X).items():
                 for model in (m, copy):

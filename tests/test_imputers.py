@@ -1,5 +1,6 @@
 import json
 import math
+from typing import Annotated
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from imputeq.errors import (
 from imputeq.imputers import (
     FittedImputer,
     ImputerSpec,
+    NanMatrix,
     adaptive_round_binary,
     apprandom_sample,
     censor_to_observed,
-    decode_array,
     default_imputer_roster,
     encode_array,
     fit,
@@ -28,6 +29,7 @@ from imputeq.imputers import (
     transform,
 )
 from imputeq.metrics import nrmse_score
+from imputeq.report import from_jsonable
 from imputeq.stattests import chi2_independence
 from imputeq.table import Column, ColumnKind, Table
 
@@ -98,8 +100,11 @@ class TestFit:
         # a seed is an int >= 0, in a spec as in a loaded plan
         for seed in (-1, 1.5, True, "7", None):
             with pytest.raises(InvalidArgument, match="seed"):
-                ImputerSpec.from_jsonable(
-                    {"id": "bad", "family": "apprandom", "seed": seed})
+                ImputerSpec("bad", "apprandom", seed=seed)
+            with pytest.raises(SchemaError, match=r"^spec\.seed: "):
+                from_jsonable(ImputerSpec, {"id": "bad", "family": "apprandom",
+                                            "params": {}, "seed": seed},
+                              "spec")
 
     @pytest.mark.parametrize("params", [
         {"n_neighbors": True}, {"n_neighbors": 2.0}, {},
@@ -439,10 +444,28 @@ class TestRosterAndSerialization:
         assert len(roster) == 10
 
     def test_array_codec_roundtrip(self):
-        a = np.array([1.0, np.nan, 3.5])
-        back = decode_array(encode_array(a))
+        a = np.array([[1.0, np.nan, 3.5]])
+        back = from_jsonable(NanMatrix, encode_array(a), "ref_X")
         np.testing.assert_array_equal(np.isnan(a), np.isnan(back))
         np.testing.assert_allclose(a[~np.isnan(a)], back[~np.isnan(back)])
+
+    @pytest.mark.parametrize("tp, doc", [
+        (NanMatrix, [[1.0], [2.0, 3.0]]),  # ragged
+        (NanMatrix, [1.0, 2.0]),  # one level short
+        (NanMatrix, []),
+        (NanMatrix, [[1.0, "2"]]),
+        (NanMatrix, [[1.0, 2]]),
+        (NanMatrix, [[True]]),
+        (Annotated[np.ndarray, list[float]], [1.0, None]),  # no nulls
+        (Annotated[np.ndarray, list[float]], [[1.0]]),
+        (Annotated[np.ndarray, list[int]], [1, 2.0]),
+        (Annotated[np.ndarray, list[int]], [1, False]),
+        (Annotated[np.ndarray, list[int]], [2**63]),
+        (Annotated[np.ndarray, list[int]], {"0": 1}),
+    ])
+    def test_array_cells_are_read_as_written(self, tp, doc):
+        with pytest.raises(SchemaError, match=r"^a: expected a rectangular"):
+            from_jsonable(tp, doc, "a")
 
     @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2,
                                            min_side=0, max_side=6),
@@ -497,9 +520,9 @@ class TestRosterAndSerialization:
             col("y", y, ColumnKind.CONTINUOUS),
         ))
         f = fit(spec, t, "y", preds)
-        f2 = fitted_from_jsonable(fitted_to_jsonable(f))
-        assert json.dumps(fitted_to_jsonable(f2)) == json.dumps(
-            fitted_to_jsonable(f))
+        doc = json.loads(json.dumps(fitted_to_jsonable(f)))
+        f2 = fitted_from_jsonable(doc)
+        assert json.dumps(fitted_to_jsonable(f2)) == json.dumps(doc)
         out1 = transform(f, t).column("y").values
         out2 = transform(f2, t).column("y").values
         np.testing.assert_allclose(out1, out2, atol=1e-12)
