@@ -108,3 +108,20 @@ imputeq report --records "$RUNNER_TEMP/quality.json" --out "$RUNNER_TEMP/quality
 # differ across scipy versions
 grep -q "features kept" "$RUNNER_TEMP/report.txt"
 test "$(head -c 5 "$RUNNER_TEMP/quality.svg")" = "<?xml"
+
+echo "a records value of another type exits 3 at its document path"
+python -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["records"][0]["kept"] = "no"
+json.dump(doc, open(sys.argv[2], "w"))
+' "$RUNNER_TEMP/quality.json" "$RUNNER_TEMP/kept_string.json"
+rc=0
+imputeq report --records "$RUNNER_TEMP/kept_string.json" --out "$RUNNER_TEMP/kept_string.svg" 2> "$RUNNER_TEMP/kept_string.err" || rc=$?
+test "$rc" = 3
+python -c '
+import json, sys
+error = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert error["error"] == "CorruptModel", error
+assert error["message"].startswith("records[0].kept: "), error
+' "$RUNNER_TEMP/kept_string.err"

@@ -34,9 +34,11 @@ from .depgraph import (
 )
 from .engine import (
     AssessConfig,
+    QualityRecord,
     apply_pipeline,
     assess,
     deserialize_pipeline,
+    document_body,
     fit_pipeline,
     recommend_imputations,
     records_to_jsonable,
@@ -63,6 +65,7 @@ from .report import (
     column_summary,
     dumps_canonical,
     emit_quality_svg,
+    from_jsonable,
     quality_document,
     quality_summary_text,
     write_bytes_atomic,
@@ -238,50 +241,42 @@ def cmd_recommend_m(args) -> int:
     return EXIT_OK
 
 
-def _check_records(records) -> None:
-    """Raise CorruptModel unless `records` is a list of quality records,
-    each with the fields that the chart and the summary read."""
-    if not isinstance(records, list):
-        raise CorruptModel("records is not a list")
+def _check_scores(threshold, records) -> None:
+    """Raise CorruptModel at the first decoded value out of its range."""
+    unit = [("threshold", threshold)] * (threshold is not None)
     for i, r in enumerate(records):
-        if not (isinstance(r, dict)
-                and all(_is_number(r.get(k), 0.0, 1.0)
-                        for k in ("completeness", "delta", "omega"))
-                and all(isinstance(r.get(k), str)
-                        for k in ("feature", "chosen_imputer"))
-                and isinstance(r.get("imputers", []), list)
-                and all(isinstance(e, dict) and "id" in e and (
-                    e.get("delta_std") is None
-                    or _is_number(e["delta_std"], 0.0))
-                    for e in r.get("imputers", []))):
-            raise CorruptModel(f"record {i} is malformed")
+        unit += [(f"records[{i}].{k}", getattr(r, k))
+                 for k in ("completeness", "delta", "omega")]
+        for j, e in enumerate(r.evaluations):
+            if not _is_number(e.delta_std, 0.0):
+                raise CorruptModel(f"records[{i}].imputers[{j}].delta_std: "
+                                   "expected a finite number >= 0")
+    for path, v in unit:
+        if not _is_number(v, 0.0, 1.0):
+            raise CorruptModel(f"{path}: expected a number in [0, 1]")
+
+
+# the fields of a records document; `columns` is written only when given
+_RECORDS_FIELDS = {"threshold": float | None,
+                   "records": list[QualityRecord], "columns": list[dict]}
 
 
 def cmd_report(args) -> int:
-    doc = load_json_file(args.records, "records", CorruptModel)
-    if not isinstance(doc, dict):
-        raise CorruptModel("records file is not a JSON object")
-    if doc.get("format") != QUALITY_FORMAT:
-        raise VersionMismatch(
-            f"not a quality-records file (format={doc.get('format')!r})"
-        )
-    if doc.get("schema_version") != DOC_SCHEMA_VERSION:
-        raise VersionMismatch(
-            f"unsupported schema_version {doc.get('schema_version')!r}"
-        )
+    body = document_body(load_json_file(args.records, "records", CorruptModel),
+                         QUALITY_FORMAT, DOC_SCHEMA_VERSION, {"columns": []})
     if args.threshold is not None and not 0.0 <= args.threshold <= 1.0:
         raise SchemaError("threshold", "expected a number in [0, 1]")
-    records = doc.get("records", [])
-    _check_records(records)
-    if not records:
+    try:
+        values = from_jsonable(_RECORDS_FIELDS, body, "")
+    except SchemaError as exc:
+        raise CorruptModel(str(exc)) from exc
+    _check_scores(values["threshold"], values["records"])
+    if not values["records"]:
         raise DegenerateInput("no records to draw")
-    threshold = args.threshold if args.threshold is not None else (
-        doc.get("threshold")
-    )
-    if not (threshold is None or _is_number(threshold, 0.0, 1.0)):
-        raise CorruptModel("records threshold is not a number in [0, 1]")
-    write_bytes_atomic(args.out, emit_quality_svg(records, threshold))
-    print(quality_summary_text(records))
+    threshold = values["threshold"] if args.threshold is None else (
+        args.threshold)
+    write_bytes_atomic(args.out, emit_quality_svg(body["records"], threshold))
+    print(quality_summary_text(body["records"]))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -204,6 +204,7 @@ class ImputerEvaluation:
     bias: TestResult | None
     skipped: bool
     notes: tuple[str, ...] = ()
+    json_keys = {"imputer_id": "id"}
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,7 @@ class QualityRecord:
     kept: bool
     fallback_used: bool
     notes: tuple[str, ...] = ()
+    json_keys = {"evaluations": "imputers"}
 
 
 def quality_score(mu: float, delta: float) -> float:
@@ -763,6 +765,21 @@ def serialize_pipeline(plan: PipelinePlan) -> bytes:
     return blob.encode("utf-8")
 
 
+def document_body(doc, fmt: str, version: int, defaults: dict) -> dict:
+    """The fields of document `doc`, with `defaults` for those it lacks:
+    CorruptModel if it is no object, VersionMismatch unless its format is
+    `fmt` and its schema_version the integer `version`."""
+    if not isinstance(doc, dict):
+        raise CorruptModel(f"the {fmt} document is not an object")
+    found = doc.get("format"), doc.get("schema_version")
+    if found != (fmt, version) or type(found[1]) is not int:
+        raise VersionMismatch(f"expected format {fmt!r} schema_version "
+                              f"{version}, found {found[0]!r} {found[1]!r}")
+    body = {**defaults, **doc}
+    del body["format"], body["schema_version"]
+    return body
+
+
 def deserialize_pipeline(data: bytes) -> PipelinePlan:
     """Parse pipeline JSON back into a plan.
 
@@ -773,20 +790,11 @@ def deserialize_pipeline(data: bytes) -> PipelinePlan:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"unreadable pipeline data: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CorruptModel("pipeline document is not an object")
-    if doc.get("format") != PIPELINE_FORMAT:
-        raise VersionMismatch(
-            f"not a pipeline file (format={doc.get('format')!r})"
-        )
-    version = doc.get("schema_version")
-    if type(version) is not int or version != PIPELINE_SCHEMA_VERSION:
-        raise VersionMismatch(f"unsupported schema_version {version!r}")
     # the fields of the plan; `missing_sentinels` is written only when it
     # is not the default, and each fitted imputer's state is read by its
     # family
-    body = {"missing_sentinels": list(DEFAULT_MISSING_SENTINELS), **doc}
-    del body["format"], body["schema_version"]
+    body = document_body(doc, PIPELINE_FORMAT, PIPELINE_SCHEMA_VERSION, {
+        "missing_sentinels": list(DEFAULT_MISSING_SENTINELS)})
     try:
         values = from_jsonable(_PLAN_FIELDS, body, "")
         values["fitted"] = tuple(fitted_from_jsonable(f, f"fitted[{i}]")
@@ -858,13 +866,5 @@ def _check_plan(plan: PipelinePlan) -> None:
 
 
 def records_to_jsonable(records: list[QualityRecord]) -> list[dict]:
-    """Each record's document: its fields, with its evaluations under
-    "imputers" and each evaluation's `imputer_id` under "id"."""
-    out = []
-    for r in records:
-        doc = to_jsonable(r)
-        doc["imputers"] = doc.pop("evaluations")
-        for e in doc["imputers"]:
-            e["id"] = e.pop("imputer_id")
-        out.append(doc)
-    return out
+    """The records' documents, each under its class's `json_keys`."""
+    return to_jsonable(records)

@@ -71,10 +71,10 @@ _LEAVES = frozenset({str, int, float, bool, type(None)})
 
 def to_jsonable(x):
     """The JSON document of `x`, the one encoder of every plan, record and
-    audit document: a dataclass is an object of its fields (after the fixed
-    keys `json_tags` of a `Jsonable` class), an array its `tolist()`, a
-    tuple a list, an enum its value, and a dict's keys are strings.
-    Anything else is left as it is, for `json.dumps` to write or refuse."""
+    audit document: a dataclass is an object of its fields under their
+    `_document_keys`, an array its `tolist()`, a tuple a list, an enum its
+    value, and a dict's keys are strings.  Anything else is left as it is,
+    for `json.dumps` to write or refuse."""
     if type(x) in _LEAVES:
         return x
     if isinstance(x, np.ndarray):
@@ -88,11 +88,21 @@ def to_jsonable(x):
         return x.value
     if not is_dataclass(x):
         return x
-    doc = dict(getattr(x, "json_tags", {}))
-    for f in fields(x):
-        v = getattr(x, f.name)
-        doc[f.name] = v if type(v) in _LEAVES else to_jsonable(v)
+    tags, keys = _document_keys(type(x))
+    doc = dict(tags)
+    for name, key in keys:
+        v = getattr(x, name)
+        doc[key] = v if type(v) in _LEAVES else to_jsonable(v)
     return doc
+
+
+@functools.cache
+def _document_keys(cls) -> tuple[dict, tuple]:
+    """The fixed `json_tags` of dataclass `cls`, and each field's (name,
+    document key): its name, unless the class's `json_keys` maps it."""
+    keys = getattr(cls, "json_keys", {})
+    return getattr(cls, "json_tags", {}), tuple(
+        (f.name, keys.get(f.name, f.name)) for f in fields(cls))
 
 
 class Jsonable:
@@ -109,7 +119,8 @@ class Jsonable:
 # `Annotated[np.ndarray, list[list[float | None]]]` reads a matrix with
 # null for NaN
 Vector = Annotated[np.ndarray, list[float]]
-_SCALARS = {float: "a float", int: "an integer", str: "a string"}
+_SCALARS = {bool: "a bool", float: "a float", int: "an integer",
+            str: "a string"}
 
 
 @functools.cache
@@ -122,16 +133,17 @@ def field_types(cls) -> dict:
 def from_jsonable(tp, doc, path: str):
     """The value of type `tp` that `to_jsonable` writes as `doc`: the one
     decoder of documents.  A value not of its type as written raises
-    SchemaError at its document path.  A float, int or str is exactly that
-    JSON type (an int is no bool or 3.0, a float no int); a `dict[int, V]`
-    key is an int in canonical decimal form; an enum is its value; an array
-    is the list type it is annotated with (see `Vector`); a union of
-    classes is the one whose `json_tags` the object holds.  A dataclass, or
-    a dict of {key: type}, is an object of exactly its keys and the class's
-    tags (checked, not read); an InvalidArgument from the class is reported
-    at `path`.  A bare `dict` is any object, left for its class to check."""
+    SchemaError at its document path.  A bool, float, int or str is exactly
+    that JSON type (an int is no bool or 3.0, a float no int, a bool no 1);
+    a `dict[int, V]` key is an int in canonical decimal form; an enum is its
+    value; an array is the list type it is annotated with (see `Vector`); a
+    union of classes is the one whose `json_tags` the object holds.  A
+    dataclass, or a dict of {key: type}, is an object of exactly its keys
+    and the class's tags (checked, not read); an InvalidArgument from the
+    class is reported at `path`.  A bare `dict` is any object."""
     if type(tp) is dict:
-        return _object_reader(tuple(tp.items()), (), dict)(doc, path)
+        return _object_reader(tuple((k, k, t) for k, t in tp.items()), (),
+                              dict)(doc, path)
     return _reader(tp)(doc, path)
 
 
@@ -193,18 +205,19 @@ def _reader(tp):
                 raise SchemaError(path, f"expected one of {values}")
             return tp(doc)
     else:
-        return _object_reader(tuple(field_types(tp).items()), tuple(
-            getattr(tp, "json_tags", {}).items()), tp)
+        (tags, keys), hints = _document_keys(tp), field_types(tp)
+        return _object_reader(tuple((n, k, hints[n]) for n, k in keys),
+                              tuple(tags.items()), tp)
     return read
 
 
 @functools.cache
 def _object_reader(want: tuple, tags: tuple, cls):
     """The reader of an object of exactly the keys of `want` and the fixed
-    `tags` ((key, type) and (key, value) pairs), which gives `cls` of its
-    values."""
-    items = [(k, f".{k}", _reader(t)) for k, t in want]
-    keys = {k for k, _ in want + tags}
+    `tags` ((name, key, type) triples and (key, value) pairs), which gives
+    `cls` of its values by name."""
+    items = [(name, k, f".{k}", _reader(t)) for name, k, t in want]
+    keys = {k for _, k, _ in want} | {k for k, _ in tags}
 
     def read(doc, path):
         if not isinstance(doc, dict):
@@ -216,7 +229,8 @@ def _object_reader(want: tuple, tags: tuple, cls):
         for k, v in tags:
             if type(doc[k]) is not type(v) or doc[k] != v:
                 raise SchemaError(f"{path}.{k}", f"expected {v!r}")
-        values = {k: r(doc[k], path + at if path else k) for k, at, r in items}
+        values = {name: r(doc[k], path + at if path else k)
+                  for name, k, at, r in items}
         try:
             return cls(**values)
         except SchemaError as exc:
@@ -300,10 +314,8 @@ def _fmt(x: float) -> str:
 
 
 def _chosen_std(record: dict) -> float:
-    for entry in record.get("imputers", []):
-        if entry["id"] == record.get("chosen_imputer"):
-            return float(entry.get("delta_std") or 0.0)
-    return 0.0
+    return next((e["delta_std"] for e in record["imputers"]
+                 if e["id"] == record["chosen_imputer"]), 0.0)
 
 
 def emit_quality_svg(
@@ -316,10 +328,8 @@ def emit_quality_svg(
     spread, a dashed line the keep/drop threshold, and features that fell
     back to random sampling get their name drawn in red.
     """
-    records = sorted(
-        records_jsonable,
-        key=lambda r: (-float(r["omega"]), str(r["feature"])),
-    )
+    records = sorted(records_jsonable,
+                     key=lambda r: (-r["omega"], r["feature"]))
     n = len(records)
     width = MARGIN_LEFT + AXIS_LEN + MARGIN_RIGHT
     rows_h = n * (BAR_HEIGHT + BAR_GAP)
@@ -336,21 +346,17 @@ def emit_quality_svg(
     ]
 
     for i, rec in enumerate(records):
-        mu = float(rec["completeness"])
-        delta = float(rec["delta"])
-        omega = float(rec["omega"])
+        mu, delta, omega = rec["completeness"], rec["delta"], rec["omega"]
         y = MARGIN_TOP + i * (BAR_HEIGHT + BAR_GAP)
         w_mu = mu * AXIS_LEN
         w_delta = (1.0 - mu) * delta * AXIS_LEN
         cy = y + BAR_HEIGHT / 2.0
-        name_fill = (
-            COLOR_FALLBACK_NAME if rec.get("fallback_used") else COLOR_NAME
-        )
+        name_fill = COLOR_FALLBACK_NAME if rec["fallback_used"] else COLOR_NAME
         parts.append('<g class="feature-row">')
         parts.append(
             f'<text class="feature-name" x="{x0 - 8:g}" y="{cy + 4:.2f}" '
             f'text-anchor="end" font-family="sans-serif" font-size="12" '
-            f'fill="{name_fill}">{escape(str(rec["feature"]))}</text>'
+            f'fill="{name_fill}">{escape(rec["feature"])}</text>'
         )
         if w_mu > 0:
             parts.append(
@@ -401,7 +407,7 @@ def emit_quality_svg(
         )
 
     if threshold is not None:
-        xt = x0 + float(threshold) * AXIS_LEN
+        xt = x0 + threshold * AXIS_LEN
         parts.append(
             f'<line class="threshold" x1="{_fmt(xt)}" '
             f'y1="{_fmt(MARGIN_TOP - 6)}" x2="{_fmt(xt)}" '
@@ -416,23 +422,21 @@ def emit_quality_svg(
 def quality_summary_text(records_jsonable: list[dict]) -> str:
     """Human-oriented digest printed by the report command."""
     lines = []
-    ordered = sorted(
-        records_jsonable,
-        key=lambda r: (-float(r["omega"]), str(r["feature"])),
-    )
+    ordered = sorted(records_jsonable,
+                     key=lambda r: (-r["omega"], r["feature"]))
     for r in ordered:
         flags = []
-        if not r.get("kept", True):
+        if not r["kept"]:
             flags.append("drop")
-        if r.get("fallback_used"):
+        if r["fallback_used"]:
             flags.append("fallback")
         suffix = f" [{', '.join(flags)}]" if flags else ""
         lines.append(
-            f"{r['feature']}: omega={float(r['omega']):.3f} "
-            f"mu={float(r['completeness']):.3f} "
-            f"delta={float(r['delta']):.3f} "
+            f"{r['feature']}: omega={r['omega']:.3f} "
+            f"mu={r['completeness']:.3f} "
+            f"delta={r['delta']:.3f} "
             f"imputer={r['chosen_imputer']}{suffix}"
         )
-    kept = sum(1 for r in records_jsonable if r.get("kept", True))
+    kept = sum(1 for r in records_jsonable if r["kept"])
     lines.append(f"{kept}/{len(records_jsonable)} features kept")
     return "\n".join(lines)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import imputeq
 from imputeq import cli
 from imputeq.cli import main
-from imputeq.engine import records_to_jsonable
-from imputeq.report import column_summary, quality_document
+from imputeq.engine import QualityRecord, records_to_jsonable
+from imputeq.report import column_summary, from_jsonable, quality_document
 from imputeq.table import Column
 
 DATA = Path(__file__).parent / "data"
@@ -482,6 +482,22 @@ class TestRecommendM:
         assert err["error"] == "InvalidArgument"
 
 
+def _get(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+def _scalar_paths(node, path=()):
+    """Paths of the bools and numbers in `node`."""
+    if type(node) in (bool, int, float):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict)
+                     else enumerate(node)):
+            yield from _scalar_paths(v, (*path, k))
+
+
 @pytest.fixture(scope="module")
 def quality_doc():
     """The records document of a seeded assessment of three columns, with
@@ -547,49 +563,84 @@ class TestReport:
         assert (err["error"], err["path"]) == ("SchemaError", "threshold")
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", [
-        lambda doc: doc["records"][0].pop("omega"),
-        lambda doc: doc.update(threshold="0.5"),
-        lambda doc: doc.update(records=7),
-        lambda doc: doc["records"][1].update(delta=float("nan")),
-        lambda doc: doc["records"][0]["imputers"][0].update(delta_std="x"),
+    # each damage is refused at its document path; from "kept-string" on,
+    # each is a value that the hand-written records reader once drew
+    @pytest.mark.parametrize("damage, error, where", [
+        (lambda d: d["records"][0].pop("omega"),
+         "CorruptModel", "records[0].omega: "),
+        (lambda d: d.update(threshold="0.5"), "CorruptModel", "threshold: "),
+        (lambda d: d.update(records=7), "CorruptModel", "records: "),
+        (lambda d: d["records"][1].update(delta=float("nan")),
+         "CorruptModel", "records[1].delta: "),
+        (lambda d: d["records"][0]["imputers"][0].update(delta_std="x"),
+         "CorruptModel", "records[0].imputers[0].delta_std: "),
+        (lambda d: d["records"][0].update(kept="no"),
+         "CorruptModel", "records[0].kept: "),
+        (lambda d: d["records"][0].update(fallback_used="no"),
+         "CorruptModel", "records[0].fallback_used: "),
+        (lambda d: d["records"][0]["imputers"][0].update(skipped="x"),
+         "CorruptModel", "records[0].imputers[0].skipped: "),
+        (lambda d: d["records"][0]["imputers"][0].update(n_predictors="many"),
+         "CorruptModel", "records[0].imputers[0].n_predictors: "),
+        (lambda d: d["records"][0].update(completeness=1),
+         "CorruptModel", "records[0].completeness: "),
+        (lambda d: d.update(extra=1), "CorruptModel", "extra: "),
+        (lambda d: d["records"][0].update(extra=1),
+         "CorruptModel", "records[0].extra: "),
+        (lambda d: d.update(schema_version=True), "VersionMismatch", ""),
+        (lambda d: d.update(schema_version=1.0), "VersionMismatch", ""),
     ], ids=["record_without_omega", "threshold-string", "records-number",
-            "delta-NaN", "delta_std-string"])
+            "delta-NaN", "delta_std-string", "kept-string",
+            "fallback_used-string", "skipped-string", "n_predictors-string",
+            "completeness-int", "top-level-key", "record-key",
+            "schema_version-bool", "schema_version-float"])
     def test_malformed_records_are_data_error(self, quality_doc, tmp_path,
-                                              capsys, damage):
+                                              capsys, damage, error, where):
         doc = json.loads(json.dumps(quality_doc))
         damage(doc)
-        records = tmp_path / "q.json"
+        records, out = tmp_path / "q.json", tmp_path / "c.svg"
         records.write_text(json.dumps(doc))
-        rc = main(["report", "--records", str(records),
-                   "--out", str(tmp_path / "c.svg")])
+        rc = main(["report", "--records", str(records), "--out", str(out)])
         assert rc == 3
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "CorruptModel"
+        assert err["error"] == error
+        assert err["message"].startswith(where), err
+        assert not out.exists()
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_damaged_records_are_refused_or_drawn(self, quality_doc,
                                                   tmp_path, data):
-        # one mutation: delete a key or list entry, or retype a value
+        # one mutation: delete a key or list entry, retype a value, or
+        # write a bool or number as another type (a bool as "no", 0 or 1,
+        # a number as its numeric string, an int as the equal float)
         doc = json.loads(json.dumps(quality_doc))
-        path, node = (), doc
-        while isinstance(node, (dict, list)) and node and (
-                not path or data.draw(st.booleans())):
-            keys = list(node) if isinstance(node, dict) else range(len(node))
-            key = data.draw(st.sampled_from(keys))
-            path, node = (*path, key), node[key]
-        *parents, key = path
-        parent = doc
-        for k in parents:
-            parent = parent[k]
-        if data.draw(st.booleans(), label="delete"):
-            del parent[key]
+        op = data.draw(st.sampled_from(["delete", "retype", "type"]))
+        if op == "type":
+            path = data.draw(st.sampled_from(list(_scalar_paths(doc))))
+            node = _get(doc, path)
         else:
+            path, node = (), doc
+            while isinstance(node, (dict, list)) and node and (
+                    not path or data.draw(st.booleans())):
+                keys = (list(node) if isinstance(node, dict)
+                        else range(len(node)))
+                key = data.draw(st.sampled_from(keys))
+                path, node = (*path, key), node[key]
+        *parents, key = path
+        parent = _get(doc, parents)
+        if op == "delete":
+            del parent[key]
+        elif op == "retype":
             parent[key] = data.draw(st.sampled_from(
                 [v for v in ("x", 7, 0.5, True, [], {}, None)
                  if type(v) is not type(node)]), label="new value")
+        elif type(node) is bool:
+            parent[key] = data.draw(st.sampled_from(["no", 0, 1]))
+        else:
+            parent[key] = data.draw(st.sampled_from(
+                [repr(node)] + [float(node)] * (type(node) is int)))
         records, out = tmp_path / "q.json", tmp_path / "c.svg"
         records.write_text(json.dumps(doc))
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -605,6 +656,11 @@ class TestReport:
         else:
             assert err == []
             xml.dom.minidom.parse(str(out))
+            # nothing was coerced: the records read back as written
+            back = from_jsonable(list[QualityRecord], doc["records"],
+                                 "records")
+            assert json.dumps(records_to_jsonable(back), sort_keys=True) == (
+                json.dumps(doc["records"], sort_keys=True))
 
     def test_records_document_not_an_object_is_data_error(
         self, tmp_path, capsys

@@ -1,5 +1,5 @@
 """Every plan, record and audit document is its dataclass's fields: the
-`to_jsonable()` of a hand-built instance of each class, pinned against a
+`to_jsonable` of a hand-built instance of each class, pinned against a
 literal document, byte for byte as `json.dumps` writes it."""
 
 import json
@@ -19,7 +19,7 @@ from imputeq.engine import (
 )
 from imputeq.estimators import ForestModel, GbtModel, RidgeModel, TreeModel
 from imputeq.imputers import ImputerSpec, default_imputer_roster
-from imputeq.report import from_jsonable
+from imputeq.report import from_jsonable, to_jsonable
 from imputeq.table import ColumnKind
 
 TREE = TreeModel(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]),
@@ -31,6 +31,30 @@ TREE_DOC = {"type": "tree", "feature": [0, -1, -1],
 KNN = ImputerSpec("knn5", "knn", {"n_neighbors": 5}, 3)
 KNN_DOC = {"id": "knn5", "family": "knn", "params": {"n_neighbors": 5},
            "seed": 3}
+
+# imported through the module: pytest would collect a Test* name
+BIAS = stattests.TestResult(0.3, 0.04, stattests.TestKind.KS, True,
+                            ("small_sample",))
+# a record writes its evaluations under "imputers", each one's imputer_id
+# under "id"
+RECORD = QualityRecord(
+    "a", 0.8, (
+        ImputerEvaluation("mean", 0.5, 0.125, 2, BIAS, False, ("n",)),
+        ImputerEvaluation("apprandom", 0.25, 0.0, 0, None, True),
+    ), "apprandom", 0.25, 0.85, True, True, ("fallback",))
+RECORD_DOC = {
+    "feature": "a", "completeness": 0.8, "delta": 0.25, "omega": 0.85,
+    "chosen_imputer": "apprandom", "kept": True, "fallback_used": True,
+    "notes": ["fallback"],
+    "imputers": [
+        {"id": "mean", "delta_mean": 0.5, "delta_std": 0.125,
+         "n_predictors": 2, "skipped": False, "notes": ["n"],
+         "bias": {"statistic": 0.3, "p_value": 0.04, "test": "ks",
+                  "rejected": True, "notes": ["small_sample"]}},
+        {"id": "apprandom", "delta_mean": 0.25, "delta_std": 0.0,
+         "n_predictors": 0, "skipped": True, "notes": [], "bias": None},
+    ],
+}
 
 CASES = {
     "ridge": (
@@ -76,6 +100,7 @@ CASES = {
                                              ["c", "b", 0.5]],
          "top_n": 2, "min_importance": 0.01},
     ),
+    "record": (RECORD, RECORD_DOC),
     "audit": (
         AuditReport("mean", 0.2, (
             FeatureAudit("a", False, 0.75, 0.05),
@@ -102,45 +127,24 @@ def dumped(doc) -> str:
 def test_each_document_is_its_fields(name):
     obj, doc = CASES[name]
     # equal as objects (a key 0 is not "0") and as text (a 1 is not 1.0)
-    assert obj.to_jsonable() == doc
-    assert dumped(obj.to_jsonable()) == dumped(doc)
+    assert to_jsonable(obj) == doc
+    assert dumped(to_jsonable(obj)) == dumped(doc)
 
 
-# the classes that a plan or graph document is read back into
+# the classes that a plan, graph or records document is read back into
 READ = ["ridge", "tree", "forest", "gbt", "spec", "schema",
-        "schema-unlabelled", "graph"]
+        "schema-unlabelled", "graph", "record"]
 
 
 @pytest.mark.parametrize("name", READ)
 def test_each_read_document_decodes_to_its_own_document(name):
     obj, doc = CASES[name]
     back = from_jsonable(type(obj), json.loads(dumped(doc)), name)
-    assert dumped(back.to_jsonable()) == dumped(doc)
+    assert dumped(to_jsonable(back)) == dumped(doc)
 
 
 def test_a_record_document_renames_evaluations_and_their_ids():
-    # imported through the module: pytest would collect a Test* name
-    bias = stattests.TestResult(0.3, 0.04, stattests.TestKind.KS, True,
-                                ("small_sample",))
-    record = QualityRecord(
-        "a", 0.8, (
-            ImputerEvaluation("mean", 0.5, 0.125, 2, bias, False, ("n",)),
-            ImputerEvaluation("apprandom", 0.25, 0.0, 0, None, True),
-        ), "apprandom", 0.25, 0.85, True, True, ("fallback",))
-    doc = {
-        "feature": "a", "completeness": 0.8, "delta": 0.25, "omega": 0.85,
-        "chosen_imputer": "apprandom", "kept": True, "fallback_used": True,
-        "notes": ["fallback"],
-        "imputers": [
-            {"id": "mean", "delta_mean": 0.5, "delta_std": 0.125,
-             "n_predictors": 2, "skipped": False, "notes": ["n"],
-             "bias": {"statistic": 0.3, "p_value": 0.04, "test": "ks",
-                      "rejected": True, "notes": ["small_sample"]}},
-            {"id": "apprandom", "delta_mean": 0.25, "delta_std": 0.0,
-             "n_predictors": 0, "skipped": True, "notes": [], "bias": None},
-        ],
-    }
-    assert dumped(records_to_jsonable([record])) == dumped([doc])
+    assert dumped(records_to_jsonable([RECORD])) == dumped([RECORD_DOC])
 
 
 def test_the_default_roster_config_hash_is_pinned():
