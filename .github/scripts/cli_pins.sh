@@ -125,3 +125,12 @@ error = json.loads(open(sys.argv[1]).read().splitlines()[-1])
 assert error["error"] == "CorruptModel", error
 assert error["message"].startswith("records[0].kept: "), error
 ' "$RUNNER_TEMP/kept_string.err"
+
+echo "a records file that the library wrote with an int threshold draws"
+python -c '
+import json, sys
+from imputeq.report import quality_document
+doc = json.load(open(sys.argv[1]))
+json.dump(quality_document(doc["records"], 1, doc["columns"]), open(sys.argv[2], "w"))
+' "$RUNNER_TEMP/quality.json" "$RUNNER_TEMP/int_threshold.json"
+imputeq report --records "$RUNNER_TEMP/int_threshold.json" --out "$RUNNER_TEMP/int_threshold.svg" > /dev/null

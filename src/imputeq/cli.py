@@ -242,15 +242,25 @@ def cmd_recommend_m(args) -> int:
 
 
 def _check_scores(threshold, records) -> None:
-    """Raise CorruptModel at the first decoded value out of its range."""
+    """Raise CorruptModel at the first decoded value out of its range, or at
+    a chosen imputer that none of its record's evaluations names."""
     unit = [("threshold", threshold)] * (threshold is not None)
+    finite = []  # each a number >= 0
     for i, r in enumerate(records):
         unit += [(f"records[{i}].{k}", getattr(r, k))
                  for k in ("completeness", "delta", "omega")]
+        if all(e.imputer_id != r.chosen_imputer for e in r.evaluations):
+            raise CorruptModel(f"records[{i}].chosen_imputer: expected the "
+                               "id of one of the record's imputers")
         for j, e in enumerate(r.evaluations):
-            if not _is_number(e.delta_std, 0.0):
-                raise CorruptModel(f"records[{i}].imputers[{j}].delta_std: "
-                                   "expected a finite number >= 0")
+            at = f"records[{i}].imputers[{j}]"
+            finite.append((f"{at}.delta_std", e.delta_std))
+            if e.bias is not None:
+                finite.append((f"{at}.bias.statistic", e.bias.statistic))
+                unit.append((f"{at}.bias.p_value", e.bias.p_value))
+    for path, v in finite:
+        if not _is_number(v, 0.0):
+            raise CorruptModel(f"{path}: expected a finite number >= 0")
     for path, v in unit:
         if not _is_number(v, 0.0, 1.0):
             raise CorruptModel(f"{path}: expected a number in [0, 1]")

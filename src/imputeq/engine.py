@@ -597,6 +597,17 @@ class ColumnSchema(Jsonable):
     kind: ColumnKind
     labels: dict[int, str] | None = None
 
+    # the code of each input cell of a labelled column, derived on first
+    # use and never serialized: by label for a column of strings, by code
+    # for an encoded one
+    @cached_property
+    def code_of_label(self) -> dict[str, float]:
+        return {v: float(k) for k, v in self.labels.items()}
+
+    @cached_property
+    def code_of_code(self) -> dict[int, float]:
+        return {k: float(k) for k in self.labels}
+
 
 @dataclass(frozen=True)
 class PipelinePlan:
@@ -675,11 +686,9 @@ def _encode_column(col: Column, schema: ColumnSchema) -> Column:
             )
         return Column(col.name, np.full(col.n_rows, np.nan), col.mask,
                       schema.kind, col.labels)
-    if col.is_encoded:
-        code_of = {k: float(k) for k in schema.labels}
-    else:
-        code_of = {v: float(k) for k, v in schema.labels.items()}
-    get, nan = code_of.get, math.nan
+    get = (schema.code_of_code if col.is_encoded
+           else schema.code_of_label).get
+    nan = math.nan
     codes = [nan if m else get(cell)
              for cell, m in zip(col.values.tolist(), col.mask.tolist())]
     values = np.array(codes, dtype=float)  # an unseen None reads as NaN

@@ -226,6 +226,10 @@ class _TreeBuilder:
     def _candidate_features(self, p):
         if self.mtry is None or self.mtry >= p:
             return np.arange(p)
+        if self.mtry == 1:
+            # the value, and the share of the stream, of the `choice` below
+            # at a fraction of its cost
+            return np.array([self.rng.integers(0, p)])
         return np.sort(self.rng.choice(p, size=self.mtry, replace=False))
 
     def _best_split(self, XT, ysub, total, idx, ks):

@@ -13,6 +13,7 @@ value for discrete and categorical ones, nothing for continuous ones.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -167,6 +168,12 @@ class FittedImputer:
     state: dict
     observed_value_set: Vector  # empty for a continuous target
 
+    @cached_property
+    def rounding_set(self) -> list[float]:
+        """The observed value set as a list of floats, derived on first use
+        and never serialized: a one-cell fill is rounded against it."""
+        return self.observed_value_set.tolist()
+
 
 def task_seed(*parts: int) -> int:
     """A 31-bit seed drawn from the seed stream named by `parts`."""
@@ -305,6 +312,8 @@ def _write_fills(f, t, col, missing, fills):
 def _apply_rounding(f, col, fills):
     if col.kind is ColumnKind.CONTINUOUS:
         return fills
+    if col.n_rows == 1 == len(fills):
+        return _round_one(f.rounding_set, col.kind, float(fills[0]))
     if col.kind is not ColumnKind.BINARY or len(f.observed_value_set) == 1:
         return censor_to_observed(fills, f.observed_value_set)
     lo, hi = float(f.observed_value_set[0]), float(f.observed_value_set[-1])
@@ -315,6 +324,29 @@ def _apply_rounding(f, col, fills):
     # a batch with no observed cell takes its marginal from the unclipped
     # fills alone, which a regression can push outside [0, 1]
     rounded = adaptive_round_binary(unit_fills, min(max(marginal, 0.0), 1.0))
+    return lo + rounded * span
+
+
+def _round_one(s: list[float], kind, x: float) -> float:
+    """The fill `x` of a one-row batch, rounded against the observed set
+    `s` as `_apply_rounding` rounds an array, operation for operation, in
+    plain floats: a dozen numpy calls on one value cost more than the fill
+    itself."""
+    if kind is not ColumnKind.BINARY or len(s) == 1:
+        if x != x:  # NaN sorts last in `np.searchsorted`
+            return s[-1]
+        pos = bisect.bisect_left(s, x)
+        left, right = s[max(pos - 1, 0)], s[min(pos, len(s) - 1)]
+        return left if abs(x - left) <= abs(right - x) else right
+    lo, span = s[0], s[-1] - s[0]
+    unit = (x - lo) / span
+    # the batch has no observed cell: its marginal is the fill itself
+    marginal = min(max(unit, 0.0), 1.0)
+    _check_marginal(marginal)
+    if 0.0 < marginal < 1.0:
+        rounded = float(unit >= _cutoff(marginal))
+    else:
+        rounded = 1.0 if marginal else 0.0
     return lo + rounded * span
 
 
@@ -621,14 +653,21 @@ def adaptive_round_binary(values: np.ndarray, marginal: float) -> np.ndarray:
     the cutoff become 1.  Degenerate marginals collapse to a constant.
     """
     values = np.asarray(values, dtype=float)
-    if not 0.0 <= marginal <= 1.0:
-        raise InvalidArgument(f"marginal must be in [0, 1], got {marginal}")
+    _check_marginal(marginal)
     if marginal == 0.0:
         return np.zeros_like(values)
     if marginal == 1.0:
         return np.ones_like(values)
-    cutoff = marginal - ndtri(marginal) * math.sqrt(marginal * (1.0 - marginal))
-    return (values >= cutoff).astype(float)
+    return (values >= _cutoff(marginal)).astype(float)
+
+
+def _check_marginal(marginal: float) -> None:
+    if not 0.0 <= marginal <= 1.0:
+        raise InvalidArgument(f"marginal must be in [0, 1], got {marginal}")
+
+
+def _cutoff(marginal: float) -> float:
+    return marginal - ndtri(marginal) * math.sqrt(marginal * (1.0 - marginal))
 
 
 def censor_to_observed(values: np.ndarray, observed_set: np.ndarray) -> np.ndarray:

@@ -292,7 +292,8 @@ def quality_document(
     doc = {
         "format": QUALITY_FORMAT,
         "schema_version": DOC_SCHEMA_VERSION,
-        "threshold": threshold,
+        # a float, as the reader expects, when a caller passes an int
+        "threshold": None if threshold is None else float(threshold),
         "records": records_jsonable,
     }
     if columns is not None:
@@ -314,8 +315,8 @@ def _fmt(x: float) -> str:
 
 
 def _chosen_std(record: dict) -> float:
-    return next((e["delta_std"] for e in record["imputers"]
-                 if e["id"] == record["chosen_imputer"]), 0.0)
+    return next(e["delta_std"] for e in record["imputers"]
+                if e["id"] == record["chosen_imputer"])
 
 
 def emit_quality_svg(

@@ -116,11 +116,19 @@ class Table:
         return Table(tuple(c.take(rows) for c in self.columns), len(rows))
 
     def with_column(self, col: Column) -> "Table":
-        """Return a table where the column of the same name is replaced."""
-        cols = tuple(col if c.name == col.name else c for c in self.columns)
+        """Return a table where the column of the same name is replaced.
+        Only the new column is checked: the others passed when `self` was
+        built."""
         if col.name not in self.column_names:
             raise KeyError(col.name)
-        return Table(cols, self.n_rows)
+        if col.n_rows != self.n_rows:
+            raise InvalidArgument(f"column {col.name!r} has {col.n_rows} "
+                                  f"rows, table has {self.n_rows}")
+        t = object.__new__(Table)
+        object.__setattr__(t, "columns", tuple(
+            col if c.name == col.name else c for c in self.columns))
+        object.__setattr__(t, "n_rows", self.n_rows)
+        return t
 
     def total_missing(self) -> int:
         return sum(c.n_missing() for c in self.columns)

@@ -563,8 +563,19 @@ class TestReport:
         assert (err["error"], err["path"]) == ("SchemaError", "threshold")
         assert not out.exists()
 
+    def test_library_document_with_int_threshold_draws(self, quality_doc,
+                                                       tmp_path, capsys):
+        # a library caller may pass the threshold as an int
+        doc = quality_document(quality_doc["records"], 1,
+                               quality_doc["columns"])
+        records, out = tmp_path / "q.json", tmp_path / "c.svg"
+        records.write_text(json.dumps(doc))
+        rc = main(["report", "--records", str(records), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert out.read_bytes().startswith(b"<?xml")
+
     # each damage is refused at its document path; from "kept-string" on,
-    # each is a value that the hand-written records reader once drew
+    # each is a value that an earlier records reader drew
     @pytest.mark.parametrize("damage, error, where", [
         (lambda d: d["records"][0].pop("omega"),
          "CorruptModel", "records[0].omega: "),
@@ -589,11 +600,31 @@ class TestReport:
          "CorruptModel", "records[0].extra: "),
         (lambda d: d.update(schema_version=True), "VersionMismatch", ""),
         (lambda d: d.update(schema_version=1.0), "VersionMismatch", ""),
+        (lambda d: d["records"][1].update(chosen_imputer="nobody"),
+         "CorruptModel", "records[1].chosen_imputer: "),
+        (lambda d: d["records"][0]["imputers"][1]["bias"].update(
+            statistic=float("nan")),
+         "CorruptModel", "records[0].imputers[1].bias.statistic: "),
+        (lambda d: d["records"][2]["imputers"][0]["bias"].update(
+            statistic=-0.5),
+         "CorruptModel", "records[2].imputers[0].bias.statistic: "),
+        (lambda d: d["records"][0]["imputers"][2]["bias"].update(
+            statistic=float("inf")),
+         "CorruptModel", "records[0].imputers[2].bias.statistic: "),
+        (lambda d: d["records"][1]["imputers"][0]["bias"].update(
+            p_value=7.0),
+         "CorruptModel", "records[1].imputers[0].bias.p_value: "),
+        (lambda d: d["records"][2]["imputers"][1]["bias"].update(
+            p_value=float("nan")),
+         "CorruptModel", "records[2].imputers[1].bias.p_value: "),
     ], ids=["record_without_omega", "threshold-string", "records-number",
             "delta-NaN", "delta_std-string", "kept-string",
             "fallback_used-string", "skipped-string", "n_predictors-string",
             "completeness-int", "top-level-key", "record-key",
-            "schema_version-bool", "schema_version-float"])
+            "schema_version-bool", "schema_version-float",
+            "chosen_imputer-unknown", "bias-statistic-NaN",
+            "bias-statistic-negative", "bias-statistic-inf",
+            "bias-p_value-7", "bias-p_value-NaN"])
     def test_malformed_records_are_data_error(self, quality_doc, tmp_path,
                                               capsys, damage, error, where):
         doc = json.loads(json.dumps(quality_doc))

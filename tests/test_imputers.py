@@ -232,6 +232,55 @@ class TestTransform:
         assert set(filled) <= {10.0, 20.0, 30.0}
 
 
+@st.composite
+def rounding_cases(draw):
+    """A non-continuous kind, its sorted observed set (one or more members,
+    two at most for a binary column) and a fill: a member, a midpoint of
+    two neighbours, a signed zero, or any float, NaN and the infinities
+    included."""
+    kind = draw(st.sampled_from([ColumnKind.DISCRETE, ColumnKind.CATEGORICAL,
+                                 ColumnKind.BINARY]))
+    member = st.one_of(st.integers(-4, 4).map(float),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    size = 2 if kind is ColumnKind.BINARY else 6
+    s = np.unique(draw(st.lists(member, min_size=1, max_size=size)))
+    near = [*s, *((a + b) / 2 for a, b in zip(s, s[1:])), 0.0, -0.0,
+            math.nan, math.inf, -math.inf]
+    return kind, s, draw(st.one_of(st.sampled_from(near), st.floats()))
+
+
+def _row0(f, kind, n_rows):
+    """Row 0 of `n_rows` blank rows that `f` served, as bytes, or the
+    InvalidArgument that serving them raised."""
+    t = Table((col("x", [np.nan] * n_rows, kind),))
+    try:
+        return transform(f, t).column("x").values[:1].tobytes()
+    except InvalidArgument as exc:
+        return str(exc)
+
+
+class TestOneCellRounding:
+    @settings(max_examples=600, deadline=None)
+    @given(case=rounding_cases())
+    def test_one_cell_equals_the_array_rule(self, case):
+        # a one-row batch rounds its fill in plain floats; two blank rows
+        # with the same fill take the array path with the same marginal
+        kind, observed, fill = case
+        f = FittedImputer(simple("mean"), "x", (), {"fill": fill}, observed)
+        assert _row0(f, kind, 1) == _row0(f, kind, 2)
+
+    def test_nan_binary_fill_raises(self):
+        f = FittedImputer(simple("mean"), "x", (), {"fill": math.nan},
+                          np.array([0.0, 1.0]))
+        assert _row0(f, ColumnKind.BINARY, 1).startswith(
+            "marginal must be in [0, 1]")
+
+    def test_midpoint_takes_the_smaller_neighbour(self):
+        f = FittedImputer(simple("mean"), "x", (), {"fill": 1.5},
+                          np.array([1.0, 2.0]))
+        assert _row0(f, ColumnKind.DISCRETE, 1) == np.array([1.0]).tobytes()
+
+
 class TestAppRandomSample:
     def test_preserves_frequencies(self):
         observed = np.array([0.0] * 50 + [1.0] * 30 + [2.0] * 20)

@@ -451,6 +451,16 @@ class TestTableOps:
         t2 = t.with_column(make_column("b", [9.0, 9.0]))
         assert t2.column("b").values[0] == 9.0
         assert t.column("b").values[0] == 3.0
+        assert t2.n_rows == 2 and t2.column_names == ["a", "b"]
+
+    def test_with_column_refuses_an_unknown_name_or_length(self):
+        t = Table((make_column("a", [1.0, 2.0]), make_column("b", [3.0, 4.0])))
+        with pytest.raises(KeyError):
+            t.with_column(make_column("c", [9.0, 9.0]))
+        with pytest.raises(InvalidArgument, match="'b' has 3 rows"):
+            t.with_column(make_column("b", [9.0, 9.0, 9.0]))
+        with pytest.raises(InvalidArgument, match="'a' has 1 rows"):
+            t.with_column(make_column("a", [9.0]))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(InvalidArgument):
