@@ -78,6 +78,26 @@ assert error["error"] == "CorruptModel", error
 assert error["message"].startswith("fitted[2].state.fill: "), error
 ' "$RUNNER_TEMP/fill_string.err"
 
+echo "a number too large for a float exits 3 at its plan cell"
+python -c '
+import json, sys
+doc = json.load(open("tests/data/tree_plan_v2.json"))
+tree = doc["fitted"][0]["state"]["models"]["0"]["trees"][1]
+tree["threshold"][0] = "OVERFLOW"
+open(sys.argv[1], "w").write(json.dumps(doc).replace("\"OVERFLOW\"", "1e400"))
+' "$RUNNER_TEMP/overflow.json"
+rc=0
+imputeq apply --pipeline "$RUNNER_TEMP/overflow.json" --data tests/data/mixed.csv --out "$RUNNER_TEMP/overflow.csv" 2> "$RUNNER_TEMP/overflow.err" || rc=$?
+test "$rc" = 3
+python -c '
+import json, sys
+[line] = open(sys.argv[1]).read().splitlines()
+error = json.loads(line)
+assert error["error"] == "CorruptModel", error
+where = "fitted[0].state.models.0.trees[1].threshold[0]: "
+assert error["message"].startswith(where), error
+' "$RUNNER_TEMP/overflow.err"
+
 echo "console script builds a forest dependency graph"
 python -c '
 import json, sys

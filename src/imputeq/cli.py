@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -44,7 +45,6 @@ from .engine import (
     records_to_jsonable,
     serialize_pipeline,
 )
-from .estimators import _is_number
 from .errors import (
     CorruptModel,
     DataIoError,
@@ -242,28 +242,25 @@ def cmd_recommend_m(args) -> int:
 
 
 def _check_scores(threshold, records) -> None:
-    """Raise CorruptModel at the first decoded value out of its range, or at
-    a chosen imputer that none of its record's evaluations names."""
-    unit = [("threshold", threshold)] * (threshold is not None)
-    finite = []  # each a number >= 0
+    """Raise CorruptModel at a chosen imputer that none of its record's
+    evaluations names, or at the first decoded value out of its range (the
+    decoder has refused every float that is not finite)."""
+    ranges = [("threshold", threshold, 1.0)] * (threshold is not None)
     for i, r in enumerate(records):
-        unit += [(f"records[{i}].{k}", getattr(r, k))
-                 for k in ("completeness", "delta", "omega")]
         if all(e.imputer_id != r.chosen_imputer for e in r.evaluations):
             raise CorruptModel(f"records[{i}].chosen_imputer: expected the "
                                "id of one of the record's imputers")
+        ranges += [(f"records[{i}].{k}", getattr(r, k), 1.0)
+                   for k in ("completeness", "delta", "omega")]
         for j, e in enumerate(r.evaluations):
             at = f"records[{i}].imputers[{j}]"
-            finite.append((f"{at}.delta_std", e.delta_std))
+            ranges.append((f"{at}.delta_std", e.delta_std, math.inf))
             if e.bias is not None:
-                finite.append((f"{at}.bias.statistic", e.bias.statistic))
-                unit.append((f"{at}.bias.p_value", e.bias.p_value))
-    for path, v in finite:
-        if not _is_number(v, 0.0):
-            raise CorruptModel(f"{path}: expected a finite number >= 0")
-    for path, v in unit:
-        if not _is_number(v, 0.0, 1.0):
-            raise CorruptModel(f"{path}: expected a number in [0, 1]")
+                ranges += [(f"{at}.bias.statistic", e.bias.statistic, math.inf),
+                           (f"{at}.bias.p_value", e.bias.p_value, 1.0)]
+    for path, v, hi in ranges:
+        if not 0.0 <= v <= hi:
+            raise CorruptModel(f"{path}: expected a number in [0, {hi:g}]")
 
 
 # the fields of a records document; `columns` is written only when given

@@ -19,8 +19,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .depgraph import check_graph_limits
-from .engine import DEFAULT_ALPHA, DEFAULT_FOLDS, AssessConfig, _require
-from .errors import DataIoError, SchemaError
+from .engine import DEFAULT_ALPHA, DEFAULT_FOLDS, AssessConfig
+from .errors import DataIoError, SchemaError, _require
 from .imputers import ImputerSpec
 from .report import from_jsonable
 

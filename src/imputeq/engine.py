@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .depgraph import validate_dependency_dict
-from .estimators import _is_int, _is_number, chain_model_reads, model_numbers
+from .estimators import _is_int, _is_number
 from .errors import (
     CorruptModel,
     DegenerateInput,
@@ -53,9 +53,9 @@ from .errors import (
     SchemaMismatch,
     UntrainableImputer,
     VersionMismatch,
+    _require,
 )
 from .imputers import (
-    STORED_STATE,
     FittedImputer,
     ImputerSpec,
     fit as fit_imputer,
@@ -69,7 +69,7 @@ from .imputers import (
     with_fills,
 )
 from .metrics import balanced_accuracy, macro_balanced_accuracy, nrmse_score
-from .report import Jsonable, Vector, field_types, from_jsonable, to_jsonable
+from .report import Jsonable, field_types, from_jsonable, to_jsonable
 from .stattests import TestResult, distribution_compatible
 from .table import (
     DEFAULT_MISSING_SENTINELS,
@@ -93,11 +93,6 @@ SCORER_REGISTRY = {
     "balanced_accuracy": balanced_accuracy,
     "macro_balanced_accuracy": macro_balanced_accuracy,
 }
-
-
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise SchemaError(path, message)
 
 
 def default_scorer_for(kind: ColumnKind):
@@ -307,7 +302,7 @@ class Folds:
         The one `warn_unmatched` warning of a view and fold comes with its
         first read.
         """
-        k = fitted.state["k"]
+        k = fitted.spec.params["n_neighbors"]
         if k not in self._ks:
             raise InvalidArgument(
                 f"{fitted.spec.id}: not in the assessed roster")
@@ -621,6 +616,34 @@ class PipelinePlan:
     # CSV cells that `imputeq apply` reads as missing, as at fit time
     missing_sentinels: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
 
+    def __post_init__(self):
+        """Check the rules that span the plan, with SchemaError at the field:
+        a seed >= 0; imputers of schema columns, whose targets and the drop
+        list cover the schema once each; observed values (label codes, if
+        labelled) for a target that is not continuous; valid dependencies."""
+        _require(_is_int(self.seed, 0), "seed", "expected an integer >= 0")
+        schema = {s.name: s for s in self.schema}
+        for i, f in enumerate(self.fitted):
+            _require(f.target_column in schema, f"fitted[{i}].target_column",
+                     "expected a schema column")
+            _require(schema.keys() >= set(f.predictor_columns),
+                     f"fitted[{i}].predictor_columns", "expected schema columns")
+            values, target = f.observed_value_set, schema[f.target_column]
+            labels, at = target.labels, f"fitted[{i}].observed_value_set"
+            _require(values.size or target.kind is ColumnKind.CONTINUOUS, at,
+                     "expected the target's observed values")
+            _require(labels is None or labels and labels.keys() >= set(
+                values.tolist()), at, "expected codes of the target's labels")
+        _require(sorted([*(f.target_column for f in self.fitted),
+                         *self.drop_list]) == sorted(schema), "drop_list",
+                 "the fitted imputers and the drop list do not cover the "
+                 "schema columns once each")
+        if self.dependencies is not None:
+            try:
+                validate_dependency_dict(self.dependencies, list(schema))
+            except InvalidArgument as exc:
+                raise SchemaError("dependencies", str(exc)) from exc
+
 
 def fit_pipeline(
     t: Table, records: list[QualityRecord], config: AssessConfig
@@ -792,82 +815,25 @@ def document_body(doc, fmt: str, version: int, defaults: dict) -> dict:
 def deserialize_pipeline(data: bytes) -> PipelinePlan:
     """Parse pipeline JSON back into a plan.
 
-    A format or version mismatch is a `VersionMismatch`; any other damage,
-    to a top-level field or to the learned state, is `CorruptModel`.
+    A format or version mismatch is a `VersionMismatch`; any other damage is
+    `CorruptModel` at its document path, found by the decoder (types and
+    finite numbers), `fitted_from_jsonable` (each imputer's state) or
+    `PipelinePlan` (the rules that span the plan).
     """
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"unreadable pipeline data: {exc}") from exc
-    # the fields of the plan; `missing_sentinels` is written only when it
-    # is not the default, and each fitted imputer's state is read by its
-    # family
+    # `missing_sentinels` is written only when it is not the default
     body = document_body(doc, PIPELINE_FORMAT, PIPELINE_SCHEMA_VERSION, {
         "missing_sentinels": list(DEFAULT_MISSING_SENTINELS)})
     try:
         values = from_jsonable(_PLAN_FIELDS, body, "")
         values["fitted"] = tuple(fitted_from_jsonable(f, f"fitted[{i}]")
                                  for i, f in enumerate(values["fitted"]))
-        plan = PipelinePlan(**values)
-        if plan.dependencies is not None:
-            validate_dependency_dict(plan.dependencies,
-                                     [s.name for s in plan.schema])
+        return PipelinePlan(**values)
     except SchemaError as exc:
         raise CorruptModel(str(exc)) from exc
-    except InvalidArgument as exc:
-        raise CorruptModel(f"dependencies: {exc}") from exc
-    _check_plan(plan)
-    return plan
-
-
-def _check_plan(plan: PipelinePlan) -> None:
-    """Refuse a loaded plan that cannot serve: each schema column is either
-    on the drop list or the target of one imputer, once, and the imputer's
-    columns are in the schema; a chain's models are of its spec's
-    estimator; stored numbers are finite (a NaN kNN reference cell marks a
-    missing predictor) and stored arrays non-empty, in the shapes their
-    columns imply; and a target that is not continuous has observed values,
-    each with a label if labelled.  Its seed, like an imputer's, is >= 0."""
-    if plan.seed < 0:
-        raise CorruptModel("seed: expected an integer >= 0")
-    schema = {s.name: s for s in plan.schema}
-    if sorted([*(f.target_column for f in plan.fitted),
-               *plan.drop_list]) != sorted(schema):
-        raise CorruptModel("drop_list: the fitted imputers and the drop list "
-                           "do not cover the schema columns once each")
-    for i, f in enumerate(plan.fitted):
-        state, cols = f.state, f.state.get("columns", ())
-        values, target = f.observed_value_set, schema[f.target_column]
-        numbers = [values] + [
-            state[k] for k, tp in STORED_STATE[f.spec.family].items()
-            if tp in (float, Vector)]
-        ok = ({*f.predictor_columns, *cols} <= set(schema)
-              and all(np.size(x) for x in numbers[1:])
-              and (values.size or target.kind is ColumnKind.CONTINUOUS))
-        if "ref_X" in state:
-            ref_X = state["ref_X"]
-            numbers.append(ref_X[~np.isnan(ref_X)])
-            ok = ok and ref_X.shape == (*state["ref_y"].shape,
-                                        len(f.predictor_columns))
-        if "columns" in state:
-            p, models = len(cols), state["models"]
-            estimator = f.spec.params["estimator"]
-            numbers += [x for m in models.values() for x in model_numbers(m)]
-            ok = ok and (f.target_column in cols
-                         and state["init_values"].shape == (p,)
-                         and {*state["visit"], *models} <= set(range(p))
-                         and all(chain_model_reads(m, estimator, p - 1)
-                                 for m in models.values()))
-        if target.labels is not None:
-            ok = ok and target.labels and set(values.tolist()) <= set(
-                target.labels)
-        # one pass over every stored number: each is a float or a vector
-        if not (ok and np.isfinite(np.hstack(numbers)).all()):
-            raise CorruptModel(
-                f"fitted[{i}]: {f.spec.id}: the stored state of "
-                f"{f.target_column!r} is damaged or names a column the plan "
-                "lacks"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,11 @@ class SchemaError(InvalidArgument):
         super().__init__(f"{path}: {message}")
 
 
+def _require(cond, path: str, message: str) -> None:
+    if not cond:
+        raise SchemaError(path, message)
+
+
 class SchemaMismatch(ImputeQError):
     """A table is incompatible with the pipeline it is applied to."""
 

@@ -631,20 +631,16 @@ def check_estimator_params(estimator: str, params: dict, path: str) -> None:
             raise SchemaError(f"{path}.{name}", f"expected {what}")
 
 
-def model_numbers(m) -> list:
-    """The numbers that model `m` stores, as floats and arrays."""
-    if isinstance(m, RidgeModel):
-        return [m.weights, m.intercept, m.reg_strength]
-    if isinstance(m, TreeModel):
-        return [m.threshold, m.value]
-    own = [m.base_score, m.learning_rate] if isinstance(m, GbtModel) else []
-    return own + [a for t in m.trees for a in (t.threshold, t.value)]
-
-
 def _finite(model):
-    """`model`, unless a number it stores overflowed to an inf or a NaN."""
-    if not all(math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()
-               for x in model_numbers(model)):
+    """`model`, unless a number that its fit computed (not a threshold,
+    which is an input cell) overflowed to an inf or a NaN."""
+    if isinstance(model, RidgeModel):
+        ok = math.isfinite(model.intercept) and np.isfinite(model.weights).all()
+    else:
+        trees = (model,) if isinstance(model, TreeModel) else model.trees
+        ok = math.isfinite(getattr(model, "base_score", 0.0)) and all(
+            np.isfinite(t.value).all() for t in trees)
+    if not ok:
         raise DegenerateInput(
             f"the fitted {type(model).__name__} holds a non-finite number")
     return model

@@ -30,12 +30,14 @@ from .errors import (
     InvalidArgument,
     SchemaError,
     UntrainableImputer,
+    _require,
 )
 from .estimators import (
     ESTIMATORS,
     ChainModel,
     _is_int,
     _running_sum,
+    chain_model_reads,
     forest_fit,
     gbt_fit,
     is_estimator,
@@ -258,8 +260,7 @@ def _knn_state(spec: ImputerSpec, ref_X: np.ndarray, ref_y: np.ndarray) -> dict:
         "ref_X": ref_X,
         "ref_y": ref_y,
         "k": spec.params["n_neighbors"],
-        # NaN for the empty ref_y of a damaged plan, which the loader refuses
-        "global_mean": float(ref_y.mean()) if ref_y.size else math.nan,
+        "global_mean": float(ref_y.mean()),
     }
 
 
@@ -727,10 +728,32 @@ def fitted_to_jsonable(f: FittedImputer) -> dict:
 
 def fitted_from_jsonable(d: dict, path: str = "fitted") -> FittedImputer:
     """The imputer that `fitted_to_jsonable` wrote as `d`, its state read by
-    the types that `STORED_STATE` gives its family."""
+    the types that `STORED_STATE` gives its family and judged at once, with
+    SchemaError at `path.state.<key>`: its vectors are non-empty, a kNN's
+    reference rows and targets match, and a chain's parts fit each other."""
     f = from_jsonable(field_types(FittedImputer), d, path)
-    f["state"] = from_jsonable(STORED_STATE[f["spec"].family], f["state"],
-                               f"{path}.state")
-    if f["spec"].family == "knn":
-        f["state"] = _knn_state(f["spec"], **f["state"])
+    spec, at = f["spec"], f"{path}.state"
+    s = f["state"] = from_jsonable(STORED_STATE[spec.family], f["state"], at)
+    for key, tp in STORED_STATE[spec.family].items():
+        _require(tp is not Vector or s[key].size, f"{at}.{key}",
+                 "expected a non-empty list")
+    if spec.family == "knn":
+        _require(len(s["ref_y"]) == len(s["ref_X"]), f"{at}.ref_y",
+                 "expected one value per ref_X row")
+        _require(s["ref_X"].shape[1] == len(f["predictor_columns"]),
+                 f"{at}.ref_X", "expected one cell per predictor in each row")
+        f["state"] = _knn_state(spec, **s)
+    elif spec.family == "iterative":
+        cols, est = s["columns"], spec.params["estimator"]
+        _require(sorted(cols) == sorted({f["target_column"],
+                                         *f["predictor_columns"]}),
+                 f"{at}.columns", "expected the target and predictors, once each")
+        _require(s["init_values"].shape == (len(cols),), f"{at}.init_values",
+                 "expected one value per column")
+        _require(set(s["visit"]) <= set(range(len(cols))), f"{at}.visit",
+                 "expected indices of columns")
+        for j, m in s["models"].items():
+            _require(0 <= j < len(cols) and chain_model_reads(
+                m, est, len(cols) - 1), f"{at}.models.{j}",
+                f"expected a {est} model that reads the chain's other columns")
     return FittedImputer(**f)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import math
 import os
 import tempfile
 import types
@@ -119,7 +120,7 @@ class Jsonable:
 # `Annotated[np.ndarray, list[list[float | None]]]` reads a matrix with
 # null for NaN
 Vector = Annotated[np.ndarray, list[float]]
-_SCALARS = {bool: "a bool", float: "a float", int: "an integer",
+_SCALARS = {bool: "a bool", float: "a finite float", int: "an integer",
             str: "a string"}
 
 
@@ -134,8 +135,9 @@ def from_jsonable(tp, doc, path: str):
     """The value of type `tp` that `to_jsonable` writes as `doc`: the one
     decoder of documents.  A value not of its type as written raises
     SchemaError at its document path.  A bool, float, int or str is exactly
-    that JSON type (an int is no bool or 3.0, a float no int, a bool no 1);
-    a `dict[int, V]` key is an int in canonical decimal form; an enum is its
+    that JSON type (an int is no bool or 3.0, a float no int, a bool no 1),
+    and a float is finite, in an array too (`1e400` reads as inf); a
+    `dict[int, V]` key is an int in canonical decimal form; an enum is its
     value; an array is the list type it is annotated with (see `Vector`); a
     union of classes is the one whose `json_tags` the object holds.  A
     dataclass, or a dict of {key: type}, is an object of exactly its keys
@@ -154,7 +156,7 @@ def _reader(tp):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in _SCALARS:
         def read(doc, path):
-            if type(doc) is not tp:
+            if type(doc) is not tp or tp is float and not math.isfinite(doc):
                 raise SchemaError(path, f"expected {_SCALARS[tp]}")
             return doc
     elif origin is Annotated:
@@ -183,7 +185,7 @@ def _reader(tp):
             if not isinstance(doc, list) or n is not None and len(doc) != n:
                 raise SchemaError(path, "expected a list"
                                   + f" of {n}" * (n is not None))
-            if n is None and args[0] in _SCALARS and set(
+            if n is None and args[0] in (bool, int, str) and set(
                     map(type, doc)) <= {args[0]}:
                 return origin(doc)  # checked at C speed
             return origin(r(v, f"{path}[{i}]") for i, (r, v) in enumerate(
@@ -255,8 +257,8 @@ def _int_key(k: str, path: str) -> int:
 
 def _array(form, ndim, cells, doc, path: str) -> np.ndarray:
     """The array that `doc` lists in the form `form`, a list type `ndim`
-    deep of `cells`; its cells' types are checked at C speed, not one by
-    one."""
+    deep of `cells`; its cells' types and finiteness (a null is NaN) are
+    checked at C speed, not one by one."""
     a = None
     if type(doc) is list and (set(map(type, doc)) <= cells if ndim == 1 else
                               set(map(type, doc)) <= {list} and set(map(
@@ -267,6 +269,12 @@ def _array(form, ndim, cells, doc, path: str) -> np.ndarray:
             pass  # ragged, or an int outside int64
     if a is None or a.ndim != ndim:
         raise SchemaError(path, f"expected a rectangular {form}")
+    nulls = 0 if ndim == 1 else sum(map(list.count, doc, repeat(None)))
+    if int not in cells and np.count_nonzero(np.isfinite(a)) + nulls < a.size:
+        i = next(i for i, x in enumerate(doc if ndim == 1 else chain(*doc))
+                 if x is not None and not math.isfinite(x))
+        at = "".join(f"[{j}]" for j in np.unravel_index(i, a.shape))
+        raise SchemaError(path + at, "expected a finite float")
     return a
 
 
@@ -315,8 +323,11 @@ def _fmt(x: float) -> str:
 
 
 def _chosen_std(record: dict) -> float:
-    return next(e["delta_std"] for e in record["imputers"]
-                if e["id"] == record["chosen_imputer"])
+    for e in record["imputers"]:
+        if e["id"] == record["chosen_imputer"]:
+            return e["delta_std"]
+    raise InvalidArgument(f"feature {record['feature']!r}: chosen_imputer "
+                          "names none of its imputers")
 
 
 def emit_quality_svg(

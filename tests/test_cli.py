@@ -236,25 +236,28 @@ class TestFitApply:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "CorruptModel"
 
-    @pytest.mark.parametrize("target,path,value", [
-        ("n", "target_column", "zz"),
-        ("n", "predictor_columns", ["zz"]),
-        ("n", "spec.family", "magic"),
-        ("n", "spec.params", {}),
-        ("n", "spec.params", lambda params: list(params.items())),
-        ("n", "state.fill", float("nan")),
-        ("n", "observed_value_set", []),
-        ("c", "state.observed.0", None),
-        ("x", "state.ref_X", lambda ref_X: [row[:-1] for row in ref_X]),
-        ("x", "state.ref_y", lambda ref_y: ref_y[:-1]),
-        ("x", "state.ref_y", []),
-        ("y", "state.models.0.weights", lambda w: w[:-1]),
-        ("y", "spec.params.max_iter", "x"),
-        ("x", "spec.params.n_neighbors", True),
-        ("c", "spec.seed", -1),
-        ("c", "spec.seed", 1.5),
-        ("c", "spec.seed", True),
-        ("c", "spec.seed", "7"),
+    # `where`: the path that the refusal names, within the imputer
+    @pytest.mark.parametrize("target,path,value,where", [
+        ("n", "target_column", "zz", "target_column"),
+        ("n", "predictor_columns", ["zz"], "predictor_columns"),
+        ("n", "spec.family", "magic", "spec.family"),
+        ("n", "spec.params", {}, "spec.params"),
+        ("n", "spec.params", lambda params: list(params.items()),
+         "spec.params"),
+        ("n", "state.fill", float("nan"), "state.fill"),
+        ("n", "observed_value_set", [], "observed_value_set"),
+        ("c", "state.observed.0", None, "state.observed"),
+        ("x", "state.ref_X", lambda ref_X: [row[:-1] for row in ref_X],
+         "state.ref_X"),
+        ("x", "state.ref_y", lambda ref_y: ref_y[:-1], "state.ref_y"),
+        ("x", "state.ref_y", [], "state.ref_y"),
+        ("y", "state.models.0.weights", lambda w: w[:-1], "state.models.0"),
+        ("y", "spec.params.max_iter", "x", "spec.params"),
+        ("x", "spec.params.n_neighbors", True, "spec.params"),
+        ("c", "spec.seed", -1, "spec.seed"),
+        ("c", "spec.seed", 1.5, "spec.seed"),
+        ("c", "spec.seed", True, "spec.seed"),
+        ("c", "spec.seed", "7", "spec.seed"),
     ], ids=[
         "target_column-zz", "predictor_columns-value1", "spec_family-magic",
         "simple_spec_without_statistic", "spec_params-pairs", "fill-NaN",
@@ -266,12 +269,13 @@ class TestFitApply:
         "apprandom_seed-true", "apprandom_seed-string",
     ])
     def test_apply_with_damaged_fitted_imputer_is_data_error(
-        self, mixed_plan, tmp_path, capsys, target, path, value
+        self, mixed_plan, tmp_path, capsys, target, path, value, where
     ):
         plan, data = mixed_plan
         with open(plan) as fh:
             doc = json.load(fh)
-        node = next(f for f in doc["fitted"] if f["target_column"] == target)
+        i, node = next((i, f) for i, f in enumerate(doc["fitted"])
+                       if f["target_column"] == target)
         *parents, key = path.split(".")
         for k in parents:
             node = node[int(k) if isinstance(node, list) else k]
@@ -285,6 +289,7 @@ class TestFitApply:
         assert rc == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "CorruptModel"
+        assert err["message"].startswith(f"fitted[{i}].{where}: "), err
 
     @pytest.mark.parametrize("field, value", [
         ("seed", "7"), ("seed", 1.5), ("seed", True), ("seed", -1),
@@ -304,7 +309,39 @@ class TestFitApply:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         [line] = capsys.readouterr().err.strip().splitlines()
-        assert json.loads(line)["error"] == "CorruptModel"
+        error = json.loads(line)
+        assert error["error"] == "CorruptModel"
+        # the field, or a key or entry of it ("notes[0]", "dependencies.x")
+        message = error["message"]
+        assert message.startswith(field), error
+        assert message[len(field)] in ":.[", error
+
+    # a number too large for a float reads as inf: the decoder refuses it
+    # at its cell, in a field or in an array
+    @pytest.mark.parametrize("path, where", [
+        (("fitted", 3, "state", "observed", 1), "fitted[3].state.observed[1]"),
+        (("fitted", 2, "state", "fill"), "fitted[2].state.fill"),
+        (("fitted", 0, "state", "models", "0", "trees", 1, "threshold", 0),
+         "fitted[0].state.models.0.trees[1].threshold[0]"),
+    ], ids=["apprandom-observed", "simple-fill", "tree-threshold"])
+    def test_apply_with_overflowing_number_is_refused_at_its_path(
+        self, tmp_path, capsys, path, where
+    ):
+        doc = json.loads((DATA / "tree_plan_v2.json").read_text())
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = "OVERFLOW"
+        pipe = tmp_path / "pipe.json"
+        pipe.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e400"))
+        rc = main(["apply", "--pipeline", str(pipe),
+                   "--data", str(DATA / "mixed.csv"),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        [line] = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "CorruptModel"
+        assert error["message"] == f"{where}: expected a finite float"
 
     def test_plan_with_predictor_first_chains_serves_the_same_rows(
         self, mixed_csv, tmp_path
@@ -636,6 +673,19 @@ class TestReport:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == error
         assert err["message"].startswith(where), err
+        assert not out.exists()
+
+    def test_overflowing_delta_is_refused_at_its_path(self, quality_doc,
+                                                      tmp_path, capsys):
+        doc = json.loads(json.dumps(quality_doc))
+        doc["records"][1]["delta"] = "OVERFLOW"
+        records, out = tmp_path / "q.json", tmp_path / "c.svg"
+        records.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e400"))
+        rc = main(["report", "--records", str(records), "--out", str(out)])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "CorruptModel",
+                       "message": "records[1].delta: expected a finite float"}
         assert not out.exists()
 
     @settings(max_examples=150, deadline=None,

@@ -35,6 +35,7 @@ from imputeq.errors import (
     DegenerateInput,
     ImputeQWarning,
     InvalidArgument,
+    SchemaError,
     SchemaMismatch,
     UntrainableImputer,
     VersionMismatch,
@@ -892,12 +893,15 @@ class TestPipeline:
             deserialize_pipeline(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("imputer,params,match", [
-        # the models stay those of the committed plan
-        ("iter_gbt", {"estimator": "ridge", "max_iter": 2}, "stored state"),
+        # the models stay those of the committed plan, and the first of
+        # them is refused at its path
+        ("iter_gbt", {"estimator": "ridge", "max_iter": 2},
+         r"^fitted\[1\]\.state\.models\.0: "),
         ("iter_gbt", {"estimator": "forest", "max_depth": 3, "max_iter": 2,
-                      "n_estimators": 2}, "stored state"),
+                      "n_estimators": 2}, r"^fitted\[1\]\.state\.models\.0: "),
         ("iter_forest", {"estimator": "gbt", "max_depth": 3, "max_iter": 2,
-                         "n_estimators": 2}, "stored state"),
+                         "n_estimators": 2},
+         r"^fitted\[0\]\.state\.models\.0: "),
         ("iter_forest", {"estimator": "forest", "max_iter": 2,
                          "learning_rate": 0.1}, "learning_rate"),
     ])
@@ -909,6 +913,14 @@ class TestPipeline:
         fitted["spec"]["params"] = params
         with pytest.raises(CorruptModel, match=match):
             deserialize_pipeline(json.dumps(doc).encode())
+
+    def test_plan_built_by_hand_must_cover_its_schema(self):
+        # PipelinePlan judges its own rules, so a plan that no loader reads
+        # is refused where it is built, at the same path
+        t, cfg, records, plan = self.fit_plan(seed=2)
+        with pytest.raises(SchemaError) as info:
+            replace(plan, fitted=plan.fitted[1:])
+        assert info.value.path == "drop_list"
 
     def test_wrong_format_or_version_rejected(self):
         t, cfg, records, plan = self.fit_plan(seed=2)

@@ -516,6 +516,24 @@ class TestRosterAndSerialization:
         with pytest.raises(SchemaError, match=r"^a: expected a rectangular"):
             from_jsonable(tp, doc, "a")
 
+    # a null is a kNN matrix's missing cell; any other non-finite float,
+    # in a field or an array cell, is refused at its index
+    @pytest.mark.parametrize("tp, doc, where", [
+        (NanMatrix, [[1.0, None], [math.inf, 2.0]], "a[1][0]"),
+        (NanMatrix, [[None, math.nan]], "a[0][1]"),
+        (NanMatrix, [[None], [-math.inf]], "a[1][0]"),
+        (Annotated[np.ndarray, list[float]], [0.5, 2.0, math.nan], "a[2]"),
+        (Annotated[np.ndarray, list[float]], [-math.inf], "a[0]"),
+        (float, math.inf, "a"),
+        (float | None, math.nan, "a"),
+    ])
+    def test_non_finite_cells_are_refused_at_their_index(self, tp, doc,
+                                                         where):
+        with pytest.raises(SchemaError) as info:
+            from_jsonable(tp, doc, "a")
+        assert (info.value.path, info.value.message) == (
+            where, "expected a finite float")
+
     @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2,
                                            min_side=0, max_side=6),
                   elements=st.one_of(

@@ -5,6 +5,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from imputeq.errors import InvalidArgument
 from imputeq.report import (
     AXIS_LEN,
     COLOR_FALLBACK_NAME,
@@ -142,6 +143,11 @@ class TestSvgGeometry:
             if l.getAttribute("class") == "whisker"
         ]
         assert len(whiskers) == 1
+
+    def test_unknown_chosen_imputer_names_its_feature(self):
+        rec = dict(record("age", 0.5, 0.5), chosen_imputer="nobody")
+        with pytest.raises(InvalidArgument, match=r"^feature 'age': "):
+            emit_quality_svg([record("a", 0.5, 0.5), rec])
 
     def test_names_are_escaped(self):
         svg = emit_quality_svg([record("a<b>&c", 0.5, 0.5)])
