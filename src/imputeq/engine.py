@@ -69,7 +69,13 @@ from .imputers import (
     with_fills,
 )
 from .metrics import balanced_accuracy, macro_balanced_accuracy, nrmse_score
-from .report import Jsonable, field_types, from_jsonable, to_jsonable
+from .report import (
+    Jsonable,
+    field_types,
+    from_jsonable,
+    loads_document,
+    to_jsonable,
+)
 from .stattests import TestResult, distribution_compatible
 from .table import (
     DEFAULT_MISSING_SENTINELS,
@@ -621,28 +627,44 @@ class PipelinePlan:
         a seed >= 0; imputers of schema columns, whose targets and the drop
         list cover the schema once each; observed values (label codes, if
         labelled) for a target that is not continuous; valid dependencies."""
-        _require(_is_int(self.seed, 0), "seed", "expected an integer >= 0")
+        fault = self._first_fault()
+        if fault:
+            raise SchemaError(*fault)
+
+    def _first_fault(self) -> tuple[str, str] | None:
+        """The (path, message) of the first rule that the plan breaks, in
+        the order of `__post_init__`, or None; a path is built only for a
+        fault."""
+        if not _is_int(self.seed, 0):
+            return "seed", "expected an integer >= 0"
         schema = {s.name: s for s in self.schema}
+        names = set(schema)
         for i, f in enumerate(self.fitted):
-            _require(f.target_column in schema, f"fitted[{i}].target_column",
-                     "expected a schema column")
-            _require(schema.keys() >= set(f.predictor_columns),
-                     f"fitted[{i}].predictor_columns", "expected schema columns")
-            values, target = f.observed_value_set, schema[f.target_column]
-            labels, at = target.labels, f"fitted[{i}].observed_value_set"
-            _require(values.size or target.kind is ColumnKind.CONTINUOUS, at,
-                     "expected the target's observed values")
-            _require(labels is None or labels and labels.keys() >= set(
-                values.tolist()), at, "expected codes of the target's labels")
-        _require(sorted([*(f.target_column for f in self.fitted),
-                         *self.drop_list]) == sorted(schema), "drop_list",
-                 "the fitted imputers and the drop list do not cover the "
-                 "schema columns once each")
+            target = schema.get(f.target_column)
+            if target is None:
+                return f"fitted[{i}].target_column", "expected a schema column"
+            if not names.issuperset(f.predictor_columns):
+                return (f"fitted[{i}].predictor_columns",
+                        "expected schema columns")
+            labels = target.labels
+            if not (f.observed_value_set.size
+                    or target.kind is ColumnKind.CONTINUOUS):
+                return (f"fitted[{i}].observed_value_set",
+                        "expected the target's observed values")
+            if labels is not None and not (
+                    labels and labels.keys() >= set(f.rounding_set)):
+                return (f"fitted[{i}].observed_value_set",
+                        "expected codes of the target's labels")
+        covered = [*(f.target_column for f in self.fitted), *self.drop_list]
+        if not (len(covered) == len(names) and names == set(covered)):
+            return "drop_list", ("the fitted imputers and the drop list do "
+                                 "not cover the schema columns once each")
         if self.dependencies is not None:
             try:
                 validate_dependency_dict(self.dependencies, list(schema))
             except InvalidArgument as exc:
-                raise SchemaError("dependencies", str(exc)) from exc
+                return "dependencies", str(exc)
+        return None
 
 
 def fit_pipeline(
@@ -821,7 +843,7 @@ def deserialize_pipeline(data: bytes) -> PipelinePlan:
     `PipelinePlan` (the rules that span the plan).
     """
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = loads_document(data)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"unreadable pipeline data: {exc}") from exc
     # `missing_sentinels` is written only when it is not the default

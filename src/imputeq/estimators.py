@@ -23,7 +23,7 @@ from typing import Annotated, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidArgument, SchemaError
+from .errors import DegenerateInput, InvalidArgument, SchemaError, _require
 from .report import Jsonable, Vector
 
 _MAX_DEPTH_CAP = 64  # stands in for "unlimited"
@@ -103,22 +103,32 @@ class RidgeModel(Jsonable):
     json_tags = {"type": "ridge"}
 
 
+@np.errstate(all="ignore")
 def ridge_fit(Xm, y, reg: float = 1.0) -> RidgeModel:
     """L2-regularized least squares on centered data.
 
     Solves (Xc'Xc + reg*I) w = Xc'y; the intercept comes from the column
-    means, so the penalty never shrinks it.
+    means, so the penalty never shrinks it.  A mean is the sum over n, as
+    `ndarray.mean` takes it, and the sums judge the data: a NaN or inf cell
+    makes its sum non-finite, so the cells are scanned only then.  The fit
+    warns of nothing: finite data whose sums or products overflow end in
+    DegenerateInput.
     """
     X = _as_matrix(Xm)
     y = np.asarray(y, dtype=float)
-    _check_complete(X, y)
+    n, p = X.shape
+    xs = np.add.reduce(X, axis=0)
+    xm, ym = xs / n, float(np.add.reduce(y, axis=None) / n)
+    # a NaN or inf cell makes its sum, so this total, non-finite (and so
+    # may an overflow, which the scan then passes)
+    if not (n and n == y.shape[0] and math.isfinite(sum(xs.tolist(), ym))):
+        _check_complete(X, y)
     _check_finite("reg", reg)
     reg = float(reg)
-    xm = X.mean(axis=0)
-    ym = float(y.mean())
     Xc = X - xm
     yc = y - ym
-    A = Xc.T @ Xc + reg * np.eye(X.shape[1])
+    A = Xc.T @ Xc
+    A.flat[:: p + 1] += reg
     b = Xc.T @ yc
     try:
         w = np.linalg.solve(A, b)
@@ -635,7 +645,9 @@ def _finite(model):
     """`model`, unless a number that its fit computed (not a threshold,
     which is an input cell) overflowed to an inf or a NaN."""
     if isinstance(model, RidgeModel):
-        ok = math.isfinite(model.intercept) and np.isfinite(model.weights).all()
+        # the intercept, ym - xm @ w, reads every weight and mean, so a
+        # non-finite one makes it non-finite too
+        ok = math.isfinite(model.intercept)
     else:
         trees = (model,) if isinstance(model, TreeModel) else model.trees
         ok = math.isfinite(getattr(model, "base_score", 0.0)) and all(
@@ -646,30 +658,44 @@ def _finite(model):
     return model
 
 
-def chain_model_reads(m, estimator: str, p: int) -> bool:
-    """Whether a loaded chain model `m` is a model of `estimator` that reads
-    `p` inputs, with sound trees (a forest, which averages them, has at
-    least one, and a GBT has the squared loss that chains fit)."""
-    if not isinstance(m, ESTIMATORS[estimator].model):
-        return False
+def check_chain_model(m, estimator: str, p: int, path: str) -> None:
+    """Raise SchemaError unless a loaded chain model `m` is a model of
+    `estimator` that reads `p` inputs, with sound trees (a forest, which
+    averages them, has at least one, and a GBT has the squared loss that
+    chains fit): at `path` for a model of another estimator, and at the
+    key that fails otherwise."""
+    _require(isinstance(m, ESTIMATORS[estimator].model), path,
+             f"expected a {estimator} model")
     if isinstance(m, RidgeModel):
-        return m.weights.shape == (p,)
-    sound = m.loss == "squared" if isinstance(m, GbtModel) else bool(m.trees)
-    return sound and all(_tree_reads(t, p) for t in m.trees)
+        _require(m.weights.shape == (p,), f"{path}.weights",
+                 f"expected one weight per other column of the chain ({p})")
+        return
+    if isinstance(m, GbtModel):
+        _require(m.loss == "squared", f"{path}.loss",
+                 "expected 'squared', the loss that chains fit")
+    else:
+        _require(m.trees, f"{path}.trees", "expected at least one tree")
+    for i, t in enumerate(m.trees):
+        _check_tree(t, p, f"{path}.trees[{i}]")
 
 
-def _tree_reads(t: TreeModel, p: int) -> bool:
-    """Whether tree `t` reads at most `p` inputs and prediction ends: its
-    five arrays have one non-zero length n, and each split node i has both
-    children in (i, n), so every path descends to a leaf."""
+def _check_tree(t: TreeModel, p: int, path: str) -> None:
+    """Raise SchemaError at the failing key of tree `t` unless it reads at
+    most `p` inputs and prediction ends: its five arrays have one non-zero
+    length n, and each split node i has both children in (i, n), so every
+    path descends to a leaf."""
     n = t.value.size
-    arrays = (t.feature, t.threshold, t.left, t.right, t.value)
-    if not (n and all(a.shape == (n,) for a in arrays)):
-        return False
+    _require(n, f"{path}.value", "expected a non-empty list")
+    for key in ("feature", "threshold", "left", "right"):
+        _require(getattr(t, key).shape == (n,), f"{path}.{key}",
+                 f"expected one entry per node ({n})")
+    _require((t.feature < p).all(), f"{path}.feature",
+             f"expected indices of the chain's {p} other columns")
     split = np.flatnonzero(t.feature >= 0)
-    return bool((t.feature < p).all()) and all(
-        ((c[split] > split) & (c[split] < n)).all() for c in (t.left, t.right)
-    )
+    for key in ("left", "right"):
+        c = getattr(t, key)[split]
+        _require(((c > split) & (c < n)).all(), f"{path}.{key}",
+                 "expected each split node's child after it")
 
 
 def model_predict(model, Xm) -> np.ndarray:

@@ -37,7 +37,7 @@ from .estimators import (
     ChainModel,
     _is_int,
     _running_sum,
-    chain_model_reads,
+    check_chain_model,
     forest_fit,
     gbt_fit,
     is_estimator,
@@ -529,48 +529,55 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     not visited.  The last model per visited column is kept for transform;
     the target always gets one.  The converged matrix stays in the state (not
     serialized), so that `retarget` can give another column its model.
+
+    The chain works on the matrix column-major, `MT` (one C-contiguous row
+    per column), and derives once, for each visited column, its observed
+    rows, missing rows and the cells of its other columns.  A design matrix
+    is one gather of those cells from `MT`, transposed: the Fortran-ordered
+    array that `M[rows][:, other]` gives.  Its layout is part of the bit
+    contract, because a column mean and a BLAS product round according to
+    it.
     """
     names = sorted([*predictors, target])
-    cols = [train.column(n) for n in names]
-    M = np.column_stack([c.values for c in cols])
-    masks = np.column_stack([c.mask for c in cols])
+    MT = np.array([train.column(n).values for n in names])
+    masks = np.array([train.column(n).mask for n in names])
     params = {**ITERATIVE_DEFAULTS, **spec.params}
-    init_values = np.array([_init_fill(M[:, j], masks[:, j],
-                                       params["init_strategy"])
-                            for j in range(M.shape[1])])
-    for j in range(M.shape[1]):
-        M[masks[:, j], j] = init_values[j]
+    init_values = np.array([_init_fill(v, m, params["init_strategy"])
+                            for v, m in zip(MT, masks)])
+    for v, m, fill in zip(MT, masks, init_values):
+        v[m] = fill
 
-    miss_counts = masks.sum(axis=0)
+    miss_counts = masks.sum(axis=1)
     visit = [
         int(j)
         for j in np.argsort(-miss_counts, kind="mergesort")
-        if 0 < miss_counts[j] < M.shape[0]
+        if 0 < miss_counts[j] < MT.shape[1]
     ]
-    scales = np.array(
-        [
-            float(np.std(M[~masks[:, j], j])) if (~masks[:, j]).any() else 1.0
-            for j in range(M.shape[1])
-        ]
-    )
-    scales[scales == 0.0] = 1.0
+    # per visited column, in visiting order: its row of `MT`; the cells of
+    # `MT`, as flat indices, of its other columns at its observed and at its
+    # missing rows; those rows; and its delta scale
+    steps = []
+    for j in visit:
+        obs, mis = np.flatnonzero(~masks[j]), np.flatnonzero(masks[j])
+        other = np.array([i for i in range(len(names)) if i != j])[:, None]
+        scale = float(np.std(MT[j, obs]))
+        steps.append((j, MT[j], (other * MT.shape[1] + obs).ravel(),
+                      (other * MT.shape[1] + mis).ravel(), obs, mis,
+                      scale or 1.0))
 
     models: dict[int, object] = {}
-    other = {j: [i for i in range(M.shape[1]) if i != j] for j in visit}
     deltas = []
     for round_idx in range(params["max_iter"]):
         max_delta = 0.0
-        for j in visit:
-            rows_obs = ~masks[:, j]
-            model = _fit_column_estimator(
-                spec, M[rows_obs][:, other[j]], M[rows_obs, j], j, round_idx
-            )
+        for j, col, fit_cells, pred_cells, obs, mis, scale in steps:
+            X = MT.take(fit_cells).reshape(-1, obs.size).T
+            model = _fit_column_estimator(spec, X, col[obs], j, round_idx)
             models[j] = model
-            rows_mis = masks[:, j]
-            pred = model_predict(model, M[rows_mis][:, other[j]])
-            delta = np.abs(pred - M[rows_mis, j]).max() if pred.size else 0.0
-            max_delta = max(max_delta, delta / scales[j])
-            M[rows_mis, j] = pred
+            pred = model_predict(model,
+                                 MT.take(pred_cells).reshape(-1, mis.size).T)
+            delta = np.abs(pred - col[mis]).max()
+            max_delta = max(max_delta, delta / scale)
+            col[mis] = pred
         deltas.append(max_delta)
         if max_delta < _EARLY_STOP_REL_TOL:
             break
@@ -581,10 +588,10 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
         "visit": tuple(visit),
         "models": models,
         "deltas": deltas,  # diagnostic trace; not serialized
-        "matrix": M,
+        "matrix": np.ascontiguousarray(MT.T),
     }
     t_idx = names.index(target)
-    return _with_target_model(spec, state, t_idx, ~masks[:, t_idx])
+    return _with_target_model(spec, state, t_idx, ~masks[t_idx])
 
 
 def _with_target_model(spec, state: dict, t_idx: int, rows_obs) -> dict:
@@ -753,7 +760,7 @@ def fitted_from_jsonable(d: dict, path: str = "fitted") -> FittedImputer:
         _require(set(s["visit"]) <= set(range(len(cols))), f"{at}.visit",
                  "expected indices of columns")
         for j, m in s["models"].items():
-            _require(0 <= j < len(cols) and chain_model_reads(
-                m, est, len(cols) - 1), f"{at}.models.{j}",
-                f"expected a {est} model that reads the chain's other columns")
+            _require(0 <= j < len(cols), f"{at}.models.{j}",
+                     "expected the index of a column")
+            check_chain_model(m, est, len(cols) - 1, f"{at}.models.{j}")
     return FittedImputer(**f)

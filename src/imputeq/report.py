@@ -60,6 +60,17 @@ def write_bytes_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def loads_document(data: bytes):
+    """The JSON document in `data` (UTF-8), with each non-finite token
+    (`NaN`, `Infinity`, `-Infinity`) read as inf, as a number too large for
+    a float (`1e400`) is: every float reader refuses an inf, so a NaN that
+    a `float | None` array reads is a null."""
+    return _DECODER.decode(data.decode("utf-8"))
+
+
+_DECODER = json.JSONDecoder(parse_constant=lambda token: math.inf)
+
+
 def dumps_canonical(doc) -> bytes:
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     return (text + "\n").encode("utf-8")
@@ -269,12 +280,15 @@ def _array(form, ndim, cells, doc, path: str) -> np.ndarray:
             pass  # ragged, or an int outside int64
     if a is None or a.ndim != ndim:
         raise SchemaError(path, f"expected a rectangular {form}")
-    nulls = 0 if ndim == 1 else sum(map(list.count, doc, repeat(None)))
-    if int not in cells and np.count_nonzero(np.isfinite(a)) + nulls < a.size:
-        i = next(i for i, x in enumerate(doc if ndim == 1 else chain(*doc))
-                 if x is not None and not math.isfinite(x))
-        at = "".join(f"[{j}]" for j in np.unravel_index(i, a.shape))
-        raise SchemaError(path + at, "expected a finite float")
+    if int not in cells:
+        # a null reads as NaN, so where one may stand a NaN is a null, and
+        # only an inf is refused: `loads_document` reads each non-finite
+        # token as one
+        ok = ~np.isinf(a) if type(None) in cells else np.isfinite(a)
+        if np.count_nonzero(ok) < a.size:
+            at = np.unravel_index(np.flatnonzero(~ok)[0], a.shape)
+            raise SchemaError(path + "".join(f"[{j}]" for j in at),
+                              "expected a finite float")
     return a
 
 

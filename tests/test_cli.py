@@ -251,7 +251,8 @@ class TestFitApply:
          "state.ref_X"),
         ("x", "state.ref_y", lambda ref_y: ref_y[:-1], "state.ref_y"),
         ("x", "state.ref_y", [], "state.ref_y"),
-        ("y", "state.models.0.weights", lambda w: w[:-1], "state.models.0"),
+        ("y", "state.models.0.weights", lambda w: w[:-1],
+         "state.models.0.weights"),
         ("y", "spec.params.max_iter", "x", "spec.params"),
         ("x", "spec.params.n_neighbors", True, "spec.params"),
         ("c", "spec.seed", -1, "spec.seed"),

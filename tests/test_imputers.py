@@ -29,7 +29,7 @@ from imputeq.imputers import (
     transform,
 )
 from imputeq.metrics import nrmse_score
-from imputeq.report import from_jsonable
+from imputeq.report import from_jsonable, loads_document
 from imputeq.stattests import chi2_independence
 from imputeq.table import Column, ColumnKind, Table
 
@@ -517,10 +517,12 @@ class TestRosterAndSerialization:
             from_jsonable(tp, doc, "a")
 
     # a null is a kNN matrix's missing cell; any other non-finite float,
-    # in a field or an array cell, is refused at its index
+    # in a field or an array cell, is refused at its index.  Where a null
+    # may stand, a NaN reads as one: the plan reader reads a NaN token as
+    # inf, which is refused
     @pytest.mark.parametrize("tp, doc, where", [
         (NanMatrix, [[1.0, None], [math.inf, 2.0]], "a[1][0]"),
-        (NanMatrix, [[None, math.nan]], "a[0][1]"),
+        (NanMatrix, loads_document(b"[[null, NaN]]"), "a[0][1]"),
         (NanMatrix, [[None], [-math.inf]], "a[1][0]"),
         (Annotated[np.ndarray, list[float]], [0.5, 2.0, math.nan], "a[2]"),
         (Annotated[np.ndarray, list[float]], [-math.inf], "a[0]"),

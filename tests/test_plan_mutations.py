@@ -279,3 +279,37 @@ def test_value_of_another_type_is_refused_at_its_path(path, value, where,
     error = json.loads(err.strip().splitlines()[-1])
     assert error["error"] == "CorruptModel"
     assert error["message"].startswith(f"{where}: "), error["message"]
+
+
+# a chain model that decodes but does not fit its chain is refused at the
+# key that fails, not at the model
+@pytest.mark.parametrize("path, value, where", [
+    (("fitted", 0, "state", "models", "0", "trees", 0, "left", 0), 0,
+     "fitted[0].state.models.0.trees[0].left"),
+    (("fitted", 0, "state", "models", "0", "trees", 1, "right", 0), 99,
+     "fitted[0].state.models.0.trees[1].right"),
+    (("fitted", 0, "state", "models", "0", "trees", 0, "feature", 0), 4,
+     "fitted[0].state.models.0.trees[0].feature"),
+    (("fitted", 0, "state", "models", "0", "trees", 0, "threshold"),
+     lambda v: v[:-1], "fitted[0].state.models.0.trees[0].threshold"),
+    (("fitted", 0, "state", "models", "0", "trees"), [],
+     "fitted[0].state.models.0.trees"),
+    (("fitted", 1, "state", "models", "0", "loss"), "logistic",
+     "fitted[1].state.models.0.loss"),
+    (("fitted", 1, "state", "models", "0", "trees", 0, "value"), [],
+     "fitted[1].state.models.0.trees[0].value"),
+], ids=[
+    "left-points-back", "right-past-the-end", "feature-not-a-predictor",
+    "threshold-one-short", "forest-without-trees", "gbt-logistic",
+    "value-empty",
+])
+def test_chain_model_fault_is_refused_at_its_key(path, value, where,
+                                                 tmp_path):
+    with open(DATA / "tree_plan_v2.json") as fh:
+        doc = json.load(fh)
+    _mutate(doc, path, value(_get(doc, path)) if callable(value) else value)
+    rc, err = _apply_plan_doc(doc, tmp_path)
+    assert rc == 3, err
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error["error"] == "CorruptModel"
+    assert error["message"].startswith(f"{where}: "), error["message"]
