@@ -156,3 +156,29 @@ doc = json.load(open(sys.argv[1]))
 json.dump(quality_document(doc["records"], 1, doc["columns"]), open(sys.argv[2], "w"))
 ' "$RUNNER_TEMP/quality.json" "$RUNNER_TEMP/int_threshold.json"
 imputeq report --records "$RUNNER_TEMP/int_threshold.json" --out "$RUNNER_TEMP/int_threshold.svg" > /dev/null
+
+echo "a finite table whose score overflows exits 3 with DegenerateInput"
+python -c '
+import json, sys
+import numpy as np
+rng = np.random.default_rng(0)
+a = rng.normal(size=60) * 1e160
+b = rng.normal(size=60)
+with open(sys.argv[1] + "/huge.csv", "w") as f:
+    f.write("a,b\n")
+    for i in range(60):
+        f.write(("" if i % 5 == 0 else repr(float(a[i]))) + "," + repr(float(b[i])) + "\n")
+json.dump({"data": {"path": sys.argv[1] + "/huge.csv"},
+           "splitter": {"type": "kfold", "params": {"k": 3}},
+           "imputers": [{"id": "mean", "family": "simple", "params": {"statistic": "mean"}}]},
+          open(sys.argv[1] + "/huge.json", "w"))
+' "$RUNNER_TEMP"
+rc=0
+# numpy may warn of the overflow on stderr before the error line
+imputeq assess --config "$RUNNER_TEMP/huge.json" --out "$RUNNER_TEMP/huge_quality.json" 2> "$RUNNER_TEMP/huge.err" || rc=$?
+test "$rc" = 3
+python -c '
+import json, sys
+error = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert error["error"] == "DegenerateInput", error
+' "$RUNNER_TEMP/huge.err"

@@ -416,8 +416,9 @@ def imputation_score(
             f"{spec.id}: no scorable fold for {feature!r}"
         )
     raw_mean = float(np.mean(fold_scores))
-    if math.isnan(raw_mean):
-        raise DegenerateInput(f"{spec.id}: score for {feature!r} is NaN")
+    if not math.isfinite(raw_mean):
+        raise DegenerateInput(
+            f"{spec.id}: score for {feature!r} is not finite ({raw_mean})")
     mean = min(max(raw_mean, 0.0), 1.0)
     if mean != raw_mean:
         notes.add("clamped")

@@ -68,27 +68,9 @@ def _is_number(v, lo: float, hi: float = sys.float_info.max) -> bool:
             and lo <= v <= hi)
 
 
-def _check_finite(name: str, v) -> None:
-    if not _is_number(v.item() if isinstance(v, np.generic) else v, 0.0):
-        raise InvalidArgument(
-            f"{name} must be a finite number >= 0, got {v!r}")
-
-
-def _as_depth(max_depth) -> int | None:
-    """A checked `max_depth` as a model stores it: a Python int or None."""
-    return None if max_depth is None else int(max_depth)
-
-
-def _check_tree_params(max_depth=None, mtry=None) -> None:
-    for name, v in (("max_depth", max_depth), ("mtry", mtry)):
-        if not (v is None or _is_integer(v, 1)):
-            raise InvalidArgument(
-                f"{name} must be None or an integer >= 1, got {v!r}")
-
-
-def _check_integer(name: str, v, lo: int) -> None:
-    if not _is_integer(v, lo):
-        raise InvalidArgument(f"{name} must be an integer >= {lo}, got {v!r}")
+def _check_seed(seed) -> None:
+    if not _is_int(seed, 0):
+        raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +105,7 @@ def ridge_fit(Xm, y, reg: float = 1.0) -> RidgeModel:
     # may an overflow, which the scan then passes)
     if not (n and n == y.shape[0] and math.isfinite(sum(xs.tolist(), ym))):
         _check_complete(X, y)
-    _check_finite("reg", reg)
+    check_estimator_params("ridge", {"reg": reg}, "ridge_fit")
     reg = float(reg)
     Xc = X - xm
     yc = y - ym
@@ -376,14 +358,6 @@ def _running_sum(terms):
     return out
 
 
-def tree_fit(Xm, y, max_depth=None) -> TreeModel:
-    X = _as_matrix(Xm)
-    y = np.asarray(y, dtype=float)
-    _check_complete(X, y)
-    _check_tree_params(max_depth)
-    return _finite(_TreeBuilder(max_depth).build(X, y)[0])
-
-
 # (tree, row) cells that one traversal pass moves at most; a larger walk runs
 # in blocks of this many cells, which bounds its index and mask arrays
 _WALK_CELLS = 4096
@@ -436,10 +410,6 @@ def _leaf_values(trees, X: np.ndarray) -> np.ndarray:
     return out.reshape(len(trees), n)
 
 
-def tree_predict(model: TreeModel, Xm) -> np.ndarray:
-    return _leaf_values((model,), _as_matrix(Xm))[0]
-
-
 # ---------------------------------------------------------------------------
 # random forest
 
@@ -452,30 +422,26 @@ class ForestModel(Jsonable):
     json_tags = {"type": "forest"}
 
 
-def forest_fit(Xm, y, n_estimators: int = 100, max_depth=None, seed: int = 0,
-               bootstrap: bool = True, mtry: int | None = None) -> ForestModel:
-    """Bagged CART trees with per-split feature subsampling.
-
-    mtry defaults to ceil(p / 3) as is usual for regression forests.
-    """
+def forest_fit(Xm, y, n_estimators: int = 100, max_depth=None,
+               seed: int = 0) -> ForestModel:
+    """Bagged CART trees with per-split feature subsampling: each tree is
+    grown on a bootstrap draw of the rows, and each split searches
+    ceil(p / 3) features, the regression-forest default of randomForest."""
     X = _as_matrix(Xm)
     y = np.asarray(y, dtype=float)
     _check_complete(X, y)
-    _check_integer("n_estimators", n_estimators, 1)
-    _check_integer("seed", seed, 0)
-    _check_tree_params(max_depth, mtry)
-    p = X.shape[1]
-    if mtry is None:
-        mtry = max(1, math.ceil(p / 3))
+    check_estimator_params("forest", {"n_estimators": n_estimators,
+                                      "max_depth": max_depth}, "forest_fit")
+    _check_seed(seed)
+    n, p = X.shape
+    mtry = max(1, math.ceil(p / 3))
     rng = np.random.default_rng(seed)
     trees = []
     for _ in range(n_estimators):
-        idx = rng.integers(0, X.shape[0], X.shape[0]) if bootstrap else None
-        Xb = X if idx is None else X[idx]
-        yb = y if idx is None else y[idx]
+        idx = rng.integers(0, n, n)
         builder = _TreeBuilder(max_depth, rng=rng, mtry=mtry)
-        trees.append(builder.build(Xb, yb)[0])
-    return _finite(ForestModel(tuple(trees), _as_depth(max_depth), int(seed)))
+        trees.append(builder.build(X[idx], y[idx])[0])
+    return _finite(ForestModel(tuple(trees), max_depth, seed))
 
 
 def forest_predict(model: ForestModel, Xm) -> np.ndarray:
@@ -535,10 +501,10 @@ def gbt_fit(Xm, y, n_estimators: int = 100, max_depth: int | None = 6,
     _check_complete(X, y)
     if loss not in _LOSSES:
         raise InvalidArgument(f"loss must be one of {_LOSSES}, got {loss!r}")
-    _check_integer("n_estimators", n_estimators, 0)
-    _check_integer("seed", seed, 0)
-    _check_tree_params(max_depth)
-    _check_finite("learning_rate", learning_rate)
+    check_estimator_params("gbt", {"n_estimators": n_estimators,
+                                   "max_depth": max_depth,
+                                   "learning_rate": learning_rate}, "gbt_fit")
+    _check_seed(seed)
     learning_rate = float(learning_rate)
     if loss == "logistic":
         uniq = np.unique(y)
@@ -563,8 +529,7 @@ def gbt_fit(Xm, y, n_estimators: int = 100, max_depth: int | None = 6,
             margin = margin + learning_rate * fitted
             trees.append(tree)
     return _finite(
-        GbtModel(tuple(trees), base, learning_rate, loss,
-                 _as_depth(max_depth), int(seed)))
+        GbtModel(tuple(trees), base, learning_rate, loss, max_depth, seed))
 
 
 def gbt_raw_score(model: GbtModel, Xm) -> np.ndarray:
@@ -649,9 +614,8 @@ def _finite(model):
         # non-finite one makes it non-finite too
         ok = math.isfinite(model.intercept)
     else:
-        trees = (model,) if isinstance(model, TreeModel) else model.trees
         ok = math.isfinite(getattr(model, "base_score", 0.0)) and all(
-            np.isfinite(t.value).all() for t in trees)
+            np.isfinite(t.value).all() for t in model.trees)
     if not ok:
         raise DegenerateInput(
             f"the fitted {type(model).__name__} holds a non-finite number")
@@ -701,8 +665,6 @@ def _check_tree(t: TreeModel, p: int, path: str) -> None:
 def model_predict(model, Xm) -> np.ndarray:
     if isinstance(model, RidgeModel):
         return ridge_predict(model, Xm)
-    if isinstance(model, TreeModel):
-        return tree_predict(model, Xm)
     if isinstance(model, ForestModel):
         return forest_predict(model, Xm)
     if isinstance(model, GbtModel):

@@ -318,14 +318,18 @@ def _apply_rounding(f, col, fills):
     if col.kind is not ColumnKind.BINARY or len(f.observed_value_set) == 1:
         return censor_to_observed(fills, f.observed_value_set)
     lo, hi = float(f.observed_value_set[0]), float(f.observed_value_set[-1])
-    span = hi - lo
-    unit_fills = (fills - lo) / span
-    unit_obs = (col.observed_values() - lo) / span
-    marginal = float(np.concatenate([unit_obs, unit_fills]).mean())
-    # a batch with no observed cell takes its marginal from the unclipped
-    # fills alone, which a regression can push outside [0, 1]
-    rounded = adaptive_round_binary(unit_fills, min(max(marginal, 0.0), 1.0))
-    return lo + rounded * span
+    # finite fills and levels near the float maximum overflow here to the
+    # inf and NaN that `_round_one` computes in plain floats, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        unit_fills = (fills - lo) / span
+        unit_obs = (col.observed_values() - lo) / span
+        marginal = float(np.concatenate([unit_obs, unit_fills]).mean())
+        # a batch with no observed cell takes its marginal from the
+        # unclipped fills alone, which a regression can push outside [0, 1]
+        rounded = adaptive_round_binary(unit_fills,
+                                        min(max(marginal, 0.0), 1.0))
+        return lo + rounded * span
 
 
 def _round_one(s: list[float], kind, x: float) -> float:
@@ -688,8 +692,11 @@ def censor_to_observed(values: np.ndarray, observed_set: np.ndarray) -> np.ndarr
     pos = np.searchsorted(s, values)
     left = s[np.maximum(pos - 1, 0)]
     right = s[np.minimum(pos, s.size - 1)]
-    return np.where(np.abs(values - left) <= np.abs(right - values),
-                    left, right)
+    # near the float maximum only the larger of the two distances can
+    # overflow, to inf, so the comparison is decided correctly all the same
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(np.abs(values - left) <= np.abs(right - values),
+                        left, right)
 
 
 # ---------------------------------------------------------------------------

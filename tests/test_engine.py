@@ -210,6 +210,20 @@ class TestImputationScore:
                 scorer=lambda a, b: float("nan"),
             )
 
+    def test_infinite_fold_mean_is_rejected(self):
+        # finite cells near 1e160 overflow the squared errors of a mean
+        # fill, so every fold scores -inf: a named error, never a record
+        # with a NaN spread
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=60) * 1e160
+        a[::5] = np.nan
+        t = make_table([("a", a, ColumnKind.CONTINUOUS),
+                        ("b", rng.normal(size=60), ColumnKind.CONTINUOUS)])
+        splits = kfold_split(t.n_rows, 3, 0)
+        spec = ImputerSpec("m", "simple", {"statistic": "mean"})
+        with pytest.raises(DegenerateInput, match="not finite"):
+            imputation_score("a", spec, folds_of(t, splits, spec), seed=1)
+
     def test_pooled_only_covers_observed_cells(self):
         t = linear_pair(seed=9, miss=0.4)
         splits = kfold_split(t.n_rows, 5, 0)

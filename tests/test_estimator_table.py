@@ -66,6 +66,23 @@ def test_the_table_holds_the_documented_estimators_and_keys():
     assert GRAPH_DEFAULTS == {"forest": {"n_estimators": 50}}
 
 
+def test_the_public_fits_are_the_table():
+    fits = {k for k, v in vars(estimators).items()
+            if k.endswith("_fit") and not k.startswith("_") and callable(v)}
+    assert fits == {f"{name}_fit" for name in ESTIMATORS}
+
+
+# what a fit reads besides its table keys
+FIT_EXTRAS = {"ridge": set(), "forest": {"seed"}, "gbt": {"seed", "loss"}}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_each_fit_takes_its_table_keys_and_nothing_else(name):
+    params = inspect.signature(getattr(estimators, f"{name}_fit")).parameters
+    keywords = {k for k, p in params.items() if p.default is not p.empty}
+    assert keywords == set(ESTIMATORS[name].params) | FIT_EXTRAS[name]
+
+
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
 def test_each_chain_default_is_in_the_fit_signature(name):
     params = inspect.signature(getattr(estimators, f"{name}_fit")).parameters

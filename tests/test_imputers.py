@@ -4,7 +4,7 @@ from typing import Annotated
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from imputeq.errors import (
@@ -244,7 +244,7 @@ def rounding_cases(draw):
                        st.floats(allow_nan=False, allow_infinity=False))
     size = 2 if kind is ColumnKind.BINARY else 6
     s = np.unique(draw(st.lists(member, min_size=1, max_size=size)))
-    near = [*s, *((a + b) / 2 for a, b in zip(s, s[1:])), 0.0, -0.0,
+    near = [*s, *(a / 2 + b / 2 for a, b in zip(s, s[1:])), 0.0, -0.0,
             math.nan, math.inf, -math.inf]
     return kind, s, draw(st.one_of(st.sampled_from(near), st.floats()))
 
@@ -259,9 +259,15 @@ def _row0(f, kind, n_rows):
         return str(exc)
 
 
+# neither rounding path may warn, on any finite or non-finite fill
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOneCellRounding:
     @settings(max_examples=600, deadline=None)
     @given(case=rounding_cases())
+    # a fill near the negative float maximum, which overflows the distance
+    # to the one observed level
+    @example(case=(ColumnKind.DISCRETE, np.array([2.99376046e+292]),
+                   -1.7976931348623155e+308))
     def test_one_cell_equals_the_array_rule(self, case):
         # a one-row batch rounds its fill in plain floats; two blank rows
         # with the same fill take the array path with the same marginal

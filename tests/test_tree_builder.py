@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from imputeq import estimators
 from imputeq.estimators import (
+    _leaf_values,
     _TreeBuilder,
     forest_fit,
     gbt_fit,
     logistic_grad_hess,
-    tree_fit,
-    tree_predict,
 )
 
 # targets near 1e154-1e300 overflow squares and sums on purpose, and numpy
@@ -64,7 +63,7 @@ class _ReferenceBuilder:
 
     def build(self, X, y, hess=None):
         """Same interface as `_TreeBuilder.build`; the per-row values come
-        from `tree_predict`, as the boosting loop used to compute them."""
+        from walking the tree, as the boosting loop used to compute them."""
         root = self._new_node()
         stack = [(root, np.arange(X.shape[0]), 0)]
         while stack:
@@ -91,7 +90,7 @@ class _ReferenceBuilder:
             np.asarray(self.right, dtype=np.int64),
             np.asarray(self.value, dtype=float),
         )
-        return tree, tree_predict(tree, X)
+        return tree, _leaf_values((tree,), X)[0]
 
     def _candidate_features(self, p):
         if self.mtry is None or self.mtry >= p:
@@ -187,10 +186,8 @@ def tables(draw, min_rows=2):
 @given(data=tables(), depth=st.sampled_from([None, 1, 3, 6]))
 def test_tree_fit_matches_reference(data, depth):
     X, y = data
-    got = tree_fit(X, y, max_depth=depth)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
-        want = tree_fit(X, y, max_depth=depth)
+    got = _TreeBuilder(depth).build(X, y)[0]
+    want = _ReferenceBuilder(depth).build(X, y)[0]
     _assert_trees_identical([got], [want])
 
 
@@ -202,10 +199,8 @@ def test_each_search_alone_matches_reference(plain_cells, data, depth):
     X, y = data
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_PLAIN_CELLS", plain_cells)
-        got = tree_fit(X, y, max_depth=depth)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
-        want = tree_fit(X, y, max_depth=depth)
+        got = _TreeBuilder(depth).build(X, y)[0]
+    want = _ReferenceBuilder(depth).build(X, y)[0]
     _assert_trees_identical([got], [want])
 
 
@@ -213,14 +208,11 @@ def test_each_search_alone_matches_reference(plain_cells, data, depth):
 @given(
     data=tables(),
     depth=st.sampled_from([None, 2, 5]),
-    mtry=st.one_of(st.none(), st.integers(1, 12)),
-    bootstrap=st.booleans(),
     seed=st.integers(0, 1000),
 )
-def test_forest_fit_matches_reference(data, depth, mtry, bootstrap, seed):
+def test_forest_fit_matches_reference(data, depth, seed):
     X, y = data
-    kwargs = dict(n_estimators=3, max_depth=depth, seed=seed,
-                  bootstrap=bootstrap, mtry=mtry)
+    kwargs = dict(n_estimators=3, max_depth=depth, seed=seed)
     got = forest_fit(X, y, **kwargs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
@@ -232,11 +224,13 @@ def test_forest_fit_matches_reference(data, depth, mtry, bootstrap, seed):
 @given(data=tables(min_rows=200), depth=st.sampled_from([None, 8]),
        seed=st.integers(0, 1000))
 def test_forest_switches_search_mid_tree(data, depth, seed):
-    # one candidate feature: the root (200 rows or more) is searched in
-    # numpy, and its descendants below the size rule in plain floats
+    # at most three columns, so one candidate feature (ceil(p / 3)): the
+    # root (200 rows or more) is searched in numpy, and its descendants
+    # below the size rule in plain floats
     X, y = data
+    X = X[:, :3]
     assert 0 < estimators._PLAIN_CELLS <= X.shape[0]
-    kwargs = dict(n_estimators=2, max_depth=depth, seed=seed, mtry=1)
+    kwargs = dict(n_estimators=2, max_depth=depth, seed=seed)
     got = forest_fit(X, y, **kwargs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
@@ -275,7 +269,8 @@ def test_row_values_equal_tree_predict(data, depth, newton):
         grad, hess = logistic_grad_hess(y, np.zeros(y.size))
         y = -grad
     tree, fitted = _TreeBuilder(depth).build(X, y, hess=hess)
-    np.testing.assert_array_equal(_bits(fitted), _bits(tree_predict(tree, X)))
+    np.testing.assert_array_equal(_bits(fitted),
+                                  _bits(_leaf_values((tree,), X)[0]))
 
 
 @pytest.mark.parametrize("plain_cells", [0, 10**9])
@@ -286,6 +281,9 @@ def test_leaf_sums_rows_left_to_right(plain_cells):
     y = np.array([1.0] + [2.0**-53] * 9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_PLAIN_CELLS", plain_cells)
-        assert tree_fit(np.zeros((10, 1)), y).value.tolist() == [1.0 / 10]
-        tree = tree_fit(np.array([[0.0], [1.0]]), np.array([-0.0, 1.0]))
+        builder = _TreeBuilder(None)
+        assert builder.build(np.zeros((10, 1)), y)[0].value.tolist() == [
+            1.0 / 10]
+        tree = builder.build(np.array([[0.0], [1.0]]),
+                             np.array([-0.0, 1.0]))[0]
     assert _bits(tree.value).tolist() == _bits([0.0, -0.0, 1.0]).tolist()
