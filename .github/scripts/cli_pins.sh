@@ -108,6 +108,12 @@ json.dump(doc, open(sys.argv[1], "w"))
 imputeq graph --config "$RUNNER_TEMP/graph.json" --out "$RUNNER_TEMP/deps.json"
 echo "d3b00c984c669f707750f71fd6e86fdf16b473f3025cda71bced3a77af98c76f  $RUNNER_TEMP/deps.json" | sha256sum -c
 
+# the audit pins its cross-fit and stratified folds and its GBT mask
+# classifiers
+echo "console script audits the committed config"
+imputeq audit --config tests/data/mixed_config.json --levels 0,0.2 --out "$RUNNER_TEMP/audit.json"
+echo "45d1949ea2ae87d10a3927a337dc5625714ea63e4da6079959fc6f4782f62e4a  $RUNNER_TEMP/audit.json" | sha256sum -c
+
 echo "the indented plan re-serializes compact and serves the same rows"
 python -c '
 import json, sys

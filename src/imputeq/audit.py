@@ -24,7 +24,7 @@ from .errors import (
     InvalidArgument,
     InvalidFoldCount,
 )
-from .estimators import _is_integer, gbt_fit, gbt_predict_proba
+from .estimators import _is_int, gbt_fit, gbt_predict_proba
 from .imputers import ImputerSpec, fit as fit_imputer, task_seed, transform
 from .metrics import auroc, mean_ci
 from .report import Jsonable
@@ -146,21 +146,16 @@ def build_completed_dataset(
 
 
 def _stratified_folds(y: np.ndarray, k: int, seed: int):
-    """Index splits with both classes represented in every fold."""
+    """The sorted (train, test) rows of `k` folds of the 0/1 labels `y`:
+    each class's shuffled rows are dealt round the folds, so both are in
+    every fold."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    folds = [[] for _ in range(k)]
+    fold = np.empty(y.size, dtype=int)
     for cls in (0, 1):
         idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(idx.size)]
-        for i, row in enumerate(idx):
-            folds[i % k].append(int(row))
-    out = []
-    all_rows = set(range(y.size))
-    for f in folds:
-        test = np.array(sorted(f), dtype=int)
-        train = np.array(sorted(all_rows - set(f)), dtype=int)
-        out.append((train, test))
-    return out
+        fold[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % k
+    return [(np.flatnonzero(fold != i), np.flatnonzero(fold == i))
+            for i in range(k)]
 
 
 def audit_feature(
@@ -233,7 +228,7 @@ def audit_all(
     for level in levels:
         if not 0.0 <= level < 1.0:
             raise InvalidArgument(f"level must be in [0, 1), got {level}")
-    if not (_is_integer(k, 2) and k <= t.n_rows):
+    if not (_is_int(k, 2) and k <= t.n_rows):
         raise InvalidFoldCount(f"k={k!r} outside [2, {t.n_rows}]")
     reports = []
     for li, level in enumerate(levels):

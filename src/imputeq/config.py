@@ -174,11 +174,6 @@ def load_json_file(path: str, what: str, invalid):
         raise invalid(f"invalid JSON: {exc}") from exc
 
 
-def parse_config(path: str) -> AssessConfig:
-    return parse_config_dict(
-        load_json_file(path, "config", lambda msg: SchemaError("$", msg)))
-
-
 def apply_overrides(config: AssessConfig, **flags) -> AssessConfig:
     """`config` with each flag that is not None (the CLI's --seed and
     --threshold) in place of the file's value."""

@@ -39,7 +39,6 @@ from .table import Table
 DEFAULT_TOP_N = 8
 DEFAULT_MIN_IMPORTANCE = 0.01
 DEFAULT_HOLDOUT_FRACTION = 0.25
-DEFAULT_N_REPEATS = 5
 MIN_USABLE_ROWS = 20
 
 
@@ -105,7 +104,6 @@ def build_dependency_graph(
     seed: int = 0,
     regressor: str = "forest",
     regressor_params: dict | None = None,
-    n_repeats: int = DEFAULT_N_REPEATS,
 ) -> DependencyGraph:
     """Construct the graph by scoring each feature's predictability.
 
@@ -127,8 +125,6 @@ def build_dependency_graph(
     params = {} if regressor_params is None else regressor_params
     check_estimator_params(regressor, params, "regressor_params")
     params = {**GRAPH_DEFAULTS.get(regressor, {}), **params}
-    if not _is_int(n_repeats, 1):
-        raise SchemaError("n_repeats", "expected an integer >= 1")
     if not _is_int(seed, 0):
         raise SchemaError("seed", "expected an integer >= 0")
     names = t.column_names
@@ -176,8 +172,7 @@ def build_dependency_graph(
         fit_seed = int(rng.integers(2**31))
         predict = _fit_regressor(regressor, params, X[train], y[train], fit_seed)
         imp = permutation_importance(
-            predict, X[test], y[test], r2,
-            seed=int(rng.integers(2**31)), n_repeats=n_repeats,
+            predict, X[test], y[test], r2, seed=int(rng.integers(2**31))
         )
         ranked = sorted(
             zip(predictors, imp), key=lambda p: (-p[1], p[0])

@@ -81,7 +81,6 @@ from .table import (
     DEFAULT_MISSING_SENTINELS,
     Column,
     ColumnKind,
-    SplitIndices,
     Table,
     completeness,
     kfold_split,
@@ -250,7 +249,7 @@ class Folds:
     fold is the whole table, under `_FINAL_FIT_TAG`.
     """
 
-    def __init__(self, t: Table, splits: SplitIndices | None,
+    def __init__(self, t: Table, splits: tuple | None,
                  config: AssessConfig):
         self.t = t
         self.splits = splits
@@ -269,7 +268,7 @@ class Folds:
         if self.splits is None:
             return self.t, None
         if fold_idx not in self._rows:
-            train_idx, test_idx = self.splits.folds[fold_idx]
+            train_idx, test_idx = self.splits[fold_idx]
             self._rows[fold_idx] = (self.t.select_rows(train_idx),
                                     self.t.select_rows(test_idx))
         return self._rows[fold_idx]

@@ -16,7 +16,6 @@ and every stochastic choice flows from an explicit seed.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Annotated, NamedTuple, Union
@@ -46,12 +45,6 @@ def _check_complete(X: np.ndarray, y: np.ndarray) -> None:
         raise InvalidArgument("X and y row counts differ")
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise InvalidArgument("estimators require complete, finite data")
-
-
-def _is_integer(v, lo: int) -> bool:
-    """An integer (a numpy one too, not a bool) of at least `lo`."""
-    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            and v >= lo)
 
 
 def _is_int(v, lo: int) -> bool:
@@ -677,25 +670,24 @@ def model_predict(model, Xm) -> np.ndarray:
 
 
 def permutation_importance(
-    predict, Xm_test, y_test, scorer, seed: int = 0, n_repeats: int = 5
+    predict, Xm_test, y_test, scorer, seed: int = 0
 ) -> np.ndarray:
-    """Mean score drop when each column is shuffled, one column at a time.
+    """Mean score drop over five shuffles of each column, one column at a
+    time.
 
     `predict` is any fitted-model prediction callable; `scorer(y, yhat)` must
     be higher-is-better.  Deterministic per seed.
     """
     X = _as_matrix(Xm_test)
     y = np.asarray(y_test, dtype=float)
-    if n_repeats < 1:
-        raise InvalidArgument("n_repeats must be >= 1")
     rng = np.random.default_rng(seed)
     baseline = scorer(y, predict(X))
     importances = np.zeros(X.shape[1])
     for f in range(X.shape[1]):
         drop = 0.0
-        for _ in range(n_repeats):
+        for _ in range(5):
             Xp = X.copy()
             Xp[:, f] = Xp[rng.permutation(X.shape[0]), f]
             drop += baseline - scorer(y, predict(Xp))
-        importances[f] = drop / n_repeats
+        importances[f] = drop / 5
     return importances

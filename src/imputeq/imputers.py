@@ -318,18 +318,25 @@ def _apply_rounding(f, col, fills):
     if col.kind is not ColumnKind.BINARY or len(f.observed_value_set) == 1:
         return censor_to_observed(fills, f.observed_value_set)
     lo, hi = float(f.observed_value_set[0]), float(f.observed_value_set[-1])
-    # finite fills and levels near the float maximum overflow here to the
-    # inf and NaN that `_round_one` computes in plain floats, silently
+    # a large value over a small span overflows here to the inf (a sum of
+    # infs to the NaN) that `_round_one` computes in plain floats, silently
     with np.errstate(over="ignore", invalid="ignore"):
-        span = hi - lo
-        unit_fills = (fills - lo) / span
-        unit_obs = (col.observed_values() - lo) / span
+        unit_fills = _unit_position(fills, lo, hi)
+        unit_obs = _unit_position(col.observed_values(), lo, hi)
         marginal = float(np.concatenate([unit_obs, unit_fills]).mean())
         # a batch with no observed cell takes its marginal from the
         # unclipped fills alone, which a regression can push outside [0, 1]
         rounded = adaptive_round_binary(unit_fills,
                                         min(max(marginal, 0.0), 1.0))
-        return lo + rounded * span
+        return np.where(rounded, hi, lo)
+
+
+def _unit_position(x, lo: float, hi: float):
+    """Where `x` lies from level `lo` (0) to level `hi` (1).  Levels more
+    than the float maximum apart are placed by halves, exact at that size
+    (the halves of two adjacent subnormal levels can be equal)."""
+    h = 1.0 if hi - lo < math.inf else 0.5
+    return (x * h - lo * h) / (hi * h - lo * h)
 
 
 def _round_one(s: list[float], kind, x: float) -> float:
@@ -343,16 +350,13 @@ def _round_one(s: list[float], kind, x: float) -> float:
         pos = bisect.bisect_left(s, x)
         left, right = s[max(pos - 1, 0)], s[min(pos, len(s) - 1)]
         return left if abs(x - left) <= abs(right - x) else right
-    lo, span = s[0], s[-1] - s[0]
-    unit = (x - lo) / span
+    unit = _unit_position(x, s[0], s[-1])
     # the batch has no observed cell: its marginal is the fill itself
     marginal = min(max(unit, 0.0), 1.0)
     _check_marginal(marginal)
-    if 0.0 < marginal < 1.0:
-        rounded = float(unit >= _cutoff(marginal))
-    else:
-        rounded = 1.0 if marginal else 0.0
-    return lo + rounded * span
+    high = (unit >= _cutoff(marginal) if 0.0 < marginal < 1.0
+            else marginal == 1.0)
+    return s[-1] if high else s[0]
 
 
 def apprandom_sample(observed: np.ndarray, n: int, seed) -> np.ndarray:

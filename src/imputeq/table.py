@@ -138,36 +138,18 @@ class Table:
         return self.total_missing() / cells if cells else 0.0
 
 
-@dataclass(frozen=True)
-class SplitIndices:
-    """K train/test index pairs; test sets partition the rows."""
-
-    folds: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __iter__(self):
-        return iter(self.folds)
-
-    def __len__(self):
-        return len(self.folds)
-
-
-def load_csv(
-    path,
-    schema_hints: dict[str, ColumnKind] | None = None,
-    missing_sentinels=DEFAULT_MISSING_SENTINELS,
-) -> Table:
+def load_csv(path, missing_sentinels=DEFAULT_MISSING_SENTINELS) -> Table:
     """Read an RFC-4180 style CSV (header required) into a raw Table; a
     leading UTF-8 byte-order mark, as spreadsheets write, is skipped.
 
     Cells matching a missing sentinel are masked, and so are numeric cells
-    that parse as NaN or infinity.  A column is parsed as
-    numeric when at least one non-missing cell parses as a number and no
-    kind hint says otherwise; a non-parseable cell in such a column raises
-    :class:`ParseError`.  Columns with no numeric cells stay as strings for
-    later label encoding.  A header that names a column twice raises
-    :class:`DataIoError`.
+    that parse as NaN or infinity.  A column is parsed as numeric when at
+    least one non-missing cell parses as a number; a non-parseable cell in
+    such a column raises :class:`ParseError`.  Columns with no numeric cells
+    stay as strings for later label encoding.  No column has a kind until
+    :func:`infer_column_kinds` runs.  A header that names a column twice
+    raises :class:`DataIoError`.
     """
-    hints = schema_hints or {}
     sentinels = set(missing_sentinels)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -204,12 +186,10 @@ def load_csv(
         numbers = [None if m else _number(cell)
                    for cell, m in zip(distinct, missing.tolist())]
         numeric = np.array([x is not None for x in numbers], dtype=bool)
-        hinted = hints.get(name)
-        if hinted is ColumnKind.CATEGORICAL or not numeric.any():
+        if not numeric.any():
             strings = np.array(distinct, dtype=object)
             strings[missing] = None
-            columns.append(
-                Column(name, strings[codes], missing[codes], kind=hinted))
+            columns.append(Column(name, strings[codes], missing[codes]))
             continue
         bad = (~numeric & ~missing)[codes]
         if bad.any():
@@ -219,8 +199,8 @@ def load_csv(
                           dtype=float)
         nonfinite = ~np.isfinite(parsed)
         parsed[nonfinite] = np.nan
-        columns.append(Column(name, parsed[codes], (missing | nonfinite)[codes],
-                              kind=hinted))
+        columns.append(
+            Column(name, parsed[codes], (missing | nonfinite)[codes]))
     return Table(tuple(columns), n)
 
 
@@ -319,7 +299,8 @@ def infer_column_kinds(table: Table) -> Table:
     non-continuous only when every distinct observed value occurs at least
     :data:`MIN_LEVEL_COUNT` times; then it is Binary with two distinct
     values and Discrete otherwise (its values have a natural order), and a
-    constant one is Discrete.  Hinted kinds are preserved.
+    constant one is Discrete.  A kind that a column already carries is
+    kept.
     """
     out = []
     for c in table.columns:
@@ -387,15 +368,12 @@ def inject_mcar(
     return Table(tuple(out), table.n_rows)
 
 
-def kfold_split(n_rows: int, k: int, seed: int) -> SplitIndices:
-    """Shuffled partition into k folds with test sizes differing by <= 1."""
+def kfold_split(n_rows: int, k: int, seed: int) -> tuple:
+    """Shuffled partition into k folds with test sizes differing by <= 1:
+    the sorted (train, test) rows of each fold."""
     if k < 2 or k > n_rows:
         raise InvalidFoldCount(f"k={k} outside [2, {n_rows}]")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n_rows)
-    chunks = np.array_split(order, k)
-    folds = []
-    for i, test in enumerate(chunks):
-        train = np.concatenate([chunks[j] for j in range(k) if j != i])
-        folds.append((np.sort(train), np.sort(test)))
-    return SplitIndices(tuple(folds))
+    chunks = np.array_split(rng.permutation(n_rows), k)
+    return tuple((np.sort(np.concatenate(chunks[:i] + chunks[i + 1:])),
+                  np.sort(test)) for i, test in enumerate(chunks))

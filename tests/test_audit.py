@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imputeq.audit import (
     AuditReport,
+    _stratified_folds,
     audit_all,
     audit_feature,
     audit_matrix_csv,
@@ -120,6 +123,40 @@ class TestAuditFeature:
         assert res.ci_half_width >= 0.0
 
 
+def stratified_folds_by_row(y, k, seed):
+    """`_stratified_folds` as it dealt rows one at a time, kept as its
+    oracle."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    folds = [[] for _ in range(k)]
+    for cls in (0, 1):
+        idx = np.flatnonzero(y == cls)
+        idx = idx[rng.permutation(idx.size)]
+        for i, row in enumerate(idx):
+            folds[i % k].append(int(row))
+    out = []
+    all_rows = set(range(y.size))
+    for f in folds:
+        test = np.array(sorted(f), dtype=int)
+        train = np.array(sorted(all_rows - set(f)), dtype=int)
+        out.append((train, test))
+    return out
+
+
+class TestStratifiedFolds:
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.lists(st.integers(0, 1), min_size=0, max_size=60),
+           k=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+    def test_folds_equal_the_row_by_row_deal(self, y, k, seed):
+        y = np.array(y, dtype=int)
+        got = _stratified_folds(y, k, seed)
+        want = stratified_folds_by_row(y, k, seed)
+        assert len(got) == len(want) == k
+        for (train, test), (train0, test0) in zip(got, want):
+            assert train.dtype == train0.dtype and test.dtype == test0.dtype
+            np.testing.assert_array_equal(train, train0)
+            np.testing.assert_array_equal(test, test0)
+
+
 class TestInjectToLevel:
     def test_reaches_target_level(self):
         t = continuous_table(n=2000, seed=11)
@@ -182,10 +219,11 @@ class TestAuditAll:
         with pytest.raises(InvalidArgument):
             audit_all(t, {}, [1.0], seed=0)
 
-    @pytest.mark.parametrize("k", [1, 0, 61, 2.5, True, "5", None])
+    @pytest.mark.parametrize("k", [1, 0, 61, 2.5, True, "5", None,
+                                   np.int64(5)])
     def test_invalid_fold_count_rejected(self, k):
-        # a fold count outside [2, 60] fails up front, not as a report of
-        # skipped features
+        # a fold count that is not a Python int in [2, 60] fails up front,
+        # not as a report of skipped features
         t = inject_mcar(continuous_table(n=60, seed=39), 0.3, seed=40)
         strategies = {"m": single_imputer_strategy("simple",
                                                    {"statistic": "mean"})}

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imputeq.cli import _graph_spec, _load_table, _with_dependencies
-from imputeq.config import apply_overrides, parse_config, parse_config_dict
+from imputeq.config import apply_overrides, load_json_file, parse_config_dict
 from imputeq.engine import AssessConfig
 from imputeq.errors import DataIoError, InvalidArgument, SchemaError
 from imputeq.imputers import ImputerSpec
@@ -308,22 +308,28 @@ class TestDependencyGraph:
             doc, cfg, two_columns()).dependencies == resolved
 
 
+def read_config(path: str):
+    """The engine config of a config file, read as the CLI reads one."""
+    return parse_config_dict(
+        load_json_file(path, "config", lambda msg: SchemaError("$", msg)))
+
+
 class TestFileHandling:
     def test_parse_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_doc(seed=7)))
-        cfg = parse_config(str(p))
+        cfg = read_config(str(p))
         assert cfg.seed == 7
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataIoError):
-            parse_config(str(tmp_path / "nope.json"))
+            read_config(str(tmp_path / "nope.json"))
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
         with pytest.raises(SchemaError) as info:
-            parse_config(str(p))
+            read_config(str(p))
         assert info.value.path == "$"
 
 

@@ -201,8 +201,8 @@ class TestBuildGraph:
          "regressor_params.reg"),
         ({"regressor": "gbt", "regressor_params": {"learning_rate": np.nan}},
          "regressor_params.learning_rate"),
-        ({"n_repeats": 2.5}, "n_repeats"),
-        ({"n_repeats": 0}, "n_repeats"),
+        ({"seed": True}, "seed"),
+        ({"seed": np.int64(1)}, "seed"),
         ({"seed": -1}, "seed"),
         ({"seed": 1.0}, "seed"),
         ({"regressor_params": []}, "regressor_params"),

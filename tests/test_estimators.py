@@ -293,7 +293,7 @@ class TestPermutationImportance:
         y = X[:, 0].copy()
         m = grow_tree(X, y, max_depth=None)
         imp = permutation_importance(
-            lambda Z: tree_values(m, Z), X, y, r2, seed=0, n_repeats=5
+            lambda Z: tree_values(m, Z), X, y, r2, seed=0
         )
         assert imp[0] > 0.9
         assert abs(imp[1]) < 0.1 and abs(imp[2]) < 0.1
@@ -304,8 +304,8 @@ class TestPermutationImportance:
         y = X[:, 0] + rng.normal(scale=0.1, size=80)
         m = ridge_fit(X, y, reg=0.1)
         f = lambda Z: ridge_predict(m, Z)
-        a = permutation_importance(f, X, y, r2, seed=7, n_repeats=3)
-        b = permutation_importance(f, X, y, r2, seed=7, n_repeats=3)
+        a = permutation_importance(f, X, y, r2, seed=7)
+        b = permutation_importance(f, X, y, r2, seed=7)
         np.testing.assert_array_equal(a, b)
 
 

@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 from typing import Annotated
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from imputeq.errors import (
@@ -249,6 +250,11 @@ def rounding_cases(draw):
     return kind, s, draw(st.one_of(st.sampled_from(near), st.floats()))
 
 
+# any finite float, the float maximum of either sign drawn often
+LEVELS = st.one_of(st.sampled_from([-sys.float_info.max, sys.float_info.max]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
 def _row0(f, kind, n_rows):
     """Row 0 of `n_rows` blank rows that `f` served, as bytes, or the
     InvalidArgument that serving them raised."""
@@ -274,6 +280,22 @@ class TestOneCellRounding:
         kind, observed, fill = case
         f = FittedImputer(simple("mean"), "x", (), {"fill": fill}, observed)
         assert _row0(f, kind, 1) == _row0(f, kind, 2)
+
+    @settings(max_examples=600, deadline=None)
+    @given(a=LEVELS, b=LEVELS,
+           fill=st.one_of(LEVELS, st.floats(allow_nan=False)))
+    # levels more than the float maximum apart, filled with the high one
+    @example(a=-1e308, b=1e308, fill=1e308)
+    # adjacent subnormal levels, whose halves are equal
+    @example(a=-5e-324, b=5e-324, fill=0.0)
+    def test_binary_fill_is_a_level(self, a, b, fill):
+        assume(a != b)
+        lo, hi = sorted((a, b))
+        f = FittedImputer(simple("mean"), "x", (), {"fill": fill},
+                          np.array([lo, hi]))
+        one = _row0(f, ColumnKind.BINARY, 1)
+        assert one == _row0(f, ColumnKind.BINARY, 2)
+        assert one in (np.array([lo]).tobytes(), np.array([hi]).tobytes())
 
     def test_nan_binary_fill_raises(self):
         f = FittedImputer(simple("mean"), "x", (), {"fill": math.nan},

@@ -39,7 +39,6 @@ from imputeq.imputers import (
 from imputeq.table import (
     Column,
     ColumnKind,
-    SplitIndices,
     Table,
     infer_column_kinds,
     kfold_split,
@@ -338,7 +337,7 @@ def test_pass_skips_views_without_a_fit():
     t = coded_table(45, (0.1, 0.2, 0.0, 0.3, 0.0, 0.0), 2)
     splits = kfold_split(t.n_rows, 3, 0)
     f_mask = np.ones(t.n_rows, dtype=bool)
-    f_mask[splits.folds[0][1][:6]] = False
+    f_mask[splits[0][1][:6]] = False
     f = t.column("F")
     t = t.with_column(Column("F", np.where(f_mask, np.nan, f.values), f_mask,
                              kind=ColumnKind.CONTINUOUS))
@@ -377,7 +376,7 @@ def test_unmatched_rows_warn_once_per_feature_and_fold():
                 "no reference row shares an observed coordinate; falling "
                 "back to the global mean"]
             if unmatched:
-                a = t.column("A").take(splits.folds[fold][0])
+                a = t.column("A").take(splits[fold][0])
                 row = np.searchsorted(test_idx, 7)
                 assert all(fills[k][row] == a.observed_values().mean()
                            for k in KS)
@@ -439,8 +438,8 @@ def test_fold_pass_sums_predictors_left_to_right():
                     for j, n in enumerate(names))
               + (Column("T", np.array([10.0, 20.0, 0.0]), no_mask,
                         kind=ColumnKind.CONTINUOUS),), 3)
-    splits = SplitIndices(((np.array([0, 1]), np.array([2])),
-                           (np.array([2]), np.array([0, 1]))))
+    splits = ((np.array([0, 1]), np.array([2])),
+              (np.array([2]), np.array([0, 1])))
     knn1 = ImputerSpec("knn1", "knn", {"n_neighbors": 1})
     folds = Folds(t, splits, AssessConfig((knn1,), dependencies={"T": names}))
     assert folds.knn_fills(0, folds.fit(0, knn1, "T")).tolist() == [20.0]

@@ -84,13 +84,6 @@ class TestLoadCsv:
         with pytest.raises(DataIoError, match="'a'"):
             load_csv(p)
 
-    def test_categorical_hint_keeps_numeric_strings(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("code\n1\n2\n1\n")
-        t = load_csv(p, schema_hints={"code": ColumnKind.CATEGORICAL})
-        assert not t.column("code").is_encoded
-        assert t.column("code").kind is ColumnKind.CATEGORICAL
-
     def test_roundtrip_through_write(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1.5,x\n,y\n2,x\n")
@@ -199,7 +192,7 @@ class TestWriteCsv:
         assert not out.exists()
 
 
-def load_csv_per_cell(path, hints, sentinels):
+def load_csv_per_cell(path, sentinels):
     """The parse of `load_csv` before it went by column, kept as its
     oracle; the ragged-row check comes first in both."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -223,12 +216,11 @@ def load_csv_per_cell(path, hints, sentinels):
                 numeric[i] = True
             except ValueError:
                 pass
-        hinted = hints.get(name)
-        if hinted is ColumnKind.CATEGORICAL or not numeric.any():
+        if not numeric.any():
             values = np.array(
                 [None if mask[i] else raw[i] for i in range(n)], dtype=object
             )
-            columns.append(Column(name, values, mask, kind=hinted))
+            columns.append(Column(name, values, mask))
         else:
             bad = ~numeric & ~mask
             if bad.any():
@@ -236,7 +228,7 @@ def load_csv_per_cell(path, hints, sentinels):
                 raise ParseError(i, name, raw[i])
             nonfinite = ~np.isfinite(parsed)
             parsed[nonfinite] = np.nan
-            columns.append(Column(name, parsed, mask | nonfinite, kind=hinted))
+            columns.append(Column(name, parsed, mask | nonfinite))
     return Table(tuple(columns), n)
 
 
@@ -268,10 +260,8 @@ def csv_texts(draw):
 class TestLoadCsvByColumn:
     @settings(max_examples=300, deadline=None)
     @given(text=csv_texts(),
-           hints=st.dictionaries(st.sampled_from("abcd"),
-                                 st.sampled_from(ColumnKind)),
            sentinels=st.sampled_from([("", "NA", "NaN", "?"), ("", "-999")]))
-    def test_tables_and_errors_equal_the_per_cell_parse(self, text, hints,
+    def test_tables_and_errors_equal_the_per_cell_parse(self, text,
                                                         sentinels):
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "t.csv")
@@ -280,7 +270,7 @@ class TestLoadCsvByColumn:
             outcomes = []
             for load in (load_csv, load_csv_per_cell):
                 try:
-                    outcomes.append(load(path, hints, sentinels))
+                    outcomes.append(load(path, sentinels))
                 except ParseError as exc:
                     outcomes.append((exc.row, exc.col, exc.cell))
                 except RaggedRows:
