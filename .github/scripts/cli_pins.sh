@@ -98,6 +98,24 @@ where = "fitted[0].state.models.0.trees[1].threshold[0]: "
 assert error["message"].startswith(where), error
 ' "$RUNNER_TEMP/overflow.err"
 
+echo "a chain plan without its target's model exits 3 at its models"
+python -c '
+import json, sys
+doc = json.load(open("tests/data/tree_plan_v2.json"))
+del doc["fitted"][0]["state"]["models"]["4"]
+json.dump(doc, open(sys.argv[1], "w"))
+' "$RUNNER_TEMP/no_model.json"
+rc=0
+imputeq apply --pipeline "$RUNNER_TEMP/no_model.json" --data tests/data/mixed.csv --out "$RUNNER_TEMP/no_model.csv" 2> "$RUNNER_TEMP/no_model.err" || rc=$?
+test "$rc" = 3
+python -c '
+import json, sys
+[line] = open(sys.argv[1]).read().splitlines()
+error = json.loads(line)
+assert error["error"] == "CorruptModel", error
+assert error["message"].startswith("fitted[0].state.models: "), error
+' "$RUNNER_TEMP/no_model.err"
+
 echo "console script builds a forest dependency graph"
 python -c '
 import json, sys

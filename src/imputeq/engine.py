@@ -428,49 +428,30 @@ def imputation_score(
     )
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    spec: ImputerSpec
-    roster_pos: int
-    n_predictors: int
-    outcome: ScoreOutcome | None  # None when skipped
-    skip_note: str = ""
-
-
 def select_imputer(
-    candidates: list[_Candidate], col: Column, alpha: float = DEFAULT_ALPHA
-) -> tuple[str, bool, dict[str, TestResult]]:
-    """Veto-then-argmax choice of the feature's imputer.
+    evaluations: list[ImputerEvaluation], roster: tuple[ImputerSpec, ...]
+) -> tuple[str, bool]:
+    """Veto-then-argmax choice of a feature's imputer, where evaluation i
+    scores roster entry i: the chosen id and whether it is the fallback.
 
-    Candidates whose pooled re-imputations fail the distribution test are
-    discarded.  The best remaining mean score wins; ties prefer fewer
-    predictors, then roster order.  When nothing but empirical sampling
-    remains eligible (or nothing at all), the fallback flag is raised.
+    A skipped evaluation, or one whose pooled re-imputations failed the
+    distribution test, is out.  The best remaining mean score wins; ties
+    prefer fewer predictors, then roster order.  When nothing but empirical
+    sampling remains (or nothing at all), the roster's first `apprandom`
+    candidate is the fallback.
     """
-    observed = col.observed_values()
-    verdicts: dict[str, TestResult] = {}
-    survivors = []
-    for c in candidates:
-        if c.outcome is None:
-            continue
-        verdict = distribution_compatible(col, observed, c.outcome.pooled, alpha)
-        verdicts[c.spec.id] = verdict
-        if not verdict.rejected:
-            survivors.append(c)
-
-    fallback = next(
-        (c for c in candidates if c.spec.family == "apprandom"), None
-    )
-    real_survivors = [s for s in survivors if s.spec.family != "apprandom"]
-    if not real_survivors:
+    if [e.imputer_id for e in evaluations] != [s.id for s in roster]:
+        raise InvalidArgument("expected one evaluation per roster entry, "
+                              "in roster order")
+    survivors = [(-e.delta_mean, e.n_predictors, i)
+                 for i, e in enumerate(evaluations)
+                 if not (e.skipped or e.bias.rejected)]
+    if all(roster[i].family == "apprandom" for *_, i in survivors):
+        fallback = next((s for s in roster if s.family == "apprandom"), None)
         if fallback is None:
             raise InvalidArgument("no empirical-sampling fallback in roster")
-        return fallback.spec.id, True, verdicts
-    best = min(
-        survivors,
-        key=lambda c: (-c.outcome.mean, c.n_predictors, c.roster_pos),
-    )
-    return best.spec.id, False, verdicts
+        return fallback.id, True
+    return roster[min(survivors)[2]].id, False
 
 
 def _check_assessable(t: Table, config: AssessConfig) -> None:
@@ -504,7 +485,8 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
     for fi, feature in enumerate(t.column_names):
         col = t.column(feature)
         mu = completeness(col)
-        candidates = []
+        observed = col.observed_values()
+        evaluations = []
         for ii, spec in enumerate(config.imputers):
             n_preds = len(folds.predictors(feature)) if (
                 spec.is_multivariate) else 0
@@ -515,37 +497,27 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
                     seed=task_seed(config.seed, fi, ii),
                 )
             except (UntrainableImputer, ImputerTrainingError) as exc:
-                candidates.append(_Candidate(spec, ii, n_preds, None, str(exc)))
-            else:
-                candidates.append(_Candidate(spec, ii, n_preds, outcome))
+                evaluations.append(ImputerEvaluation(
+                    spec.id, 0.0, 0.0, n_preds, None, True, (str(exc),)))
+                continue
+            bias = distribution_compatible(col, observed, outcome.pooled,
+                                           config.alpha)
+            evaluations.append(ImputerEvaluation(
+                spec.id, outcome.mean, outcome.std, n_preds, bias, False,
+                outcome.notes))
 
-        chosen, fallback_used, verdicts = select_imputer(
-            candidates, col, config.alpha
-        )
-        outcome = next(c.outcome for c in candidates if c.spec.id == chosen)
-        delta = 0.0 if outcome is None else outcome.mean
+        chosen, fallback_used = select_imputer(evaluations, config.imputers)
+        delta = next(e.delta_mean for e in evaluations
+                     if e.imputer_id == chosen)
         # nothing scorable; 100%-missing features land here
-        unscorable = all(c.outcome is None for c in candidates)
-
-        evaluations = tuple(
-            ImputerEvaluation(
-                imputer_id=c.spec.id,
-                delta_mean=c.outcome.mean if c.outcome else 0.0,
-                delta_std=c.outcome.std if c.outcome else 0.0,
-                n_predictors=c.n_predictors,
-                bias=verdicts.get(c.spec.id),
-                skipped=c.outcome is None,
-                notes=(c.outcome.notes if c.outcome else (c.skip_note,)),
-            )
-            for c in candidates
-        )
+        unscorable = all(e.skipped for e in evaluations)
         omega = quality_score(mu, delta)
         kept = True if config.threshold is None else omega >= config.threshold
         records.append(
             QualityRecord(
                 feature=feature,
                 completeness=mu,
-                evaluations=evaluations,
+                evaluations=tuple(evaluations),
                 chosen_imputer=chosen,
                 delta=delta,
                 omega=omega,
@@ -623,48 +595,42 @@ class PipelinePlan:
     missing_sentinels: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
 
     def __post_init__(self):
-        """Check the rules that span the plan, with SchemaError at the field:
-        a seed >= 0; imputers of schema columns, whose targets and the drop
-        list cover the schema once each; observed values (label codes, if
-        labelled) for a target that is not continuous; valid dependencies."""
-        fault = self._first_fault()
-        if fault:
-            raise SchemaError(*fault)
-
-    def _first_fault(self) -> tuple[str, str] | None:
-        """The (path, message) of the first rule that the plan breaks, in
-        the order of `__post_init__`, or None; a path is built only for a
-        fault."""
+        """Check the rules that span the plan, in this order, with
+        SchemaError at the field of the first one broken: a seed >= 0;
+        imputers of schema columns, whose targets and the drop list cover
+        the schema once each; observed values (label codes, if labelled)
+        for a target that is not continuous; valid dependencies.  A path is
+        built only for a fault."""
         if not _is_int(self.seed, 0):
-            return "seed", "expected an integer >= 0"
+            raise SchemaError("seed", "expected an integer >= 0")
         schema = {s.name: s for s in self.schema}
         names = set(schema)
         for i, f in enumerate(self.fitted):
             target = schema.get(f.target_column)
             if target is None:
-                return f"fitted[{i}].target_column", "expected a schema column"
+                raise SchemaError(f"fitted[{i}].target_column",
+                                  "expected a schema column")
             if not names.issuperset(f.predictor_columns):
-                return (f"fitted[{i}].predictor_columns",
-                        "expected schema columns")
+                raise SchemaError(f"fitted[{i}].predictor_columns",
+                                  "expected schema columns")
             labels = target.labels
             if not (f.observed_value_set.size
                     or target.kind is ColumnKind.CONTINUOUS):
-                return (f"fitted[{i}].observed_value_set",
-                        "expected the target's observed values")
+                raise SchemaError(f"fitted[{i}].observed_value_set",
+                                  "expected the target's observed values")
             if labels is not None and not (
                     labels and labels.keys() >= set(f.rounding_set)):
-                return (f"fitted[{i}].observed_value_set",
-                        "expected codes of the target's labels")
+                raise SchemaError(f"fitted[{i}].observed_value_set",
+                                  "expected codes of the target's labels")
         covered = [*(f.target_column for f in self.fitted), *self.drop_list]
         if not (len(covered) == len(names) and names == set(covered)):
-            return "drop_list", ("the fitted imputers and the drop list do "
-                                 "not cover the schema columns once each")
+            raise SchemaError("drop_list", "the fitted imputers and the drop "
+                              "list do not cover the schema columns once each")
         if self.dependencies is not None:
             try:
                 validate_dependency_dict(self.dependencies, list(schema))
             except InvalidArgument as exc:
-                return "dependencies", str(exc)
-        return None
+                raise SchemaError("dependencies", str(exc)) from exc
 
 
 def fit_pipeline(

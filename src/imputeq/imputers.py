@@ -323,7 +323,10 @@ def _apply_rounding(f, col, fills):
     with np.errstate(over="ignore", invalid="ignore"):
         unit_fills = _unit_position(fills, lo, hi)
         unit_obs = _unit_position(col.observed_values(), lo, hi)
-        marginal = float(np.concatenate([unit_obs, unit_fills]).mean())
+        # in the marginal, a fill that overflowed to an infinite position
+        # counts as its level, as the one-row marginal clamps it
+        marginal = float(np.concatenate([unit_obs, np.nan_to_num(
+            unit_fills, nan=math.nan, posinf=1.0, neginf=0.0)]).mean())
         # a batch with no observed cell takes its marginal from the
         # unclipped fills alone, which a regression can push outside [0, 1]
         rounded = adaptive_round_binary(unit_fills,
@@ -534,9 +537,10 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     descending-missingness order (ties by name), each refit against all the
     others, until the imputed cells stop moving or max_iter rounds pass.
     A column with no observed training value keeps its initial fill and is
-    not visited.  The last model per visited column is kept for transform;
-    the target always gets one.  The converged matrix stays in the state (not
-    serialized), so that `retarget` can give another column its model.
+    not visited, and with max_iter 0 no column is.  The last model per
+    visited column is kept for transform; the target always gets one.  The
+    converged matrix stays in the state (not serialized), so that
+    `retarget` can give another column its model.
 
     The chain works on the matrix column-major, `MT` (one C-contiguous row
     per column), and derives once, for each visited column, its observed
@@ -560,7 +564,7 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
         int(j)
         for j in np.argsort(-miss_counts, kind="mergesort")
         if 0 < miss_counts[j] < MT.shape[1]
-    ]
+    ] if params["max_iter"] else []
     # per visited column, in visiting order: its row of `MT`; the cells of
     # `MT`, as flat indices, of its other columns at its observed and at its
     # missing rows; those rows; and its delta scale
@@ -647,14 +651,12 @@ def _iterative_transform(f: FittedImputer, t: Table, missing_idx) -> np.ndarray:
     t_idx = names.index(f.target_column)
     order = [j for j in state["visit"] if j != t_idx] + [t_idx]
     for j in order:
-        model = state["models"].get(j)
-        if model is None:
-            continue
         rows_mis = masks[:, j]
         if not rows_mis.any():
             continue
         other = [i for i in range(M.shape[1]) if i != j]
-        M[rows_mis, j] = model_predict(model, M[rows_mis][:, other])
+        M[rows_mis, j] = model_predict(state["models"][j],
+                                       M[rows_mis][:, other])
     return M[missing_idx, t_idx]
 
 
@@ -774,4 +776,8 @@ def fitted_from_jsonable(d: dict, path: str = "fitted") -> FittedImputer:
             _require(0 <= j < len(cols), f"{at}.models.{j}",
                      "expected the index of a column")
             check_chain_model(m, est, len(cols) - 1, f"{at}.models.{j}")
+        _require(s["models"].keys() >= {*s["visit"],
+                                        cols.index(f["target_column"])},
+                 f"{at}.models", "expected a model for the target and for "
+                 "each visited column")
     return FittedImputer(**f)

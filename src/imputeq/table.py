@@ -340,21 +340,17 @@ def completeness(c: Column) -> float:
     return 1.0 - missing_fraction(c)
 
 
-def inject_mcar(
-    table: Table, rate: float, seed: int, protect: set[str] | None = None
-) -> Table:
+def inject_mcar(table: Table, rate: float, seed: int) -> Table:
     """Mask each observed cell independently with probability ``rate``.
 
-    Existing masks are preserved; columns named in ``protect`` are left
-    untouched.  Deterministic per seed.
+    Existing masks are preserved.  Deterministic per seed.
     """
     if not 0.0 <= rate < 1.0:
         raise InvalidArgument(f"rate must be in [0, 1), got {rate}")
-    protect = protect or set()
     rng = np.random.default_rng(seed)
     out = []
     for c in table.columns:
-        if c.name in protect or rate == 0.0:
+        if rate == 0.0:
             out.append(c)
             continue
         hit = rng.random(c.n_rows) < rate

@@ -255,7 +255,8 @@ def test_imputer_superiority_on_recoverable_signal():
             Column("y", y, np.zeros(n, dtype=bool), kind=ColumnKind.CONTINUOUS),
         )
     )
-    t = inject_mcar(t, 0.3, seed=1, protect={"x"})
+    t = t.with_column(inject_mcar(t.select_columns(["y"]), 0.3, seed=1)
+                      .column("y"))
 
     cfg = AssessConfig(
         imputers=(

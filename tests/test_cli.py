@@ -344,6 +344,27 @@ class TestFitApply:
         assert error["error"] == "CorruptModel"
         assert error["message"] == f"{where}: expected a finite float"
 
+    # a chain serves its target through the model of each column it
+    # visits, then the target's own: the plan must hold every one
+    @pytest.mark.parametrize("column", ["4", "0"],
+                             ids=["target-model", "visited-model"])
+    def test_chain_without_a_model_is_refused(self, tmp_path, capsys,
+                                              column):
+        doc = json.loads((DATA / "tree_plan_v2.json").read_text())
+        del doc["fitted"][0]["state"]["models"][column]
+        pipe = tmp_path / "pipe.json"
+        pipe.write_text(json.dumps(doc))
+        rc = main(["apply", "--pipeline", str(pipe),
+                   "--data", str(DATA / "mixed.csv"),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {
+            "error": "CorruptModel",
+            "message": "fitted[0].state.models: expected a model for the "
+                       "target and for each visited column"}
+        assert not (tmp_path / "o.csv").exists()
+
     def test_plan_with_predictor_first_chains_serves_the_same_rows(
         self, mixed_csv, tmp_path
     ):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imputeq import engine
+from imputeq import engine, stattests
 from imputeq.engine import (
     AssessConfig,
     ColumnSchema,
     Folds,
+    ImputerEvaluation,
     PipelinePlan,
     QualityRecord,
     ScoreOutcome,
-    _Candidate,
     apply_pipeline,
     assess,
     deserialize_pipeline,
@@ -65,7 +65,8 @@ def folds_of(t, splits, *roster, seed=0, deps=None):
     return Folds(t, splits, AssessConfig(roster, seed=seed, dependencies=deps))
 
 
-def linear_pair(n=300, noise=0.05, miss=0.3, seed=0, protect=("x",)):
+def linear_pair(n=300, noise=0.05, miss=0.3, seed=0):
+    """x, complete, and y = 2x + noise with MCAR gaps at rate `miss`."""
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 1, n)
     y = 2.0 * x + rng.normal(0, noise * x.std(), n)
@@ -73,7 +74,8 @@ def linear_pair(n=300, noise=0.05, miss=0.3, seed=0, protect=("x",)):
         ("x", x, ColumnKind.CONTINUOUS),
         ("y", y, ColumnKind.CONTINUOUS),
     ])
-    return inject_mcar(t, miss, seed=seed + 1, protect=protect)
+    gapped = inject_mcar(t.select_columns(["y"]), miss, seed=seed + 1)
+    return t.with_column(gapped.column("y"))
 
 
 BASIC_ROSTER = (
@@ -272,93 +274,157 @@ class TestImputationScore:
         assert np.array_equal(a.pooled, b.pooled)
 
 
-def surviving_outcome(col, value_sample):
-    # pooled values drawn from the observed sample itself always pass the veto
-    return ScoreOutcome(0.5, 0.0, np.asarray(value_sample, dtype=float), (0.5,))
+KS = stattests.TestKind.KS
+PASSED = stattests.TestResult(0.1, 0.9, KS, rejected=False)
+REJECTED = stattests.TestResult(0.9, 0.001, KS, rejected=True)
+
+
+def evaluation(spec, delta, n_predictors=0, bias=PASSED, skipped=False):
+    """The evaluation of `spec` that selection reads; a skipped one has no
+    score and no bias test."""
+    if skipped:
+        return ImputerEvaluation(spec.id, 0.0, 0.0, n_predictors, None, True)
+    return ImputerEvaluation(spec.id, delta, 0.0, n_predictors, bias, False)
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """A candidate as `reference_select` reads it: its spec, roster
+    position, predictor count and outcome (None when skipped)."""
+
+    spec: ImputerSpec
+    roster_pos: int
+    n_predictors: int
+    outcome: ScoreOutcome | None
+
+
+def reference_select(candidates, verdicts):
+    """The selection rule over `Candidate`s, each scored candidate's bias
+    test given by id in `verdicts`: the oracle for `select_imputer`."""
+    survivors = [c for c in candidates
+                 if c.outcome is not None and not verdicts[c.spec.id].rejected]
+    fallback = next(
+        (c for c in candidates if c.spec.family == "apprandom"), None
+    )
+    real_survivors = [s for s in survivors if s.spec.family != "apprandom"]
+    if not real_survivors:
+        if fallback is None:
+            raise InvalidArgument("no empirical-sampling fallback in roster")
+        return fallback.spec.id, True
+    best = min(
+        survivors,
+        key=lambda c: (-c.outcome.mean, c.n_predictors, c.roster_pos),
+    )
+    return best.spec.id, False
+
+
+FAMILY_PARAMS = {
+    "simple": {"statistic": "mean"},
+    "knn": {"n_neighbors": 3},
+    "iterative": {"estimator": "ridge"},
+    "apprandom": {},
+}
+
+
+@st.composite
+def scored_rosters(draw):
+    """A roster with zero to two `apprandom` entries anywhere, and one
+    evaluation per entry: tied scores and predictor counts, some skipped
+    and some rejected."""
+    entries = draw(st.lists(st.tuples(
+        st.sampled_from(["simple", "knn", "iterative"]),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.integers(0, 2),
+        st.sampled_from(["passed", "rejected", "skipped"]),
+    ), max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(entries)))
+        entries.insert(at, ("apprandom", *draw(st.tuples(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.just(0),
+            st.sampled_from(["passed", "rejected", "skipped"])))))
+    roster = tuple(ImputerSpec(f"c{i}", family, FAMILY_PARAMS[family])
+                   for i, (family, *_) in enumerate(entries))
+    evaluations = [
+        evaluation(spec, delta, n_preds, bias=REJECTED if state == "rejected"
+                   else PASSED, skipped=state == "skipped")
+        for spec, (_, delta, n_preds, state) in zip(roster, entries)
+    ]
+    return roster, evaluations
+
+
+def outcome_of(pick, *args):
+    try:
+        return pick(*args)
+    except InvalidArgument:
+        return "InvalidArgument"
 
 
 class TestSelectImputer:
-    def make_col(self, seed=0, n=200):
-        rng = np.random.default_rng(seed)
-        vals = rng.normal(0, 1, n)
-        return Column("f", vals, np.zeros(n, dtype=bool),
-                      kind=ColumnKind.CONTINUOUS)
+    A = ImputerSpec("a", "simple", {"statistic": "mean"})
+    B = ImputerSpec("b", "knn", {"n_neighbors": 3})
+    AR = ImputerSpec("ar", "apprandom", {})
 
     def test_highest_mean_wins(self):
-        col = self.make_col()
-        obs = col.observed_values()
-        cands = [
-            _Candidate(ImputerSpec("a", "simple", {"statistic": "mean"}), 0, 0,
-                       ScoreOutcome(0.4, 0.0, obs.copy(), (0.4,))),
-            _Candidate(ImputerSpec("b", "knn", {"n_neighbors": 3}), 1, 4,
-                       ScoreOutcome(0.8, 0.0, obs.copy(), (0.8,))),
-            _Candidate(ImputerSpec("ar", "apprandom", {}), 2, 0,
-                       ScoreOutcome(0.3, 0.0, obs.copy(), (0.3,))),
-        ]
-        chosen, fallback, verdicts = select_imputer(cands, col)
-        assert chosen == "b"
-        assert not fallback
-        assert set(verdicts) == {"a", "b", "ar"}
+        roster = (self.A, self.B, self.AR)
+        evaluations = [evaluation(self.A, 0.4), evaluation(self.B, 0.8, 4),
+                       evaluation(self.AR, 0.3)]
+        assert select_imputer(evaluations, roster) == ("b", False)
 
     def test_tie_prefers_fewer_predictors(self):
-        col = self.make_col()
-        obs = col.observed_values()
-        cands = [
-            _Candidate(ImputerSpec("wide", "knn", {"n_neighbors": 3}), 0, 6,
-                       ScoreOutcome(0.7, 0.0, obs.copy(), (0.7,))),
-            _Candidate(ImputerSpec("narrow", "simple", {"statistic": "mean"}),
-                       1, 0, ScoreOutcome(0.7, 0.0, obs.copy(), (0.7,))),
-            _Candidate(ImputerSpec("ar", "apprandom", {}), 2, 0,
-                       ScoreOutcome(0.1, 0.0, obs.copy(), (0.1,))),
-        ]
-        chosen, fallback, _ = select_imputer(cands, col)
-        assert chosen == "narrow"
-        assert not fallback
+        wide = ImputerSpec("wide", "knn", {"n_neighbors": 3})
+        narrow = ImputerSpec("narrow", "simple", {"statistic": "mean"})
+        roster = (wide, narrow, self.AR)
+        evaluations = [evaluation(wide, 0.7, 6), evaluation(narrow, 0.7),
+                       evaluation(self.AR, 0.1)]
+        assert select_imputer(evaluations, roster) == ("narrow", False)
 
     def test_full_tie_falls_back_to_roster_order(self):
-        col = self.make_col()
-        obs = col.observed_values()
-        cands = [
-            _Candidate(ImputerSpec("first", "simple", {"statistic": "mean"}),
-                       0, 0, ScoreOutcome(0.7, 0.0, obs.copy(), (0.7,))),
-            _Candidate(ImputerSpec("second", "simple", {"statistic": "median"}),
-                       1, 0, ScoreOutcome(0.7, 0.0, obs.copy(), (0.7,))),
-            _Candidate(ImputerSpec("ar", "apprandom", {}), 2, 0,
-                       ScoreOutcome(0.1, 0.0, obs.copy(), (0.1,))),
-        ]
-        chosen, _, _ = select_imputer(cands, col)
-        assert chosen == "first"
+        first = ImputerSpec("first", "simple", {"statistic": "mean"})
+        second = ImputerSpec("second", "simple", {"statistic": "median"})
+        roster = (first, second, self.AR)
+        evaluations = [evaluation(first, 0.7), evaluation(second, 0.7),
+                       evaluation(self.AR, 0.1)]
+        assert select_imputer(evaluations, roster) == ("first", False)
 
     def test_biased_candidate_is_vetoed(self):
-        col = self.make_col()
-        obs = col.observed_values()
-        constant = np.full(obs.size, float(obs.mean()))
-        cands = [
-            _Candidate(ImputerSpec("spiky", "simple", {"statistic": "mean"}),
-                       0, 0, ScoreOutcome(0.9, 0.0, constant, (0.9,))),
-            _Candidate(ImputerSpec("ok", "simple", {"statistic": "median"}),
-                       1, 0, ScoreOutcome(0.5, 0.0, obs.copy(), (0.5,))),
-            _Candidate(ImputerSpec("ar", "apprandom", {}), 2, 0,
-                       ScoreOutcome(0.2, 0.0, obs.copy(), (0.2,))),
-        ]
-        chosen, fallback, verdicts = select_imputer(cands, col)
-        assert verdicts["spiky"].rejected
-        assert chosen == "ok"
-        assert not fallback
+        # a rejected test stands in for a constant pooled sample
+        spiky = ImputerSpec("spiky", "simple", {"statistic": "mean"})
+        ok = ImputerSpec("ok", "simple", {"statistic": "median"})
+        roster = (spiky, ok, self.AR)
+        evaluations = [evaluation(spiky, 0.9, bias=REJECTED),
+                       evaluation(ok, 0.5), evaluation(self.AR, 0.2)]
+        assert select_imputer(evaluations, roster) == ("ok", False)
 
     def test_everything_vetoed_forces_fallback(self):
-        col = self.make_col()
-        obs = col.observed_values()
-        constant = np.full(obs.size, float(obs.mean()))
-        cands = [
-            _Candidate(ImputerSpec("spiky", "simple", {"statistic": "mean"}),
-                       0, 0, ScoreOutcome(0.9, 0.0, constant.copy(), (0.9,))),
-            _Candidate(ImputerSpec("ar", "apprandom", {}), 1, 0,
-                       ScoreOutcome(0.2, 0.0, obs.copy(), (0.2,))),
+        spiky = ImputerSpec("spiky", "simple", {"statistic": "mean"})
+        roster = (spiky, self.AR)
+        evaluations = [evaluation(spiky, 0.9, bias=REJECTED),
+                       evaluation(self.AR, 0.2)]
+        assert select_imputer(evaluations, roster) == ("ar", True)
+
+    @pytest.mark.parametrize("ids", [("a", "b"), ("b", "a", "ar"),
+                                     ("a", "b", "ar", "ar")],
+                             ids=["short", "reordered", "long"])
+    def test_roster_and_evaluations_must_pair_up(self, ids):
+        by_id = {s.id: s for s in (self.A, self.B, self.AR)}
+        evaluations = [evaluation(by_id[i], 0.5) for i in ids]
+        with pytest.raises(InvalidArgument, match="one evaluation per"):
+            select_imputer(evaluations, (self.A, self.B, self.AR))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_rosters())
+    def test_matches_the_candidate_rule(self, case):
+        roster, evaluations = case
+        candidates = [
+            Candidate(spec, i, e.n_predictors, None if e.skipped else
+                      ScoreOutcome(e.delta_mean, 0.0, np.empty(0),
+                                   (e.delta_mean,)))
+            for i, (spec, e) in enumerate(zip(roster, evaluations))
         ]
-        chosen, fallback, _ = select_imputer(cands, col)
-        assert chosen == "ar"
-        assert fallback
+        verdicts = {e.imputer_id: e.bias for e in evaluations
+                    if not e.skipped}
+        assert outcome_of(select_imputer, evaluations, roster) == outcome_of(
+            reference_select, candidates, verdicts)
 
 
 class TestAssess:
@@ -371,11 +437,23 @@ class TestAssess:
             assert 0.0 <= r.omega <= 1.0
 
     def test_complete_feature_gets_perfect_quality(self):
-        t = linear_pair(seed=6, protect=("x",))
+        t = linear_pair(seed=6)
         cfg = AssessConfig(imputers=BASIC_ROSTER, seed=2)
         by_name = {r.feature: r for r in assess(t, cfg)}
         assert by_name["x"].completeness == 1.0
         assert by_name["x"].omega == 1.0
+
+    def test_best_scoring_biased_candidate_is_not_chosen(self):
+        # the mean fill lands closest to the truth, but its constant
+        # re-imputations fail the KS test, so the fallback is picked
+        t = linear_pair(seed=6)
+        cfg = AssessConfig(imputers=BASIC_ROSTER[::2], seed=2)
+        (y,) = [r for r in assess(t, cfg) if r.feature == "y"]
+        mean, apprandom = y.evaluations
+        assert mean.delta_mean > apprandom.delta_mean
+        assert mean.bias.test is KS and mean.bias.rejected
+        assert (y.chosen_imputer, y.fallback_used) == ("apprandom", True)
+        assert y.delta == apprandom.delta_mean
 
     def test_deterministic_across_runs(self):
         t = linear_pair(seed=8)

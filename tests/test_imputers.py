@@ -27,7 +27,9 @@ from imputeq.imputers import (
     fit,
     fitted_from_jsonable,
     fitted_to_jsonable,
+    retarget,
     transform,
+    with_fills,
 )
 from imputeq.metrics import nrmse_score
 from imputeq.report import from_jsonable, loads_document
@@ -303,6 +305,17 @@ class TestOneCellRounding:
         assert _row0(f, ColumnKind.BINARY, 1).startswith(
             "marginal must be in [0, 1]")
 
+    @pytest.mark.parametrize("fills", [[1e300, -1e300], [1e300, 0.0]],
+                             ids=["inf-and-minus-inf", "inf-and-low-level"])
+    def test_fill_far_beyond_a_tiny_span_counts_as_its_level(self, fills):
+        # over levels 0 and 1e-300 the unit positions of these fills are
+        # +inf and -inf (or 0): in the marginal each counts as its level
+        f = FittedImputer(simple("mean"), "x", (), {"fill": 0.0},
+                          np.array([0.0, 1e-300]))
+        t = Table((col("x", [np.nan, np.nan], ColumnKind.BINARY),))
+        got = with_fills(f, t, np.array(fills)).column("x").values
+        assert got.tobytes() == np.array([1e-300, 0.0]).tobytes()
+
     def test_midpoint_takes_the_smaller_neighbour(self):
         f = FittedImputer(simple("mean"), "x", (), {"fill": 1.5},
                           np.array([1.0, 2.0]))
@@ -424,6 +437,27 @@ class TestIterative:
         # model fit on mode-initialized data; the fill for a fresh table with
         # zero refinement is the training-time mode when no model ran
         assert f.state["visit"] == () or f.state["deltas"] == []
+
+    def test_max_iter_zero_chain_serves_as_its_own_fit(self):
+        # with no round no column is visited, so the chain holds the
+        # target's model alone: its plan loads, and the chain fit for the
+        # other column serves this target as its own fit does
+        rng = np.random.default_rng(7)
+        x = rng.normal(0, 1, 60)
+        y = 2.0 * x
+        x[rng.random(60) < 0.3] = np.nan
+        y[rng.random(60) < 0.3] = np.nan
+        t = Table((col("x", x, ColumnKind.CONTINUOUS),
+                   col("y", y, ColumnKind.CONTINUOUS)))
+        spec = self.iter_spec(max_iter=0)
+        f = fit(spec, t, "y", ("x",))
+        assert f.state["visit"] == () and list(f.state["models"]) == [1]
+        loaded = fitted_from_jsonable(
+            json.loads(json.dumps(fitted_to_jsonable(f))))
+        shared = retarget(fit(spec, t, "x", ("y",)), t, "y", ("x",))
+        want = transform(f, t).column("y").values.tobytes()
+        assert transform(loaded, t).column("y").values.tobytes() == want
+        assert transform(shared, t).column("y").values.tobytes() == want
 
     def test_delta_trend_non_increasing_late(self):
         t, _ = linear_pair_table(seed=3)

@@ -381,12 +381,11 @@ class TestMissingness:
         assert missing_fraction(c) == 0.5
         assert completeness(c) == 0.5
 
-    def test_inject_mcar_rate_and_protect(self):
+    def test_inject_mcar_rate(self):
         cols = tuple(
-            make_column(f"f{i}", np.arange(4000, dtype=float)) for i in range(3)
+            make_column(f"f{i}", np.arange(4000, dtype=float)) for i in range(2)
         )
-        t = inject_mcar(Table(cols), 0.3, seed=11, protect={"f2"})
-        assert t.column("f2").n_missing() == 0
+        t = inject_mcar(Table(cols), 0.3, seed=11)
         for name in ("f0", "f1"):
             frac = missing_fraction(t.column(name))
             assert abs(frac - 0.3) < 0.03
