@@ -206,3 +206,27 @@ import json, sys
 error = json.loads(open(sys.argv[1]).read().splitlines()[-1])
 assert error["error"] == "DegenerateInput", error
 ' "$RUNNER_TEMP/huge.err"
+
+echo "a fold-score spread that overflows exits 3 with one error line"
+python -c '
+import json, sys
+import numpy as np
+a = [repr(float(v)) for v in np.linspace(0, 1e-100, 18)] + [repr(1e100), repr(2e100)]
+with open(sys.argv[1] + "/spread.csv", "w") as f:
+    f.write("a,b\n")
+    for i in range(20):
+        f.write(a[i] + "," + str(i) + "\n")
+json.dump({"data": {"path": sys.argv[1] + "/spread.csv"}, "seed": 2,
+           "splitter": {"type": "kfold", "params": {"k": 2}},
+           "imputers": [{"id": "mean", "family": "simple", "params": {"statistic": "mean"}}]},
+          open(sys.argv[1] + "/spread.json", "w"))
+' "$RUNNER_TEMP"
+rc=0
+imputeq assess --config "$RUNNER_TEMP/spread.json" --out "$RUNNER_TEMP/spread_quality.json" 2> "$RUNNER_TEMP/spread.err" || rc=$?
+test "$rc" = 3
+python -c '
+import json, sys
+[line] = open(sys.argv[1]).read().splitlines()
+error = json.loads(line)
+assert error["error"] == "DegenerateInput", error
+' "$RUNNER_TEMP/spread.err"

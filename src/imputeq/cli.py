@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -241,28 +240,6 @@ def cmd_recommend_m(args) -> int:
     return EXIT_OK
 
 
-def _check_scores(threshold, records) -> None:
-    """Raise CorruptModel at a chosen imputer that none of its record's
-    evaluations names, or at the first decoded value out of its range (the
-    decoder has refused every float that is not finite)."""
-    ranges = [("threshold", threshold, 1.0)] * (threshold is not None)
-    for i, r in enumerate(records):
-        if all(e.imputer_id != r.chosen_imputer for e in r.evaluations):
-            raise CorruptModel(f"records[{i}].chosen_imputer: expected the "
-                               "id of one of the record's imputers")
-        ranges += [(f"records[{i}].{k}", getattr(r, k), 1.0)
-                   for k in ("completeness", "delta", "omega")]
-        for j, e in enumerate(r.evaluations):
-            at = f"records[{i}].imputers[{j}]"
-            ranges.append((f"{at}.delta_std", e.delta_std, math.inf))
-            if e.bias is not None:
-                ranges += [(f"{at}.bias.statistic", e.bias.statistic, math.inf),
-                           (f"{at}.bias.p_value", e.bias.p_value, 1.0)]
-    for path, v, hi in ranges:
-        if not 0.0 <= v <= hi:
-            raise CorruptModel(f"{path}: expected a number in [0, {hi:g}]")
-
-
 # the fields of a records document; `columns` is written only when given
 _RECORDS_FIELDS = {"threshold": float | None,
                    "records": list[QualityRecord], "columns": list[dict]}
@@ -275,15 +252,16 @@ def cmd_report(args) -> int:
         raise SchemaError("threshold", "expected a number in [0, 1]")
     try:
         values = from_jsonable(_RECORDS_FIELDS, body, "")
-    except SchemaError as exc:
+    except SchemaError as exc:  # each record judges its own values
         raise CorruptModel(str(exc)) from exc
-    _check_scores(values["threshold"], values["records"])
-    if not values["records"]:
+    records, threshold = values["records"], values["threshold"]
+    if threshold is not None and not 0.0 <= threshold <= 1.0:
+        raise CorruptModel("threshold: expected a number in [0, 1]")
+    if not records:
         raise DegenerateInput("no records to draw")
-    threshold = values["threshold"] if args.threshold is None else (
-        args.threshold)
-    write_bytes_atomic(args.out, emit_quality_svg(body["records"], threshold))
-    print(quality_summary_text(body["records"]))
+    write_bytes_atomic(args.out, emit_quality_svg(
+        records, threshold if args.threshold is None else args.threshold))
+    print(quality_summary_text(records))
     print(f"wrote {args.out}")
     return EXIT_OK
 

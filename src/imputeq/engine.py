@@ -206,6 +206,16 @@ class ImputerEvaluation:
     notes: tuple[str, ...] = ()
     json_keys = {"imputer_id": "id"}
 
+    def __post_init__(self):
+        """Scores in range, and a bias test exactly when the candidate was
+        scored, or SchemaError at the field."""
+        _require(_is_number(self.delta_mean, 0.0, 1.0), "delta_mean",
+                 "expected a number in [0, 1]")
+        _require(_is_number(self.delta_std, 0.0), "delta_std",
+                 "expected a number in [0, inf]")
+        _require((self.bias is None) == self.skipped, "bias",
+                 "expected a test result exactly when not skipped")
+
 
 @dataclass(frozen=True)
 class QualityRecord:
@@ -219,6 +229,16 @@ class QualityRecord:
     fallback_used: bool
     notes: tuple[str, ...] = ()
     json_keys = {"evaluations": "imputers"}
+
+    def __post_init__(self):
+        """Scores in [0, 1] and a chosen imputer that one of the evaluations
+        names, or SchemaError at the field."""
+        for name in ("completeness", "delta", "omega"):
+            _require(_is_number(getattr(self, name), 0.0, 1.0), name,
+                     "expected a number in [0, 1]")
+        _require(any(e.imputer_id == self.chosen_imputer
+                     for e in self.evaluations), "chosen_imputer",
+                 "expected the id of one of the record's imputers")
 
 
 def quality_score(mu: float, delta: float) -> float:
@@ -414,14 +434,15 @@ def imputation_score(
         raise UntrainableImputer(
             f"{spec.id}: no scorable fold for {feature!r}"
         )
-    raw_mean = float(np.mean(fold_scores))
-    if not math.isfinite(raw_mean):
-        raise DegenerateInput(
-            f"{spec.id}: score for {feature!r} is not finite ({raw_mean})")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        raw_mean = float(np.mean(fold_scores))
+        std = float(np.std(fold_scores))
+    if not (math.isfinite(raw_mean) and math.isfinite(std)):
+        raise DegenerateInput(f"{spec.id}: score for {feature!r} is not "
+                              f"finite (mean {raw_mean}, std {std})")
     mean = min(max(raw_mean, 0.0), 1.0)
     if mean != raw_mean:
         notes.add("clamped")
-    std = float(np.std(fold_scores))
     return ScoreOutcome(
         mean, std, np.concatenate(pooled), tuple(fold_scores),
         tuple(sorted(notes)),

@@ -706,18 +706,7 @@ def censor_to_observed(values: np.ndarray, observed_set: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# serialization (arrays may hold NaN, which JSON cannot; None stands in)
-
-
-def encode_array(a: np.ndarray) -> list:
-    a = np.asarray(a, dtype=float)
-    nan = np.isnan(a)
-    if not nan.any():
-        return a.tolist()
-    out = a.astype(object)
-    out[nan] = None
-    return out.tolist()
-
+# serialization
 
 # a kNN's reference rows: a missing cell is NaN, and null in a plan
 NanMatrix = Annotated[np.ndarray, list[list[float | None]]]
@@ -739,10 +728,9 @@ def fitted_to_jsonable(f: FittedImputer) -> dict:
         "spec": f.spec.to_jsonable(),
         "target_column": f.target_column,
         "predictor_columns": list(f.predictor_columns),
-        "state": {name: (encode_array if tp is NanMatrix else to_jsonable)(
-                      f.state[name])
-                  for name, tp in STORED_STATE[f.spec.family].items()},
-        "observed_value_set": encode_array(f.observed_value_set),
+        "state": {name: to_jsonable(f.state[name])
+                  for name in STORED_STATE[f.spec.family]},
+        "observed_value_set": f.observed_value_set.tolist(),
     }
 
 

@@ -84,13 +84,15 @@ _LEAVES = frozenset({str, int, float, bool, type(None)})
 def to_jsonable(x):
     """The JSON document of `x`, the one encoder of every plan, record and
     audit document: a dataclass is an object of its fields under their
-    `_document_keys`, an array its `tolist()`, a tuple a list, an enum its
-    value, and a dict's keys are strings.  Anything else is left as it is,
-    for `json.dumps` to write or refuse."""
+    `_document_keys`, an array its `tolist()` with null for each NaN, a
+    tuple a list, an enum its value, and a dict's keys are strings.
+    Anything else is left as it is, for `json.dumps` to write or refuse."""
     if type(x) in _LEAVES:
         return x
     if isinstance(x, np.ndarray):
-        return x.tolist()
+        if x.dtype.kind != "f" or not np.isnan(x).any():
+            return x.tolist()
+        return np.where(np.isnan(x), None, x.astype(object)).tolist()
     if isinstance(x, (list, tuple)):
         return [v if type(v) in _LEAVES else to_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -336,26 +338,15 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _chosen_std(record: dict) -> float:
-    for e in record["imputers"]:
-        if e["id"] == record["chosen_imputer"]:
-            return e["delta_std"]
-    raise InvalidArgument(f"feature {record['feature']!r}: chosen_imputer "
-                          "names none of its imputers")
-
-
-def emit_quality_svg(
-    records_jsonable: list[dict], threshold: float | None = None
-) -> bytes:
-    """Horizontal stacked bars, one per feature, sorted by descending omega.
+def emit_quality_svg(records, threshold: float | None = None) -> bytes:
+    """Horizontal stacked bars, one per record, sorted by descending omega.
 
     Blue encodes completeness mu, orange the recovered portion (1-mu)*delta,
     so the stack length is the quality omega.  A whisker marks the fold-std
     spread, a dashed line the keep/drop threshold, and features that fell
     back to random sampling get their name drawn in red.
     """
-    records = sorted(records_jsonable,
-                     key=lambda r: (-r["omega"], r["feature"]))
+    records = sorted(records, key=lambda r: (-r.omega, r.feature))
     n = len(records)
     width = MARGIN_LEFT + AXIS_LEN + MARGIN_RIGHT
     rows_h = n * (BAR_HEIGHT + BAR_GAP)
@@ -372,17 +363,17 @@ def emit_quality_svg(
     ]
 
     for i, rec in enumerate(records):
-        mu, delta, omega = rec["completeness"], rec["delta"], rec["omega"]
+        mu, delta, omega = rec.completeness, rec.delta, rec.omega
         y = MARGIN_TOP + i * (BAR_HEIGHT + BAR_GAP)
         w_mu = mu * AXIS_LEN
         w_delta = (1.0 - mu) * delta * AXIS_LEN
         cy = y + BAR_HEIGHT / 2.0
-        name_fill = COLOR_FALLBACK_NAME if rec["fallback_used"] else COLOR_NAME
+        name_fill = COLOR_FALLBACK_NAME if rec.fallback_used else COLOR_NAME
         parts.append('<g class="feature-row">')
         parts.append(
             f'<text class="feature-name" x="{x0 - 8:g}" y="{cy + 4:.2f}" '
             f'text-anchor="end" font-family="sans-serif" font-size="12" '
-            f'fill="{name_fill}">{escape(rec["feature"])}</text>'
+            f'fill="{name_fill}">{escape(rec.feature)}</text>'
         )
         if w_mu > 0:
             parts.append(
@@ -396,7 +387,9 @@ def emit_quality_svg(
                 f'y="{_fmt(y)}" width="{_fmt(w_delta)}" '
                 f'height="{BAR_HEIGHT}" fill="{COLOR_IMPUTATION}"/>'
             )
-        half = (1.0 - mu) * _chosen_std(rec) * AXIS_LEN
+        std = next(e.delta_std for e in rec.evaluations
+                   if e.imputer_id == rec.chosen_imputer)
+        half = (1.0 - mu) * std * AXIS_LEN
         if half > 0:
             lo = max(x0, x0 + omega * AXIS_LEN - half)
             hi = min(x0 + AXIS_LEN, x0 + omega * AXIS_LEN + half)
@@ -445,24 +438,22 @@ def emit_quality_svg(
     return "\n".join(parts).encode("utf-8")
 
 
-def quality_summary_text(records_jsonable: list[dict]) -> str:
-    """Human-oriented digest printed by the report command."""
+def quality_summary_text(records) -> str:
+    """Human-oriented digest of the records, printed by the report command."""
     lines = []
-    ordered = sorted(records_jsonable,
-                     key=lambda r: (-r["omega"], r["feature"]))
-    for r in ordered:
+    for r in sorted(records, key=lambda r: (-r.omega, r.feature)):
         flags = []
-        if not r["kept"]:
+        if not r.kept:
             flags.append("drop")
-        if r["fallback_used"]:
+        if r.fallback_used:
             flags.append("fallback")
         suffix = f" [{', '.join(flags)}]" if flags else ""
         lines.append(
-            f"{r['feature']}: omega={r['omega']:.3f} "
-            f"mu={r['completeness']:.3f} "
-            f"delta={r['delta']:.3f} "
-            f"imputer={r['chosen_imputer']}{suffix}"
+            f"{r.feature}: omega={r.omega:.3f} "
+            f"mu={r.completeness:.3f} "
+            f"delta={r.delta:.3f} "
+            f"imputer={r.chosen_imputer}{suffix}"
         )
-    kept = sum(1 for r in records_jsonable if r["kept"])
-    lines.append(f"{kept}/{len(records_jsonable)} features kept")
+    kept = sum(1 for r in records if r.kept)
+    lines.append(f"{kept}/{len(records)} features kept")
     return "\n".join(lines)

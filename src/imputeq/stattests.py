@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, kolmogorov
 
-from .errors import DegenerateInput, InvalidArgument
+from .errors import DegenerateInput, InvalidArgument, _require
+from .estimators import _is_number
 from .table import Column, ColumnKind
 
 SMALL_SAMPLE_N = 30  # below this the asymptotic p-values get rough
@@ -38,6 +39,14 @@ class TestResult:
     test: TestKind
     rejected: bool
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        """A statistic in [0, inf) and a p-value in [0, 1], or SchemaError
+        at the field."""
+        _require(_is_number(self.statistic, 0.0), "statistic",
+                 "expected a number in [0, inf]")
+        _require(_is_number(self.p_value, 0.0, 1.0), "p_value",
+                 "expected a number in [0, 1]")
 
 
 def ks_two_sample(a, b, alpha: float = 0.05) -> TestResult:

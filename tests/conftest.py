@@ -16,11 +16,13 @@ import pytest
 
 from imputeq.engine import (
     AssessConfig,
+    ImputerEvaluation,
     QualityRecord,
     fit_pipeline,
     serialize_pipeline,
 )
 from imputeq.imputers import ImputerSpec
+from imputeq.stattests import TestKind, TestResult
 from imputeq.table import ColumnKind, infer_column_kinds, label_encode, load_csv
 
 N_ROWS = 920
@@ -156,15 +158,22 @@ def mixed_csv(tmp_path_factory):
     return str(path)
 
 
+def picked(feature, chosen, kept=True):
+    """A record that picks imputer `chosen` for `feature` and keeps it or
+    not: what `fit_pipeline` reads of a record, around one passing
+    evaluation of `chosen`."""
+    bias = TestResult(0.0, 1.0, TestKind.KS, rejected=False)
+    scored = ImputerEvaluation(chosen, 0.5, 0.0, 0, bias, False)
+    return QualityRecord(feature, 0.8, (scored,), chosen, 0.5, 0.9, kept,
+                         False)
+
+
 def _write_plan(csv_path, columns, out):
     """Fit a plan on `csv_path` that imputes each column with the imputer
     `columns` names for it, and write it to `out`."""
     t = infer_column_kinds(label_encode(load_csv(csv_path)))
     assert [c.kind for c in t.columns] == [kind for kind, _ in columns.values()]
-    records = [
-        QualityRecord(name, 0.8, (), chosen, 0.5, 0.9, True, False)
-        for name, (_, chosen) in columns.items()
-    ]
+    records = [picked(name, chosen) for name, (_, chosen) in columns.items()]
     config = AssessConfig(imputers=PLAN_ROSTER, seed=4)
     out.write_bytes(serialize_pipeline(fit_pipeline(t, records, config)))
     return str(out)

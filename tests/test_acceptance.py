@@ -18,7 +18,9 @@ from imputeq import (
     Column,
     ColumnKind,
     DependencyGraph,
+    ImputerEvaluation,
     ImputerSpec,
+    QualityRecord,
     Table,
     apply_pipeline,
     assess,
@@ -41,6 +43,7 @@ from imputeq import (
     single_imputer_strategy,
     transitive_dependencies,
 )
+from imputeq import stattests
 from imputeq.imputers import adaptive_round_binary, fit, transform
 from imputeq.stattests import distribution_compatible
 
@@ -431,27 +434,11 @@ def test_pipeline_round_trip_and_deterministic_reports():
 
 
 def _svg_record(feature, mu, delta, fallback=False):
-    return {
-        "feature": feature,
-        "completeness": mu,
-        "delta": delta,
-        "omega": quality_score(mu, delta),
-        "chosen_imputer": "mean",
-        "kept": True,
-        "fallback_used": fallback,
-        "notes": [],
-        "imputers": [
-            {
-                "id": "mean",
-                "delta_mean": delta,
-                "delta_std": 0.05,
-                "n_predictors": 0,
-                "skipped": False,
-                "bias": None,
-                "notes": [],
-            }
-        ],
-    }
+    bias = stattests.TestResult(0.0, 1.0, stattests.TestKind.KS,
+                                rejected=False)
+    scored = ImputerEvaluation("mean", delta, 0.05, 0, bias, False)
+    return QualityRecord(feature, mu, (scored,), "mean", delta,
+                         quality_score(mu, delta), True, fallback)
 
 
 def test_svg_report_contract():
@@ -471,8 +458,8 @@ def test_svg_report_contract():
         for node in dom.getElementsByTagName("text")
         if node.getAttribute("class") == "feature-name"
     ]
-    by_omega = sorted(records, key=lambda r: (-r["omega"], r["feature"]))
-    assert names == [r["feature"] for r in by_omega]
+    by_omega = sorted(records, key=lambda r: (-r.omega, r.feature))
+    assert names == [r.feature for r in by_omega]
 
     mu_widths = {}
     delta_widths = {}
@@ -485,16 +472,16 @@ def test_svg_report_contract():
         for rect in row.getElementsByTagName("rect"):
             width = float(rect.getAttribute("width"))
             if rect.getAttribute("class") == "mu-bar":
-                mu_widths[rec["feature"]] = width
+                mu_widths[rec.feature] = width
             elif rect.getAttribute("class") == "delta-bar":
-                delta_widths[rec["feature"]] = width
+                delta_widths[rec.feature] = width
     for rec in records:
-        expected_mu = rec["completeness"] * axis_len
-        expected_delta = (1.0 - rec["completeness"]) * rec["delta"] * axis_len
+        expected_mu = rec.completeness * axis_len
+        expected_delta = (1.0 - rec.completeness) * rec.delta * axis_len
         if expected_mu > 0:
-            assert abs(mu_widths[rec["feature"]] - expected_mu) <= 0.5
+            assert abs(mu_widths[rec.feature] - expected_mu) <= 0.5
         if expected_delta > 0:
-            assert abs(delta_widths[rec["feature"]] - expected_delta) <= 0.5
+            assert abs(delta_widths[rec.feature] - expected_delta) <= 0.5
 
     fills = {
         node.firstChild.nodeValue: node.getAttribute("fill")

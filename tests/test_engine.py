@@ -49,6 +49,8 @@ from imputeq.imputers import (
 )
 from imputeq.table import Column, ColumnKind, Table, inject_mcar, kfold_split
 
+from conftest import picked
+
 
 def make_table(columns):
     cols = []
@@ -224,6 +226,18 @@ class TestImputationScore:
         splits = kfold_split(t.n_rows, 3, 0)
         spec = ImputerSpec("m", "simple", {"statistic": "mean"})
         with pytest.raises(DegenerateInput, match="not finite"):
+            imputation_score("a", spec, folds_of(t, splits, spec), seed=1)
+
+    def test_infinite_fold_spread_is_rejected(self):
+        # cells near 0 with two near 1e100: the fold scores have a finite
+        # mean, but their std overflows; a named error, never a record with
+        # an inf spread
+        a = np.concatenate([np.linspace(0.0, 1e-100, 18), [1e100, 2e100]])
+        t = make_table([("a", a, ColumnKind.CONTINUOUS),
+                        ("b", np.arange(20.0), ColumnKind.CONTINUOUS)])
+        splits = kfold_split(t.n_rows, 2, 2)
+        spec = ImputerSpec("m", "simple", {"statistic": "mean"})
+        with pytest.raises(DegenerateInput, match=r"not finite .*std inf"):
             imputation_score("a", spec, folds_of(t, splits, spec), seed=1)
 
     def test_pooled_only_covers_observed_cells(self):
@@ -411,6 +425,16 @@ class TestSelectImputer:
         with pytest.raises(InvalidArgument, match="one evaluation per"):
             select_imputer(evaluations, (self.A, self.B, self.AR))
 
+    def test_scored_evaluation_without_a_bias_test_is_refused(self):
+        # `select_imputer` read `bias.rejected` of such an evaluation and
+        # raised a bare AttributeError; it is now refused where it is built
+        with pytest.raises(SchemaError) as info:
+            select_imputer([ImputerEvaluation(self.A.id, 0.5, 0.0, 0, None,
+                                              False),
+                            evaluation(self.AR, 0.2, skipped=True)],
+                           (self.A, self.AR))
+        assert info.value.path == "bias"
+
     @settings(max_examples=300, deadline=None)
     @given(scored_rosters())
     def test_matches_the_candidate_rule(self, case):
@@ -425,6 +449,53 @@ class TestSelectImputer:
                     if not e.skipped}
         assert outcome_of(select_imputer, evaluations, roster) == outcome_of(
             reference_select, candidates, verdicts)
+
+
+SCORED = ImputerEvaluation("m", 0.5, 0.1, 2, PASSED, False)
+RECORD = QualityRecord("a", 0.8, (SCORED,), "m", 0.5, 0.9, True, False)
+NAN, INF = float("nan"), float("inf")
+
+
+def out_of_range(valid, field, *values):
+    return [pytest.param(valid, field, v,
+                         id=f"{type(valid).__name__}.{field}={v!r}")
+            for v in values]
+
+
+class TestRecordRules:
+    @pytest.mark.parametrize("valid, field, value", [
+        *out_of_range(PASSED, "statistic", -0.5, NAN, INF, "0.1"),
+        *out_of_range(PASSED, "p_value", -0.1, 1.5, NAN, INF),
+        *out_of_range(SCORED, "delta_mean", -0.1, 1.5, NAN, INF),
+        *out_of_range(SCORED, "delta_std", -0.1, NAN, INF),
+        *[p for name in ("completeness", "delta", "omega")
+          for p in out_of_range(RECORD, name, -0.1, 1.5, NAN, INF, True)],
+    ])
+    def test_value_out_of_range_is_refused_at_its_field(self, valid, field,
+                                                        value):
+        with pytest.raises(SchemaError) as info:
+            replace(valid, **{field: value})
+        assert info.value.path == field
+
+    def test_bounds_are_in_range(self):
+        replace(PASSED, statistic=0.0, p_value=0.0)
+        replace(PASSED, p_value=1.0)
+        replace(SCORED, delta_mean=1.0, delta_std=0.0)
+        replace(RECORD, completeness=0.0, delta=1.0, omega=1.0)
+
+    def test_bias_test_exactly_when_scored(self):
+        skipped = ImputerEvaluation("m", 0.0, 0.0, 0, None, True)
+        with pytest.raises(SchemaError, match="^bias: "):
+            replace(skipped, bias=PASSED)
+        with pytest.raises(SchemaError, match="^bias: "):
+            replace(SCORED, bias=None)
+
+    def test_unknown_chosen_imputer_is_refused(self):
+        # `emit_quality_svg` refused such a record when it drew it
+        with pytest.raises(SchemaError, match="^chosen_imputer: "):
+            replace(RECORD, chosen_imputer="nobody")
+        with pytest.raises(SchemaError, match="^chosen_imputer: "):
+            replace(RECORD, evaluations=())
 
 
 class TestAssess:
@@ -769,8 +840,7 @@ class TestSharedWork:
         cfg = AssessConfig((RIDGE, FOREST), seed=4)
         chosen = {"A": "iter_forest", "B": "iter_ridge", "C": "iter_forest",
                   "D": "iter_ridge"}
-        records = [QualityRecord(f, 0.8, (), c, 0.5, 0.9, True, False)
-                   for f, c in chosen.items()]
+        records = [picked(f, c) for f, c in chosen.items()]
         fits = []
 
         def spy(spec, train, target, predictors):

@@ -23,7 +23,6 @@ from imputeq.imputers import (
     apprandom_sample,
     censor_to_observed,
     default_imputer_roster,
-    encode_array,
     fit,
     fitted_from_jsonable,
     fitted_to_jsonable,
@@ -32,7 +31,7 @@ from imputeq.imputers import (
     with_fills,
 )
 from imputeq.metrics import nrmse_score
-from imputeq.report import from_jsonable, loads_document
+from imputeq.report import from_jsonable, loads_document, to_jsonable
 from imputeq.stattests import chi2_independence
 from imputeq.table import Column, ColumnKind, Table
 
@@ -556,7 +555,7 @@ class TestRosterAndSerialization:
 
     def test_array_codec_roundtrip(self):
         a = np.array([[1.0, np.nan, 3.5]])
-        back = from_jsonable(NanMatrix, encode_array(a), "ref_X")
+        back = from_jsonable(NanMatrix, to_jsonable(a), "ref_X")
         np.testing.assert_array_equal(np.isnan(a), np.isnan(back))
         np.testing.assert_allclose(a[~np.isnan(a)], back[~np.isnan(back)])
 
@@ -612,7 +611,7 @@ class TestRosterAndSerialization:
             return [per_value(row) for row in x]
 
         # repr tells -0.0 from 0.0, and a float from None or an int
-        assert repr(encode_array(a)) == repr(per_value(a))
+        assert repr(to_jsonable(a)) == repr(per_value(a))
 
     # each family's stored state; "q" has missing cells, so a kNN fit that
     # reads it holds NaN reference cells

@@ -5,7 +5,8 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from imputeq.errors import InvalidArgument
+from imputeq import stattests
+from imputeq.engine import ImputerEvaluation, QualityRecord
 from imputeq.report import (
     AXIS_LEN,
     COLOR_FALLBACK_NAME,
@@ -15,27 +16,20 @@ from imputeq.report import (
     emit_quality_svg,
     quality_document,
     quality_summary_text,
+    to_jsonable,
     write_bytes_atomic,
 )
 from imputeq.table import Column, ColumnKind, Table
 
+PASSED = stattests.TestResult(0.0, 1.0, stattests.TestKind.KS,
+                              rejected=False)
+
 
 def record(feature, mu, delta, fallback=False, kept=True, std=0.0,
            imputer="mean"):
-    return {
-        "feature": feature,
-        "completeness": mu,
-        "delta": delta,
-        "omega": mu + (1 - mu) * delta,
-        "chosen_imputer": imputer,
-        "kept": kept,
-        "fallback_used": fallback,
-        "notes": [],
-        "imputers": [
-            {"id": imputer, "delta_mean": delta, "delta_std": std,
-             "n_predictors": 0, "skipped": False, "bias": None, "notes": []},
-        ],
-    }
+    scored = ImputerEvaluation(imputer, delta, std, 0, PASSED, False)
+    return QualityRecord(feature, mu, (scored,), imputer, delta,
+                         mu + (1 - mu) * delta, kept, fallback)
 
 
 def rects_by_class(dom, cls):
@@ -144,11 +138,6 @@ class TestSvgGeometry:
         ]
         assert len(whiskers) == 1
 
-    def test_unknown_chosen_imputer_names_its_feature(self):
-        rec = dict(record("age", 0.5, 0.5), chosen_imputer="nobody")
-        with pytest.raises(InvalidArgument, match=r"^feature 'age': "):
-            emit_quality_svg([record("a", 0.5, 0.5), rec])
-
     def test_names_are_escaped(self):
         svg = emit_quality_svg([record("a<b>&c", 0.5, 0.5)])
         dom = xml.dom.minidom.parseString(svg)
@@ -159,7 +148,8 @@ class TestSvgGeometry:
 
 class TestDocuments:
     def test_quality_document_shape(self):
-        doc = quality_document([record("a", 0.5, 0.5)], threshold=0.8)
+        doc = quality_document(to_jsonable([record("a", 0.5, 0.5)]),
+                               threshold=0.8)
         assert doc["format"] == "imputeq-quality-records"
         assert doc["schema_version"] == 1
         assert doc["threshold"] == 0.8

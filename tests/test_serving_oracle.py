@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from imputeq.engine import (
     AssessConfig,
-    QualityRecord,
     apply_pipeline,
     fit_pipeline,
     serialize_pipeline,
@@ -33,6 +32,8 @@ from imputeq.table import (
     label_encode,
     load_csv,
 )
+
+from conftest import picked
 
 ROSTER = (
     ImputerSpec("mean", "simple", {"statistic": "mean"}),
@@ -162,8 +163,8 @@ def plans_and_inputs(draw):
         cols.append(Column(f"f{j}", values, mask, kind=kind, labels=labels))
     train = Table(tuple(cols), n)
     records = [
-        QualityRecord(c.name, 0.8, (), ROSTER[rng.integers(len(ROSTER))].id,
-                      0.5, 0.9, rng.random() < 0.8, False)
+        picked(c.name, ROSTER[rng.integers(len(ROSTER))].id,
+               rng.random() < 0.8)
         for c in cols
     ]
     config = AssessConfig(imputers=ROSTER, seed=draw(st.integers(0, 99)))
@@ -228,8 +229,8 @@ def test_non_integer_codes_are_unseen():
     train = Table((Column("c", np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0]),
                           np.zeros(6, dtype=bool), kind=ColumnKind.CATEGORICAL,
                           labels={0: "a", 1: "b", 2: "c"}),), 6)
-    record = QualityRecord("c", 1.0, (), "mode", 0.5, 0.9, True, False)
-    plan = fit_pipeline(train, [record], AssessConfig(imputers=ROSTER))
+    plan = fit_pipeline(train, [picked("c", "mode")],
+                        AssessConfig(imputers=ROSTER))
     codes = np.array([1.5, -0.7, 2.0, np.inf, np.nan, -0.0])
     given = Table((Column("c", codes, np.zeros(6, dtype=bool)),), 6)
     with warnings.catch_warnings(record=True) as seen:
@@ -268,8 +269,7 @@ def heart_plan(heart_csv):
     """The raw heart fixture table and the plan `HEART_PLAN` fits on it."""
     raw = load_csv(heart_csv)
     t = infer_column_kinds(label_encode(raw))
-    records = [QualityRecord(name, 0.8, (), chosen, 0.5, 0.9,
-                             name != "ca", False)
+    records = [picked(name, chosen, name != "ca")
                for name, chosen in HEART_PLAN.items()]
     return raw, fit_pipeline(t, records, AssessConfig(imputers=ROSTER, seed=5))
 
