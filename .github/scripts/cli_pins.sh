@@ -230,3 +230,25 @@ import json, sys
 error = json.loads(line)
 assert error["error"] == "DegenerateInput", error
 ' "$RUNNER_TEMP/spread.err"
+
+echo "an output under a missing directory exits 3 with one DataIoError line"
+for cmd in assess apply; do
+  if [ "$cmd" = assess ]; then
+    args=(assess --config tests/data/mixed_config.json)
+  else
+    args=(apply --pipeline tests/data/tree_plan_v2.json --data tests/data/mixed.csv)
+  fi
+  rc=0
+  imputeq "${args[@]}" --out "$RUNNER_TEMP/missing_dir/out" 2> "$RUNNER_TEMP/unwritable.err" || rc=$?
+  test "$rc" = 3
+  python -c '
+import json, sys
+[line] = open(sys.argv[1]).read().splitlines()
+error = json.loads(line)
+assert error["error"] == "DataIoError", error
+' "$RUNNER_TEMP/unwritable.err"
+  test ! -e "$RUNNER_TEMP/missing_dir"
+done
+
+echo "recommend-m just above an exact inverse meets its target"
+test "$(imputeq recommend-m --gamma 0.5 --efficiency 0.6666666667111111)" = 2

@@ -32,6 +32,7 @@ assessment; a fold's first kNN request pays for every view.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -185,17 +186,6 @@ class AssessConfig(Jsonable):
 
 
 @dataclass(frozen=True)
-class ScoreOutcome:
-    """Fold-aggregated result for one (feature, imputer) pair."""
-
-    mean: float  # clamped to [0, 1]
-    std: float
-    pooled: np.ndarray  # re-imputed values at originally observed cells
-    fold_scores: tuple[float, ...]
-    notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class ImputerEvaluation:
     imputer_id: str
     delta_mean: float
@@ -212,7 +202,7 @@ class ImputerEvaluation:
         _require(_is_number(self.delta_mean, 0.0, 1.0), "delta_mean",
                  "expected a number in [0, 1]")
         _require(_is_number(self.delta_std, 0.0), "delta_std",
-                 "expected a number in [0, inf]")
+                 "expected a number in [0, inf)")
         _require((self.bias is None) == self.skipped, "bias",
                  "expected a test result exactly when not skipped")
 
@@ -254,51 +244,53 @@ class Folds:
     """One assessment of table `t` under `config`: its folds, the columns
     each feature reads, and the work its candidates share.
 
-    - Per fold: the table's train and test rows, cut on first use and kept
-      for the whole assessment.  Every fit, transform and fill reads its
-      columns by name, so one pair of slices serves every view.
+    - Per fold: the table's train and test rows, cut when it is made and
+      kept for the whole assessment.  Every fit, transform and fill reads
+      its columns by name, so one pair of slices serves every view.
     - An iterative candidate is fit once per (fold, candidate, view column
-      set), with the chain seed of `fit`, and every feature of that column
-      set gets its imputer through `retarget`.
+      set), with the chain seed of `fit`; every other feature of that
+      column set gets its imputer through `retarget`.
     - Per fold: the kNN fills of every view and roster k, from one pass of
       distance blocks at the fold's first kNN request (see `knn_fills`),
       kept for the whole assessment.
 
-    The table and the dependencies are fixed at construction, so nothing
-    kept can outlive them.  `fit_pipeline` uses one with no splits: its one
-    fold is the whole table, under `_FINAL_FIT_TAG`.
+    The table and the config are fixed at construction, so nothing kept can
+    outlive them.  `fit_pipeline` uses one with no splits: its one fold is
+    the whole table, under `_FINAL_FIT_TAG`.
     """
 
     def __init__(self, t: Table, splits: tuple | None,
                  config: AssessConfig):
         self.t = t
         self.splits = splits
-        self._deps = config.dependencies
-        self._seed = config.seed
+        self.config = config
         self._roster_pos = {s.id: i for i, s in enumerate(config.imputers)}
         self._ks = sorted({s.params["n_neighbors"] for s in config.imputers
                            if s.family == "knn"})
-        self._rows = {}  # fold -> (train, test) rows of the table
+        # fold -> (train, test) rows of the table
+        self._rows = None if splits is None else [
+            (t.select_rows(train), t.select_rows(test))
+            for train, test in splits]
         self._chains = {}  # (fold, imputer id, view columns) -> fitted chain
         self._knn = {}  # fold -> {target: [fills by k, warn]}
 
     def rows(self, fold_idx) -> tuple[Table, Table | None]:
         """The (train, test) rows of fold `fold_idx` of the table; with no
-        splits, (the whole table, None)."""
-        if self.splits is None:
+        splits, (the whole table, None) for any fold."""
+        if self._rows is None:
             return self.t, None
-        if fold_idx not in self._rows:
-            train_idx, test_idx = self.splits[fold_idx]
-            self._rows[fold_idx] = (self.t.select_rows(train_idx),
-                                    self.t.select_rows(test_idx))
         return self._rows[fold_idx]
 
     def predictors(self, feature: str) -> tuple[str, ...]:
         """The columns that impute `feature`: its dependencies, or else
         every other column of the table."""
-        if self._deps is None:
+        if self.config.dependencies is None:
             return tuple(n for n in self.t.column_names if n != feature)
-        return tuple(self._deps.get(feature, []))
+        return tuple(self.config.dependencies.get(feature, []))
+
+    def n_predictors(self, feature: str, spec: ImputerSpec) -> int:
+        """The predictor count that `spec`'s evaluation records."""
+        return len(self.predictors(feature)) if spec.is_multivariate else 0
 
     def fit(self, fold_idx, spec, target: str) -> FittedImputer:
         """`spec` fit on the training rows of fold `fold_idx`, for `target`
@@ -311,10 +303,11 @@ class Folds:
             raise InvalidArgument(f"{spec.id}: not in the assessed roster")
         # the chain seed: the candidate's roster position and the fold
         spec = replace(spec, seed=task_seed(
-            self._seed, self._roster_pos[spec.id], fold_idx))
+            self.config.seed, self._roster_pos[spec.id], fold_idx))
         key = (fold_idx, spec.id, frozenset((*predictors, target)))
-        if key not in self._chains:
+        if key not in self._chains:  # the chain, fit for `target`
             self._chains[key] = fit_imputer(spec, train, target, predictors)
+            return self._chains[key]
         return retarget(self._chains[key], train, target, predictors)
 
     def knn_fills(self, fold_idx, fitted) -> np.ndarray:
@@ -371,26 +364,29 @@ def imputation_score(
     folds: Folds,
     scorer=None,
     seed: int = 0,
-) -> ScoreOutcome:
+) -> ImputerEvaluation:
     """Mask-and-reimpute evaluation of one imputer on one feature of the
-    table of `folds`.
+    table of `folds`: the candidate's scored `ImputerEvaluation`.
 
     Per fold: fit on the training rows from the feature's predictors, mask
     every originally observed target cell in the test rows, transform, and
-    score re-imputations against the originals.  Cells that were missing to
-    begin with are filled too but never scored.  Returns the fold mean
-    (clamped to [0, 1]), fold std, and the pooled re-imputations for the
-    bias veto.
+    score re-imputations against the originals (by default with the
+    config's scorer for the feature's kind).  Cells that were missing to
+    begin with are filled too but never scored.  The evaluation holds the
+    fold mean (clamped to [0, 1]), the fold std, and the bias veto of the
+    pooled re-imputations at the config's alpha.
 
     Fold rows, chains and kNN fills are shared through `folds` with the
     other features and candidates scored on it (see `Folds`); every share is
     bit-identical to the feature's own fit.  `seed` seeds the non-iterative
     candidates of each fold; a chain takes the seed `Folds.fit` gives it.
+    With the seed `assess` gives it, this is the record `assess` stores.
     """
     col = folds.t.column(feature)
     if scorer is None:
-        scorer = default_scorer_for(col.kind)
-    if spec.is_multivariate and not folds.predictors(feature):
+        scorer = folds.config.scorer_for(col.kind)
+    n_preds = folds.n_predictors(feature, spec)
+    if spec.is_multivariate and not n_preds:
         raise UntrainableImputer(
             f"{spec.id}: no predictors available for {feature!r}"
         )
@@ -443,10 +439,10 @@ def imputation_score(
     mean = min(max(raw_mean, 0.0), 1.0)
     if mean != raw_mean:
         notes.add("clamped")
-    return ScoreOutcome(
-        mean, std, np.concatenate(pooled), tuple(fold_scores),
-        tuple(sorted(notes)),
-    )
+    bias = distribution_compatible(col, col.observed_values(),
+                                   np.concatenate(pooled), folds.config.alpha)
+    return ImputerEvaluation(spec.id, mean, std, n_preds, bias, False,
+                             tuple(sorted(notes)))
 
 
 def select_imputer(
@@ -504,28 +500,17 @@ def assess(t: Table, config: AssessConfig) -> list[QualityRecord]:
                   config)
     records = []
     for fi, feature in enumerate(t.column_names):
-        col = t.column(feature)
-        mu = completeness(col)
-        observed = col.observed_values()
+        mu = completeness(t.column(feature))
         evaluations = []
         for ii, spec in enumerate(config.imputers):
-            n_preds = len(folds.predictors(feature)) if (
-                spec.is_multivariate) else 0
             try:
-                outcome = imputation_score(
+                evaluations.append(imputation_score(
                     feature, spec, folds,
-                    scorer=config.scorer_for(col.kind),
-                    seed=task_seed(config.seed, fi, ii),
-                )
+                    seed=task_seed(config.seed, fi, ii)))
             except (UntrainableImputer, ImputerTrainingError) as exc:
                 evaluations.append(ImputerEvaluation(
-                    spec.id, 0.0, 0.0, n_preds, None, True, (str(exc),)))
-                continue
-            bias = distribution_compatible(col, observed, outcome.pooled,
-                                           config.alpha)
-            evaluations.append(ImputerEvaluation(
-                spec.id, outcome.mean, outcome.std, n_preds, bias, False,
-                outcome.notes))
+                    spec.id, 0.0, 0.0, folds.n_predictors(feature, spec),
+                    None, True, (str(exc),)))
 
         chosen, fallback_used = select_imputer(evaluations, config.imputers)
         delta = next(e.delta_mean for e in evaluations
@@ -566,8 +551,8 @@ def efficiency(gamma: float, m) -> float:
 def recommend_imputations(gamma: float, target_efficiency: float) -> int:
     """Smallest integer m with efficiency(gamma, m) >= the target.
 
-    Inverts the efficiency formula, m = gamma * eps / (1 - eps), and rounds
-    up; a tiny slack keeps exact inverse pairs from ceiling one too high.
+    The inverse m = gamma * eps / (1 - eps), rounded up, is only near the
+    answer in floats: it bounds a bisection that judges m by `efficiency`.
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidArgument(f"gamma must be in [0, 1], got {gamma}")
@@ -575,10 +560,13 @@ def recommend_imputations(gamma: float, target_efficiency: float) -> int:
         raise InvalidArgument(
             f"target efficiency must be in (0, 1), got {target_efficiency}"
         )
-    if gamma == 0.0:
-        return 1
-    exact = gamma * target_efficiency / (1.0 - target_efficiency)
-    return max(1, math.ceil(exact - 1e-9))
+    hi = max(1, math.ceil(gamma * target_efficiency
+                          / (1.0 - target_efficiency)))
+    while efficiency(gamma, hi) < target_efficiency:
+        hi *= 2
+    return 1 + bisect.bisect_left(
+        range(1, hi + 1), True,
+        key=lambda m: efficiency(gamma, m) >= target_efficiency)
 
 
 # ---------------------------------------------------------------------------

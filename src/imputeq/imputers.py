@@ -442,18 +442,21 @@ def knn_view_fills(train_X: np.ndarray, X: np.ndarray, views, ks) -> list:
     for lo in range(0, len(X), rows):
         q = X[lo:lo + rows]
         sq = []
-        for c, g in groups:
-            g = g[:, :len(q)]
-            np.subtract(ref_T[c:c + len(g)], q.T[c:c + len(g), :, None], out=g)
-            # g is NaN wherever either side is missing
-            np.multiply(g, g, out=g)
-            np.fmax(g, 0.0, out=g)  # NaN -> 0
-            sq.extend(g)
+        # g is NaN wherever either side is missing, and inf where a
+        # difference or its square passes the float range: no neighbour
+        with np.errstate(over="ignore"):
+            for c, g in groups:
+                g = g[:, :len(q)]
+                np.subtract(ref_T[c:c + len(g)], q.T[c:c + len(g), :, None],
+                            out=g)
+                np.multiply(g, g, out=g)
+                np.fmax(g, 0.0, out=g)  # NaN -> 0
+                sq.extend(g)
         q_seen = (~np.isnan(q)).astype(float)
         for i, (cols, refs, ref_y, _) in enumerate(views):
-            ss = _running_sum([sq[c] for c in cols])
             shared = (q_seen * reads[i]) @ seen  # exact counts over `cols`
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                ss = _running_sum([sq[c] for c in cols])
                 d = np.divide(len(cols), shared)
                 d *= ss
                 np.sqrt(d, out=d)
@@ -572,7 +575,11 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     for j in visit:
         obs, mis = np.flatnonzero(~masks[j]), np.flatnonzero(masks[j])
         other = np.array([i for i in range(len(names)) if i != j])[:, None]
-        scale = float(np.std(MT[j, obs]))
+        with np.errstate(over="ignore"):
+            scale = float(np.std(MT[j, obs]))
+        if math.isinf(scale):  # its squares overflowed, not its spread
+            top = np.abs(MT[j, obs]).max()
+            scale = float(np.std(MT[j, obs] / top) * top)
         steps.append((j, MT[j], (other * MT.shape[1] + obs).ravel(),
                       (other * MT.shape[1] + mis).ravel(), obs, mis,
                       scale or 1.0))

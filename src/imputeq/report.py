@@ -22,8 +22,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import InvalidArgument, SchemaError
-from .table import Table
+from .errors import DataIoError, InvalidArgument, SchemaError
 
 QUALITY_FORMAT = "imputeq-quality-records"
 AUDIT_FORMAT = "imputeq-audit"
@@ -47,17 +46,20 @@ COLOR_AXIS = "#666666"
 
 def write_bytes_atomic(path: str, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    half-written file."""
+    half-written file; a failed write, a DataIoError if the OS refused it,
+    leaves no temp file and any old file at `path` as it was."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".imputeq-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".imputeq-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise DataIoError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def loads_document(data: bytes):

@@ -44,7 +44,7 @@ class TestResult:
         """A statistic in [0, inf) and a p-value in [0, 1], or SchemaError
         at the field."""
         _require(_is_number(self.statistic, 0.0), "statistic",
-                 "expected a number in [0, inf]")
+                 "expected a number in [0, inf)")
         _require(_is_number(self.p_value, 0.0, 1.0), "p_value",
                  "expected a number in [0, 1]")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     ParseError,
     RaggedRows,
 )
+from .report import write_bytes_atomic
 
 DEFAULT_MISSING_SENTINELS = ("", "NA", "NaN", "?")
 
@@ -213,15 +215,13 @@ def _number(cell: str) -> float | None:
 
 def write_csv(table: Table, path) -> None:
     """Write a table to CSV, decoding labeled columns and leaving missing
-    cells empty."""
+    cells empty; atomically, through `write_bytes_atomic`."""
     cols = [_csv_cells(c) for c in table.columns]
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(table.column_names)
-            writer.writerows(zip(*cols) if cols else [()] * table.n_rows)
-    except OSError as exc:
-        raise DataIoError(f"cannot write {path}: {exc}") from exc
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(table.column_names)
+    writer.writerows(zip(*cols) if cols else [()] * table.n_rows)
+    write_bytes_atomic(path, text.getvalue().encode("utf-8"))
 
 
 _NO_LABEL = object()

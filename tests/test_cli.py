@@ -697,6 +697,23 @@ class TestReport:
         assert err["message"].startswith(where), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, error, message", [
+        ({"threshold": 1.5}, "CorruptModel",
+         "threshold: expected a number in [0, 1]"),
+        ({"threshold": -0.1}, "CorruptModel",
+         "threshold: expected a number in [0, 1]"),
+        ({"records": []}, "DegenerateInput", "no records to draw"),
+    ], ids=["threshold-1.5", "threshold-negative", "no-records"])
+    def test_document_that_draws_no_chart_is_data_error(
+            self, quality_doc, tmp_path, capsys, edit, error, message):
+        records, out = tmp_path / "q.json", tmp_path / "c.svg"
+        records.write_text(json.dumps({**quality_doc, **edit}))
+        rc = main(["report", "--records", str(records), "--out", str(out)])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": error, "message": message}
+        assert not out.exists()
+
     def test_overflowing_delta_is_refused_at_its_path(self, quality_doc,
                                                       tmp_path, capsys):
         doc = json.loads(json.dumps(quality_doc))
@@ -848,9 +865,38 @@ class TestAudit:
                      "--levels", "0", "--format", "csv"]) == 0
         text = (tmp_path / "audit.csv").read_text()
         assert text.startswith("missingness=0")
+        # --tables writes the same matrix next to the JSON report
+        tables = tmp_path / "tables.csv"
+        assert main(["audit", "--config", str(config), "--out",
+                     str(tmp_path / "audit.json"), "--levels", "0",
+                     "--tables", str(tables)]) == 0
+        assert tables.read_text() == text
+        doc = json.loads((tmp_path / "audit.json").read_text())
+        assert doc["format"] == "imputeq-audit"
 
 
 class TestErrorChannels:
+    @pytest.mark.parametrize("command", ["assess", "graph", "fit", "apply",
+                                         "audit", "report"])
+    def test_output_under_a_missing_directory_is_data_error(
+            self, workspace, mixed_plan, capsys, command):
+        # one error line that names the output, not the temp file
+        tmp, config, _ = workspace
+        records = str(tmp / "q.json")
+        assert main(["assess", "--config", config, "--out", records]) == 0
+        capsys.readouterr()
+        plan, data = mixed_plan
+        args = {"apply": ["apply", "--pipeline", plan, "--data", data],
+                "report": ["report", "--records", records]}.get(
+                    command, [command, "--config", config])
+        out = tmp / "missing" / "out"
+        assert main([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in err] == [{
+            "error": "DataIoError",
+            "message": f"cannot write {out}: No such file or directory"}]
+        assert not out.parent.exists()
+
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         rc = main(["assess", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "q.json")])

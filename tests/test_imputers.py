@@ -470,6 +470,19 @@ class TestIterative:
         f = fit(self.iter_spec(), t, "y", ("x",))
         assert len(f.state["deltas"]) < 20
 
+    def test_column_past_the_range_of_its_squares_counts_toward_stopping(self):
+        # np.std of y * 1e300 overflows in its squares; the chain takes that
+        # column's delta scale from y / max|y|, so its deltas are those of y
+        # (an inf scale made them all 0: the column never held a chain up)
+        t, _ = linear_pair_table(seed=1)
+        y = t.column("y")
+        big = t.with_column(Column("y", y.values * 1e300, y.mask,
+                                   kind=ColumnKind.CONTINUOUS))
+        plain = fit(self.iter_spec(), t, "y", ("x",)).state["deltas"]
+        scaled = fit(self.iter_spec(), big, "y", ("x",)).state["deltas"]
+        assert plain[0] > 0
+        np.testing.assert_allclose(scaled, plain, rtol=1e-9)
+
     def test_transform_fills_predictor_gaps(self):
         t, _ = linear_pair_table(seed=5)
         f = fit(self.iter_spec(), t, "y", ("x",))

@@ -7,6 +7,7 @@ import pytest
 
 from imputeq import stattests
 from imputeq.engine import ImputerEvaluation, QualityRecord
+from imputeq.errors import DataIoError
 from imputeq.report import (
     AXIS_LEN,
     COLOR_FALLBACK_NAME,
@@ -197,6 +198,21 @@ class TestAtomicWrite:
         target.write_bytes(b"old")
         write_bytes_atomic(str(target), b"new")
         assert target.read_bytes() == b"new"
+
+    def test_failed_rename_keeps_the_old_file_and_no_temp_file(
+            self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(DataIoError) as info:
+            write_bytes_atomic(str(target), b"new")
+        assert str(info.value) == f"cannot write {target}: Permission denied"
+        assert target.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.json"]
 
 
 class TestSummaryText:
