@@ -140,16 +140,25 @@ _PLAIN_CELLS = 128
 
 
 class _TreeBuilder:
-    """Grows one regression tree depth-first.
+    """Grows regression trees depth-first on one matrix.
+
+    The builder sorts each feature of its matrix once: a stable argsort, so
+    tied values keep their row order (SLIQ's presorted attribute lists,
+    Mehta, Agrawal & Rissanen 1996; XGBoost's sorted column blocks, Chen &
+    Guestrin 2016).  Each `build` grows one tree on it for a response, and
+    a boosting fit calls it once per round.  A node carries its rows in
+    ascending order and, for each feature, the same rows in ascending value
+    order; each child gets its parent's order filtered by side, which keeps
+    the order and the row-id tie-breaks of a stable sort of the child alone.
 
     Splits minimize squared error of the response; with a hessian array the
     leaf values become Newton steps (sum of residuals over sum of hessians)
     while the split search still runs on the residuals.  A large node
-    searches all its candidate features in one numpy block: a stable argsort
-    per feature row, running sums of the response in that order, and the
-    gain of every threshold that separates distinct values.  A small node
-    (see `_PLAIN_CELLS`) runs the same search, operation for operation, in
-    plain Python floats, so both give the same tree bit for bit.
+    searches all its candidate features in one numpy block: the values and
+    responses in each feature's order, running sums of the response, and
+    the gain of every threshold that separates distinct values.  A small
+    node (see `_PLAIN_CELLS`) runs the same search, operation for operation,
+    in plain Python floats, so both give the same tree bit for bit.
 
     Every sum is a running sum, left to right from its first term: a node's
     response total (and hessian sum) over its own rows in ascending row
@@ -157,36 +166,48 @@ class _TreeBuilder:
     path, and a one-row leaf is its target exactly.
     """
 
-    def __init__(self, max_depth, rng=None, mtry=None):
+    def __init__(self, X, max_depth, rng=None, mtry=None):
+        n, p = X.shape
         self.max_depth = _MAX_DEPTH_CAP if max_depth is None else max_depth
         self.rng = rng
         self.mtry = mtry
-
-    def build(self, X, y, hess=None):
-        """The tree, and the leaf value of each training row."""
-        n, p = X.shape
-        XT = np.ascontiguousarray(X.T)
+        self.n_candidates = p if mtry is None else min(mtry, p)
+        self.XT = np.ascontiguousarray(X.T)
+        self.order = self.XT.argsort(axis=1, kind="stable")
+        self.cols = self.XT.tolist()
+        # each feature's first cell in XT.ravel()
+        self.offsets = np.arange(p)[:, None] * n
         # left-child sizes 1..n-1 of any node; reversed they are n-k
-        ks = np.arange(1.0, n)
-        n_candidates = p if self.mtry is None else min(self.mtry, p)
+        self.ks = np.arange(1.0, n)
+        # the side of each row of the node being split; a child's order
+        # reads only the node's own rows
+        self.goes_left = np.empty(n, dtype=bool)
+
+    def build(self, y, hess=None):
+        """The tree for response `y`, and the leaf value of each row."""
+        n = y.size
         nodes = ([-1], [0.0], [-1], [-1], [0.0])
         value = nodes[4]
         row_value = np.empty(n)
-        stack = [(0, np.arange(n), 0)]
+        # plain subtrees read the responses as lists by row id, write their
+        # rows' leaf values to `plain_value`, and keep their rows in `plain`
+        ys, hs = y.tolist(), None if hess is None else hess.tolist()
+        plain, plain_value = [], [0.0] * n
+        stack = [(0, np.arange(n), self.order, 0)]
         while stack:
-            node, idx, depth = stack.pop()
-            if idx.size * n_candidates < _PLAIN_CELLS:
+            node, idx, order, depth = stack.pop()
+            if idx.size * self.n_candidates < _PLAIN_CELLS:
                 # the whole subtree now, which is the order the stack would
                 # grow it in
-                row_value[idx] = self._grow_plain(
-                    nodes, node, depth, XT[:, idx].tolist(), y[idx].tolist(),
-                    None if hess is None else hess[idx].tolist())
+                plain.append(idx)
+                self._grow_plain(nodes, node, depth, idx.tolist(), ys, hs,
+                                 plain_value)
                 continue
             ysub = y[idx]
             total = float(ysub.cumsum()[-1])
             split = None
             if depth < self.max_depth and ysub.max() != ysub.min():
-                split = self._best_split(XT, ysub, total, idx, ks)
+                split = self._best_split(y, total, idx, order)
             if split is None:
                 if hess is None:
                     v = total / idx.size
@@ -195,9 +216,14 @@ class _TreeBuilder:
                 value[node] = v
                 row_value[idx] = v
                 continue
-            left, right = _add_children(nodes, node, *split[:2])
-            stack.append((right, split[3], depth + 1))
-            stack.append((left, split[2], depth + 1))
+            feat, thr, go_left = split
+            left, right = _add_children(nodes, node, feat, thr)
+            (li, lo), (ri, ro) = self._children(idx, order, go_left, depth + 1)
+            stack.append((right, ri, ro, depth + 1))
+            stack.append((left, li, lo, depth + 1))
+        if plain:
+            rows = np.concatenate(plain)
+            row_value[rows] = np.array(plain_value)[rows]
         feature, threshold, left, right, value = nodes
         tree = TreeModel(
             np.asarray(feature, dtype=np.int64),
@@ -217,26 +243,26 @@ class _TreeBuilder:
             return np.array([self.rng.integers(0, p)])
         return np.sort(self.rng.choice(p, size=self.mtry, replace=False))
 
-    def _best_split(self, XT, ysub, total, idx, ks):
-        """(feature, threshold, left rows, right rows), or None; `total` is
-        the running sum of `ysub`.
+    def _best_split(self, y, total, idx, order):
+        """(feature, threshold, whether each of `idx` goes left), or None;
+        `total` is the running sum of `y[idx]` and `order` the node's rows
+        in each feature's order.
 
         Within a feature the first maximal gain (lowest threshold) wins;
         across features a later one wins only when strictly better by 1e-12.
         """
         n = idx.size
         base = total * total / n
-        fs = self._candidate_features(XT.shape[0])
-        rows = np.arange(fs.size)[:, None]
-        xs = XT[fs[:, None], idx]
-        order = xs.argsort(axis=1, kind="stable")
-        xv = xs[rows, order]
-        csum = ysub[order].cumsum(axis=1)[:, :-1]
+        fs = self._candidate_features(order.shape[0])
+        if fs.size < order.shape[0]:
+            order = order[fs]
+        xv = self.XT.take(order + self.offsets[fs])
+        csum = y.take(order).cumsum(axis=1)[:, :-1]
         rest = total - csum
         gains = np.square(csum, out=csum)
-        gains /= ks[: n - 1]
+        gains /= self.ks[: n - 1]
         np.square(rest, out=rest)
-        rest /= ks[n - 2 :: -1]
+        rest /= self.ks[n - 2 :: -1]
         gains += rest
         gains[xv[:, 1:] == xv[:, :-1]] = -np.inf
         best, best_gain = -1, -np.inf
@@ -246,23 +272,38 @@ class _TreeBuilder:
         if best < 0:
             return None
         thr = float(xv[best, gains[best].argmax()])
-        go_left = xs[best] <= thr
-        return int(fs[best]), thr, idx[go_left], idx[~go_left]
+        feat = int(fs[best])
+        return feat, thr, self.XT[feat].take(idx) <= thr
 
-    def _grow_plain(self, nodes, root, depth, cols, y, hess):
-        """Grow the subtree at `root` from the node's own rows: `cols` holds
-        each feature's values and `y` (and `hess`) the responses, as lists.
-        Gives the leaf value of each of those rows."""
+    def _children(self, idx, order, go_left, depth):
+        """Each child's (rows, order), left then right, for children at
+        `depth`; a child that the block search will not split (a leaf by
+        depth, or the root of a plain subtree) gets no order."""
+        kids = [[idx[go_left], None], [idx[~go_left], None]]
+        need = [depth < self.max_depth
+                and rows.size * self.n_candidates >= _PLAIN_CELLS
+                for rows, _ in kids]
+        if any(need):
+            self.goes_left[idx] = go_left
+            side = self.goes_left.take(order)
+            for kid, keep, s in zip(kids, need, (side, ~side)):
+                if keep:
+                    kid[1] = order[s].reshape(order.shape[0], kid[0].size)
+        return kids
+
+    def _grow_plain(self, nodes, root, depth, rows, y, hess, row_value):
+        """Grow the subtree at `root` from its rows (ascending row ids):
+        `y` (and `hess`) hold the responses as lists by row id, and each
+        leaf writes its value to `row_value` at its rows."""
         value = nodes[4]
-        row_value = [0.0] * len(y)
-        stack = [(root, list(range(len(y))), depth)]
+        stack = [(root, rows, depth)]
         while stack:
             node, rows, depth = stack.pop()
             ys = [y[i] for i in rows]
             total = _running_sum(ys)
             split = None
             if depth < self.max_depth and max(ys) != min(ys):
-                split = self._plain_split(cols, y, rows, total)
+                split = self._plain_split(y, rows, total)
             if split is None:
                 if hess is None:
                     v = total / len(rows)
@@ -276,9 +317,8 @@ class _TreeBuilder:
             left, right = _add_children(nodes, node, *split[:2])
             stack.append((right, split[3], depth + 1))
             stack.append((left, split[2], depth + 1))
-        return row_value
 
-    def _plain_split(self, cols, y, rows, total):
+    def _plain_split(self, y, rows, total):
         """`_best_split` of the node `rows` (ascending) in Python floats,
         with the same operations in the same order: a stable sort, running
         sums, gains c*c/k + r*r/(n-k) and the first maximal threshold.
@@ -291,6 +331,7 @@ class _TreeBuilder:
         total, which makes `base` NaN or inf.  Likewise a NaN response,
         which Python's max and min may miss, ends in a leaf either way; it
         arises only in boosting, which draws no features."""
+        cols = self.cols
         n = len(rows)
         base = total * total / n
         best, best_gain, best_thr = -1, -math.inf, 0.0
@@ -432,8 +473,8 @@ def forest_fit(Xm, y, n_estimators: int = 100, max_depth=None,
     trees = []
     for _ in range(n_estimators):
         idx = rng.integers(0, n, n)
-        builder = _TreeBuilder(max_depth, rng=rng, mtry=mtry)
-        trees.append(builder.build(X[idx], y[idx])[0])
+        builder = _TreeBuilder(X[idx], max_depth, rng=rng, mtry=mtry)
+        trees.append(builder.build(y[idx])[0])
     return _finite(ForestModel(tuple(trees), max_depth, seed))
 
 
@@ -511,6 +552,7 @@ def gbt_fit(Xm, y, n_estimators: int = 100, max_depth: int | None = 6,
     margin = np.full(X.shape[0], base)
     trees = []
     if learning_rate != 0.0:
+        builder = _TreeBuilder(X, max_depth)
         for _ in range(n_estimators):
             if loss == "logistic":
                 grad, hess = logistic_grad_hess(y, margin)
@@ -518,7 +560,7 @@ def gbt_fit(Xm, y, n_estimators: int = 100, max_depth: int | None = 6,
             else:
                 resid = y - margin
                 hess = None
-            tree, fitted = _TreeBuilder(max_depth).build(X, resid, hess=hess)
+            tree, fitted = builder.build(resid, hess=hess)
             margin = margin + learning_rate * fitted
             trees.append(tree)
     return _finite(

@@ -218,7 +218,7 @@ def fit(
         if spec.family == "simple":
             stat = spec.params["statistic"]
             if stat == "mean":
-                return {"fill": float(observed.mean())}
+                return {"fill": _mean(observed)}
             if stat == "median":
                 return {"fill": float(np.median(observed))}
             return {"fill": _mode(observed)}
@@ -230,6 +230,19 @@ def fit(
         return _iterative_fit(spec, train, target, predictors)
 
     return _fitted(spec, col, predictors, state_for)
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean of finite `values`.  Where their sum overflows (a column
+    near the float maximum), the mean of the values scaled by 2**-k, with
+    2**k at least their count, scaled back and held to their range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(values.mean())
+    if math.isfinite(m):
+        return m
+    k = values.size.bit_length()
+    m = np.ldexp(np.ldexp(values, -k).mean(), k)
+    return float(min(max(m, values.min()), values.max()))
 
 
 def _fitted(spec, col: Column, predictors, state_for) -> FittedImputer:
@@ -510,7 +523,7 @@ def _init_fill(values: np.ndarray, mask: np.ndarray, strategy: str) -> float:
     if obs.size == 0:
         return 0.0
     if strategy == "mean":
-        return float(obs.mean())
+        return _mean(obs)
     return _mode(obs)
 
 

@@ -522,6 +522,17 @@ class TestPinnedOutputs:
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert tuple(digests) == PINNED_CLI_DIGESTS[form]
 
+    def test_audit_output_is_pinned(self, tmp_path, capsys):
+        # pins the audit's cross-fit and stratified folds and the trees of
+        # its logistic GBT mask classifiers
+        out = tmp_path / "audit.json"
+        argv = ["audit", "--config", str(DATA / "mixed_config.json"),
+                "--data", str(DATA / "mixed.csv"), "--levels", "0",
+                "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "54023f51a0503d9b637389e937358b56ff86066916113dd7bdf78d96c41f54cb")
+
 
 class TestRecommendM:
     def test_prints_worked_example(self, capsys):

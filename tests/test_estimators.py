@@ -70,7 +70,7 @@ class TestRidge:
 
 def grow_tree(X, y, max_depth=None):
     """One tree, grown by the builder of every forest and GBT."""
-    return _TreeBuilder(max_depth).build(X, y)[0]
+    return _TreeBuilder(X, max_depth).build(y)[0]
 
 
 def tree_values(tree, X):

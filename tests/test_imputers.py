@@ -51,6 +51,19 @@ class TestFit:
         f = fit(simple("mean"), t, "x")
         assert f.state["fill"] == pytest.approx(2.0, abs=1e-12)
 
+    # the plain mean's sum overflows to inf, and numpy warns of it; the
+    # scaled mean of 18 float maxima rounds an ulp below them
+    @pytest.mark.parametrize("values", [
+        [1.5e308, 1.6e308, 1.4e308, np.nan, 1.7e308],
+        [sys.float_info.max] * 18 + [np.nan],
+    ])
+    def test_mean_fill_of_a_column_near_the_float_maximum(self, values):
+        t = Table((col("x", values, ColumnKind.CONTINUOUS),))
+        f = fit(simple("mean"), t, "x")
+        assert np.nanmin(values) <= f.state["fill"] <= np.nanmax(values)
+        out = transform(f, t).column("x").values
+        assert out[values.index(np.nan)] == f.state["fill"]
+
     def test_mode_fill_value(self):
         t = Table((col("x", [0.0, 0.0, 1.0], ColumnKind.BINARY),))
         f = fit(simple("mode"), t, "x")
@@ -494,6 +507,20 @@ class TestIterative:
         assert not out.mask.any()
         assert np.isfinite(out.values).all()
         assert out.values[1] == pytest.approx(8.0, abs=1.0)
+
+    def test_mean_start_of_a_column_near_the_float_maximum(self):
+        # max_iter 0 visits no column, so the predictor keeps its start,
+        # which overflowed to inf as a plain mean
+        t = Table((
+            col("x", [1.5e308, 1.6e308, 1.4e308, np.nan, 1.7e308],
+                ColumnKind.CONTINUOUS),
+            col("y", [1.0, np.nan, 2.0, 3.0, 4.0], ColumnKind.CONTINUOUS),
+        ))
+        spec = ImputerSpec("it", "iterative",
+                           {"estimator": "gbt", "n_estimators": 2,
+                            "init_strategy": "mean", "max_iter": 0})
+        start = fit(spec, t, "y", ("x",)).state["init_values"][0]
+        assert 1.4e308 <= start <= 1.7e308
 
     def test_a_column_model_that_overflows_is_a_training_error(self):
         # targets near the float maximum overflow a leaf mean: the fit

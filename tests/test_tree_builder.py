@@ -37,15 +37,11 @@ def _running_sum(a):
 class _ReferenceBuilder:
     """Depth-first CART growth with a per-feature split loop."""
 
-    def __init__(self, max_depth, rng=None, mtry=None):
+    def __init__(self, X, max_depth, rng=None, mtry=None):
+        self.X = X
         self.max_depth = 64 if max_depth is None else max_depth
         self.rng = rng
         self.mtry = mtry
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
 
     def _new_node(self):
         self.feature.append(-1)
@@ -61,9 +57,15 @@ class _ReferenceBuilder:
             return total / idx.size
         return total / max(float(_running_sum(hess[idx])), 1e-12)
 
-    def build(self, X, y, hess=None):
+    def build(self, y, hess=None):
         """Same interface as `_TreeBuilder.build`; the per-row values come
         from walking the tree, as the boosting loop used to compute them."""
+        X = self.X
+        self.feature = []
+        self.threshold = []
+        self.left = []
+        self.right = []
+        self.value = []
         root = self._new_node()
         stack = [(root, np.arange(X.shape[0]), 0)]
         while stack:
@@ -143,13 +145,13 @@ def _assert_trees_identical(got, want):
 
 
 @st.composite
-def tables(draw, min_rows=2):
+def tables(draw, min_rows=2, min_cols=1):
     """Random (X, y) with ties, duplicated rows, constant columns, binary
     columns and columns of signed zeros.  y is binary, a rounded signal, a
     signal with signed zeros (or all -0.0), or a signal scaled to
     1e154-1e300, where squares and sums overflow to inf."""
     n = draw(st.integers(min_rows, 300))
-    p = draw(st.integers(1, 12))
+    p = draw(st.integers(min_cols, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cols = []
     for _ in range(p):
@@ -186,8 +188,8 @@ def tables(draw, min_rows=2):
 @given(data=tables(), depth=st.sampled_from([None, 1, 3, 6]))
 def test_tree_fit_matches_reference(data, depth):
     X, y = data
-    got = _TreeBuilder(depth).build(X, y)[0]
-    want = _ReferenceBuilder(depth).build(X, y)[0]
+    got = _TreeBuilder(X, depth).build(y)[0]
+    want = _ReferenceBuilder(X, depth).build(y)[0]
     _assert_trees_identical([got], [want])
 
 
@@ -199,8 +201,8 @@ def test_each_search_alone_matches_reference(plain_cells, data, depth):
     X, y = data
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_PLAIN_CELLS", plain_cells)
-        got = _TreeBuilder(depth).build(X, y)[0]
-    want = _ReferenceBuilder(depth).build(X, y)[0]
+        got = _TreeBuilder(X, depth).build(y)[0]
+    want = _ReferenceBuilder(X, depth).build(y)[0]
     _assert_trees_identical([got], [want])
 
 
@@ -214,6 +216,24 @@ def test_forest_fit_matches_reference(data, depth, seed):
     X, y = data
     kwargs = dict(n_estimators=3, max_depth=depth, seed=seed)
     got = forest_fit(X, y, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
+        want = forest_fit(X, y, **kwargs)
+    _assert_trees_identical(got.trees, want.trees)
+
+
+# two columns or more, so each split searches fewer features than it sorts
+@pytest.mark.parametrize("plain_cells", [0, 10**9])
+@settings(max_examples=60, deadline=None)
+@given(data=tables(min_cols=2), depth=st.sampled_from([None, 2, 5]),
+       seed=st.integers(0, 1000))
+def test_forest_each_search_alone_matches_reference(plain_cells, data, depth,
+                                                    seed):
+    X, y = data
+    kwargs = dict(n_estimators=3, max_depth=depth, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_PLAIN_CELLS", plain_cells)
+        got = forest_fit(X, y, **kwargs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
         want = forest_fit(X, y, **kwargs)
@@ -238,6 +258,20 @@ def test_forest_switches_search_mid_tree(data, depth, seed):
     _assert_trees_identical(got.trees, want.trees)
 
 
+def _gbt_matches_reference(X, y, plain_cells, **kwargs):
+    if kwargs["loss"] == "logistic":
+        y = (y > np.median(y)).astype(float)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_PLAIN_CELLS", plain_cells)
+        got = gbt_fit(X, y, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
+        want = gbt_fit(X, y, **kwargs)
+    _assert_trees_identical(got.trees, want.trees)
+
+
+# the size rule, every node on the block search, every node on the plain one
+@pytest.mark.parametrize("plain_cells", [estimators._PLAIN_CELLS, 0, 10**9])
 @settings(max_examples=120, deadline=None)
 @given(
     data=tables(),
@@ -245,17 +279,22 @@ def test_forest_switches_search_mid_tree(data, depth, seed):
     loss=st.sampled_from(["squared", "logistic"]),
     rate=st.sampled_from([0.1, 0.7]),
 )
-def test_gbt_fit_matches_reference(data, depth, loss, rate):
-    X, y = data
-    if loss == "logistic":
-        y = (y > np.median(y)).astype(float)
-    kwargs = dict(n_estimators=5, max_depth=depth, learning_rate=rate,
-                  loss=loss)
-    got = gbt_fit(X, y, **kwargs)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_TreeBuilder", _ReferenceBuilder)
-        want = gbt_fit(X, y, **kwargs)
-    _assert_trees_identical(got.trees, want.trees)
+def test_gbt_fit_matches_reference(plain_cells, data, depth, loss, rate):
+    _gbt_matches_reference(*data, plain_cells, n_estimators=5,
+                           max_depth=depth, learning_rate=rate, loss=loss)
+
+
+# enough rounds that every round's tree grows from the one sorted order,
+# with residuals that have moved far from the targets
+@settings(max_examples=25, deadline=None)
+@given(
+    data=tables(min_rows=20),
+    depth=st.sampled_from([2, 6]),
+    loss=st.sampled_from(["squared", "logistic"]),
+)
+def test_gbt_many_rounds_match_reference(data, depth, loss):
+    _gbt_matches_reference(*data, estimators._PLAIN_CELLS, n_estimators=25,
+                           max_depth=depth, learning_rate=0.3, loss=loss)
 
 
 @settings(max_examples=120, deadline=None)
@@ -268,7 +307,7 @@ def test_row_values_equal_tree_predict(data, depth, newton):
         y = (y > np.median(y)).astype(float)
         grad, hess = logistic_grad_hess(y, np.zeros(y.size))
         y = -grad
-    tree, fitted = _TreeBuilder(depth).build(X, y, hess=hess)
+    tree, fitted = _TreeBuilder(X, depth).build(y, hess=hess)
     np.testing.assert_array_equal(_bits(fitted),
                                   _bits(_leaf_values((tree,), X)[0]))
 
@@ -281,9 +320,32 @@ def test_leaf_sums_rows_left_to_right(plain_cells):
     y = np.array([1.0] + [2.0**-53] * 9)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_PLAIN_CELLS", plain_cells)
-        builder = _TreeBuilder(None)
-        assert builder.build(np.zeros((10, 1)), y)[0].value.tolist() == [
-            1.0 / 10]
-        tree = builder.build(np.array([[0.0], [1.0]]),
-                             np.array([-0.0, 1.0]))[0]
+        builder = _TreeBuilder(np.zeros((10, 1)), None)
+        assert builder.build(y)[0].value.tolist() == [1.0 / 10]
+        tree = _TreeBuilder(np.array([[0.0], [1.0]]), None).build(
+            np.array([-0.0, 1.0]))[0]
     assert _bits(tree.value).tolist() == _bits([0.0, -0.0, 1.0]).tolist()
+
+
+# one builder grows every round of a boosting fit: a build must leave nothing
+# behind that the next one reads
+@pytest.mark.parametrize("plain_cells", [estimators._PLAIN_CELLS, 0, 10**9])
+@settings(max_examples=60, deadline=None)
+@given(data=tables(), depth=st.sampled_from([None, 1, 4]),
+       mtry=st.sampled_from([None, 1, 2]), seed=st.integers(0, 1000))
+def test_reused_builder_grows_the_trees_of_fresh_ones(plain_cells, data,
+                                                      depth, mtry, seed):
+    X, y = data
+    rng = np.random.default_rng(seed)
+    responses = [y, rng.normal(size=y.size), y[::-1].copy()]
+    hessians = [None, rng.random(y.size), None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_PLAIN_CELLS", plain_cells)
+        reused = _TreeBuilder(X, depth, np.random.default_rng(seed), mtry)
+        got = [reused.build(r, hess=h) for r, h in zip(responses, hessians)]
+        fresh_rng = np.random.default_rng(seed)
+        want = [_TreeBuilder(X, depth, fresh_rng, mtry).build(r, hess=h)
+                for r, h in zip(responses, hessians)]
+    _assert_trees_identical([t for t, _ in got], [t for t, _ in want])
+    for (_, a), (_, b) in zip(got, want):
+        np.testing.assert_array_equal(_bits(a), _bits(b))
