@@ -8,6 +8,11 @@ echo "console script serves the committed tree plan"
 imputeq apply --pipeline tests/data/tree_plan_v2.json --data tests/data/mixed.csv --out "$RUNNER_TEMP/applied.csv"
 cmp "$RUNNER_TEMP/applied.csv" tests/data/tree_plan_v2_applied.csv
 
+# a ridge chain for every column: the chain round that serving runs
+echo "console script serves the committed ridge plan"
+imputeq apply --pipeline tests/data/ridge_plan_v2.json --data tests/data/mixed.csv --out "$RUNNER_TEMP/ridge_applied.csv"
+cmp "$RUNNER_TEMP/ridge_applied.csv" tests/data/ridge_plan_v2_applied.csv
+
 echo "console script fits the committed config"
 imputeq fit --config tests/data/mixed_config.json --out "$RUNNER_TEMP/mixed_fit.json"
 echo "d848e48ba4a372a9409bc1700020dabba2051996c14a31c6d01c8e14f6977ab9  $RUNNER_TEMP/mixed_fit.json" | sha256sum -c

@@ -25,7 +25,8 @@ from .errors import (
     InvalidFoldCount,
 )
 from .estimators import _is_int, gbt_fit, gbt_predict_proba
-from .imputers import ImputerSpec, fit as fit_imputer, task_seed, transform
+from .imputers import (ImputerSpec, _predictor_matrix, fit as fit_imputer,
+                       task_seed, transform)
 from .metrics import auroc, mean_ci
 from .report import Jsonable
 from .table import Column, Table, inject_mcar, kfold_split
@@ -178,7 +179,7 @@ def audit_feature(
         return FeatureAudit(
             feature, skipped=True, reason="insufficient_missing"
         )
-    X = np.column_stack([c.values for c in dprime.columns])
+    X = _predictor_matrix(dprime, dprime.column_names)
     scores = []
     for fold_idx, (train, test) in enumerate(_stratified_folds(y, k, seed)):
         model = gbt_fit(

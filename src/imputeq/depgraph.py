@@ -31,7 +31,7 @@ from .estimators import (
     ridge_fit,
     ridge_predict,
 )
-from .imputers import _init_fill
+from .imputers import _cells, _chain_matrix, _init_fill
 from .metrics import r2
 from .report import Jsonable
 from .table import Table
@@ -131,13 +131,13 @@ def build_dependency_graph(
     if len(names) < 2:
         return DependencyGraph(tuple(names), (), top_n, min_importance)
 
-    # column-wide mode fills for predictor gaps, computed once
-    fills = {c.name: _init_fill(c.values, c.mask, "mode") for c in t.columns}
+    # the table column-major with every gap at its column's mode
+    MT, masks = _chain_matrix(t, names, [
+        _init_fill(c.values, c.mask, "mode") for c in t.columns])
 
     edges = []
     for t_idx, target in enumerate(names):
-        tcol = t.column(target)
-        usable = np.flatnonzero(~tcol.mask)
+        usable = np.flatnonzero(~masks[t_idx])
         if usable.size < MIN_USABLE_ROWS:
             warnings.warn(
                 f"feature {target!r}: only {usable.size} usable rows; "
@@ -147,15 +147,10 @@ def build_dependency_graph(
             )
             continue
         predictors = [n for n in names if n != target]
-        X = np.column_stack(
-            [
-                np.where(
-                    t.column(n).mask[usable], fills[n], t.column(n).values[usable]
-                )
-                for n in predictors
-            ]
-        )
-        y = tcol.values[usable]
+        # C-ordered, whatever layout numpy gives a row gather of it: a ridge
+        # fit's column sums and BLAS product round by the layout
+        X = np.ascontiguousarray(MT.take(_cells(MT, t_idx, usable)).T)
+        y = MT[t_idx, usable]
 
         rng = np.random.default_rng(np.random.SeedSequence([seed, t_idx]))
         order = rng.permutation(usable.size)

@@ -45,6 +45,7 @@ import numpy as np
 from .depgraph import validate_dependency_dict
 from .estimators import _is_int, _is_number
 from .errors import (
+    ConstantTargetWarning,
     CorruptModel,
     DegenerateInput,
     ImputeQWarning,
@@ -59,6 +60,7 @@ from .errors import (
 from .imputers import (
     FittedImputer,
     ImputerSpec,
+    _predictor_matrix,
     fit as fit_imputer,
     fitted_from_jsonable,
     fitted_to_jsonable,
@@ -348,8 +350,8 @@ class Folds:
         names = list(dict.fromkeys(n for _, p, *_ in views for n in p))
         pos = {n: i for i, n in enumerate(names)}
         filled = knn_view_fills(
-            np.column_stack([train.column(n).values for n in names]),
-            np.column_stack([test.column(n).values for n in names]),
+            _predictor_matrix(train, names),
+            _predictor_matrix(test, names),
             [([pos[n] for n in p], refs, y, float(y.mean()))
              for _, p, refs, y in views],
             self._ks,
@@ -362,7 +364,6 @@ def imputation_score(
     feature: str,
     spec: ImputerSpec,
     folds: Folds,
-    scorer=None,
     seed: int = 0,
 ) -> ImputerEvaluation:
     """Mask-and-reimpute evaluation of one imputer on one feature of the
@@ -370,8 +371,8 @@ def imputation_score(
 
     Per fold: fit on the training rows from the feature's predictors, mask
     every originally observed target cell in the test rows, transform, and
-    score re-imputations against the originals (by default with the
-    config's scorer for the feature's kind).  Cells that were missing to
+    score re-imputations against the originals with the config's scorer
+    for the feature's kind.  Cells that were missing to
     begin with are filled too but never scored.  The evaluation holds the
     fold mean (clamped to [0, 1]), the fold std, and the bias veto of the
     pooled re-imputations at the config's alpha.
@@ -383,8 +384,7 @@ def imputation_score(
     With the seed `assess` gives it, this is the record `assess` stores.
     """
     col = folds.t.column(feature)
-    if scorer is None:
-        scorer = folds.config.scorer_for(col.kind)
+    scorer = folds.config.scorer_for(col.kind)
     n_preds = folds.n_predictors(feature, spec)
     if spec.is_multivariate and not n_preds:
         raise UntrainableImputer(
@@ -420,9 +420,16 @@ def imputation_score(
         want = tcol.values[observed_pos]
         pooled.append(got)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                fold_scores.append(float(scorer(want, got)))
+            # a non-finite score is refused below; only a constant target,
+            # which `nrmse_score` warns of, enters `catch_warnings`, as
+            # entering it resets the registry of warnings shown once
+            with np.errstate(all="ignore"):
+                if want.min() != want.max():
+                    fold_scores.append(float(scorer(want, got)))
+                else:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", ConstantTargetWarning)
+                        fold_scores.append(float(scorer(want, got)))
         except DegenerateInput:
             notes.add("unscorable_fold")
 

@@ -47,6 +47,19 @@ def _check_complete(X: np.ndarray, y: np.ndarray) -> None:
         raise InvalidArgument("estimators require complete, finite data")
 
 
+def _mean(values: np.ndarray) -> float:
+    """The mean of finite `values`.  Where their sum overflows (a column
+    near the float maximum), the mean of the values scaled by 2**-k, with
+    2**k at least their count, scaled back and held to their range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(values.mean())
+    if math.isfinite(m):
+        return m
+    k = values.size.bit_length()
+    m = np.ldexp(np.ldexp(values, -k).mean(), k)
+    return float(min(max(m, values.min()), values.max()))
+
+
 def _is_int(v, lo: int) -> bool:
     """A Python int (not a bool) of at least `lo`: an integer that a config
     or plan document can hold."""
@@ -456,6 +469,7 @@ class ForestModel(Jsonable):
     json_tags = {"type": "forest"}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_finite` refuses an inf
 def forest_fit(Xm, y, n_estimators: int = 100, max_depth=None,
                seed: int = 0) -> ForestModel:
     """Bagged CART trees with per-split feature subsampling: each tree is
@@ -518,6 +532,7 @@ def logistic_grad_hess(y: np.ndarray, margin: np.ndarray):
     return p - y, p * (1.0 - p)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_finite` refuses an inf
 def gbt_fit(Xm, y, n_estimators: int = 100, max_depth: int | None = 6,
             learning_rate: float = 0.1, loss: str = "squared",
             seed: int = 0) -> GbtModel:
@@ -544,10 +559,10 @@ def gbt_fit(Xm, y, n_estimators: int = 100, max_depth: int | None = 6,
         uniq = np.unique(y)
         if not np.isin(uniq, (0.0, 1.0)).all():
             raise InvalidArgument("logistic loss expects targets in {0, 1}")
-        pbar = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
+        pbar = min(max(_mean(y), 1e-6), 1.0 - 1e-6)
         base = math.log(pbar / (1.0 - pbar))
     else:
-        base = float(y.mean())
+        base = _mean(y)
 
     margin = np.full(X.shape[0], base)
     trees = []
@@ -643,7 +658,8 @@ def check_estimator_params(estimator: str, params: dict, path: str) -> None:
 
 def _finite(model):
     """`model`, unless a number that its fit computed (not a threshold,
-    which is an input cell) overflowed to an inf or a NaN."""
+    which is an input cell) overflowed to an inf or a NaN.  The tree fits
+    let such a sum overflow silently, so that it ends here."""
     if isinstance(model, RidgeModel):
         # the intercept, ym - xm @ w, reads every weight and mean, so a
         # non-finite one makes it non-finite too

@@ -36,6 +36,7 @@ from .estimators import (
     ESTIMATORS,
     ChainModel,
     _is_int,
+    _mean,
     _running_sum,
     check_chain_model,
     forest_fit,
@@ -230,19 +231,6 @@ def fit(
         return _iterative_fit(spec, train, target, predictors)
 
     return _fitted(spec, col, predictors, state_for)
-
-
-def _mean(values: np.ndarray) -> float:
-    """The mean of finite `values`.  Where their sum overflows (a column
-    near the float maximum), the mean of the values scaled by 2**-k, with
-    2**k at least their count, scaled back and held to their range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = float(values.mean())
-    if math.isfinite(m):
-        return m
-    k = values.size.bit_length()
-    m = np.ldexp(np.ldexp(values, -k).mean(), k)
-    return float(min(max(m, values.min()), values.max()))
 
 
 def _fitted(spec, col: Column, predictors, state_for) -> FittedImputer:
@@ -544,6 +532,26 @@ def _fit_column_estimator(spec: ImputerSpec, X, y, col_idx: int, round_idx: int)
         ) from exc
 
 
+def _chain_matrix(t: Table, names, fills) -> tuple[np.ndarray, np.ndarray]:
+    """The columns `names` of `t` column-major (one C-contiguous row per
+    column) with each gap at its column's entry of `fills`, and their
+    masks, one row per column."""
+    cols = [t.column(n) for n in names]
+    masks = np.array([c.mask for c in cols])
+    fills = np.array(fills, dtype=float)[:, None]
+    return np.where(masks, fills, [c.values for c in cols]), masks
+
+
+def _cells(MT: np.ndarray, j: int, rows: np.ndarray) -> np.ndarray:
+    """The flat indices in `MT` of column j's design matrix at `rows`, one
+    row per other column.  `MT.take(cells).T` is, bit for bit, the
+    Fortran-ordered `M[rows][:, other]` of the row-major matrix M: a column
+    mean and a BLAS product round according to the layout."""
+    other = np.arange(MT.shape[0] - 1)
+    other[j:] += 1
+    return other[:, None] * MT.shape[1] + rows
+
+
 def _iterative_fit(spec, train, target, predictors) -> dict:
     """Chained-equation training over the target and its predictors, with
     the columns in name order: the chain depends on the rows, the spec and
@@ -555,58 +563,40 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
     A column with no observed training value keeps its initial fill and is
     not visited, and with max_iter 0 no column is.  The last model per
     visited column is kept for transform; the target always gets one.  The
-    converged matrix stays in the state (not serialized), so that
-    `retarget` can give another column its model.
-
-    The chain works on the matrix column-major, `MT` (one C-contiguous row
-    per column), and derives once, for each visited column, its observed
-    rows, missing rows and the cells of its other columns.  A design matrix
-    is one gather of those cells from `MT`, transposed: the Fortran-ordered
-    array that `M[rows][:, other]` gives.  Its layout is part of the bit
-    contract, because a column mean and a BLAS product round according to
-    it.
+    converged matrix (column-major, see `_chain_matrix`) stays in the state
+    (not serialized), so that `retarget` can give another column its model.
     """
     names = sorted([*predictors, target])
-    MT = np.array([train.column(n).values for n in names])
-    masks = np.array([train.column(n).mask for n in names])
     params = {**ITERATIVE_DEFAULTS, **spec.params}
-    init_values = np.array([_init_fill(v, m, params["init_strategy"])
-                            for v, m in zip(MT, masks)])
-    for v, m, fill in zip(MT, masks, init_values):
-        v[m] = fill
+    init_values = np.array([
+        _init_fill(c.values, c.mask, params["init_strategy"])
+        for c in map(train.column, names)])
+    MT, masks = _chain_matrix(train, names, init_values)
 
     miss_counts = masks.sum(axis=1)
-    visit = [
-        int(j)
-        for j in np.argsort(-miss_counts, kind="mergesort")
-        if 0 < miss_counts[j] < MT.shape[1]
-    ] if params["max_iter"] else []
-    # per visited column, in visiting order: its row of `MT`; the cells of
-    # `MT`, as flat indices, of its other columns at its observed and at its
-    # missing rows; those rows; and its delta scale
+    visit = [int(j) for j in np.argsort(-miss_counts, kind="mergesort")
+             if 0 < miss_counts[j] < MT.shape[1]] if params["max_iter"] else []
+    # per visited column: its row, design cells, rows and delta scale
     steps = []
     for j in visit:
         obs, mis = np.flatnonzero(~masks[j]), np.flatnonzero(masks[j])
-        other = np.array([i for i in range(len(names)) if i != j])[:, None]
         with np.errstate(over="ignore"):
             scale = float(np.std(MT[j, obs]))
         if math.isinf(scale):  # its squares overflowed, not its spread
             top = np.abs(MT[j, obs]).max()
             scale = float(np.std(MT[j, obs] / top) * top)
-        steps.append((j, MT[j], (other * MT.shape[1] + obs).ravel(),
-                      (other * MT.shape[1] + mis).ravel(), obs, mis,
-                      scale or 1.0))
+        steps.append((j, MT[j], _cells(MT, j, obs), _cells(MT, j, mis), obs,
+                      mis, scale or 1.0))
 
     models: dict[int, object] = {}
     deltas = []
     for round_idx in range(params["max_iter"]):
         max_delta = 0.0
         for j, col, fit_cells, pred_cells, obs, mis, scale in steps:
-            X = MT.take(fit_cells).reshape(-1, obs.size).T
-            model = _fit_column_estimator(spec, X, col[obs], j, round_idx)
+            model = _fit_column_estimator(spec, MT.take(fit_cells).T,
+                                          col[obs], j, round_idx)
             models[j] = model
-            pred = model_predict(model,
-                                 MT.take(pred_cells).reshape(-1, mis.size).T)
+            pred = model_predict(model, MT.take(pred_cells).T)
             delta = np.abs(pred - col[mis]).max()
             max_delta = max(max_delta, delta / scale)
             col[mis] = pred
@@ -620,7 +610,7 @@ def _iterative_fit(spec, train, target, predictors) -> dict:
         "visit": tuple(visit),
         "models": models,
         "deltas": deltas,  # diagnostic trace; not serialized
-        "matrix": np.ascontiguousarray(MT.T),
+        "matrix": MT,
     }
     t_idx = names.index(target)
     return _with_target_model(spec, state, t_idx, ~masks[t_idx])
@@ -633,12 +623,10 @@ def _with_target_model(spec, state: dict, t_idx: int, rows_obs) -> dict:
     models = {j: m for j, m in state["models"].items()
               if j == t_idx or j in state["visit"]}
     if t_idx not in models:
-        M = state["matrix"]
-        other = [i for i in range(M.shape[1]) if i != t_idx]
+        MT, rows = state["matrix"], np.flatnonzero(rows_obs)
         models[t_idx] = _fit_column_estimator(
-            spec, M[rows_obs][:, other], M[rows_obs, t_idx], t_idx,
-            {**ITERATIVE_DEFAULTS, **spec.params}["max_iter"],
-        )
+            spec, MT.take(_cells(MT, t_idx, rows)).T, MT[t_idx, rows], t_idx,
+            {**ITERATIVE_DEFAULTS, **spec.params}["max_iter"])
     return {**state, "models": models}
 
 
@@ -658,26 +646,18 @@ def retarget(
 
 
 def _iterative_transform(f: FittedImputer, t: Table, missing_idx) -> np.ndarray:
-    """Mode-initialize, run one pass of the stored chained models, and read
-    the target predictions off the working matrix."""
+    """Fill each gap with its column's initial value, run one pass of the
+    stored chained models, and read the target's fills off the matrix."""
     state = f.state
     names = state["columns"]
-    cols = [t.column(n) for n in names]
-    M = np.column_stack([c.values for c in cols])
-    masks = np.column_stack([c.mask for c in cols])
-    for j in range(M.shape[1]):
-        M[masks[:, j], j] = state["init_values"][j]
-
+    MT, masks = _chain_matrix(t, names, state["init_values"])
     t_idx = names.index(f.target_column)
-    order = [j for j in state["visit"] if j != t_idx] + [t_idx]
-    for j in order:
-        rows_mis = masks[:, j]
-        if not rows_mis.any():
-            continue
-        other = [i for i in range(M.shape[1]) if i != j]
-        M[rows_mis, j] = model_predict(state["models"][j],
-                                       M[rows_mis][:, other])
-    return M[missing_idx, t_idx]
+    for j in [j for j in state["visit"] if j != t_idx] + [t_idx]:
+        rows = np.flatnonzero(masks[j])
+        if rows.size:
+            MT[j, rows] = model_predict(state["models"][j],
+                                        MT.take(_cells(MT, j, rows)).T)
+    return MT[t_idx, missing_idx]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from imputeq.engine import QualityRecord, records_to_jsonable
 from imputeq.report import column_summary, from_jsonable, quality_document
 from imputeq.table import Column
 
+from conftest import MIXED_PLAN_COLUMNS, _write_plan
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -379,6 +381,22 @@ class TestFitApply:
                      "--data", mixed_csv, "--out", str(out)]) == 0
         assert out.read_bytes() == (
             DATA / "tree_plan_v2_applied.csv").read_bytes()
+
+    def test_committed_ridge_plan_refits_and_serves_the_same_bytes(
+        self, mixed_csv, tmp_path
+    ):
+        # a schema v2 plan with a ridge chain for every column: fit again,
+        # it writes the same plan, and served, the same rows
+        cols = {name: (kind, "iter_ridge")
+                for name, (kind, _) in MIXED_PLAN_COLUMNS.items()}
+        plan = Path(_write_plan(mixed_csv, cols, tmp_path / "plan.json"))
+        doc = json.loads((DATA / "ridge_plan_v2.json").read_text())
+        assert json.loads(plan.read_text()) == doc
+        out = tmp_path / "o.csv"
+        assert main(["apply", "--pipeline", str(DATA / "ridge_plan_v2.json"),
+                     "--data", mixed_csv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            DATA / "ridge_plan_v2_applied.csv").read_bytes()
 
     def test_committed_mixed_csv_is_the_fixture(self, mixed_csv):
         # the CI smoke step serves the v2 plan to this file with the

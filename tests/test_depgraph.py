@@ -1,15 +1,19 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from imputeq import depgraph
 from imputeq.depgraph import (
+    DEFAULT_HOLDOUT_FRACTION,
     DependencyGraph,
     build_dependency_graph,
     transitive_dependencies,
     validate_dependency_dict,
 )
 from imputeq.errors import InvalidArgument, SchemaError, SmallSampleWarning
+from imputeq.imputers import _init_fill
 from imputeq.report import from_jsonable
 from imputeq.table import Column, ColumnKind, Table
 
@@ -160,6 +164,42 @@ class TestBuildGraph:
             t, seed=7, regressor="forest", regressor_params={"n_estimators": 10}
         )
         assert g1 == g2
+
+    def test_fits_read_the_reference_design_matrices(self):
+        # each target's fit reads, bit for bit and C-ordered, the training
+        # rows of the matrix that the graph once built predictor by
+        # predictor, each gap at its column's mode
+        rng = np.random.default_rng(12)
+        base = rng.normal(size=80)
+        cells = [np.round(base * k + rng.normal(size=80), 1)
+                 for k in (1, 2, 3, 4)]
+        for j, v in enumerate(cells[1:], 1):
+            v[rng.random(80) < 0.1 * j] = np.nan
+        t = Table(tuple(col(f"c{j}", v) for j, v in enumerate(cells)))
+        fits = []
+        real = depgraph._fit_regressor
+
+        def spy(name, params, X, y, seed):
+            fits.append((X, y))
+            return real(name, params, X, y, seed)
+
+        with mock.patch.object(depgraph, "_fit_regressor", spy):
+            build_dependency_graph(t, seed=4, regressor="ridge")
+        fills = {c.name: _init_fill(c.values, c.mask, "mode")
+                 for c in t.columns}
+        assert len(fits) == len(t.columns)
+        for t_idx, ((X, y), tcol) in enumerate(zip(fits, t.columns)):
+            usable = np.flatnonzero(~tcol.mask)
+            want = np.column_stack([
+                np.where(c.mask[usable], fills[c.name], c.values[usable])
+                for c in t.columns if c is not tcol])
+            rng = np.random.default_rng(np.random.SeedSequence([4, t_idx]))
+            order = rng.permutation(usable.size)
+            train = order[max(2, int(round(
+                DEFAULT_HOLDOUT_FRACTION * usable.size))):]
+            assert X.flags.c_contiguous
+            assert X.tobytes() == want[train].tobytes()
+            assert y.tobytes() == tcol.values[usable][train].tobytes()
 
     def test_sparse_feature_flagged_and_isolated(self):
         rng = np.random.default_rng(8)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
@@ -80,11 +81,12 @@ def linear_pair(n=300, noise=0.05, miss=0.3, seed=0):
     return t.with_column(gapped.column("y"))
 
 
-def score_traced(feature, spec, folds, **kwargs):
-    """`imputation_score`'s evaluation, the fold scores of its scorer and
-    the pooled re-imputations that its bias test read."""
+def score_traced(feature, spec, folds, scorer=None, **kwargs):
+    """`imputation_score`'s evaluation, the fold scores of its scorer (the
+    config's, or `scorer` in its place) and the pooled re-imputations that
+    its bias test read."""
     kind = folds.t.column(feature).kind
-    scorer = kwargs.pop("scorer", None) or folds.config.scorer_for(kind)
+    scorer = scorer or folds.config.scorer_for(kind)
     fold_scores, pooled = [], []
 
     def scorer_spy(want, got):
@@ -95,8 +97,10 @@ def score_traced(feature, spec, folds, **kwargs):
         pooled.append(got)
         return stattests.distribution_compatible(col, observed, got, alpha)
 
-    with mock.patch.object(engine, "distribution_compatible", bias_spy):
-        e = imputation_score(feature, spec, folds, scorer=scorer_spy, **kwargs)
+    with mock.patch.object(engine, "distribution_compatible", bias_spy), \
+            mock.patch.object(AssessConfig, "scorer_for",
+                              lambda config, k: scorer_spy):
+        e = imputation_score(feature, spec, folds, **kwargs)
     return e, fold_scores, *pooled
 
 
@@ -247,10 +251,8 @@ class TestImputationScore:
         t = linear_pair(seed=2)
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("m", "simple", {"statistic": "mean"})
-        out = imputation_score(
-            "y", spec, folds_of(t, splits, spec), seed=1,
-            scorer=lambda a, b: -0.25,
-        )
+        out, *_ = score_traced("y", spec, folds_of(t, splits, spec), seed=1,
+                               scorer=lambda a, b: -0.25)
         assert out.delta_mean == 0.0
         assert "clamped" in out.notes
 
@@ -259,10 +261,8 @@ class TestImputationScore:
         splits = kfold_split(t.n_rows, 5, 0)
         spec = ImputerSpec("m", "simple", {"statistic": "mean"})
         with pytest.raises(DegenerateInput):
-            imputation_score(
-                "y", spec, folds_of(t, splits, spec), seed=1,
-                scorer=lambda a, b: float("nan"),
-            )
+            score_traced("y", spec, folds_of(t, splits, spec), seed=1,
+                         scorer=lambda a, b: float("nan"))
 
     def test_infinite_fold_mean_is_rejected(self):
         # finite cells near 1e160 overflow the squared errors of a mean
@@ -551,6 +551,26 @@ class TestRecordRules:
 
 
 class TestAssess:
+    def test_knn_fallback_warning_shows_once_under_the_default_filter(self):
+        # every sixth row has only A: as A's query row it shares no
+        # coordinate with any reference, in each fold and for each k;
+        # scoring a fold must not reset the registry that shows it once
+        base = factor_table(n=60, rates=(0.0,) * 4)
+        t = make_table([
+            (c.name, np.where(np.arange(60) % 6 == 0, np.nan, c.values)
+             if c.name != "A" else c.values, ColumnKind.CONTINUOUS)
+            for c in base.columns])
+        cfg = AssessConfig((KNN3, KNN5), n_folds=3, seed=4)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("default")
+            records = assess(t, cfg)
+        assert [str(w.message) for w in seen] == [
+            "no reference row shares an observed coordinate; falling back "
+            "to the global mean"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert assess(t, cfg) == records
+
     def test_records_satisfy_quality_identity(self):
         t = linear_pair(seed=6)
         cfg = AssessConfig(imputers=BASIC_ROSTER, seed=2)

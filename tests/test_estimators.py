@@ -1,4 +1,5 @@
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -272,18 +273,38 @@ class TestHyperparameters:
 
     @pytest.mark.parametrize("fit, scale_x, scale_y", [
         (forest_fit, 1.0, 1e307),
-        (gbt_fit, 1.0, 1e307),
+        (gbt_fit, 1.0, [8e307, -8e307] * 20),
         (ridge_fit, 1e200, 1.0),
     ])
     def test_a_model_that_overflows_is_refused(self, fit, scale_x, scale_y):
-        # positive targets near the float maximum overflow a leaf mean (and
-        # the boosting base score); huge inputs overflow ridge's Gram matrix
+        # positive targets near the float maximum overflow a leaf mean;
+        # targets of both signs there overflow the sums of the boosting
+        # residuals; huge inputs overflow ridge's Gram matrix
         rng = np.random.default_rng(17)
         X = rng.normal(size=(40, 3))
         y = rng.random(40) + 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DegenerateInput, match="non-finite"):
-                fit(X * scale_x, y * scale_y)
+                fit(X * scale_x, y * np.asarray(scale_y))
+
+    def test_tree_fits_near_the_float_maximum_warn_of_nothing(self):
+        # the boosting base score is the mean of targets whose sum
+        # overflows; a sum that overflows in a tree refuses the model
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(300, 3))
+        y = 1.4e308 + rng.random(300) * 3e307
+        fits = [
+            gbt_fit(np.arange(8.0)[:, None],
+                    [1.5e308, 1.6e308, 1.4e308, 1.7e308] * 2, n_estimators=2),
+            gbt_fit(X, y, n_estimators=3),
+            gbt_fit(X[:40], (rng.random(40) + 1.0) * 1e307),
+        ]
+        for m in fits:
+            assert 1e307 < m.base_score < 1.7e308
+            assert all(np.isfinite(t.value).all() for t in m.trees)
+        with pytest.raises(DegenerateInput, match="non-finite"):
+            forest_fit(X, y, n_estimators=3)
 
 
 class TestPermutationImportance:
