@@ -121,6 +121,24 @@ assert error["error"] == "CorruptModel", error
 assert error["message"].startswith("fitted[0].state.models: "), error
 ' "$RUNNER_TEMP/no_model.err"
 
+echo "a plan whose schema names a column twice exits 3 at the later entry"
+python -c '
+import json, sys
+doc = json.load(open("tests/data/tree_plan_v2.json"))
+doc["schema"].append(doc["schema"][0])
+json.dump(doc, open(sys.argv[1], "w"))
+' "$RUNNER_TEMP/twice.json"
+rc=0
+imputeq apply --pipeline "$RUNNER_TEMP/twice.json" --data tests/data/mixed.csv --out "$RUNNER_TEMP/twice.csv" 2> "$RUNNER_TEMP/twice.err" || rc=$?
+test "$rc" = 3
+python -c '
+import json, sys
+[line] = open(sys.argv[1]).read().splitlines()
+error = json.loads(line)
+assert error["error"] == "CorruptModel", error
+assert error["message"].startswith("schema[5].name: "), error
+' "$RUNNER_TEMP/twice.err"
+
 echo "console script builds a forest dependency graph"
 python -c '
 import json, sys

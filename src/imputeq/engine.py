@@ -85,6 +85,7 @@ from .table import (
     Column,
     ColumnKind,
     Table,
+    _trusted,
     completeness,
     kfold_split,
 )
@@ -610,17 +611,29 @@ class PipelinePlan:
     # CSV cells that `imputeq apply` reads as missing, as at fit time
     missing_sentinels: tuple[str, ...] = DEFAULT_MISSING_SENTINELS
 
+    # the schema's column names, derived when the plan is built and never
+    # serialized: each request compares its columns with them
+    @cached_property
+    def schema_names(self) -> frozenset[str]:
+        return frozenset(s.name for s in self.schema)
+
     def __post_init__(self):
         """Check the rules that span the plan, in this order, with
         SchemaError at the field of the first one broken: a seed >= 0;
-        imputers of schema columns, whose targets and the drop list cover
-        the schema once each; observed values (label codes, if labelled)
-        for a target that is not continuous; valid dependencies.  A path is
-        built only for a fault."""
+        schema columns named once each; imputers of schema columns, whose
+        targets and the drop list cover the schema once each; observed
+        values (label codes, if labelled) for a target that is not
+        continuous; valid dependencies.  A path is built only for a
+        fault."""
         if not _is_int(self.seed, 0):
             raise SchemaError("seed", "expected an integer >= 0")
+        names = self.schema_names
+        if len(names) != len(self.schema):
+            listed = [s.name for s in self.schema]
+            i = next(i for i, n in enumerate(listed) if n in listed[:i])
+            raise SchemaError(f"schema[{i}].name",
+                              "expected a name no earlier column has")
         schema = {s.name: s for s in self.schema}
-        names = set(schema)
         for i, f in enumerate(self.fitted):
             target = schema.get(f.target_column)
             if target is None:
@@ -704,15 +717,13 @@ def _encode_column(col: Column, schema: ColumnSchema) -> Column:
     warns once.  An all-blank column loads as strings, so a numeric schema
     turns it into NaN cells under the same mask."""
     if schema.labels is None:
-        if col.is_encoded:
-            return Column(col.name, col.values, col.mask, schema.kind,
-                          col.labels)
-        if not col.mask.all():
+        if not (col.is_encoded or col.mask.all()):
             raise SchemaMismatch(
                 f"column {col.name!r}: expected numeric values"
             )
-        return Column(col.name, np.full(col.n_rows, np.nan), col.mask,
-                      schema.kind, col.labels)
+        values = col.values if col.is_encoded else np.full(col.n_rows, np.nan)
+        return _trusted(Column, name=col.name, values=values, mask=col.mask,
+                        kind=schema.kind, labels=col.labels)
     get = (schema.code_of_code if col.is_encoded
            else schema.code_of_label).get
     nan = math.nan
@@ -727,8 +738,9 @@ def _encode_column(col: Column, schema: ColumnSchema) -> Column:
             ImputeQWarning,
             stacklevel=3,  # the caller of apply_pipeline
         )
-    return Column(col.name, values, np.isnan(values), schema.kind,
-                  schema.labels)
+    return _trusted(Column, name=col.name, values=values,
+                    mask=np.isnan(values), kind=schema.kind,
+                    labels=schema.labels)
 
 
 def apply_pipeline(plan: PipelinePlan, t: Table) -> Table:
@@ -744,7 +756,7 @@ def apply_pipeline(plan: PipelinePlan, t: Table) -> Table:
     may share its arrays with the input column.
     """
     given = {c.name: c for c in t.columns}
-    want = {s.name for s in plan.schema}
+    want = plan.schema_names
     if given.keys() != want:
         missing = sorted(want - given.keys())
         extra = sorted(given.keys() - want)
@@ -754,7 +766,8 @@ def apply_pipeline(plan: PipelinePlan, t: Table) -> Table:
     cols = []
     for s in plan.schema:  # a loop, not a comprehension: see stacklevel
         cols.append(_encode_column(given[s.name], s))
-    work = Table(tuple(cols), t.n_rows)
+    # the plan names each column once and the encoder keeps each length
+    work = _trusted(Table, columns=tuple(cols), n_rows=t.n_rows)
     incomplete = {c.name for c in cols if np.count_nonzero(c.mask)}
     for f in plan.fitted:
         if f.target_column in incomplete:

@@ -176,7 +176,8 @@ class _TreeBuilder:
     Every sum is a running sum, left to right from its first term: a node's
     response total (and hessian sum) over its own rows in ascending row
     order, summed afresh at each node, so rounding does not build up down a
-    path, and a one-row leaf is its target exactly.
+    path, and a one-row leaf is its target exactly.  A mean leaf whose total
+    overflows takes `_mean` of its responses instead.
     """
 
     def __init__(self, X, max_depth, rng=None, mtry=None):
@@ -223,7 +224,8 @@ class _TreeBuilder:
                 split = self._best_split(y, total, idx, order)
             if split is None:
                 if hess is None:
-                    v = total / idx.size
+                    v = (total / idx.size if math.isfinite(total)
+                         else _mean(ysub))
                 else:
                     v = total / max(float(hess[idx].cumsum()[-1]), 1e-12)
                 value[node] = v
@@ -319,7 +321,8 @@ class _TreeBuilder:
                 split = self._plain_split(y, rows, total)
             if split is None:
                 if hess is None:
-                    v = total / len(rows)
+                    v = (total / len(rows) if math.isfinite(total)
+                         else _mean(np.array(ys)))
                 else:
                     v = total / max(_running_sum([hess[i] for i in rows]),
                                     1e-12)

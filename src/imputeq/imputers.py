@@ -46,7 +46,7 @@ from .estimators import (
     ridge_fit,
 )
 from .report import Jsonable, Vector, field_types, from_jsonable, to_jsonable
-from .table import Column, ColumnKind, Table
+from .table import Column, ColumnKind, Table, _trusted
 
 FAMILIES = ("simple", "apprandom", "knn", "iterative")
 SIMPLE_STATISTICS = ("mean", "median", "mode")
@@ -272,7 +272,7 @@ def transform(f: FittedImputer, t: Table) -> Table:
     result is deterministic for a fixed (fitted state, seed, input).
     """
     col = t.column(f.target_column)
-    missing = np.flatnonzero(col.mask)
+    missing = col.mask.nonzero()[0]
     if missing.size == 0:
         return t
     if f.spec.family == "simple":
@@ -298,7 +298,7 @@ def with_fills(f: FittedImputer, t: Table, fills: np.ndarray) -> Table:
     """`t` with the target's missing cells, in row order, set to the
     pseudo-rounded `fills` that `f` computed for them."""
     col = t.column(f.target_column)
-    return _write_fills(f, t, col, np.flatnonzero(col.mask), fills)
+    return _write_fills(f, t, col, col.mask.nonzero()[0], fills)
 
 
 def _write_fills(f, t, col, missing, fills):
@@ -307,8 +307,8 @@ def _write_fills(f, t, col, missing, fills):
     values[missing] = fills
     mask = col.mask.copy()
     mask[missing] = False
-    new_col = Column(col.name, values, mask, kind=col.kind, labels=col.labels)
-    return t.with_column(new_col)
+    return t.with_column(_trusted(Column, name=col.name, values=values,
+                                  mask=mask, kind=col.kind, labels=col.labels))
 
 
 def _apply_rounding(f, col, fills):
@@ -653,7 +653,7 @@ def _iterative_transform(f: FittedImputer, t: Table, missing_idx) -> np.ndarray:
     MT, masks = _chain_matrix(t, names, state["init_values"])
     t_idx = names.index(f.target_column)
     for j in [j for j in state["visit"] if j != t_idx] + [t_idx]:
-        rows = np.flatnonzero(masks[j])
+        rows = masks[j].nonzero()[0]
         if rows.size:
             MT[j, rows] = model_predict(state["models"][j],
                                         MT.take(_cells(MT, j, rows)).T)

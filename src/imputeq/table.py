@@ -126,11 +126,9 @@ class Table:
         if col.n_rows != self.n_rows:
             raise InvalidArgument(f"column {col.name!r} has {col.n_rows} "
                                   f"rows, table has {self.n_rows}")
-        t = object.__new__(Table)
-        object.__setattr__(t, "columns", tuple(
-            col if c.name == col.name else c for c in self.columns))
-        object.__setattr__(t, "n_rows", self.n_rows)
-        return t
+        return _trusted(Table, columns=tuple(
+            col if c.name == col.name else c for c in self.columns),
+            n_rows=self.n_rows)
 
     def total_missing(self) -> int:
         return sum(c.n_missing() for c in self.columns)
@@ -138,6 +136,17 @@ class Table:
     def missing_cell_fraction(self) -> float:
         cells = self.n_rows * len(self.columns)
         return self.total_missing() / cells if cells else 0.0
+
+
+def _trusted(cls, **fields):
+    """A `Column` or `Table` with `fields`, built without its
+    `__post_init__`: for a caller that already holds every fact those
+    checks judge (one length per column, one row count and unique names
+    per table).  The fields go into the instance's `__dict__`, past the
+    frozen `__setattr__`, as `cached_property` writes."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def load_csv(path, missing_sentinels=DEFAULT_MISSING_SENTINELS) -> Table:

@@ -44,6 +44,7 @@ from imputeq import (
     transitive_dependencies,
 )
 from imputeq import stattests
+from imputeq.errors import ImputeQWarning
 from imputeq.imputers import adaptive_round_binary, fit, transform
 from imputeq.stattests import distribution_compatible
 
@@ -304,7 +305,7 @@ def test_dependency_dictionary_fidelity():
     assert time.perf_counter() - started < 1.0
 
 
-def test_rounding_invariants_and_binary_cutoff():
+def test_rounding_invariants_and_binary_cutoff(recwarn):
     started = time.perf_counter()
 
     roster = (
@@ -363,6 +364,11 @@ def test_rounding_invariants_and_binary_cutoff():
                     assert values <= {0.0, 1.0}
                 else:
                     assert values <= observed
+    # kNN may fall back to the global mean for a row: the one warning these
+    # tables may raise, so `recwarn` holds no other
+    for w in recwarn:
+        assert w.category is ImputeQWarning, w
+        assert str(w.message).startswith("no reference row shares"), w
 
     assert adaptive_round_binary(np.array([0.5]), 0.5)[0] == 1.0
     at_half_minus_ulp = np.array([np.nextafter(0.5, 0.0)])

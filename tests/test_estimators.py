@@ -271,26 +271,27 @@ class TestHyperparameters:
         for got in (ridge.reg_strength, gbt.learning_rate):
             assert type(got) is float and got == 1.0
 
-    @pytest.mark.parametrize("fit, scale_x, scale_y", [
-        (forest_fit, 1.0, 1e307),
-        (gbt_fit, 1.0, [8e307, -8e307] * 20),
-        (ridge_fit, 1e200, 1.0),
+    @pytest.mark.parametrize("fit, scale_x, scale_y, params", [
+        pytest.param(gbt_fit, 1.0, 1e307, {"learning_rate": 10.0},
+                     id="gbt_fit-1.0-1e+307-rate10"),
+        pytest.param(ridge_fit, 1e200, 1.0, {}, id="ridge_fit-1e+200-1.0"),
     ])
-    def test_a_model_that_overflows_is_refused(self, fit, scale_x, scale_y):
-        # positive targets near the float maximum overflow a leaf mean;
-        # targets of both signs there overflow the sums of the boosting
-        # residuals; huge inputs overflow ridge's Gram matrix
+    def test_a_model_that_overflows_is_refused(self, fit, scale_x, scale_y,
+                                               params):
+        # a boosting step that passes the float maximum overflows the
+        # margins and then the next round's residuals; huge inputs overflow
+        # ridge's Gram matrix
         rng = np.random.default_rng(17)
         X = rng.normal(size=(40, 3))
         y = rng.random(40) + 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateInput, match="non-finite"):
-                fit(X * scale_x, y * np.asarray(scale_y))
+                fit(X * scale_x, y * np.asarray(scale_y), **params)
 
     def test_tree_fits_near_the_float_maximum_warn_of_nothing(self):
         # the boosting base score is the mean of targets whose sum
-        # overflows; a sum that overflows in a tree refuses the model
+        # overflows; so is a squared-loss leaf whose running sum overflows
         rng = np.random.default_rng(17)
         X = rng.normal(size=(300, 3))
         y = 1.4e308 + rng.random(300) * 3e307
@@ -299,12 +300,34 @@ class TestHyperparameters:
                     [1.5e308, 1.6e308, 1.4e308, 1.7e308] * 2, n_estimators=2),
             gbt_fit(X, y, n_estimators=3),
             gbt_fit(X[:40], (rng.random(40) + 1.0) * 1e307),
+            gbt_fit(X[:40], (rng.random(40) + 1.0)
+                    * np.array([8e307, -8e307] * 20)),
         ]
         for m in fits:
-            assert 1e307 < m.base_score < 1.7e308
             assert all(np.isfinite(t.value).all() for t in m.trees)
-        with pytest.raises(DegenerateInput, match="non-finite"):
-            forest_fit(X, y, n_estimators=3)
+        for m in fits[:3]:
+            assert 1e307 < m.base_score < 1.7e308
+        for target in (y, np.full(300, 1.7e308)):
+            for t in forest_fit(X, target, n_estimators=3).trees:
+                assert target.min() <= t.value[0] <= target.max()
+
+    @pytest.mark.parametrize("rows", [300, 40])
+    def test_a_leaf_whose_sum_overflows_is_the_scaled_mean(self, rows):
+        # 300 rows grow in the block search, 40 (under `_PLAIN_CELLS` with
+        # three candidate features) in the plain one; each root sum
+        # overflows, so neither splits
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(rows, 3))
+        y = 1.4e308 + rng.random(rows) * 3e307
+        with np.errstate(over="ignore", invalid="ignore"):  # as the fits
+            tree, fitted = _TreeBuilder(X, None).build(y)
+            constant = _TreeBuilder(X, None).build(np.full(rows, 1.7e308))[0]
+        k = rows.bit_length()
+        want = np.ldexp(np.ldexp(y, -k).mean(), k)
+        assert tree.feature.tolist() == [-1]
+        assert tree.value.tolist() == [want] and 1.4e308 < want < 1.7e308
+        assert (fitted == want).all()
+        assert constant.value.tolist() == [1.7e308]
 
 
 class TestPermutationImportance:

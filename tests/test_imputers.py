@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from typing import Annotated
 
 import numpy as np
@@ -523,19 +524,37 @@ class TestIterative:
         assert 1.4e308 <= start <= 1.7e308
 
     def test_a_column_model_that_overflows_is_a_training_error(self):
-        # targets near the float maximum overflow a leaf mean: the fit
-        # refuses the model, and the chain reports a training error, which
-        # the assessment records as a skipped candidate
+        # boosting steps past the float maximum overflow the margins and
+        # then a leaf: the fit refuses the model, and the chain reports a
+        # training error, which the assessment records as a skipped
+        # candidate
         t, _ = linear_pair_table(seed=6)
         y = t.column("y")
         # finite observed values in [1e307, 2e307]
         big = Column("y", y.values / 20.0 * 1e307 + 1e307, y.mask,
                      kind=ColumnKind.CONTINUOUS)
         spec = ImputerSpec("it", "iterative",
-                           {"estimator": "forest", "n_estimators": 3})
+                           {"estimator": "gbt", "n_estimators": 3,
+                            "learning_rate": 1e10})
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ImputerTrainingError, match="non-finite"):
                 fit(spec, t.with_column(big), "y", ("x",))
+
+    def test_a_forest_chain_fits_a_column_whose_sums_overflow(self):
+        # a leaf whose running sum overflows takes the scaled mean, so the
+        # forest chain fits and fills the column as the GBT chain does
+        t, _ = linear_pair_table(seed=6)
+        y = t.column("y")
+        big = t.with_column(Column("y", y.values / 20.0 * 1e307 + 1e307,
+                                   y.mask, kind=ColumnKind.CONTINUOUS))
+        spec = ImputerSpec("it", "iterative",
+                           {"estimator": "forest", "n_estimators": 3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filled = transform(fit(spec, big, "y", ("x",)), big).column("y")
+        assert not filled.mask.any()
+        assert (1e307 <= filled.values).all()
+        assert (filled.values <= 2e307).all()
 
 
 class TestAdaptiveRounding:

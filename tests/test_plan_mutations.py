@@ -237,6 +237,24 @@ def test_drop_list_names_schema_columns_once(drop_list, exit_code, tmp_path):
         assert "drop_list" in error["message"]
 
 
+# a schema that names a column twice: the later entry is refused, wherever
+# the earlier one stands
+@pytest.mark.parametrize("copy_of, at, where", [
+    (0, 5, "schema[5].name"),
+    (4, 1, "schema[5].name"),
+    (2, 3, "schema[3].name"),
+])
+def test_schema_names_each_column_once(copy_of, at, where, tmp_path):
+    with open(DATA / "tree_plan_v2.json") as fh:
+        doc = json.load(fh)
+    doc["schema"].insert(at, dict(doc["schema"][copy_of]))
+    rc, err = _apply_plan_doc(doc, tmp_path)
+    assert rc == 3, err
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error["error"] == "CorruptModel"
+    assert error["message"].startswith(where + ":"), error
+
+
 # a value of another type that the readers once coerced or passed through:
 # each must be refused at its document path
 @pytest.mark.parametrize("path, value, where", [
